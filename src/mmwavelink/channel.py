@@ -7,6 +7,7 @@ TX+RX oscillator phase trajectory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -37,6 +38,27 @@ class PhaseNoiseConfig:
     model: PhaseNoiseModel = PhaseNoiseModel.FILTERED_GAUSSIAN
 
 
+@functools.lru_cache(maxsize=64)
+def _shaping_filter(bandwidth_hz: float, sample_rate_hz: float):
+    """Phase-noise shaping filter design: (sos, n_settle, impulse energy).
+
+    Depends only on the band, not on sigma, so every frame of a run shares
+    one design. The sos array stays writable because sosfilt requires it;
+    callers must not modify it.
+    """
+    corner_hz = bandwidth_hz / PN_CORNER_RATIO
+    sos = signal.butter(PN_FILTER_ORDER, corner_hz, fs=sample_rate_hz, output="sos")
+    poles = np.concatenate([np.roots(section[3:6]) for section in sos])
+    slowest = min(max(np.abs(poles)), 1.0 - 1e-12)
+    # Long enough for the impulse response energy sum and for the warmup in
+    # PhaseNoiseProcess to converge; capped for pathologically slow corners.
+    n_settle = int(min(max(np.ceil(-12.0 / np.log(slowest)), 64), 2 ** 22))
+    impulse = np.zeros(n_settle)
+    impulse[0] = 1.0
+    energy = float(np.sum(signal.sosfilt(sos, impulse) ** 2))
+    return sos, n_settle, energy
+
+
 class PhaseNoiseProcess:
     """Stateful theta(n) generator.
 
@@ -59,19 +81,8 @@ class PhaseNoiseProcess:
         self.sample_rate_hz = sample_rate_hz
         self._rng = np.random.default_rng(seed)
         if config.model is PhaseNoiseModel.FILTERED_GAUSSIAN:
-            corner_hz = config.bandwidth_hz / PN_CORNER_RATIO
-            self._sos = signal.butter(PN_FILTER_ORDER, corner_hz,
-                                      fs=sample_rate_hz, output="sos")
-            poles = np.concatenate(
-                [np.roots(section[3:6]) for section in self._sos]
-            )
-            slowest = min(max(np.abs(poles)), 1.0 - 1e-12)
-            # Long enough for the impulse response energy sum and for the
-            # warmup below to converge; capped for pathologically slow corners.
-            n_settle = int(min(max(np.ceil(-12.0 / np.log(slowest)), 64), 2 ** 22))
-            impulse = np.zeros(n_settle)
-            impulse[0] = 1.0
-            energy = float(np.sum(signal.sosfilt(self._sos, impulse) ** 2))
+            self._sos, n_settle, energy = _shaping_filter(config.bandwidth_hz,
+                                                          sample_rate_hz)
             self._drive_std = config.sigma / np.sqrt(energy)
             # Stationary start: run the filter over a discarded warmup block.
             _, self._zi = signal.sosfilt(

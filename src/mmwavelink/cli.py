@@ -73,13 +73,28 @@ def _merge_config(defaults: dict, user: dict, path: str = "") -> dict:
     return merged
 
 
+def _finite(parse):
+    """JSON number hook: parse, then reject values with no finite float."""
+    def hook(text: str):
+        try:
+            value = parse(text)
+            if math.isfinite(float(value)):
+                return value
+        except (ValueError, OverflowError):
+            pass
+        raise ConfigError(f"config number {text[:24]} is not finite")
+    return hook
+
+
 def load_config(path, seed_override=None) -> dict:
+    """Merged config; numbers must be finite and the seed a non-negative integer."""
     if path is None:
         user = {}
     else:
         try:
             with open(path) as fh:
-                user = json.load(fh)
+                user = json.load(fh, parse_float=_finite(float), parse_int=_finite(int),
+                                 parse_constant=_finite(float))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
         except OSError as exc:
@@ -89,6 +104,9 @@ def load_config(path, seed_override=None) -> dict:
     cfg = _merge_config(DEFAULT_CONFIG, user)
     if seed_override is not None:
         cfg["seed"] = seed_override
+    seed = cfg["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return cfg
 
 
@@ -174,9 +192,10 @@ def _validate_run_params(cfg: dict, ofdm_cfg: OfdmConfig) -> None:
         raise ConfigError("n_payload_symbols must be >= 1")
     if not isinstance(cfg["pnc_enabled"], bool):
         raise ConfigError("pnc_enabled must be a boolean")
-    _require_number(cfg, "", "seed", integer=True)
     taps = cfg["channel"]["taps"]
-    if isinstance(taps, list) and len(taps) > ofdm_cfg.cp_len:
+    # L taps spread a symbol over L - 1 extra samples, which the CP absorbs
+    # while L - 1 <= cp_len.
+    if isinstance(taps, list) and len(taps) - 1 > ofdm_cfg.cp_len:
         import warnings
         warnings.warn(
             f"channel has {len(taps)} taps but cp_len={ofdm_cfg.cp_len}; "
@@ -191,9 +210,13 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(path: Path, obj) -> None:
+    """Write strict JSON; a NaN or infinite value fails before the file is opened."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path.name} not written: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def cmd_simulate(args) -> int:

@@ -28,6 +28,12 @@ class FrameResult:
     theta_true_bodies: np.ndarray  # ground truth aligned with theta_est
 
 
+def _payload_bodies(x, cfg: OfdmConfig) -> np.ndarray:
+    """(n_payload_symbols, n_fft) view of a frame buffer: preamble rows and
+    cyclic prefixes dropped."""
+    return x.reshape(-1, cfg.symbol_len)[N_PREAMBLE_SYMBOLS:, cfg.cp_len:]
+
+
 def run_frame(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
               channel_cfg: ChannelConfig, pnc_enabled: bool,
               n_payload_symbols: int) -> FrameResult:
@@ -35,25 +41,17 @@ def run_frame(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
     frame = build_frame(bits, modulation, ofdm_cfg, n_payload_symbols)
     tx = frame.samples()
     y, theta = apply_channel(tx, channel_cfg)
-    report = decode_frame(y, ofdm_cfg, modulation, pnc_enabled,
-                          true_bits=frame.payload_bits)
-
-    sym_len = ofdm_cfg.symbol_len
-    est_list = []
-    true_list = []
-    for s in range(N_PREAMBLE_SYMBOLS, N_PREAMBLE_SYMBOLS + n_payload_symbols):
-        start = s * sym_len + ofdm_cfg.cp_len
-        body = y[start:start + ofdm_cfg.plan.n_fft]
-        est_list.append(estimate_phase(body, ofdm_cfg).per_sample_phase)
-        true_list.append(theta[start:start + ofdm_cfg.plan.n_fft])
-    empty = np.zeros(0)
+    report, theta_est = decode_frame(y, ofdm_cfg, modulation, pnc_enabled,
+                                     true_bits=frame.payload_bits, return_phase=True)
+    if theta_est is None:
+        theta_est = estimate_phase(_payload_bodies(y, ofdm_cfg), ofdm_cfg).per_sample_phase
     return FrameResult(
         report=report,
         tx_bits=frame.payload_bits,
         n_channel_uses=tx.size,
         theta_true=theta,
-        theta_est=np.concatenate(est_list) if est_list else empty,
-        theta_true_bodies=np.concatenate(true_list) if true_list else empty,
+        theta_est=theta_est.ravel(),
+        theta_true_bodies=_payload_bodies(theta, ofdm_cfg).ravel(),
     )
 
 

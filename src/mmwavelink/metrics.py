@@ -134,20 +134,30 @@ def phase_tracking_report(theta_true, theta_est) -> PhaseTrackingReport:
     )
 
 
+# Rows formatted per write in write_series_csv; bounds the text held in memory.
+CSV_CHUNK_ROWS = 1024
+
+
 def write_series_csv(path, header, columns) -> None:
-    """Write parallel 1-D columns as CSV with a header row."""
+    """Write parallel 1-D numeric columns as CSV with a header row.
+
+    Floats are written with 10 significant digits (`.10g`), integers and
+    booleans with str(); lines end in CRLF, as csv.writer writes them. Rows
+    stop at the shortest column.
+    """
     columns = [np.asarray(c).ravel() for c in columns]
+    for c in columns:
+        if c.dtype.kind not in "biuf":
+            raise TypeError(f"column dtype {c.dtype} is not numeric")
+    # printf-style "%.10g" gives the same text as format(v, ".10g"), faster.
+    row_format = ",".join("%.10g" if c.dtype.kind == "f" else "%s"
+                          for c in columns) + "\r\n"
+    n_rows = min((c.size for c in columns), default=0)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(v):
-    if isinstance(v, (float, np.floating)):
-        return f"{v:.10g}"
-    return v
+        csv.writer(fh).writerow(header)
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            chunk = [c[start:start + CSV_CHUNK_ROWS].tolist() for c in columns]
+            fh.write("".join([row_format % row for row in zip(*chunk)]))
 
 
 def write_psd_csv(est: PsdEstimate, path) -> None:

@@ -70,7 +70,7 @@ def map_bits(bits, modulation: Modulation) -> np.ndarray:
         raise ValueError("bits must be one-dimensional")
     if bits.size % k:
         raise ValueError(f"bit count {bits.size} is not a multiple of {k}")
-    if bits.size and not np.isin(bits, (0, 1)).all():
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0 or 1")
     idx = bits.reshape(-1, k).astype(np.int64).dot(1 << np.arange(k)[::-1])
     return modulation.constellation[idx]

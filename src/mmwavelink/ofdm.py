@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,13 +92,14 @@ class OfdmConfig:
 
 
 def modulate_symbol(freq_bins, cfg: OfdmConfig) -> np.ndarray:
-    """Unitary IFFT of one symbol's bins plus cyclic prefix."""
+    """Unitary IFFT of one symbol's bins (n_fft,) or of a stack (..., n_fft),
+    plus cyclic prefix."""
     freq_bins = np.asarray(freq_bins, dtype=complex)
     n = cfg.plan.n_fft
-    if freq_bins.shape != (n,):
+    if freq_bins.ndim < 1 or freq_bins.shape[-1] != n:
         raise ValueError(f"expected {n} bins, got shape {freq_bins.shape}")
-    body = np.fft.ifft(freq_bins, norm="ortho")
-    return np.concatenate([body[n - cfg.cp_len:], body])
+    body = np.fft.ifft(freq_bins, norm="ortho", axis=-1)
+    return np.concatenate([body[..., n - cfg.cp_len:], body], axis=-1)
 
 
 def demodulate_symbol(samples, cfg: OfdmConfig) -> np.ndarray:
@@ -108,16 +110,25 @@ def demodulate_symbol(samples, cfg: OfdmConfig) -> np.ndarray:
     return np.fft.fft(samples[cfg.cp_len:], norm="ortho")
 
 
-def training_bins(cfg: OfdmConfig) -> np.ndarray:
-    """Known preamble spectrum: unit-magnitude pseudo-random tones on the
-    payload bins, the pilot at its nominal value, guards and edges null."""
+@functools.lru_cache(maxsize=64)
+def _training_spectrum(cfg: OfdmConfig) -> np.ndarray:
+    """Read-only training spectrum, computed once per config."""
     plan = cfg.plan
     rng = np.random.default_rng(_TRAINING_SEED)
     phases = rng.uniform(0.0, 2.0 * np.pi, len(plan.payload_indices))
     bins = np.zeros(plan.n_fft, dtype=complex)
     bins[list(plan.payload_indices)] = np.exp(1j * phases)
     bins[plan.pilot_index] = cfg.pilot_value
+    bins.setflags(write=False)
     return bins
+
+
+def training_bins(cfg: OfdmConfig) -> np.ndarray:
+    """Known preamble spectrum: unit-magnitude pseudo-random tones on the
+    payload bins, the pilot at its nominal value, guards and edges null.
+
+    Returns a fresh copy of the per-config cached spectrum."""
+    return _training_spectrum(cfg).copy()
 
 
 @dataclass
@@ -158,18 +169,15 @@ def build_frame(bits, modulation: Modulation, cfg: OfdmConfig, n_payload_symbols
     padded = pad_bits(bits, capacity)
     symbols = map_bits(padded, modulation).reshape(n_payload_symbols, len(plan.payload_indices))
 
-    preamble_time = modulate_symbol(training_bins(cfg), cfg)
-    payload_time = []
-    payload_idx = list(plan.payload_indices)
-    for row in symbols:
-        bins = np.zeros(plan.n_fft, dtype=complex)
-        bins[payload_idx] = row
-        bins[plan.pilot_index] = cfg.pilot_value
-        payload_time.append(modulate_symbol(bins, cfg))
-
+    bins = np.zeros((N_PREAMBLE_SYMBOLS + n_payload_symbols, plan.n_fft), dtype=complex)
+    bins[:N_PREAMBLE_SYMBOLS] = _training_spectrum(cfg)
+    payload = bins[N_PREAMBLE_SYMBOLS:]
+    payload[:, list(plan.payload_indices)] = symbols
+    payload[:, plan.pilot_index] = cfg.pilot_value
+    symbols_time = modulate_symbol(bins, cfg)
     return Frame(
-        preamble_symbols=[preamble_time.copy() for _ in range(N_PREAMBLE_SYMBOLS)],
-        payload_symbols=payload_time,
+        preamble_symbols=list(symbols_time[:N_PREAMBLE_SYMBOLS]),
+        payload_symbols=list(symbols_time[N_PREAMBLE_SYMBOLS:]),
         payload_bits=padded,
         modulation=modulation,
     )

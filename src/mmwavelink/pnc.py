@@ -20,7 +20,8 @@ DEGENERATE_EPS = 1e-9
 
 @dataclass
 class PhaseEstimate:
-    """Per-sample phase in (-pi, pi] plus the raw band-limited estimate."""
+    """Per-sample phase in (-pi, pi] plus the raw band-limited estimate,
+    shaped like the input bodies."""
 
     per_sample_phase: np.ndarray
     raw_complex: np.ndarray
@@ -28,31 +29,34 @@ class PhaseEstimate:
 
 
 def estimate_phase(body, cfg: OfdmConfig) -> PhaseEstimate:
-    """Estimate exp(j theta(n)) over one CP-stripped symbol body.
+    """Estimate exp(j theta(n)) over CP-stripped symbol bodies.
 
-    FFT -> keep the pilot bin and the +-k_guard bins around it -> IFFT. Samples
-    whose magnitude falls below DEGENERATE_EPS hold the previous phase (0 for a
-    degenerate start) and are counted.
+    `body` is one symbol (n_fft,) or a stack (..., n_fft); each row is
+    estimated on its own. FFT -> keep the pilot bin and the +-k_guard bins
+    around it -> IFFT. Samples whose magnitude falls below DEGENERATE_EPS
+    hold the previous phase of their own row (0 for a degenerate row start)
+    and are counted over the whole stack.
     """
     body = np.asarray(body, dtype=complex)
     plan = cfg.plan
     n = plan.n_fft
-    if body.shape != (n,):
-        raise ValueError(f"expected a {n}-sample body, got shape {body.shape}")
-    bins = np.fft.fft(body, norm="ortho")
+    if body.ndim < 1 or body.shape[-1] != n:
+        raise ValueError(f"expected {n}-sample bodies, got shape {body.shape}")
+    bins = np.fft.fft(body, norm="ortho", axis=-1)
     keep = np.zeros(n, dtype=bool)
     keep[plan.pilot_index] = True
     keep[list(plan.guard_indices)] = True
-    bins[~keep] = 0.0
-    raw = np.fft.ifft(bins, norm="ortho")
+    bins[..., ~keep] = 0.0
+    raw = np.fft.ifft(bins, norm="ortho", axis=-1)
 
     degenerate = np.abs(raw) < DEGENERATE_EPS
     phase = np.angle(raw)
     phase[phase == -np.pi] = np.pi
     if degenerate.any():
         last_valid = np.where(~degenerate, np.arange(n), -1)
-        np.maximum.accumulate(last_valid, out=last_valid)
-        phase = np.where(last_valid >= 0, phase[np.maximum(last_valid, 0)], 0.0)
+        np.maximum.accumulate(last_valid, axis=-1, out=last_valid)
+        held = np.take_along_axis(phase, np.maximum(last_valid, 0), axis=-1)
+        phase = np.where(last_valid >= 0, held, 0.0)
     return PhaseEstimate(
         per_sample_phase=phase,
         raw_complex=raw,
@@ -61,10 +65,13 @@ def estimate_phase(body, cfg: OfdmConfig) -> PhaseEstimate:
 
 
 def cancel(samples, estimate: PhaseEstimate) -> np.ndarray:
-    """Counter-rotate samples by the estimated phase; magnitudes are kept."""
+    """Counter-rotate samples by the estimated phase; magnitudes are kept.
+
+    Works on one body or a stack, matching the estimate's shape.
+    """
     samples = np.asarray(samples, dtype=complex)
     if samples.shape != estimate.per_sample_phase.shape:
-        raise ValueError("samples and estimate lengths differ")
+        raise ValueError("samples and estimate shapes differ")
     return samples * np.exp(-1j * estimate.per_sample_phase)
 
 

@@ -64,7 +64,9 @@ def estimate_channel_ls(preamble_bins, training, plan: SubcarrierPlan) -> Channe
     fft_idx = np.mod(signed, plan.n_fft)
     t_used = training[fft_idx]
     known = np.abs(t_used) > 0.0
-    must_know = np.isin(fft_idx, [plan.pilot_index, *plan.payload_indices])
+    carried = np.zeros(plan.n_fft, dtype=bool)
+    carried[[plan.pilot_index, *plan.payload_indices]] = True
+    must_know = carried[fft_idx]
     if not known[must_know].all():
         raise ValueError("zero-magnitude training on a pilot or payload bin")
 
@@ -84,25 +86,32 @@ def estimate_channel_ls(preamble_bins, training, plan: SubcarrierPlan) -> Channe
 def equalize(symbol_bins, est: ChannelEstimate):
     """Zero-forcing division on the payload bins.
 
-    Returns (payload_symbols, erased) where erased marks bins whose |H| fell
-    below ERASURE_RATIO * max|H|; those symbols are zeroed, not divided.
+    `symbol_bins` is one symbol (n_fft,) or a stack (..., n_fft). Returns
+    (payload_symbols, erased), both shaped (..., n_payload), where erased
+    marks bins whose |H| fell below ERASURE_RATIO * max|H|; those symbols
+    are zeroed, not divided.
     """
     symbol_bins = np.asarray(symbol_bins, dtype=complex)
     plan = est.plan
-    if symbol_bins.shape != (plan.n_fft,):
+    if symbol_bins.ndim < 1 or symbol_bins.shape[-1] != plan.n_fft:
         raise ValueError(f"expected {plan.n_fft} bins, got shape {symbol_bins.shape}")
     payload_idx = np.asarray(plan.payload_indices)
     signed = np.where(payload_idx <= plan.n_fft // 2, payload_idx, payload_idx - plan.n_fft)
     h_pay = est.h_freq[signed + plan.used_band]
     eps = ERASURE_RATIO * np.max(np.abs(est.h_freq))
     erased = np.abs(h_pay) < eps
-    z = np.where(erased, 0.0 + 0.0j, symbol_bins[payload_idx] / np.where(erased, 1.0, h_pay))
-    return z, erased
+    z = np.where(erased, 0.0 + 0.0j,
+                 symbol_bins[..., payload_idx] / np.where(erased, 1.0, h_pay))
+    return z, np.broadcast_to(erased, z.shape).copy()
 
 
 def decode_frame(samples, cfg: OfdmConfig, modulation: Modulation,
-                 pnc_enabled: bool = True, true_bits=None) -> DecodeReport:
+                 pnc_enabled: bool = True, true_bits=None, return_phase: bool = False):
     """Decode one frame: [2 training symbols | payload symbols].
+
+    Returns a DecodeReport or, with return_phase, (report, phase) where phase
+    is the PNC per-sample phase estimate over the payload symbol bodies,
+    shaped (n_payload_symbols, n_fft), or None when PNC is off.
 
     EVM is decision-directed against the demapped constellation points,
     referenced to the mean decided-point power of the whole frame, so the
@@ -122,18 +131,18 @@ def decode_frame(samples, cfg: OfdmConfig, modulation: Modulation,
     plan = cfg.plan
 
     bodies = samples.reshape(n_symbols, sym_len)[:, cfg.cp_len:]
+    phase = None
     if pnc_enabled:
-        bodies = np.stack([cancel(b, estimate_phase(b, cfg)) for b in bodies])
+        phase_est = estimate_phase(bodies, cfg)
+        bodies = cancel(bodies, phase_est)
+        phase = phase_est.per_sample_phase[N_PREAMBLE_SYMBOLS:]
     all_bins = np.fft.fft(bodies, norm="ortho", axis=-1)
 
     est = estimate_channel_ls(all_bins[:N_PREAMBLE_SYMBOLS], training_bins(cfg), plan)
 
     n_bins = len(plan.payload_indices)
     k = modulation.bits_per_symbol
-    points = np.zeros((n_payload_symbols, n_bins), dtype=complex)
-    erased = np.zeros((n_payload_symbols, n_bins), dtype=bool)
-    for i in range(n_payload_symbols):
-        points[i], erased[i] = equalize(all_bins[N_PREAMBLE_SYMBOLS + i], est)
+    points, erased = equalize(all_bins[N_PREAMBLE_SYMBOLS:], est)
 
     bits = demap_hard(points.ravel(), modulation).reshape(n_payload_symbols, n_bins, k)
     bits[erased] = 0
@@ -164,7 +173,7 @@ def decode_frame(samples, cfg: OfdmConfig, modulation: Modulation,
     centered = wrap_phase(pilot_phase - center)
     residual_phase_std = float(np.sqrt(np.mean(centered ** 2)))
 
-    return DecodeReport(
+    report = DecodeReport(
         bits=bits.reshape(-1).astype(np.uint8),
         evm_db=total_evm,
         residual_phase_std=residual_phase_std,
@@ -175,6 +184,7 @@ def decode_frame(samples, cfg: OfdmConfig, modulation: Modulation,
         reference_power=reference_power,
         points=points.ravel(),
     )
+    return (report, phase) if return_phase else report
 
 
 def _power_db(err_power: float, ref_power: float) -> float:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,79 @@ def test_malformed_json_rejected(tmp_path):
 def test_invalid_config_values_exit_1(tmp_path, patch):
     cfg = write_cfg(tmp_path, patch)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"channel": {"sigma": NaN}}',
+    '{"channel": {"cfo_hz": Infinity}}',
+    '{"phy": {"sample_rate_hz": -Infinity}}',
+    '{"channel": {"taps": [1.0, [0.5, 1e400]]}}',
+    '{"probe": {"tone_hz": 1e400}}',
+    '{"channel": {"sigma": 1' + "0" * 400 + '}}',
+], ids=["nan", "infinity", "minus-infinity", "tap-overflow", "float-overflow",
+        "int-overflow"])
+@pytest.mark.parametrize("command", ["simulate", "measure-pn"])
+def test_non_finite_config_numbers_exit_1(tmp_path, capsys, text, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_sigma_leaves_no_nan_summary(tmp_path):
+    # A finite sigma this large overflows the phase process to NaN. The run
+    # must fail rather than write a summary.json holding NaN.
+    cfg = write_cfg(tmp_path, {"channel": {"sigma": 1e308}, "n_frames": 2})
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) != 0
+    assert not (out / "summary.json").exists()
+
+
+def test_json_artifacts_are_strict(tmp_path):
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", write_cfg(tmp_path, CLEAN), "--out", str(out)]) == 0
+
+    def reject(name):
+        raise AssertionError(f"non-finite JSON constant {name}")
+
+    json.loads((out / "summary.json").read_text(), parse_constant=reject)
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["simulate", "--seed", "-1", "--out", str(out)]) == 1
+    cfg = write_cfg(tmp_path, {"seed": -1, "n_frames": 1})
+    for command in ("simulate", "measure-pn", "sweep-k"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error: seed must be a non-negative integer") == 4
+    assert "expected non-negative integer" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "7"])
+def test_non_integer_seed_is_config_error(tmp_path, seed):
+    cfg = write_cfg(tmp_path, {"seed": seed})
+    assert main(["measure-pn", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("n_taps, expect_isi", [(17, False), (18, True)])
+def test_isi_warning_boundary(tmp_path, n_taps, expect_isi):
+    # cp_len=16 absorbs a delay spread of 16 samples, that is 17 taps.
+    taps = [1.0] + [0.2] * (n_taps - 1)
+    cfg = write_cfg(tmp_path, {**CLEAN, "channel": {**CLEAN["channel"], "taps": taps},
+                               "n_frames": 1})
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    isi = [w for w in caught if "inter-symbol interference" in str(w.message)]
+    assert bool(isi) == expect_isi
+    evm = read_summary(out)["evm_db"]
+    assert (evm <= -100.0) == (not expect_isi)
 
 
 def test_measure_pn_clean_tone(tmp_path):
