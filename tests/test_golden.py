@@ -3,8 +3,8 @@ write for three small seeded configs.
 
 The hashes pin the exact bytes, so a refactor or speed-up that changes any
 decoded bit, EVM digit or CSV formatting fails here. To regenerate after an
-intended change of behaviour, run `python tests/test_golden.py` and paste the
-printed table over GOLDEN.
+intended change of behaviour, run `PYTHONPATH=src python tests/test_golden.py`
+and paste the printed table over GOLDEN.
 """
 
 import hashlib
