@@ -1,5 +1,5 @@
 """Golden artifacts: SHA-256 of every file `simulate`, `sweep-k` and `stream`
-write for three small seeded configs.
+write for three small seeded configs, and of the `measure-pn` files for one.
 
 The hashes pin the exact bytes, so a refactor or speed-up that changes any
 decoded bit, EVM digit or CSV formatting fails here. To regenerate after an
@@ -41,6 +41,17 @@ CONFIGS = {
     },
 }
 
+# The probe is 2**16 samples, a 1 MiB complex buffer: past numpy's 256 KiB
+# threshold for reusing temporaries, like the benchmark's 2 M-sample probe,
+# so the pinned bytes cover the order of the channel's complex products there.
+PROBE_CONFIGS = {
+    "probe_multipath": {
+        "channel": {"taps": [1.0, 0.2], "snr_db": 30.0, "sigma": 0.26},
+        "probe": {"n_samples": 65536},
+        "seed": 14,
+    },
+}
+
 K_LIST = "0,2,3"
 STREAM_BYTES = 700
 
@@ -63,6 +74,16 @@ GOLDEN = {
                 "2c827b4a22720a2e3d10e104015227cc078e2281c9713871fa65202236706651",
             "stream_report.json":
                 "eef62c955058af8d1fddbfbfc317879e5424ffdd341fcaef8ace8e7bf25ca63a",
+        },
+    },
+    "probe_multipath": {
+        "measure-pn": {
+            "pn_fit.json":
+                "81e19331d8692eb8a1ad72e158f73c5bb19fb0efa0db7685310ad6048f4e7910",
+            "pn_pdf.csv":
+                "3839f0a6370c9ec5ecb6687d59105b72e372909ed68ceaae130c93ccb79c7036",
+            "pn_psd.csv":
+                "c4b8f4e6292aa397810d52ad3bb1729e33992b2dd7b03a35d287987816e7511a",
         },
     },
     "qpsk_cfo": {
@@ -110,15 +131,16 @@ GOLDEN = {
 
 def run_command(tmp_path: Path, name: str, command: str) -> dict:
     """Run one CLI command on a named config; returns {artifact: sha256}."""
+    config = {**CONFIGS, **PROBE_CONFIGS}[name]
     cfg_path = tmp_path / f"{name}.json"
-    cfg_path.write_text(json.dumps(CONFIGS[name]))
+    cfg_path.write_text(json.dumps(config))
     out = tmp_path / f"{name}-{command}"
     argv = [command, "--config", str(cfg_path), "--out", str(out)]
     if command == "sweep-k":
         argv += ["--k-list", K_LIST]
     elif command == "stream":
         data_path = tmp_path / f"{name}.bin"
-        data_path.write_bytes(random.Random(CONFIGS[name]["seed"]).randbytes(STREAM_BYTES))
+        data_path.write_bytes(random.Random(config["seed"]).randbytes(STREAM_BYTES))
         argv += ["--input", str(data_path)]
     assert main(argv) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -131,6 +153,11 @@ def test_golden_artifacts(tmp_path, name, command):
     assert run_command(tmp_path, name, command) == GOLDEN[name][command]
 
 
+@pytest.mark.parametrize("name", sorted(PROBE_CONFIGS))
+def test_golden_measure_pn(tmp_path, name):
+    assert run_command(tmp_path, name, "measure-pn") == GOLDEN[name]["measure-pn"]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -138,5 +165,7 @@ if __name__ == "__main__":
         table = {name: {command: run_command(Path(tmp), name, command)
                         for command in ("simulate", "sweep-k", "stream")}
                  for name in sorted(CONFIGS)}
+        table.update({name: {"measure-pn": run_command(Path(tmp), name, "measure-pn")}
+                      for name in sorted(PROBE_CONFIGS)})
     json.dump(table, sys.stdout, indent=4, sort_keys=True)
     print()
