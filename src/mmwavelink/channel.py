@@ -81,15 +81,12 @@ class PhaseNoiseProcess:
         self.sample_rate_hz = sample_rate_hz
         self._rng = np.random.default_rng(seed)
         if config.model is PhaseNoiseModel.FILTERED_GAUSSIAN:
-            self._sos, n_settle, energy = _shaping_filter(config.bandwidth_hz,
-                                                          sample_rate_hz)
+            self._sos, self._n_settle, energy = _shaping_filter(config.bandwidth_hz,
+                                                                sample_rate_hz)
             self._drive_std = config.sigma / np.sqrt(energy)
-            # Stationary start: run the filter over a discarded warmup block.
-            _, self._zi = signal.sosfilt(
-                self._sos,
-                self._drive_std * self._rng.standard_normal(n_settle),
-                zi=np.zeros((self._sos.shape[0], 2)),
-            )
+            # Stationary start: the first draw filters a discarded warmup
+            # block of n_settle samples ahead of the requested ones.
+            self._zi = None
         elif config.model is PhaseNoiseModel.RANDOM_WALK:
             self._step = config.sigma / np.sqrt(symbol_len)
             self._level = 0.0
@@ -101,15 +98,58 @@ class PhaseNoiseProcess:
         if cfg.model is PhaseNoiseModel.NONE or n == 0:
             return np.zeros(n)
         if cfg.model is PhaseNoiseModel.FILTERED_GAUSSIAN:
-            drive = self._drive_std * self._rng.standard_normal(n)
-            theta, self._zi = signal.sosfilt(self._sos, drive, zi=self._zi)
-            return theta
+            return _filtered_rows([self], n)[0]
         steps = self._step * self._rng.standard_normal(n)
         # Folding the carried level into the cumsum keeps chunked generation
         # bit-identical to one-shot generation.
         theta = np.cumsum(np.concatenate(([self._level], steps)))[1:]
         self._level = theta[-1]
         return theta
+
+
+def _filtered_rows(processes, n: int) -> np.ndarray:
+    """Next n filtered-Gaussian samples of each process, (len(processes), n).
+
+    The processes share one config and are all fresh or all warmed up. Each
+    draws from its own generator; one sosfilt call runs over the stack,
+    warmup included, which is bit-identical to filtering each row, and its
+    warmup apart, on its own.
+    """
+    first = processes[0]
+    settle = first._n_settle if first._zi is None else 0
+    drive = np.empty((len(processes), settle + n))
+    for row, process in zip(drive, processes):
+        process._rng.standard_normal(out=row)
+    drive *= first._drive_std
+    if first._zi is None:
+        zi = np.zeros((first._sos.shape[0], len(processes), 2))
+    else:
+        zi = np.stack([p._zi for p in processes], axis=1)
+    theta, zf = signal.sosfilt(first._sos, drive, zi=zi)
+    for i, process in enumerate(processes):
+        process._zi = zf[:, i]
+    # A copy drops the warmup columns of a stack; one row is returned as a view.
+    return np.ascontiguousarray(theta[:, settle:])
+
+
+# Rows filtered per sosfilt call are capped so that a call holds about this
+# many samples, warmup included: a slow shaping filter's warmup runs to
+# 2**22 samples per frame.
+PN_FILTER_BLOCK_SAMPLES = 1 << 21
+
+
+def phase_noise_rows(config: PhaseNoiseConfig, sample_rate_hz: float, seeds, n: int):
+    """Phase trajectories of len(seeds) frames of n samples, (len(seeds), n).
+
+    Row f equals PhaseNoiseProcess(config, sample_rate_hz, seeds[f]).generate(n)
+    bit for bit.
+    """
+    processes = [PhaseNoiseProcess(config, sample_rate_hz, seed) for seed in seeds]
+    if config.model is not PhaseNoiseModel.FILTERED_GAUSSIAN or n == 0 or not processes:
+        return np.array([p.generate(n) for p in processes]).reshape(len(processes), n)
+    rows = max(1, PN_FILTER_BLOCK_SAMPLES // (processes[0]._n_settle + n))
+    blocks = [_filtered_rows(processes[i:i + rows], n) for i in range(0, len(processes), rows)]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 @dataclass(frozen=True)
@@ -139,36 +179,50 @@ def _stream_seed(seed: int, stream: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
 
 
-def apply_channel(x, cfg: ChannelConfig):
+def apply_channel(x, cfg: ChannelConfig, seeds=None):
     """Run samples through taps, CFO, phase noise, and AWGN.
 
-    Returns (y, theta) where theta is the ground-truth phase trajectory, for
-    tracking oracles. Pure function of (x, cfg): the seed fixes both the
-    noise and the phase draw. SNR is defined over the buffer as post-multipath,
+    `x` is one buffer (n,), drawn with cfg.seed, or with `seeds` a stack of
+    frames (F, n) whose row f is drawn with seeds[f], exactly as that row
+    alone with seed seeds[f]. Returns (y, theta), shaped like x, where theta
+    is the ground-truth phase trajectory, for tracking oracles. Pure
+    function of (x, cfg, seeds): the seed fixes both the noise and the phase
+    draw. SNR is defined over each buffer as post-multipath,
     pre-phase-noise signal power over per-sample noise power.
     """
     x = np.asarray(x, dtype=complex)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("input must be a non-empty 1-D buffer")
+    stacked = seeds is not None
+    rows = x if stacked else x[None]
+    seeds = list(seeds) if stacked else [cfg.seed]
+    if rows.ndim != 2 or rows.shape[1] == 0 or len(seeds) != rows.shape[0]:
+        raise ValueError("input must be a non-empty 1-D buffer, or an (F, n) stack "
+                         "with one seed per row")
+    n_samples = rows.shape[1]
     h = np.asarray(cfg.taps, dtype=complex)
-    s = np.convolve(x, h)[: x.size] if h.size > 1 else x * h[0]
-    if cfg.cfo_hz:
-        n = np.arange(x.size)
-        s = s * np.exp(2j * np.pi * cfg.cfo_hz * n / cfg.sample_rate_hz)
-
-    process = PhaseNoiseProcess(cfg.phase_noise, cfg.sample_rate_hz, _stream_seed(cfg.seed, 0))
-    theta = process.generate(x.size)
-    y = s * np.exp(1j * theta)
-
-    if math.isfinite(cfg.snr_db):
-        signal_power = np.mean(np.abs(s) ** 2)
-        noise_var = signal_power * 10.0 ** (-cfg.snr_db / 10.0)
-        rng = np.random.default_rng(_stream_seed(cfg.seed, 1))
-        w = np.sqrt(noise_var / 2.0) * (
-            rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
-        )
-        y = y + w
-    return y, theta
+    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz,
+                             [_stream_seed(seed, 0) for seed in seeds], n_samples)
+    # Row by row, in the expressions of a single buffer: numpy reuses large
+    # temporaries and multiplies complex operands in the other order when it
+    # does, so the bytes of each row depend on these forms.
+    out = []
+    for row, row_theta, seed in zip(rows, theta, seeds):
+        s = np.convolve(row, h)[: n_samples] if h.size > 1 else row * h[0]
+        if cfg.cfo_hz:
+            n = np.arange(n_samples)
+            s = s * np.exp(2j * np.pi * cfg.cfo_hz * n / cfg.sample_rate_hz)
+        y = s * np.exp(1j * row_theta)
+        if math.isfinite(cfg.snr_db):
+            signal_power = np.mean(np.abs(s) ** 2)
+            noise_var = signal_power * 10.0 ** (-cfg.snr_db / 10.0)
+            rng = np.random.default_rng(_stream_seed(seed, 1))
+            w = np.sqrt(noise_var / 2.0) * (
+                rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
+            )
+            y = y + w
+        out.append(y)
+    if stacked:
+        return np.array(out).reshape(rows.shape), theta
+    return out[0], theta[0]
 
 
 def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig):

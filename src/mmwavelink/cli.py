@@ -17,7 +17,8 @@ import numpy as np
 
 from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel,
                       single_tone_probe)
-from .link import aggregate_evm_db, frame_bits_rng, frame_channel_cfg, run_frame
+from .link import (aggregate_evm_db, frame_bits_rng, frame_channel_cfg, run_frame,
+                   run_seeded_frames)
 from .linklayer import stream_bytes
 from .metrics import (gaussian_fit, extract_tone_phase, phase_pdf, psd_welch,
                       wrap_phase, write_phase_pdf_csv, write_psd_csv,
@@ -209,14 +210,17 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _json_text(name: str, obj) -> str:
+    """Strict JSON text of an artifact; a NaN or infinite value raises."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{name} not written: {exc}") from None
+
+
 def _write_json(path: Path, obj) -> None:
     """Write strict JSON; a NaN or infinite value fails before the file is opened."""
-    try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise ValueError(f"{path.name} not written: {exc}") from None
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    path.write_text(_json_text(path.name, obj))
 
 
 def cmd_simulate(args) -> int:
@@ -247,13 +251,6 @@ def cmd_simulate(args) -> int:
             d = wrap_phase(result.theta_true_bodies - result.theta_est)
             residuals.append(d - d.mean())
 
-    write_series_csv(out / "evm.csv", ["frame", "evm_db", "residual_phase_std"],
-                     [np.array([r[0] for r in rows], dtype=int),
-                      np.array([r[1] for r in rows]),
-                      np.array([r[2] for r in rows])])
-    flat = np.concatenate(points) if points else np.zeros(0, dtype=complex)
-    write_series_csv(out / "constellation.csv", ["re", "im"], [flat.real, flat.imag])
-
     all_res = np.concatenate(residuals) if residuals else np.zeros(0)
     genie = [r.evm_db_genie for r in reports if r.evm_db_genie is not None]
     summary = {
@@ -270,7 +267,16 @@ def cmd_simulate(args) -> int:
         "residual_phase_std_true": float(all_res.std()) if all_res.size else None,
         "n_erased": int(sum(r.n_erased for r in reports)),
     }
-    _write_json(out / "summary.json", summary)
+    # Serialized first: a result that is not finite fails here, before any
+    # artifact is written.
+    summary_text = _json_text("summary.json", summary)
+    write_series_csv(out / "evm.csv", ["frame", "evm_db", "residual_phase_std"],
+                     [np.array([r[0] for r in rows], dtype=int),
+                      np.array([r[1] for r in rows]),
+                      np.array([r[2] for r in rows])])
+    flat = np.concatenate(points) if points else np.zeros(0, dtype=complex)
+    write_series_csv(out / "constellation.csv", ["re", "im"], [flat.real, flat.imag])
+    (out / "summary.json").write_text(summary_text)
     print(f"simulate: {n_frames} frames, evm_db={summary['evm_db']}")
     return 0
 
@@ -327,14 +333,9 @@ def cmd_sweep_k(args) -> int:
             raise ConfigError(str(exc))
         ofdm_cfg = OfdmConfig(plan=plan, cp_len=phy["cp_len"],
                               sample_rate_hz=float(phy["sample_rate_hz"]))
-        capacity = frame_capacity_bits(ofdm_cfg, modulation, cfg["n_payload_symbols"])
-        reports = []
-        for i in range(cfg["n_frames"]):
-            bits = frame_bits_rng(cfg["seed"], i).integers(0, 2, capacity, dtype=np.uint8)
-            result = run_frame(bits, modulation, ofdm_cfg,
-                               frame_channel_cfg(channel_cfg, cfg["seed"], i),
-                               cfg["pnc_enabled"], cfg["n_payload_symbols"])
-            reports.append(result.report)
+        reports = [r.report for r in run_seeded_frames(
+            modulation, ofdm_cfg, channel_cfg, cfg["pnc_enabled"],
+            cfg["n_payload_symbols"], cfg["seed"], cfg["n_frames"])]
         results.append((k, aggregate_evm_db(reports)))
         print(f"sweep-k: K={k} mean_evm_db={results[-1][1]}")
 

@@ -1,4 +1,5 @@
-"""Single-frame end-to-end pipeline shared by the CLI and the packet layer."""
+"""Frame engine shared by the CLI and the packet layer: transmit, channel and
+decode for a stack of frames at once."""
 
 from __future__ import annotations
 
@@ -7,10 +8,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelConfig, apply_channel
-from .modulation import EVM_FLOOR_DB, Modulation
-from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig, build_frame
+from .modulation import Modulation, evm_db_from_powers
+from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig, build_frames, frame_capacity_bits
 from .pnc import estimate_phase
-from .receiver import DecodeReport, decode_frame
+from .receiver import DecodeReport, decode_frames
+
+# Frames per run_frames call in the loops over whole runs. Sixteen spread the
+# per-call Python dispatch thin; larger chunks ran no faster and hold more
+# memory at once.
+CHUNK_FRAMES = 16
 
 
 def derived_seed(*parts: int) -> int:
@@ -29,30 +35,68 @@ class FrameResult:
 
 
 def _payload_bodies(x, cfg: OfdmConfig) -> np.ndarray:
-    """(n_payload_symbols, n_fft) view of a frame buffer: preamble rows and
-    cyclic prefixes dropped."""
-    return x.reshape(-1, cfg.symbol_len)[N_PREAMBLE_SYMBOLS:, cfg.cp_len:]
+    """(..., n_payload_symbols, n_fft) view of frame buffers (..., n): preamble
+    rows and cyclic prefixes dropped."""
+    return x.reshape(*x.shape[:-1], -1, cfg.symbol_len)[..., N_PREAMBLE_SYMBOLS:, cfg.cp_len:]
+
+
+def _run_stack(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
+               channel_cfg: ChannelConfig, seeds, pnc_enabled: bool,
+               n_payload_symbols: int) -> list:
+    """Frames with channel seeds `seeds`, as (F, symbols, n_fft) stacks."""
+    symbols, padded = build_frames(bits, modulation, ofdm_cfg, n_payload_symbols)
+    y, theta = apply_channel(symbols.reshape(len(seeds), -1), channel_cfg, seeds)
+    del symbols   # not needed past the channel; frees the chunk's largest buffer
+    reports, theta_est = decode_frames(y, ofdm_cfg, modulation, pnc_enabled, true_bits=padded)
+    if theta_est is None:
+        theta_est = estimate_phase(_payload_bodies(y, ofdm_cfg), ofdm_cfg).per_sample_phase
+    bodies = _payload_bodies(theta, ofdm_cfg)
+    return [FrameResult(report=report, tx_bits=padded[f], n_channel_uses=y.shape[1],
+                        theta_true=theta[f], theta_est=theta_est[f].ravel(),
+                        theta_true_bodies=bodies[f].ravel())
+            for f, report in enumerate(reports)]
+
+
+def run_frames(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
+               channel_cfg: ChannelConfig, pnc_enabled: bool, n_payload_symbols: int,
+               run_seed: int, first_frame: int = 0) -> list:
+    """Frames first_frame .. first_frame + F - 1 of a run, built, sent and
+    decoded together as (F, symbols, n_fft) stacks.
+
+    `bits[f]` is the payload of frame first_frame + f. Each frame keeps its
+    own channel draw, frame_channel_cfg(channel_cfg, run_seed, i), so its
+    FrameResult equals run_frame on that frame alone, bit for bit.
+    """
+    if not len(bits):
+        return []
+    frames = range(first_frame, first_frame + len(bits))
+    return _run_stack(bits, modulation, ofdm_cfg,
+                      frame_channel_cfg(channel_cfg, run_seed, first_frame),
+                      [derived_seed(run_seed, i, 0) for i in frames],
+                      pnc_enabled, n_payload_symbols)
 
 
 def run_frame(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
               channel_cfg: ChannelConfig, pnc_enabled: bool,
               n_payload_symbols: int) -> FrameResult:
-    """Transmit one frame of bits through the channel and decode it."""
-    frame = build_frame(bits, modulation, ofdm_cfg, n_payload_symbols)
-    tx = frame.samples()
-    y, theta = apply_channel(tx, channel_cfg)
-    report, theta_est = decode_frame(y, ofdm_cfg, modulation, pnc_enabled,
-                                     true_bits=frame.payload_bits, return_phase=True)
-    if theta_est is None:
-        theta_est = estimate_phase(_payload_bodies(y, ofdm_cfg), ofdm_cfg).per_sample_phase
-    return FrameResult(
-        report=report,
-        tx_bits=frame.payload_bits,
-        n_channel_uses=tx.size,
-        theta_true=theta,
-        theta_est=theta_est.ravel(),
-        theta_true_bodies=_payload_bodies(theta, ofdm_cfg).ravel(),
-    )
+    """Transmit one frame of bits through the channel, drawn with
+    channel_cfg.seed, and decode it: the one-frame view of run_frames."""
+    return _run_stack([bits], modulation, ofdm_cfg, channel_cfg, [channel_cfg.seed],
+                      pnc_enabled, n_payload_symbols)[0]
+
+
+def run_seeded_frames(modulation: Modulation, ofdm_cfg: OfdmConfig,
+                      channel_cfg: ChannelConfig, pnc_enabled: bool,
+                      n_payload_symbols: int, run_seed: int, n_frames: int):
+    """Yield the FrameResults of frames 0 .. n_frames - 1 of a run whose frame
+    i carries frame_bits_rng(run_seed, i) bits, CHUNK_FRAMES frames at a time."""
+    capacity = frame_capacity_bits(ofdm_cfg, modulation, n_payload_symbols)
+    for start in range(0, n_frames, CHUNK_FRAMES):
+        frames = range(start, min(start + CHUNK_FRAMES, n_frames))
+        bits = [frame_bits_rng(run_seed, i).integers(0, 2, capacity, dtype=np.uint8)
+                for i in frames]
+        yield from run_frames(bits, modulation, ofdm_cfg, channel_cfg, pnc_enabled,
+                              n_payload_symbols, run_seed, start)
 
 
 def frame_channel_cfg(channel_cfg: ChannelConfig, run_seed: int, frame_idx: int) -> ChannelConfig:
@@ -62,15 +106,6 @@ def frame_channel_cfg(channel_cfg: ChannelConfig, run_seed: int, frame_idx: int)
 
 def frame_bits_rng(run_seed: int, frame_idx: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([run_seed, frame_idx, 1]))
-
-
-def evm_db_from_powers(error_power: float, reference_power: float) -> float | None:
-    """EVM in dB from accumulated error and reference powers."""
-    if reference_power <= 0.0:
-        return None
-    if error_power <= 0.0:
-        return EVM_FLOOR_DB
-    return max(10.0 * float(np.log10(error_power / reference_power)), EVM_FLOOR_DB)
 
 
 def aggregate_evm_db(reports) -> float | None:

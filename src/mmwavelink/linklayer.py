@@ -10,8 +10,8 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelConfig
-from .link import evm_db_from_powers, frame_channel_cfg, run_frame
-from .modulation import Modulation
+from .link import CHUNK_FRAMES, run_frames
+from .modulation import Modulation, evm_db_from_powers
 from .ofdm import OfdmConfig, frame_capacity_bits
 
 _HEADER = struct.Struct(">IH")   # seq: u32, payload_len: u16
@@ -135,10 +135,12 @@ class StreamReport:
 def stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
                  modulation: Modulation = Modulation.QPSK, pnc_enabled: bool = True,
                  seed: int = 0, n_payload_symbols: int = 12) -> tuple:
-    """Stream bytes over the link, one packet per PHY frame.
+    """Stream bytes over the link, one packet per PHY frame, CHUNK_FRAMES
+    frames per run_frames call.
 
     Deterministic given (configs, seed): frame i uses a seed derived from
-    (seed, i). Returns (recovered_bytes, StreamReport).
+    (seed, i), so the chunking does not change any byte. Returns
+    (recovered_bytes, StreamReport).
     """
     capacity_bytes = frame_capacity_bits(ofdm_cfg, modulation, n_payload_symbols) // 8
     max_payload = capacity_bytes - PACKET_OVERHEAD
@@ -154,17 +156,16 @@ def stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
     error_power = 0.0
     reference_power = 0.0
     channel_uses = 0
-    for i, packet in enumerate(packets):
-        wire = encode_packet(packet)
-        tx_bits = np.unpackbits(np.frombuffer(wire, dtype=np.uint8))
-        result = run_frame(tx_bits, modulation, ofdm_cfg,
-                           frame_channel_cfg(channel_cfg, seed, i),
-                           pnc_enabled, n_payload_symbols)
-        rx_bytes = np.packbits(result.report.bits[:capacity_bytes * 8]).tobytes()
-        received.append(decode_packet(rx_bytes))
-        error_power += result.report.error_power
-        reference_power += result.report.reference_power
-        channel_uses += result.n_channel_uses
+    for start in range(0, len(packets), CHUNK_FRAMES):
+        chunk = packets[start:start + CHUNK_FRAMES]
+        tx_bits = [np.unpackbits(np.frombuffer(encode_packet(p), dtype=np.uint8)) for p in chunk]
+        for result in run_frames(tx_bits, modulation, ofdm_cfg, channel_cfg, pnc_enabled,
+                                 n_payload_symbols, seed, start):
+            rx_bytes = np.packbits(result.report.bits[:capacity_bytes * 8]).tobytes()
+            received.append(decode_packet(rx_bytes))
+            error_power += result.report.error_power
+            reference_power += result.report.reference_power
+            channel_uses += result.n_channel_uses
 
     recovered, statuses = depacketize(received)
     # Counted over what was received, not over reassembly slots: a packet

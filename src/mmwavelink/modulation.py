@@ -72,8 +72,92 @@ def map_bits(bits, modulation: Modulation) -> np.ndarray:
         raise ValueError(f"bit count {bits.size} is not a multiple of {k}")
     if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0 or 1")
-    idx = bits.reshape(-1, k).astype(np.int64).dot(1 << np.arange(k)[::-1])
+    weights = np.uint8(1) << np.arange(k, dtype=np.uint8)[::-1]
+    idx = bits.reshape(-1, k).astype(np.uint8).dot(weights)
     return modulation.constellation[idx]
+
+
+def _axis_slicer(levels, codes):
+    """One axis's decision thresholds, ascending, with their spacing and the
+    axis code of each level in ascending order."""
+    order = np.argsort(levels)
+    levels = levels[order]
+    thresholds = (levels[1:] + levels[:-1]) / 2.0
+    spacing = (thresholds[-1] - thresholds[0]) / (thresholds.size - 1) if thresholds.size > 1 else 1.0
+    return thresholds, spacing, codes[order]
+
+
+def _build_slicers():
+    """Per-axis slicers read off the tables: (bits per axis, I slicer, Q slicer or None)."""
+    slicers = {Modulation.BPSK: (1, _axis_slicer(_CONSTELLATIONS[Modulation.BPSK].real,
+                                                 np.arange(2)), None)}
+    for mod in (Modulation.QPSK, Modulation.QAM16, Modulation.QAM64):
+        const = _CONSTELLATIONS[mod]
+        b = mod.bits_per_symbol // 2
+        codes = np.arange(1 << b)
+        slicers[mod] = (b, _axis_slicer(const[codes << b].real, codes),
+                        _axis_slicer(const[codes].imag, codes))
+    return slicers
+
+
+# A point this close to an axis threshold, relative to 1 + |z|^2, goes to the
+# full distance table. The margin is far above the rounding of the table's
+# squared distances, so every other point gets the table's decision.
+SLICER_MARGIN = 1e-9
+
+
+def _slice_axis(x, slicer):
+    """(axis codes, distance to the nearest threshold) of coordinates x.
+
+    The thresholds are equally spaced, so the nearest one is found by
+    rounding; x beyond the outer thresholds takes the outer level. Where
+    rounding picks a neighbour of the nearest threshold, x sits near a level
+    and the comparison still places it; where x sits near a threshold, the
+    margin is small and the caller falls back to the table.
+    """
+    thresholds, spacing, codes = slicer
+    u = x - thresholds[0]
+    u /= spacing
+    np.clip(u, 0.0, thresholds.size - 1.0, out=u)
+    np.rint(np.nan_to_num(u, copy=False), out=u)
+    nearest = u.astype(np.intp)
+    t = thresholds[nearest]
+    nearest += x > t
+    t -= x
+    return codes[nearest], np.abs(t, out=t)
+
+
+def slice_indices(symbols, modulation: Modulation) -> np.ndarray:
+    """Nearest constellation-table index of each symbol, shaped like `symbols`.
+
+    Square QAM and BPSK are sliced per axis. A point near a threshold, or not
+    finite, falls back to the argmin over the table's squared distances, so
+    the result always equals that argmin: exact ties, such as erased 0+0j
+    points, resolve to the lower table index.
+    """
+    z = np.asarray(symbols, dtype=complex)
+    b, i_slicer, q_slicer = _SLICERS[modulation]
+    idx, margin = _slice_axis(z.real, i_slicer)
+    if q_slicer is not None:
+        q_idx, q_margin = _slice_axis(z.imag, q_slicer)
+        idx = (idx << b) | q_idx
+        margin = np.minimum(margin, q_margin)
+    tol = z.real ** 2
+    tol += z.imag ** 2
+    tol += 1.0
+    tol *= SLICER_MARGIN
+    unsure = ~(margin > tol)
+    if unsure.any():
+        const = modulation.constellation
+        idx[unsure] = np.argmin(np.abs(z[unsure][:, None] - const[None, :]) ** 2, axis=1)
+    return idx
+
+
+def indices_to_bits(idx, modulation: Modulation) -> np.ndarray:
+    """Big-endian bits of constellation-table indices, shaped (..., bits_per_symbol)."""
+    k = modulation.bits_per_symbol
+    shifts = np.arange(k, dtype=np.uint8)[::-1]
+    return (np.asarray(idx).astype(np.uint8)[..., None] >> shifts) & np.uint8(1)
 
 
 def demap_hard(symbols, modulation: Modulation) -> np.ndarray:
@@ -81,13 +165,21 @@ def demap_hard(symbols, modulation: Modulation) -> np.ndarray:
 
     Exact distance ties resolve to the lower constellation-table index.
     """
-    symbols = np.asarray(symbols, dtype=complex).ravel()
-    const = modulation.constellation
-    d2 = np.abs(symbols[:, None] - const[None, :]) ** 2
-    idx = np.argmin(d2, axis=1)
-    k = modulation.bits_per_symbol
-    bits = (idx[:, None] >> np.arange(k)[::-1]) & 1
-    return bits.reshape(-1).astype(np.uint8)
+    idx = slice_indices(np.asarray(symbols, dtype=complex).ravel(), modulation)
+    return indices_to_bits(idx, modulation).reshape(-1)
+
+
+def evm_db_from_powers(error_power, reference_power) -> float | None:
+    """EVM in dB, 10*log10(error/reference), from error and reference powers
+    (sums or means alike); None when reference_power <= 0.
+
+    A zero error reports the -120 dB floor; results are clamped there.
+    """
+    if reference_power <= 0.0:
+        return None
+    if error_power <= 0.0:
+        return EVM_FLOOR_DB
+    return max(10.0 * float(np.log10(error_power / reference_power)), EVM_FLOOR_DB)
 
 
 def evm_db(received, reference) -> float:
@@ -102,7 +194,7 @@ def evm_db(received, reference) -> float:
     ref_power = np.mean(np.abs(reference) ** 2)
     if ref_power == 0.0:
         raise ValueError("reference power is zero")
-    err_power = np.mean(np.abs(received - reference) ** 2)
-    if err_power == 0.0:
-        return EVM_FLOOR_DB
-    return max(10.0 * float(np.log10(err_power / ref_power)), EVM_FLOOR_DB)
+    return evm_db_from_powers(np.mean(np.abs(received - reference) ** 2), ref_power)
+
+
+_SLICERS = _build_slicers()

@@ -156,28 +156,43 @@ def pad_bits(bits, capacity: int) -> np.ndarray:
     return np.concatenate([bits, np.zeros(capacity - bits.size, dtype=np.uint8)])
 
 
-def build_frame(bits, modulation: Modulation, cfg: OfdmConfig, n_payload_symbols: int) -> Frame:
-    """Assemble a frame: 2 identical training symbols, then payload symbols.
+def build_frames(bits, modulation: Modulation, cfg: OfdmConfig, n_payload_symbols: int):
+    """Assemble a stack of frames, each 2 identical training symbols and then
+    payload symbols, with one mapping call and one IFFT.
 
-    `bits` are zero-padded to fill exactly `n_payload_symbols` symbols; the
-    padded bits are recorded on the frame.
+    `bits[f]` is frame f's bit array, zero-padded to fill exactly
+    `n_payload_symbols` symbols. Returns (symbols, padded): the time-domain
+    symbols with cyclic prefix, (F, 2 + n_payload_symbols, symbol_len), and
+    the padded bits, (F, capacity).
     """
     if n_payload_symbols < 0:
         raise ValueError("n_payload_symbols must be >= 0")
     plan = cfg.plan
     capacity = frame_capacity_bits(cfg, modulation, n_payload_symbols)
-    padded = pad_bits(bits, capacity)
-    symbols = map_bits(padded, modulation).reshape(n_payload_symbols, len(plan.payload_indices))
+    n_frames = len(bits)
+    padded = np.empty((n_frames, capacity), dtype=np.uint8)
+    for row, frame_bits in zip(padded, bits):
+        row[:] = pad_bits(frame_bits, capacity)
+    symbols = map_bits(padded.reshape(-1), modulation).reshape(
+        n_frames, n_payload_symbols, len(plan.payload_indices))
 
-    bins = np.zeros((N_PREAMBLE_SYMBOLS + n_payload_symbols, plan.n_fft), dtype=complex)
-    bins[:N_PREAMBLE_SYMBOLS] = _training_spectrum(cfg)
-    payload = bins[N_PREAMBLE_SYMBOLS:]
-    payload[:, list(plan.payload_indices)] = symbols
-    payload[:, plan.pilot_index] = cfg.pilot_value
-    symbols_time = modulate_symbol(bins, cfg)
+    bins = np.zeros((n_frames, N_PREAMBLE_SYMBOLS + n_payload_symbols, plan.n_fft), dtype=complex)
+    bins[:, :N_PREAMBLE_SYMBOLS] = _training_spectrum(cfg)
+    payload = bins[:, N_PREAMBLE_SYMBOLS:]
+    payload[..., list(plan.payload_indices)] = symbols
+    payload[..., plan.pilot_index] = cfg.pilot_value
+    return modulate_symbol(bins, cfg), padded
+
+
+def build_frame(bits, modulation: Modulation, cfg: OfdmConfig, n_payload_symbols: int) -> Frame:
+    """Assemble one frame: the single-frame view of build_frames.
+
+    The padded bits are recorded on the frame.
+    """
+    symbols, padded = build_frames([bits], modulation, cfg, n_payload_symbols)
     return Frame(
-        preamble_symbols=list(symbols_time[:N_PREAMBLE_SYMBOLS]),
-        payload_symbols=list(symbols_time[N_PREAMBLE_SYMBOLS:]),
-        payload_bits=padded,
+        preamble_symbols=list(symbols[0, :N_PREAMBLE_SYMBOLS]),
+        payload_symbols=list(symbols[0, N_PREAMBLE_SYMBOLS:]),
+        payload_bits=padded[0],
         modulation=modulation,
     )

@@ -67,12 +67,16 @@ def estimate_phase(body, cfg: OfdmConfig) -> PhaseEstimate:
 def cancel(samples, estimate: PhaseEstimate) -> np.ndarray:
     """Counter-rotate samples by the estimated phase; magnitudes are kept.
 
-    Works on one body or a stack, matching the estimate's shape.
+    Works on one body or a stack, matching the estimate's shape. The
+    rotation is named so that each sample is computed as sample * rotation
+    at any stack size: numpy would otherwise reuse a large temporary and
+    multiply in the other order, which rounds differently.
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.shape != estimate.per_sample_phase.shape:
         raise ValueError("samples and estimate shapes differ")
-    return samples * np.exp(-1j * estimate.per_sample_phase)
+    rotation = np.exp(-1j * estimate.per_sample_phase)
+    return samples * rotation
 
 
 def pnc_symbol(samples, cfg: OfdmConfig) -> np.ndarray:

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modulation import EVM_FLOOR_DB, Modulation, demap_hard, map_bits
+from .modulation import (Modulation, evm_db_from_powers, indices_to_bits, map_bits,
+                         slice_indices)
 from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig, SubcarrierPlan, pad_bits, training_bins
 from .metrics import wrap_phase
 from .pnc import estimate_phase, cancel
@@ -18,10 +19,13 @@ ERASURE_RATIO = 1e-6
 
 @dataclass
 class ChannelEstimate:
-    """H(k) over the used band, ordered by signed subcarrier -u .. +u."""
+    """H(k) over the used band, ordered by signed subcarrier -u .. +u.
+
+    For a stack of frames, h_freq is (..., 2u+1) and noise_floor_est an
+    array of the leading shape."""
 
     h_freq: np.ndarray
-    noise_floor_est: float
+    noise_floor_est: float | np.ndarray
     plan: SubcarrierPlan
 
 
@@ -46,13 +50,15 @@ def _signed_indices(plan: SubcarrierPlan) -> np.ndarray:
 def estimate_channel_ls(preamble_bins, training, plan: SubcarrierPlan) -> ChannelEstimate:
     """Average Y(k)/T(k) over the preamble repeats on the used band.
 
-    Guard bins carry no training energy; their H is interpolated linearly
-    between the surrounding estimates. The spread between repeats gives a
-    per-bin noise variance estimate (zero for identical repeats).
+    `preamble_bins` is (2, n_fft) for one frame or (..., 2, n_fft) for a
+    stack, each frame estimated on its own. Guard bins carry no training
+    energy; their H is interpolated linearly between the surrounding
+    estimates. The spread between repeats gives a per-bin noise variance
+    estimate (zero for identical repeats).
     """
     preamble_bins = np.asarray(preamble_bins, dtype=complex)
     training = np.asarray(training, dtype=complex)
-    if preamble_bins.shape != (N_PREAMBLE_SYMBOLS, plan.n_fft):
+    if preamble_bins.ndim < 2 or preamble_bins.shape[-2:] != (N_PREAMBLE_SYMBOLS, plan.n_fft):
         raise ValueError(
             f"expected {N_PREAMBLE_SYMBOLS}x{plan.n_fft} preamble bins, "
             f"got {preamble_bins.shape}"
@@ -70,26 +76,31 @@ def estimate_channel_ls(preamble_bins, training, plan: SubcarrierPlan) -> Channe
     if not known[must_know].all():
         raise ValueError("zero-magnitude training on a pilot or payload bin")
 
-    ratios = preamble_bins[:, fft_idx[known]] / t_used[known]
-    h_known = ratios.mean(axis=0)
-    h_freq = np.empty(signed.size, dtype=complex)
-    h_freq[known] = h_known
+    ratios = np.take(preamble_bins, fft_idx[known], axis=-1) / t_used[known]
+    h_known = ratios.mean(axis=-2)
+    h_freq = np.empty((*h_known.shape[:-1], signed.size), dtype=complex)
+    h_freq[..., known] = h_known
     if not known.all():
-        h_freq[~known] = np.interp(signed[~known], signed[known], h_known.real) \
-            + 1j * np.interp(signed[~known], signed[known], h_known.imag)
+        rows_in, rows_out = h_known.reshape(-1, h_known.shape[-1]), h_freq.reshape(-1, signed.size)
+        for h_in, h_out in zip(rows_in, rows_out):
+            h_out[~known] = np.interp(signed[~known], signed[known], h_in.real) \
+                + 1j * np.interp(signed[~known], signed[known], h_in.imag)
 
-    diff = ratios[0] - ratios[1]
-    noise_floor = float(np.mean(np.abs(diff) ** 2) / 2.0)
-    return ChannelEstimate(h_freq=h_freq, noise_floor_est=noise_floor, plan=plan)
+    diff = ratios[..., 0, :] - ratios[..., 1, :]
+    noise_floor = np.mean(np.abs(diff) ** 2, axis=-1) / 2.0
+    return ChannelEstimate(h_freq=h_freq, noise_floor_est=noise_floor.item()
+                           if noise_floor.ndim == 0 else noise_floor, plan=plan)
 
 
 def equalize(symbol_bins, est: ChannelEstimate):
     """Zero-forcing division on the payload bins.
 
-    `symbol_bins` is one symbol (n_fft,) or a stack (..., n_fft). Returns
-    (payload_symbols, erased), both shaped (..., n_payload), where erased
-    marks bins whose |H| fell below ERASURE_RATIO * max|H|; those symbols
-    are zeroed, not divided.
+    `symbol_bins` is one symbol (n_fft,) or a stack (..., n_fft), and
+    `est.h_freq` broadcasts against its leading axes: (2u+1,) serves every
+    symbol, (F, 1, 2u+1) one estimate per frame of an (F, S, n_fft) stack.
+    Returns (payload_symbols, erased), both shaped (..., n_payload), where
+    erased marks bins whose |H| fell below ERASURE_RATIO times the largest
+    |H| of their estimate; those symbols are zeroed, not divided.
     """
     symbol_bins = np.asarray(symbol_bins, dtype=complex)
     plan = est.plan
@@ -97,11 +108,13 @@ def equalize(symbol_bins, est: ChannelEstimate):
         raise ValueError(f"expected {plan.n_fft} bins, got shape {symbol_bins.shape}")
     payload_idx = np.asarray(plan.payload_indices)
     signed = np.where(payload_idx <= plan.n_fft // 2, payload_idx, payload_idx - plan.n_fft)
-    h_pay = est.h_freq[signed + plan.used_band]
-    eps = ERASURE_RATIO * np.max(np.abs(est.h_freq))
+    h_pay = est.h_freq[..., signed + plan.used_band]
+    eps = ERASURE_RATIO * np.max(np.abs(est.h_freq), axis=-1, keepdims=True)
     erased = np.abs(h_pay) < eps
+    # np.take keeps the stack C-contiguous, unlike x[..., idx], so sums over
+    # the last axis of what derives from z run in row order.
     z = np.where(erased, 0.0 + 0.0j,
-                 symbol_bins[..., payload_idx] / np.where(erased, 1.0, h_pay))
+                 np.take(symbol_bins, payload_idx, axis=-1) / np.where(erased, 1.0, h_pay))
     return z, np.broadcast_to(erased, z.shape).copy()
 
 
@@ -109,85 +122,107 @@ def decode_frame(samples, cfg: OfdmConfig, modulation: Modulation,
                  pnc_enabled: bool = True, true_bits=None, return_phase: bool = False):
     """Decode one frame: [2 training symbols | payload symbols].
 
-    Returns a DecodeReport or, with return_phase, (report, phase) where phase
-    is the PNC per-sample phase estimate over the payload symbol bodies,
-    shaped (n_payload_symbols, n_fft), or None when PNC is off.
+    The single-frame view of decode_frames. Returns a DecodeReport or, with
+    return_phase, (report, phase) where phase is the PNC per-sample phase
+    estimate over the payload symbol bodies, shaped (n_payload_symbols,
+    n_fft), or None when PNC is off.
+    """
+    samples = np.asarray(samples, dtype=complex)
+    if samples.ndim != 1:
+        raise ValueError("expected one frame buffer")
+    reports, phase = decode_frames(samples[None], cfg, modulation, pnc_enabled,
+                                   None if true_bits is None else [true_bits])
+    report = reports[0]
+    return (report, None if phase is None else phase[0]) if return_phase else report
+
+
+def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
+                  pnc_enabled: bool = True, true_bits=None):
+    """Decode a stack of frames (F, n_symbols * symbol_len) in one pass.
+
+    Each frame is decoded on its own, as [2 training symbols | payload
+    symbols]: PNC, FFT, LS estimate, zero-forcing and slicing run once over
+    the (F, n_symbols, n_fft) stack, and every per-frame sum is taken over
+    that frame's row. `true_bits`, when given, holds each frame's
+    transmitted bits, zero-padded here to capacity, and each report then
+    also carries a genie-referenced EVM. Returns
+    (reports, phase): phase is the PNC per-sample phase estimate over the
+    payload symbol bodies, (F, n_payload_symbols, n_fft), or None when PNC
+    is off.
 
     EVM is decision-directed against the demapped constellation points,
     referenced to the mean decided-point power of the whole frame, so the
     frame EVM equals the RMS (linear-domain) combination of per_symbol_evm.
-    When the transmitted bits are supplied, a genie-referenced EVM is also
-    reported. residual_phase_std is the spread of the raw pilot-bin phase
-    across symbols, taken about its circular mean.
+    residual_phase_std is the spread of the raw pilot-bin phase across
+    symbols, taken about its circular mean.
     """
     samples = np.asarray(samples, dtype=complex)
     sym_len = cfg.symbol_len
-    if samples.ndim != 1 or samples.size % sym_len:
+    if samples.ndim != 2 or samples.shape[1] % sym_len:
         raise ValueError(f"frame length must be a multiple of {sym_len}")
-    n_symbols = samples.size // sym_len
+    n_frames = samples.shape[0]
+    n_symbols = samples.shape[1] // sym_len
     if n_symbols < N_PREAMBLE_SYMBOLS:
         raise ValueError("frame shorter than the preamble")
-    n_payload_symbols = n_symbols - N_PREAMBLE_SYMBOLS
     plan = cfg.plan
 
-    bodies = samples.reshape(n_symbols, sym_len)[:, cfg.cp_len:]
+    bodies = samples.reshape(n_frames, n_symbols, sym_len)[..., cfg.cp_len:]
     phase = None
     if pnc_enabled:
         phase_est = estimate_phase(bodies, cfg)
         bodies = cancel(bodies, phase_est)
-        phase = phase_est.per_sample_phase[N_PREAMBLE_SYMBOLS:]
+        phase = phase_est.per_sample_phase[:, N_PREAMBLE_SYMBOLS:]
     all_bins = np.fft.fft(bodies, norm="ortho", axis=-1)
 
-    est = estimate_channel_ls(all_bins[:N_PREAMBLE_SYMBOLS], training_bins(cfg), plan)
+    est = estimate_channel_ls(all_bins[:, :N_PREAMBLE_SYMBOLS], training_bins(cfg), plan)
+    est.h_freq = est.h_freq[:, None, :]
+    points, erased = equalize(all_bins[:, N_PREAMBLE_SYMBOLS:], est)
 
-    n_bins = len(plan.payload_indices)
-    k = modulation.bits_per_symbol
-    points, erased = equalize(all_bins[N_PREAMBLE_SYMBOLS:], est)
-
-    bits = demap_hard(points.ravel(), modulation).reshape(n_payload_symbols, n_bins, k)
-    bits[erased] = 0
-    decided = map_bits(bits.reshape(-1), modulation).reshape(n_payload_symbols, n_bins)
-
-    ok = ~erased
-    ref_power_mean = float(np.mean(np.abs(decided[ok]) ** 2)) if ok.any() else 1.0
-    err2 = np.abs(points - decided) ** 2
-    per_symbol_evm = []
-    for i in range(n_payload_symbols):
-        per_symbol_evm.append(_power_db(err2[i][ok[i]].mean() if ok[i].any() else 0.0,
-                                        ref_power_mean))
-    error_power = float(err2[ok].sum())
-    reference_power = float((np.abs(decided[ok]) ** 2).sum()) if ok.any() else 0.0
-    total_evm = _power_db(err2[ok].mean() if ok.any() else 0.0, ref_power_mean)
-
-    evm_genie = None
+    idx = slice_indices(points, modulation)
+    idx[erased] = 0
+    decided = modulation.constellation[idx]
+    bits = indices_to_bits(idx, modulation).reshape(n_frames, -1)
+    # Per frame: squared decision errors and decided-point powers, then the
+    # genie's when the transmitted bits are known.
+    terms = [np.abs(points - decided) ** 2, np.abs(decided) ** 2]
     if true_bits is not None:
-        capacity = n_payload_symbols * n_bins * k
-        genie = map_bits(pad_bits(true_bits, capacity), modulation).reshape(
-            n_payload_symbols, n_bins)
-        genie_err2 = np.abs(points - genie) ** 2
-        genie_ref = float(np.mean(np.abs(genie[ok]) ** 2)) if ok.any() else 1.0
-        evm_genie = _power_db(genie_err2[ok].mean() if ok.any() else 0.0, genie_ref)
+        capacity = bits.shape[1]
+        genie = map_bits(np.concatenate([pad_bits(b, capacity) for b in true_bits]),
+                         modulation).reshape(points.shape)
+        terms += [np.abs(points - genie) ** 2, np.abs(genie) ** 2]
+    # The terms are C-contiguous (see equalize), and a sum over a contiguous
+    # last axis is bit-identical to the sum of each row alone. A frame with
+    # erased bins sums its decided points through a mask instead, as one 1-D
+    # array in row order.
+    sums = [t.reshape(n_frames, -1).sum(axis=-1) for t in terms]
+    symbol_err = terms[0].mean(axis=-1)
+    n_erased = erased.reshape(n_frames, -1).sum(axis=-1)
 
-    pilot_phase = np.angle(all_bins[:, plan.pilot_index] / cfg.pilot_value)
-    center = np.angle(np.mean(np.exp(1j * pilot_phase)))
-    centered = wrap_phase(pilot_phase - center)
-    residual_phase_std = float(np.sqrt(np.mean(centered ** 2)))
+    pilot_phase = np.angle(all_bins[..., plan.pilot_index] / cfg.pilot_value)
+    center = np.angle(np.mean(np.exp(1j * pilot_phase), axis=-1))
+    centered = wrap_phase(pilot_phase - center[:, None])
+    residual_phase_std = np.sqrt(np.mean(centered ** 2, axis=-1))
 
-    report = DecodeReport(
-        bits=bits.reshape(-1).astype(np.uint8),
-        evm_db=total_evm,
-        residual_phase_std=residual_phase_std,
-        per_symbol_evm=per_symbol_evm,
-        evm_db_genie=evm_genie,
-        n_erased=int(erased.sum()),
-        error_power=error_power,
-        reference_power=reference_power,
-        points=points.ravel(),
-    )
-    return (report, phase) if return_phase else report
-
-
-def _power_db(err_power: float, ref_power: float) -> float:
-    if err_power <= 0.0 or ref_power <= 0.0:
-        return EVM_FLOOR_DB
-    return max(10.0 * float(np.log10(err_power / ref_power)), EVM_FLOOR_DB)
+    reports = []
+    for f in range(n_frames):
+        n_ok = points[f].size - int(n_erased[f])
+        if n_erased[f]:
+            ok = ~erased[f]
+            frame_sums = [float(t[f][ok].sum()) for t in terms]
+            per_symbol = [row[m].mean() if m.any() else 0.0 for row, m in zip(terms[0][f], ok)]
+        else:
+            frame_sums = [float(s[f]) for s in sums]
+            per_symbol = symbol_err[f]
+        means = [x / n_ok for x in frame_sums] if n_ok else [0.0, 1.0] * (len(terms) // 2)
+        reports.append(DecodeReport(
+            bits=bits[f],
+            evm_db=evm_db_from_powers(means[0], means[1]),
+            residual_phase_std=float(residual_phase_std[f]),
+            per_symbol_evm=[evm_db_from_powers(e, means[1]) for e in per_symbol],
+            evm_db_genie=evm_db_from_powers(means[2], means[3]) if len(means) > 2 else None,
+            n_erased=int(n_erased[f]),
+            error_power=frame_sums[0],
+            reference_power=frame_sums[1],
+            points=points[f].reshape(-1),
+        ))
+    return reports, phase

@@ -14,12 +14,10 @@ import pytest
 from mmwavelink import (ChannelConfig, Modulation, OfdmConfig, PhaseNoiseConfig,
                         PhaseNoiseModel, PhaseNoiseProcess, aggregate_evm_db,
                         band_power_fraction, build_plan, estimate_phase,
-                        frame_bits_rng, frame_channel_cfg, gaussian_fit,
-                        psd_welch, run_frame, stream_bytes, verify_packet,
-                        wrap_phase)
+                        gaussian_fit, psd_welch, run_seeded_frames, stream_bytes,
+                        verify_packet, wrap_phase)
 from mmwavelink.cli import main
 from mmwavelink.linklayer import decode_packet, encode_packet, make_packet
-from mmwavelink.ofdm import frame_capacity_bits
 
 FS = 25.0e6
 CLEAN_PN = PhaseNoiseConfig(sigma=0.0, model=PhaseNoiseModel.NONE)
@@ -42,14 +40,8 @@ def default_ofdm(k_guard=3):
 
 def run_frames(ofdm_cfg, channel, modulation, n_frames, run_seed, pnc_enabled,
                n_payload_symbols=12):
-    capacity = frame_capacity_bits(ofdm_cfg, modulation, n_payload_symbols)
-    out = []
-    for i in range(n_frames):
-        bits = frame_bits_rng(run_seed, i).integers(0, 2, capacity, dtype=np.uint8)
-        out.append(run_frame(bits, modulation, ofdm_cfg,
-                             frame_channel_cfg(channel, run_seed, i),
-                             pnc_enabled, n_payload_symbols))
-    return out
+    return list(run_seeded_frames(modulation, ofdm_cfg, channel, pnc_enabled,
+                                  n_payload_symbols, run_seed, n_frames))
 
 
 def test_c01_loopback_exactness():

@@ -1,7 +1,8 @@
-"""The batched and cached per-frame paths equal their per-row, uncached forms
-exactly, bit for bit."""
+"""The batched and cached paths equal their per-row, per-frame and uncached
+forms exactly, bit for bit."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from hypothesis import strategies as st
 from scipy import signal
 
 from mmwavelink import (ChannelConfig, ChannelEstimate, Modulation, OfdmConfig,
-                        PhaseNoiseConfig, PhaseNoiseProcess, apply_channel,
-                        build_frame, build_plan, cancel, decode_frame, equalize,
-                        estimate_phase, frame_bits_rng, frame_channel_cfg,
-                        modulate_symbol, run_frame, training_bins)
-from mmwavelink.channel import PN_CORNER_RATIO, PN_FILTER_ORDER
+                        PhaseNoiseConfig, PhaseNoiseModel, PhaseNoiseProcess,
+                        apply_channel, build_frame, build_plan, cancel, decode_frame,
+                        demap_hard, equalize, estimate_channel_ls, estimate_phase,
+                        frame_bits_rng, frame_capacity_bits, frame_channel_cfg,
+                        map_bits, modulate_symbol, run_frame, run_frames,
+                        slice_indices, training_bins)
+from mmwavelink import channel as channel_module
+from mmwavelink.channel import PN_CORNER_RATIO, PN_FILTER_ORDER, phase_noise_rows
 from mmwavelink.metrics import write_series_csv
 from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS
 
@@ -171,6 +175,18 @@ def test_phase_noise_trajectory_matches_uncached_design(draws):
                                       reference_trajectory(sigma, bandwidth_hz, seed, 300))
 
 
+def test_phase_noise_rows_equal_per_process_across_filter_blocks(monkeypatch):
+    # Caps below one row's warmup plus frame filter each row in its own call;
+    # a cap of two rows splits three frames into blocks of two and one.
+    config = PhaseNoiseConfig(sigma=0.26)
+    seeds = [3, 4, 5]
+    expect = np.stack([PhaseNoiseProcess(config, FS, s).generate(500) for s in seeds])
+    n_settle = channel_module._shaping_filter(config.bandwidth_hz, FS)[1]
+    for cap in (1, 2 * (n_settle + 500), 1 << 21):
+        monkeypatch.setattr(channel_module, "PN_FILTER_BLOCK_SAMPLES", cap)
+        np.testing.assert_array_equal(phase_noise_rows(config, FS, seeds, 500), expect)
+
+
 def test_training_bins_copy_protects_the_cache():
     cfg = ofdm_cfg()
     first = training_bins(cfg)
@@ -231,3 +247,157 @@ def test_write_series_csv_matches_csv_writer_across_chunks(tmp_path):
 def test_write_series_csv_rejects_non_numeric_columns(tmp_path):
     with pytest.raises(TypeError):
         write_series_csv(tmp_path / "s.csv", ["s"], [np.array(["a,b"])])
+
+
+def assert_frame_results_equal(batched, single):
+    """Every array and number of two FrameResults is the same, bit for bit."""
+    a, b = batched.report, single.report
+    for name in ("bits", "points"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    for name in ("evm_db", "evm_db_genie", "error_power", "reference_power",
+                 "residual_phase_std", "n_erased", "per_symbol_evm"):
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ("tx_bits", "theta_true", "theta_est", "theta_true_bodies"):
+        np.testing.assert_array_equal(getattr(batched, name), getattr(single, name))
+    assert batched.n_channel_uses == single.n_channel_uses
+
+
+def null_taps(k0):
+    """Two taps whose response is zero on subcarrier k0."""
+    return (1.0, -np.exp(2j * np.pi * k0 / 64))
+
+
+TAPS = st.one_of(
+    st.just((1.0,)),
+    st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=2, max_size=4).map(
+        lambda v: (1.0,) + tuple(complex(re, im) for re, im in v[1:])),
+    st.sampled_from([null_taps(6), null_taps(-9)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(modulation=st.sampled_from(list(Modulation)), pnc_enabled=st.booleans(),
+       taps=TAPS, cfo_hz=st.sampled_from([0.0, 5000.0, 40000.0]),
+       model=st.sampled_from(list(PhaseNoiseModel)),
+       sigma=st.sampled_from([0.0, 0.05, 0.26]), snr_db=st.sampled_from([None, 8.0, 35.0]),
+       k_guard=st.integers(0, 4), n_payload_symbols=st.integers(1, 3),
+       run_seed=st.integers(0, 2**32 - 1), first_frame=st.integers(0, 10_000),
+       fills=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+def test_run_frames_equals_run_frame(modulation, pnc_enabled, taps, cfo_hz, model, sigma,
+                                     snr_db, k_guard, n_payload_symbols, run_seed,
+                                     first_frame, fills):
+    # A frame's result must not depend on the batch it ran in, at any offset.
+    cfg = ofdm_cfg(k_guard)
+    channel = ChannelConfig(taps=taps, snr_db=math.inf if snr_db is None else snr_db,
+                            phase_noise=PhaseNoiseConfig(sigma=sigma, model=model),
+                            cfo_hz=cfo_hz, seed=run_seed % 7)
+    capacity = frame_capacity_bits(cfg, modulation, n_payload_symbols)
+    rng = np.random.default_rng(run_seed)
+    bits = [rng.integers(0, 2, int(fill * capacity), dtype=np.uint8) for fill in fills]
+    batched = run_frames(bits, modulation, cfg, channel, pnc_enabled, n_payload_symbols,
+                         run_seed, first_frame)
+    assert len(batched) == len(bits)
+    for f, result in enumerate(batched):
+        single = run_frame(bits[f], modulation, cfg,
+                           frame_channel_cfg(channel, run_seed, first_frame + f),
+                           pnc_enabled, n_payload_symbols)
+        assert_frame_results_equal(result, single)
+
+
+def old_power_db(err_power, ref_power):
+    """The dB formula of the per-symbol loop the batched decoder replaced."""
+    if err_power <= 0.0 or ref_power <= 0.0:
+        return -120.0
+    return max(10.0 * float(np.log10(err_power / ref_power)), -120.0)
+
+
+def per_symbol_evm_reference(y, cfg, modulation, pnc_enabled):
+    """per_symbol_evm as one masked mean per payload symbol."""
+    bodies = y.reshape(-1, cfg.symbol_len)[:, cfg.cp_len:]
+    if pnc_enabled:
+        bodies = cancel(bodies, estimate_phase(bodies, cfg))
+    bins = np.fft.fft(bodies, norm="ortho", axis=-1)
+    est = estimate_channel_ls(bins[:N_PREAMBLE_SYMBOLS], training_bins(cfg), cfg.plan)
+    points, erased = equalize(bins[N_PREAMBLE_SYMBOLS:], est)
+    k = modulation.bits_per_symbol
+    bits = demap_hard(points.ravel(), modulation).reshape(*points.shape, k)
+    bits[erased] = 0
+    decided = map_bits(bits.reshape(-1), modulation).reshape(points.shape)
+    ok = ~erased
+    ref = float(np.mean(np.abs(decided[ok]) ** 2)) if ok.any() else 1.0
+    err2 = np.abs(points - decided) ** 2
+    return [old_power_db(e[m].mean() if m.any() else 0.0, ref) for e, m in zip(err2, ok)], \
+        int(erased.sum())
+
+
+@pytest.mark.parametrize("taps,pn,erasures", [
+    ((1.0, 0.3 + 0.2j), PhaseNoiseConfig(sigma=0.26), False),
+    (null_taps(6), PhaseNoiseConfig(sigma=0.0, model=PhaseNoiseModel.NONE), True),
+])
+@pytest.mark.parametrize("pnc_enabled", [True, False])
+def test_per_symbol_evm_matches_masked_means(taps, pn, erasures, pnc_enabled):
+    # Row-wise means without erasures, masked per-row means with them; the
+    # frame sums keep their bytes either way (golden tests), and the
+    # per-symbol values agree with one masked mean per symbol.
+    cfg = ofdm_cfg(3)
+    channel = frame_channel_cfg(ChannelConfig(taps=taps, snr_db=math.inf if erasures else 25.0,
+                                              phase_noise=pn), 9, 4)
+    bits = frame_bits_rng(9, 4).integers(0, 2, 46 * 4 * 5, dtype=np.uint8)
+    frame = build_frame(bits, Modulation.QAM16, cfg, 5)
+    y, _ = apply_channel(frame.samples(), channel)
+    report = decode_frame(y, cfg, Modulation.QAM16, pnc_enabled)
+    expect, n_erased = per_symbol_evm_reference(y, cfg, Modulation.QAM16, pnc_enabled)
+    assert report.n_erased == n_erased and (n_erased > 0) == erasures
+    np.testing.assert_allclose(report.per_symbol_evm, expect, rtol=0.0, atol=1e-12)
+
+
+def table_argmin(z, modulation):
+    """The distance-table demapper the slicer replaced."""
+    with np.errstate(all="ignore"):
+        return np.argmin(np.abs(z[:, None] - modulation.constellation[None, :]) ** 2, axis=1)
+
+
+def axis_specials():
+    """Levels and thresholds of every modulation's axes, zeros and far values."""
+    values = {0.0, -0.0, 1e6, -1e6, 5e-324, -5e-324}
+    for mod in Modulation:
+        for levels in (np.unique(mod.constellation.real), np.unique(mod.constellation.imag)):
+            values.update(levels.tolist())
+            values.update(((levels[1:] + levels[:-1]) / 2.0).tolist())
+    return sorted(values)
+
+
+SPECIALS = axis_specials()
+COORDINATE = st.one_of(
+    st.sampled_from(SPECIALS),
+    st.tuples(st.sampled_from(SPECIALS),
+              st.sampled_from([5e-324, -5e-324, 1e-310, -2.2e-308, 1e-16, -1e-16, 1e-9])).map(
+        lambda v: v[0] + v[1]),
+    st.sampled_from(SPECIALS).map(lambda v: float(np.nextafter(v, np.inf))),
+    st.sampled_from(SPECIALS).map(lambda v: float(np.nextafter(v, -np.inf))),
+    st.floats(-2.0, 2.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(modulation=st.sampled_from(list(Modulation)),
+       coords=st.lists(st.tuples(COORDINATE, COORDINATE), min_size=1, max_size=40))
+def test_slicer_equals_table_argmin(modulation, coords):
+    z = np.array([complex(re, im) for re, im in coords])
+    with np.errstate(all="ignore"):
+        got = slice_indices(z, modulation)
+    np.testing.assert_array_equal(got, table_argmin(z, modulation))
+
+
+@pytest.mark.parametrize("modulation", list(Modulation))
+def test_slicer_equals_table_argmin_on_noisy_points(modulation):
+    rng = np.random.default_rng(17)
+    sent = modulation.constellation[rng.integers(0, len(modulation.constellation), 20_000)]
+    for scale in (0.01, 0.2, 1.0, 5.0):
+        z = sent + scale * (rng.standard_normal(sent.size) + 1j * rng.standard_normal(sent.size))
+        np.testing.assert_array_equal(slice_indices(z, modulation), table_argmin(z, modulation))
+    # Shapes are kept, and erased 0+0j points take the lower table index.
+    assert slice_indices(np.zeros((2, 3), dtype=complex), modulation).shape == (2, 3)
+    assert slice_indices(np.zeros(1, dtype=complex), modulation)[0] == table_argmin(
+        np.zeros(1, dtype=complex), modulation)[0]
