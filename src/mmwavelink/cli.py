@@ -251,7 +251,6 @@ def cmd_simulate(args) -> int:
             d = wrap_phase(result.theta_true_bodies - result.theta_est)
             residuals.append(d - d.mean())
 
-    all_res = np.concatenate(residuals) if residuals else np.zeros(0)
     genie = [r.evm_db_genie for r in reports if r.evm_db_genie is not None]
     summary = {
         "n_frames": n_frames,
@@ -264,7 +263,8 @@ def cmd_simulate(args) -> int:
         "evm_db_genie_mean": float(np.mean(genie)) if genie else None,
         "residual_phase_std": float(np.mean([r.residual_phase_std for r in reports]))
         if reports else None,
-        "residual_phase_std_true": float(all_res.std()) if all_res.size else None,
+        "residual_phase_std_true": float(np.concatenate(residuals).std())
+        if residuals else None,
         "n_erased": int(sum(r.n_erased for r in reports)),
     }
     # Serialized first: a result that is not finite fails here, before any

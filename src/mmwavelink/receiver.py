@@ -118,6 +118,11 @@ def equalize(symbol_bins, est: ChannelEstimate):
     return z, np.broadcast_to(erased, z.shape).copy()
 
 
+def _error_terms(points, reference) -> list:
+    """[|points - reference|^2, |reference|^2], elementwise."""
+    return [np.abs(points - reference) ** 2, np.abs(reference) ** 2]
+
+
 def decode_frame(samples, cfg: OfdmConfig, modulation: Modulation,
                  pnc_enabled: bool = True, true_bits=None, return_phase: bool = False):
     """Decode one frame: [2 training symbols | payload symbols].
@@ -174,22 +179,25 @@ def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
         phase = phase_est.per_sample_phase[:, N_PREAMBLE_SYMBOLS:]
     all_bins = np.fft.fft(bodies, norm="ortho", axis=-1)
 
+    pilot_phase = np.angle(all_bins[..., plan.pilot_index] / cfg.pilot_value)
+    center = np.angle(np.mean(np.exp(1j * pilot_phase), axis=-1))
+    centered = wrap_phase(pilot_phase - center[:, None])
+    residual_phase_std = np.sqrt(np.mean(centered ** 2, axis=-1))
+
     est = estimate_channel_ls(all_bins[:, :N_PREAMBLE_SYMBOLS], training_bins(cfg), plan)
     est.h_freq = est.h_freq[:, None, :]
     points, erased = equalize(all_bins[:, N_PREAMBLE_SYMBOLS:], est)
+    del all_bins, bodies   # a chunk's largest arrays; nothing below reads them
 
     idx = slice_indices(points, modulation)
     idx[erased] = 0
-    decided = modulation.constellation[idx]
     bits = indices_to_bits(idx, modulation).reshape(n_frames, -1)
     # Per frame: squared decision errors and decided-point powers, then the
     # genie's when the transmitted bits are known.
-    terms = [np.abs(points - decided) ** 2, np.abs(decided) ** 2]
+    terms = _error_terms(points, modulation.constellation[idx])
     if true_bits is not None:
-        capacity = bits.shape[1]
-        genie = map_bits(np.concatenate([pad_bits(b, capacity) for b in true_bits]),
-                         modulation).reshape(points.shape)
-        terms += [np.abs(points - genie) ** 2, np.abs(genie) ** 2]
+        padded = np.concatenate([pad_bits(b, bits.shape[1]) for b in true_bits])
+        terms += _error_terms(points, map_bits(padded, modulation).reshape(points.shape))
     # The terms are C-contiguous (see equalize), and a sum over a contiguous
     # last axis is bit-identical to the sum of each row alone. A frame with
     # erased bins sums its decided points through a mask instead, as one 1-D
@@ -197,11 +205,6 @@ def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
     sums = [t.reshape(n_frames, -1).sum(axis=-1) for t in terms]
     symbol_err = terms[0].mean(axis=-1)
     n_erased = erased.reshape(n_frames, -1).sum(axis=-1)
-
-    pilot_phase = np.angle(all_bins[..., plan.pilot_index] / cfg.pilot_value)
-    center = np.angle(np.mean(np.exp(1j * pilot_phase), axis=-1))
-    centered = wrap_phase(pilot_phase - center[:, None])
-    residual_phase_std = np.sqrt(np.mean(centered ** 2, axis=-1))
 
     reports = []
     for f in range(n_frames):
