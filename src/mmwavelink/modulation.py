@@ -83,7 +83,9 @@ def _axis_slicer(levels, codes):
     order = np.argsort(levels)
     levels = levels[order]
     thresholds = (levels[1:] + levels[:-1]) / 2.0
-    spacing = (thresholds[-1] - thresholds[0]) / (thresholds.size - 1) if thresholds.size > 1 else 1.0
+    spacing = 1.0   # any positive value serves a single threshold
+    if thresholds.size > 1:
+        spacing = (thresholds[-1] - thresholds[0]) / (thresholds.size - 1)
     return thresholds, spacing, codes[order]
 
 

@@ -118,9 +118,25 @@ def equalize(symbol_bins, est: ChannelEstimate):
     return z, np.broadcast_to(erased, z.shape).copy()
 
 
-def _error_terms(points, reference) -> list:
-    """[|points - reference|^2, |reference|^2], elementwise."""
-    return [np.abs(points - reference) ** 2, np.abs(reference) ** 2]
+def _power_sums(points, reference, erased):
+    """Per-frame sums of |points - reference|^2 and |reference|^2 over the
+    points not erased, and per-symbol means of the former, for a stack
+    (F, S, n_payload).
+
+    Points are C-contiguous (see equalize), and a sum over a contiguous last
+    axis is bit-identical to the sum of that row alone. A frame with erased
+    bins is summed through its mask instead, as one 1-D array in row order,
+    and its symbols' means likewise.
+    """
+    err2 = np.abs(points - reference) ** 2
+    sums = [t.reshape(len(t), -1).sum(axis=-1) for t in (err2, np.abs(reference) ** 2)]
+    symbol_means = list(err2.mean(axis=-1))
+    for f in np.flatnonzero(erased.reshape(len(erased), -1).any(axis=-1)):
+        ok = ~erased[f]
+        sums[0][f] = err2[f][ok].sum()
+        sums[1][f] = (np.abs(reference[f][ok]) ** 2).sum()
+        symbol_means[f] = [row[m].mean() if m.any() else 0.0 for row, m in zip(err2[f], ok)]
+    return sums[0], sums[1], symbol_means
 
 
 def decode_frame(samples, cfg: OfdmConfig, modulation: Modulation,
@@ -192,40 +208,31 @@ def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
     idx = slice_indices(points, modulation)
     idx[erased] = 0
     bits = indices_to_bits(idx, modulation).reshape(n_frames, -1)
-    # Per frame: squared decision errors and decided-point powers, then the
-    # genie's when the transmitted bits are known.
-    terms = _error_terms(points, modulation.constellation[idx])
+    error, reference, symbol_error = _power_sums(points, modulation.constellation[idx], erased)
+    genie_error = genie_reference = None
     if true_bits is not None:
         padded = np.concatenate([pad_bits(b, bits.shape[1]) for b in true_bits])
-        terms += _error_terms(points, map_bits(padded, modulation).reshape(points.shape))
-    # The terms are C-contiguous (see equalize), and a sum over a contiguous
-    # last axis is bit-identical to the sum of each row alone. A frame with
-    # erased bins sums its decided points through a mask instead, as one 1-D
-    # array in row order.
-    sums = [t.reshape(n_frames, -1).sum(axis=-1) for t in terms]
-    symbol_err = terms[0].mean(axis=-1)
+        genie_error, genie_reference, _ = _power_sums(
+            points, map_bits(padded, modulation).reshape(points.shape), erased)
     n_erased = erased.reshape(n_frames, -1).sum(axis=-1)
 
     reports = []
     for f in range(n_frames):
         n_ok = points[f].size - int(n_erased[f])
-        if n_erased[f]:
-            ok = ~erased[f]
-            frame_sums = [float(t[f][ok].sum()) for t in terms]
-            per_symbol = [row[m].mean() if m.any() else 0.0 for row, m in zip(terms[0][f], ok)]
-        else:
-            frame_sums = [float(s[f]) for s in sums]
-            per_symbol = symbol_err[f]
-        means = [x / n_ok for x in frame_sums] if n_ok else [0.0, 1.0] * (len(terms) // 2)
+        ref_mean = reference[f] / n_ok if n_ok else 1.0
+        evm_genie = None
+        if genie_error is not None:
+            evm_genie = evm_db_from_powers(genie_error[f] / n_ok if n_ok else 0.0,
+                                           genie_reference[f] / n_ok if n_ok else 1.0)
         reports.append(DecodeReport(
             bits=bits[f],
-            evm_db=evm_db_from_powers(means[0], means[1]),
+            evm_db=evm_db_from_powers(error[f] / n_ok if n_ok else 0.0, ref_mean),
             residual_phase_std=float(residual_phase_std[f]),
-            per_symbol_evm=[evm_db_from_powers(e, means[1]) for e in per_symbol],
-            evm_db_genie=evm_db_from_powers(means[2], means[3]) if len(means) > 2 else None,
+            per_symbol_evm=[evm_db_from_powers(e, ref_mean) for e in symbol_error[f]],
+            evm_db_genie=evm_genie,
             n_erased=int(n_erased[f]),
-            error_power=frame_sums[0],
-            reference_power=frame_sums[1],
+            error_power=float(error[f]),
+            reference_power=float(reference[f]),
             points=points[f].reshape(-1),
         ))
     return reports, phase
