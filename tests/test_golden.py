@@ -1,5 +1,5 @@
 """Golden artifacts: SHA-256 of every file `simulate`, `sweep-k` and `stream`
-write for three small seeded configs, and of the `measure-pn` files for one.
+write for three small seeded configs, and of the `measure-pn` files for two.
 
 The hashes pin the exact bytes, so a refactor or speed-up that changes any
 decoded bit, EVM digit or CSV formatting fails here. To regenerate after an
@@ -50,6 +50,14 @@ PROBE_CONFIGS = {
         "probe": {"n_samples": 65536},
         "seed": 14,
     },
+    # 3 * 2**16 + 1234 samples with CFO: several of the channel's and the
+    # metrics' 2**16-sample blocks, the last one holding an odd tail.
+    "probe_blocks_cfo": {
+        "channel": {"taps": [1.0, 0.2], "snr_db": 30.0, "sigma": 0.26,
+                    "cfo_hz": 2000.0},
+        "probe": {"n_samples": 3 * 65536 + 1234},
+        "seed": 15,
+    },
 }
 
 K_LIST = "0,2,3"
@@ -74,6 +82,16 @@ GOLDEN = {
                 "2c827b4a22720a2e3d10e104015227cc078e2281c9713871fa65202236706651",
             "stream_report.json":
                 "eef62c955058af8d1fddbfbfc317879e5424ffdd341fcaef8ace8e7bf25ca63a",
+        },
+    },
+    "probe_blocks_cfo": {
+        "measure-pn": {
+            "pn_fit.json":
+                "5c92f9edda89035e541a16da2e868bd7240a7d9bd222827c8d10d5788bcb0d1c",
+            "pn_pdf.csv":
+                "135fb1400762b776c169c2fdc3ccbba68f74619571dfcaadaa7733baebed6925",
+            "pn_psd.csv":
+                "14fda6d0803139b9ced5c4c5aae07fa50f9e5c783e183acf80b709ee8e542e5f",
         },
     },
     "probe_multipath": {
