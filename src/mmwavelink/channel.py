@@ -59,6 +59,16 @@ def _shaping_filter(bandwidth_hz: float, sample_rate_hz: float):
     return sos, n_settle, energy
 
 
+def _check_phase_noise(config: PhaseNoiseConfig, sample_rate_hz: float) -> None:
+    if config.sigma < 0:
+        raise ValueError(f"sigma must be >= 0, got {config.sigma}")
+    if config.model is not PhaseNoiseModel.NONE:
+        if not 0.0 < config.bandwidth_hz < sample_rate_hz / 2:
+            raise ValueError(
+                f"bandwidth_hz must be in (0, sample_rate/2), got {config.bandwidth_hz}"
+            )
+
+
 class PhaseNoiseProcess:
     """Stateful theta(n) generator.
 
@@ -68,13 +78,7 @@ class PhaseNoiseProcess:
 
     def __init__(self, config: PhaseNoiseConfig, sample_rate_hz: float, seed,
                  symbol_len: int = 80):
-        if config.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if config.model is not PhaseNoiseModel.NONE:
-            if not 0.0 < config.bandwidth_hz < sample_rate_hz / 2:
-                raise ValueError(
-                    f"bandwidth_hz must be in (0, sample_rate/2), got {config.bandwidth_hz}"
-                )
+        _check_phase_noise(config, sample_rate_hz)
         if symbol_len < 1:
             raise ValueError("symbol_len must be >= 1")
         self.config = config
@@ -173,10 +177,28 @@ class ChannelConfig:
         object.__setattr__(self, "taps", tuple(taps / np.sqrt(energy)))
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
+        _check_phase_noise(self.phase_noise, self.sample_rate_hz)
 
 
 def _stream_seed(seed: int, stream: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+
+
+# Long buffers run through the channel and the metrics in blocks of this many
+# samples. A buffer of two or more blocks folds its tail into the last block,
+# so every block holds at least SAMPLE_BLOCK samples: its complex and float
+# temporaries (1 MiB and 512 KiB) stay past numpy's 256 KiB threshold for
+# reusing temporaries, which keeps the order of complex products, and so the
+# bytes, of the whole-buffer expressions.
+SAMPLE_BLOCK = 1 << 16
+
+
+def sample_blocks(n: int) -> list:
+    """[start, stop) ranges that cover n samples in blocks of SAMPLE_BLOCK."""
+    if n < 2 * SAMPLE_BLOCK:
+        return [(0, n)]
+    starts = list(range(0, n // SAMPLE_BLOCK * SAMPLE_BLOCK, SAMPLE_BLOCK))
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def apply_channel(x, cfg: ChannelConfig, seeds=None):
@@ -197,42 +219,74 @@ def apply_channel(x, cfg: ChannelConfig, seeds=None):
     if rows.ndim != 2 or rows.shape[1] == 0 or len(seeds) != rows.shape[0]:
         raise ValueError("input must be a non-empty 1-D buffer, or an (F, n) stack "
                          "with one seed per row")
-    n_samples = rows.shape[1]
-    h = np.asarray(cfg.taps, dtype=complex)
     theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz,
-                             [_stream_seed(seed, 0) for seed in seeds], n_samples)
-    # Row by row, in the expressions of a single buffer: numpy reuses large
-    # temporaries and multiplies complex operands in the other order when it
-    # does, so the bytes of each row depend on these forms.
-    out = []
-    for row, row_theta, seed in zip(rows, theta, seeds):
-        s = np.convolve(row, h)[: n_samples] if h.size > 1 else row * h[0]
+                             [_stream_seed(seed, 0) for seed in seeds], rows.shape[1])
+    y = np.empty(rows.shape, dtype=complex)
+    for row, row_theta, seed, row_y in zip(rows, theta, seeds, y):
+        _channel_row(lambda a, b: row[a:b], row_theta, cfg, seed, row_y)
+    return (y, theta) if stacked else (y[0], theta[0])
+
+
+def _channel_row(samples, theta, cfg: ChannelConfig, seed, y) -> None:
+    """Write one buffer's channel output into y, block by block.
+
+    samples(a, b) returns input samples [a, b). Each block runs the
+    expressions of a whole buffer: numpy reuses large temporaries and
+    multiplies complex operands in the other order when it does, so the
+    bytes depend on these forms, and on blocks being either the whole
+    buffer or at least SAMPLE_BLOCK long.
+    """
+    n_samples = y.size
+    h = np.asarray(cfg.taps, dtype=complex)
+    noisy = math.isfinite(cfg.snr_db)
+    blocks = sample_blocks(n_samples)
+    # Pass 1: taps and CFO into y, |s|^2 for the SNR power.
+    power = np.empty(n_samples) if noisy else None
+    for a, b in blocks:
+        lo = max(a - (h.size - 1), 0)
+        x = samples(lo, b)
+        s = np.convolve(x, h)[a - lo:b - lo] if h.size > 1 else x * h[0]
         if cfg.cfo_hz:
-            n = np.arange(n_samples)
+            n = np.arange(a, b)
             s = s * np.exp(2j * np.pi * cfg.cfo_hz * n / cfg.sample_rate_hz)
-        y = s * np.exp(1j * row_theta)
-        if math.isfinite(cfg.snr_db):
-            signal_power = np.mean(np.abs(s) ** 2)
-            noise_var = signal_power * 10.0 ** (-cfg.snr_db / 10.0)
-            rng = np.random.default_rng(_stream_seed(seed, 1))
-            w = np.sqrt(noise_var / 2.0) * (
-                rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
-            )
-            y = y + w
-        out.append(y)
-    if stacked:
-        return np.array(out).reshape(rows.shape), theta
-    return out[0], theta[0]
+        y[a:b] = s
+        if noisy:
+            np.square(np.abs(s, out=power[a:b]), out=power[a:b])
+    if noisy:
+        # np.mean's sum and division, without its per-call overhead.
+        noise_var = power.sum() / n_samples * 10.0 ** (-cfg.snr_db / 10.0)
+        scale = np.sqrt(noise_var / 2.0)
+        rng = np.random.default_rng(_stream_seed(seed, 1))
+        # All real parts are drawn before any imaginary part.
+        real = rng.standard_normal(out=power)
+    # Pass 2: phase noise rotation, then AWGN.
+    for a, b in blocks:
+        rotated = y[a:b] * np.exp(1j * theta[a:b])
+        if noisy:
+            w = scale * (real[a:b] + 1j * rng.standard_normal(b - a))
+            np.add(rotated, w, out=y[a:b])
+        else:
+            y[a:b] = rotated
 
 
 def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig):
-    """Send exp(j 2 pi f n / fs) through the channel; returns (y, theta)."""
+    """Send exp(j 2 pi f n / fs) through the channel; returns (y, theta).
+
+    Equals apply_channel on the whole tone; the tone is built block by block.
+    """
     if abs(freq_hz) >= cfg.sample_rate_hz / 2:
         raise ValueError(f"tone at {freq_hz} Hz aliases at fs={cfg.sample_rate_hz}")
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
     if n_samples == 0:
         return np.zeros(0, dtype=complex), np.zeros(0)
-    n = np.arange(n_samples)
-    x = np.exp(2j * np.pi * freq_hz * n / cfg.sample_rate_hz)
-    return apply_channel(x, cfg)
+
+    def tone(a, b):
+        n = np.arange(a, b)
+        return np.exp(2j * np.pi * freq_hz * n / cfg.sample_rate_hz)
+
+    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz,
+                             [_stream_seed(cfg.seed, 0)], n_samples)[0]
+    y = np.empty(n_samples, dtype=complex)
+    _channel_row(tone, theta, cfg, cfg.seed, y)
+    return y, theta

@@ -218,11 +218,6 @@ def _json_text(name: str, obj) -> str:
         raise ValueError(f"{name} not written: {exc}") from None
 
 
-def _write_json(path: Path, obj) -> None:
-    """Write strict JSON; a NaN or infinite value fails before the file is opened."""
-    path.write_text(_json_text(path.name, obj))
-
-
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.seed)
     ofdm_cfg = build_ofdm_config(cfg)
@@ -295,17 +290,20 @@ def cmd_measure_pn(args) -> int:
         raise ConfigError("probe.n_samples must be >= 4096 for the PSD estimate")
     out = _out_dir(args)
 
-    y, _ = single_tone_probe(float(tone), n_samples, channel_cfg)
+    # Only the received buffer is kept, and only until its phase is taken.
+    y = single_tone_probe(float(tone), n_samples, channel_cfg)[0]
     phase = extract_tone_phase(y, float(tone), channel_cfg.sample_rate_hz)
+    del y
     fit = gaussian_fit(phase)
     centers, density = phase_pdf(phase)
     psd = psd_welch(phase, channel_cfg.sample_rate_hz)
 
-    write_phase_pdf_csv(centers, density, out / "pn_pdf.csv")
-    write_psd_csv(psd, out / "pn_psd.csv")
-    _write_json(out / "pn_fit.json", {
+    fit_text = _json_text("pn_fit.json", {
         "mean": fit.mean, "std": fit.std, "sample_count": fit.sample_count,
     })
+    write_phase_pdf_csv(centers, density, out / "pn_pdf.csv")
+    write_psd_csv(psd, out / "pn_psd.csv")
+    (out / "pn_fit.json").write_text(fit_text)
     print(f"measure-pn: {n_samples} samples, fitted std={fit.std:.6g} rad")
     return 0
 
@@ -339,6 +337,10 @@ def cmd_sweep_k(args) -> int:
         results.append((k, aggregate_evm_db(reports)))
         print(f"sweep-k: K={k} mean_evm_db={results[-1][1]}")
 
+    # A result that is not finite fails here, before ksweep.csv is opened.
+    for k, evm in results:
+        if evm is not None and not math.isfinite(evm):
+            raise ValueError(f"ksweep.csv not written: mean EVM at K={k} is {evm}")
     write_series_csv(out / "ksweep.csv", ["k_guard", "mean_evm_db"],
                      [np.array([r[0] for r in results], dtype=int),
                       np.array([r[1] for r in results], dtype=float)])
@@ -363,10 +365,9 @@ def cmd_stream(args) -> int:
         pnc_enabled=cfg["pnc_enabled"], seed=cfg["seed"],
         n_payload_symbols=cfg["n_payload_symbols"],
     )
-    output = Path(args.output) if args.output else out / "recovered.bin"
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_bytes(recovered)
-    _write_json(out / "stream_report.json", {
+    # Serialized first: a report that is not finite fails here, before the
+    # recovered bytes are written.
+    report_text = _json_text("stream_report.json", {
         "packets_sent": report.packets_sent,
         "packets_ok": report.packets_ok,
         "packets_crc_fail": report.packets_crc_fail,
@@ -374,6 +375,10 @@ def cmd_stream(args) -> int:
         "goodput_bits_per_channel_use": report.goodput_bits_per_channel_use,
         "mean_evm_db": report.mean_evm_db,
     })
+    output = Path(args.output) if args.output else out / "recovered.bin"
+    output.parent.mkdir(parents=True, exist_ok=True)
+    output.write_bytes(recovered)
+    (out / "stream_report.json").write_text(report_text)
     print(f"stream: {report.packets_sent} packets, per={report.per:.6g}, "
           f"mean_evm_db={report.mean_evm_db}")
     return 0

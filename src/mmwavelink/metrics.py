@@ -6,7 +6,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy import signal
+
+from .channel import sample_blocks
 
 
 @dataclass(frozen=True)
@@ -41,15 +44,32 @@ def extract_tone_phase(y, tone_hz: float, sample_rate_hz: float) -> np.ndarray:
     """Phase trajectory of a received single tone.
 
     Mixes the tone down to DC, unwraps the angle, and removes the mean so a
-    constant channel rotation does not bias the result.
+    constant channel rotation does not bias the result. Runs in blocks of
+    SAMPLE_BLOCK samples and equals the whole-buffer
+    `np.unwrap(np.angle(y * np.exp(-2j*pi*f*n/fs)))` bit for bit.
     """
     y = np.asarray(y, dtype=complex)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("input must be a non-empty 1-D buffer")
-    n = np.arange(y.size)
-    baseband = y * np.exp(-2j * np.pi * tone_hz * n / sample_rate_hz)
-    phase = np.unwrap(np.angle(baseband))
-    return phase - phase.mean()
+    phase = np.empty(y.size)
+    prev, carry = None, 0.0
+    for a, b in sample_blocks(y.size):
+        n = np.arange(a, b)
+        wrapped = np.angle(y[a:b] * np.exp(-2j * np.pi * tone_hz * n / sample_rate_hz))
+        # np.unwrap's formula (period 2 pi); the running sum of corrections
+        # carries across blocks.
+        dd = np.diff(wrapped, prepend=wrapped[0] if prev is None else prev)
+        ddmod = np.mod(dd - -np.pi, 2 * np.pi) + -np.pi
+        np.copyto(ddmod, np.pi, where=(ddmod == -np.pi) & (dd > 0))
+        correction = ddmod - dd
+        np.copyto(correction, 0, where=abs(dd) < np.pi)
+        correction = np.cumsum(np.concatenate(([carry], correction)))[1:]
+        phase[a:b] = wrapped + correction
+        if prev is None:
+            phase[0] = wrapped[0]  # kept as is, -0.0 included
+        prev, carry = wrapped[-1], correction[-1]
+    phase -= phase.mean()
+    return phase
 
 
 def gaussian_fit(samples) -> GaussianFit:
@@ -62,6 +82,10 @@ def gaussian_fit(samples) -> GaussianFit:
         std=float(samples.std(ddof=1)),
         sample_count=samples.size,
     )
+
+
+# Welch segments transformed per FFT call in psd_welch.
+WELCH_BLOCK_SEGMENTS = 64
 
 
 def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096,
@@ -79,16 +103,20 @@ def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096,
         raise ValueError("overlap must be in [0, 1)")
     if nfft < 2 or nfft > samples.size:
         raise ValueError(f"nfft={nfft} must be in [2, len(samples)={samples.size}]")
-    freqs, density = signal.welch(
-        samples,
-        fs=sample_rate_hz,
-        window="hann",
-        nperseg=nfft,
-        noverlap=int(round(nfft * overlap)),
-        detrend="constant",
-        return_onesided=False,
-        scaling="density",
-    )
+    noverlap = int(round(nfft * overlap))
+    # scipy.signal.welch's windowed, detrended periodograms, averaged by the
+    # same reduction over a (nfft, segments) array, but transformed in
+    # blocks of WELCH_BLOCK_SEGMENTS segments, one FFT call each.
+    stft = signal.ShortTimeFFT(signal.get_window("hann", nfft), nfft - noverlap,
+                               sample_rate_hz, fft_mode="twosided", mfft=nfft,
+                               scale_to="psd", phase_shift=None)
+    segments = np.lib.stride_tricks.sliding_window_view(samples, nfft)[::stft.hop]
+    power = np.empty((nfft, len(segments)))
+    for p in range(0, len(segments), WELCH_BLOCK_SEGMENTS):
+        block = segments[p:p + WELCH_BLOCK_SEGMENTS]
+        spectra = scipy.fft.fft(signal.detrend(block, type="constant") * stft.win, axis=-1)
+        power[:, p:p + len(block)] = (spectra.real ** 2 + spectra.imag ** 2).T
+    freqs, density = stft.f, power.mean(axis=-1)
     order = np.argsort(freqs)
     power_db = 10.0 * np.log10(np.maximum(density[order], 1e-300))
     return PsdEstimate(

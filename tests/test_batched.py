@@ -18,8 +18,9 @@ from mmwavelink import (ChannelConfig, ChannelEstimate, Modulation, OfdmConfig,
                         map_bits, modulate_symbol, run_frame, run_frames,
                         slice_indices, training_bins)
 from mmwavelink import channel as channel_module
-from mmwavelink.channel import PN_CORNER_RATIO, PN_FILTER_ORDER, phase_noise_rows
-from mmwavelink.metrics import write_series_csv
+from mmwavelink.channel import (PN_CORNER_RATIO, PN_FILTER_ORDER, SAMPLE_BLOCK,
+                                phase_noise_rows, sample_blocks, single_tone_probe)
+from mmwavelink.metrics import extract_tone_phase, psd_welch, write_series_csv
 from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS
 
 FS = 25.0e6
@@ -401,3 +402,96 @@ def test_slicer_equals_table_argmin_on_noisy_points(modulation):
     assert slice_indices(np.zeros((2, 3), dtype=complex), modulation).shape == (2, 3)
     assert slice_indices(np.zeros(1, dtype=complex), modulation)[0] == table_argmin(
         np.zeros(1, dtype=complex), modulation)[0]
+
+
+def assert_same_bytes(got, expect):
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
+def reference_probe(freq_hz, n_samples, cfg):
+    """single_tone_probe in the whole-buffer expressions of the one-shot channel."""
+    n = np.arange(n_samples)
+    x = np.exp(2j * np.pi * freq_hz * n / cfg.sample_rate_hz)
+    h = np.asarray(cfg.taps, dtype=complex)
+    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz,
+                             [channel_module._stream_seed(cfg.seed, 0)], n_samples)[0]
+    s = np.convolve(x, h)[:n_samples] if h.size > 1 else x * h[0]
+    if cfg.cfo_hz:
+        s = s * np.exp(2j * np.pi * cfg.cfo_hz * n / cfg.sample_rate_hz)
+    y = s * np.exp(1j * theta)
+    if math.isfinite(cfg.snr_db):
+        signal_power = np.mean(np.abs(s) ** 2)
+        noise_var = signal_power * 10.0 ** (-cfg.snr_db / 10.0)
+        rng = np.random.default_rng(channel_module._stream_seed(cfg.seed, 1))
+        w = np.sqrt(noise_var / 2.0) * (
+            rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
+        )
+        y = y + w
+    return x, y, theta
+
+
+def reference_tone_phase(y, tone_hz, sample_rate_hz):
+    n = np.arange(y.size)
+    baseband = y * np.exp(-2j * np.pi * tone_hz * n / sample_rate_hz)
+    phase = np.unwrap(np.angle(baseband))
+    return phase - phase.mean()
+
+
+def test_sample_blocks_fold_the_tail_into_the_last_block():
+    assert sample_blocks(0) == [(0, 0)]
+    assert sample_blocks(2 * SAMPLE_BLOCK - 1) == [(0, 2 * SAMPLE_BLOCK - 1)]
+    assert sample_blocks(2 * SAMPLE_BLOCK + 5) == [(0, SAMPLE_BLOCK),
+                                                   (SAMPLE_BLOCK, 2 * SAMPLE_BLOCK + 5)]
+
+
+BLOCK_SIZES = [k * SAMPLE_BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_samples=st.one_of(st.sampled_from(BLOCK_SIZES), st.integers(1, 3000)),
+       taps=TAPS, cfo_hz=st.sampled_from([0.0, 5000.0]),
+       model=st.sampled_from(list(PhaseNoiseModel)), snr_db=st.sampled_from([None, 8.0, 30.0]),
+       tone_hz=st.sampled_from([FS / 8, -1.3e6, 0.0]), seed=st.integers(0, 2**32 - 1))
+def test_blocked_probe_and_phase_equal_one_shot(n_samples, taps, cfo_hz, model, snr_db,
+                                                tone_hz, seed):
+    cfg = ChannelConfig(taps=taps, snr_db=math.inf if snr_db is None else snr_db,
+                        phase_noise=PhaseNoiseConfig(sigma=0.26, model=model),
+                        cfo_hz=cfo_hz, seed=seed)
+    x, y_ref, theta_ref = reference_probe(tone_hz, n_samples, cfg)
+    y, theta = single_tone_probe(tone_hz, n_samples, cfg)
+    assert_same_bytes(y, y_ref)
+    assert_same_bytes(theta, theta_ref)
+    # The one-buffer channel takes the same blocked path from an array.
+    y, theta = apply_channel(x, cfg)
+    assert_same_bytes(y, y_ref)
+    assert_same_bytes(theta, theta_ref)
+    assert_same_bytes(extract_tone_phase(y, tone_hz, FS),
+                      reference_tone_phase(y_ref, tone_hz, FS))
+
+
+def reference_psd_welch(samples, sample_rate_hz, nfft, overlap):
+    """psd_welch through scipy.signal.welch."""
+    freqs, density = signal.welch(samples, fs=sample_rate_hz, window="hann", nperseg=nfft,
+                                  noverlap=int(round(nfft * overlap)), detrend="constant",
+                                  return_onesided=False, scaling="density")
+    order = np.argsort(freqs)
+    return freqs[order], 10.0 * np.log10(np.maximum(density[order], 1e-300))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nfft=st.one_of(st.integers(16, 4096), st.sampled_from([16, 1024, 4096])),
+       overlap=st.sampled_from([0.0, 0.5, 0.75]), n_segments=st.integers(1, 140),
+       extra=st.integers(0, 15), complex_input=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_psd_welch_equals_scipy_welch(nfft, overlap, n_segments, extra,
+                                              complex_input, seed):
+    hop = nfft - int(round(nfft * overlap))
+    rng = np.random.default_rng(seed)
+    n = nfft + hop * (n_segments - 1) + extra
+    x = np.cumsum(rng.standard_normal(n)) + 3.0
+    if complex_input:
+        x = x + 1j * rng.standard_normal(n)
+    est = psd_welch(x, FS, nfft=nfft, overlap=overlap)
+    freqs, power_db = reference_psd_welch(x, FS, nfft, overlap)
+    assert_same_bytes(est.freqs_hz, freqs)
+    assert_same_bytes(est.power_db, power_db)

@@ -91,6 +91,12 @@ def test_channel_config_validation():
         ChannelConfig(taps=(0.0,))
     with pytest.raises(ValueError):
         ChannelConfig(sample_rate_hz=0.0)
+    # Phase-noise ranges are checked against the channel's own sample rate.
+    for pn, fs in ((PhaseNoiseConfig(sigma=-0.1), FS), (PhaseNoiseConfig(bandwidth_hz=0.0), FS),
+                   (PhaseNoiseConfig(bandwidth_hz=5e6), 10e6)):
+        with pytest.raises(ValueError):
+            ChannelConfig(phase_noise=pn, sample_rate_hz=fs)
+    ChannelConfig(phase_noise=PhaseNoiseConfig(bandwidth_hz=0.0, model=PhaseNoiseModel.NONE))
 
 
 @pytest.mark.parametrize("model", [PhaseNoiseModel.FILTERED_GAUSSIAN,

@@ -139,6 +139,44 @@ def test_overflowing_sigma_leaves_no_nan_summary(tmp_path):
     assert not list(out.glob("*.csv"))
 
 
+def test_overflowing_sigma_sweep_k_leaves_no_csv(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"channel": {"sigma": 1e308}, "n_frames": 2})
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert main(["sweep-k", "--config", cfg, "--out", str(out), "--k-list", "0,3"]) == 2
+    assert "ksweep.csv not written" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_overflowing_sigma_stream_leaves_no_file(tmp_path, capsys):
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(200)))
+    cfg = write_cfg(tmp_path, {"channel": {"sigma": 1e308}})
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert main(["stream", "--config", cfg, "--out", str(out), "--input", str(src)]) == 2
+    assert "stream_report.json not written" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("channel", [{"bandwidth_hz": 0.0}, {"bandwidth_hz": 12.5e6},
+                                     {"sigma": -0.1}],
+                         ids=["zero-bandwidth", "nyquist-bandwidth", "negative-sigma"])
+@pytest.mark.parametrize("command", ["simulate", "measure-pn", "sweep-k", "stream"])
+def test_invalid_phase_noise_is_config_error(tmp_path, capsys, channel, command):
+    # Rejected while the channel config is built: exit 1, no output directory.
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"payload")
+    out = tmp_path / "o"
+    argv = [command, "--config", write_cfg(tmp_path, {"channel": channel}),
+            "--out", str(out)]
+    if command == "stream":
+        argv += ["--input", str(src)]
+    assert main(argv) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_json_artifacts_are_strict(tmp_path):
     out = tmp_path / "o"
     assert main(["simulate", "--config", write_cfg(tmp_path, CLEAN), "--out", str(out)]) == 0

@@ -1,10 +1,12 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mmwavelink import (band_power_fraction, extract_tone_phase, gaussian_fit,
-                        phase_pdf, phase_tracking_report, psd_welch, wrap_phase)
+from mmwavelink import (ChannelConfig, band_power_fraction, extract_tone_phase,
+                        gaussian_fit, phase_pdf, phase_tracking_report, psd_welch,
+                        single_tone_probe, wrap_phase)
 from mmwavelink.metrics import (integrated_power, write_phase_pdf_csv,
                                 write_psd_csv, write_series_csv)
 
@@ -118,6 +120,8 @@ def test_psd_welch_validation():
         psd_welch(x, 1.0, nfft=1)
     with pytest.raises(ValueError):
         psd_welch(x, 1.0, nfft=64, overlap=1.0)
+    with pytest.raises(ValueError):  # rounds to a full overlap: no hop
+        psd_welch(x, 1.0, nfft=2, overlap=0.75)
     with pytest.raises(ValueError):
         psd_welch(np.zeros(0), 1.0)
 
@@ -189,3 +193,31 @@ def test_psd_and_pdf_csv_writers(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["bin_center", "density"]
     assert len(rows) == 102
+
+
+# Traced allocation peaks of the measure-pn pipeline on 2**19 samples, in
+# bytes per sample (numpy 2.4, scipy 1.17): 44 for probe and phase, 36 for
+# the PSD. Whole-buffer code took 96 and 64.
+PROBE_PHASE_BYTES_PER_SAMPLE = 64
+PSD_BYTES_PER_SAMPLE = 52
+
+
+def test_measure_pn_pipeline_memory_per_sample():
+    n = 1 << 19
+    cfg = ChannelConfig(taps=(1.0, 0.2), snr_db=30.0, seed=3)
+    tone = cfg.sample_rate_hz / 8
+    psd_welch(extract_tone_phase(single_tone_probe(tone, 1 << 14, cfg)[0], tone,
+                                 cfg.sample_rate_hz), cfg.sample_rate_hz)  # warm caches
+    tracemalloc.start()
+    try:
+        y = single_tone_probe(tone, n, cfg)[0]
+        phase = extract_tone_phase(y, tone, cfg.sample_rate_hz)
+        del y
+        held, probe_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        psd_welch(phase, cfg.sample_rate_hz)
+        psd_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert probe_peak / n <= PROBE_PHASE_BYTES_PER_SAMPLE
+    assert psd_peak / n <= PSD_BYTES_PER_SAMPLE
