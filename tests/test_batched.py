@@ -495,3 +495,27 @@ def test_blocked_psd_welch_equals_scipy_welch(nfft, overlap, n_segments, extra,
     freqs, power_db = reference_psd_welch(x, FS, nfft, overlap)
     assert_same_bytes(est.freqs_hz, freqs)
     assert_same_bytes(est.power_db, power_db)
+
+
+# Full 16-frame chunks of 12 payload symbols: a (16, 1120) complex stack is
+# past numpy's 256 KiB threshold for reusing temporaries, so a stacked
+# expression whose operand order flips there differs from the one-frame run.
+# Rows of (2 + 205) * 80 = 16,560 samples are past it on their own.
+@pytest.mark.parametrize("pnc_enabled,cfo_hz,n_frames,n_payload_symbols", [
+    (False, 0.0, 16, 12), (True, 0.0, 16, 12), (False, 5000.0, 16, 12),
+    (True, 5000.0, 16, 12), (False, 5000.0, 2, 205), (True, 5000.0, 2, 205)])
+def test_full_chunk_run_frames_equals_run_frame(pnc_enabled, cfo_hz, n_frames,
+                                                n_payload_symbols):
+    cfg = ofdm_cfg(3 if pnc_enabled else 0)
+    channel = ChannelConfig(taps=(1.0, 0.3 + 0.2j, 0.1), snr_db=35.0,
+                            phase_noise=PhaseNoiseConfig(sigma=0.26), cfo_hz=cfo_hz, seed=5)
+    capacity = frame_capacity_bits(cfg, Modulation.QAM64, n_payload_symbols)
+    bits = [frame_bits_rng(9, i).integers(0, 2, capacity, dtype=np.uint8)
+            for i in range(n_frames)]
+    batched = run_frames(bits, Modulation.QAM64, cfg, channel, pnc_enabled,
+                         n_payload_symbols, 9, 32)
+    assert len(batched) == n_frames
+    for f, result in enumerate(batched):
+        single = run_frame(bits[f], Modulation.QAM64, cfg, frame_channel_cfg(channel, 9, 32 + f),
+                           pnc_enabled, n_payload_symbols)
+        assert_frame_results_equal(result, single)

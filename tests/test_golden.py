@@ -1,5 +1,6 @@
 """Golden artifacts: SHA-256 of every file `simulate`, `sweep-k` and `stream`
-write for three small seeded configs, and of the `measure-pn` files for two.
+write for three small seeded configs, of the `measure-pn` files for two, and
+of one command's files for each config in ONE_COMMAND_CONFIGS.
 
 The hashes pin the exact bytes, so a refactor or speed-up that changes any
 decoded bit, EVM digit or CSV formatting fails here. To regenerate after an
@@ -60,8 +61,31 @@ PROBE_CONFIGS = {
     },
 }
 
+# Configs pinned for one command each.
+ONE_COMMAND_CONFIGS = {
+    # The benchmark's stream config: 16 KiB make 36 packets, two full
+    # 16-frame chunks and a 4-frame one, and each full chunk's (16, 1120)
+    # complex stack is past numpy's 256 KiB threshold for reusing temporaries.
+    "qam64_stream_chunks": ("stream", {
+        "channel": {"taps": [1.0, [0.3, 0.2], 0.1], "snr_db": 35.0, "sigma": 0.03,
+                    "bandwidth_hz": 1.0e6},
+        "phy": {"k_guard": 0}, "modulation": "qam64", "pnc_enabled": False,
+        "n_payload_symbols": 12, "seed": 16,
+    }),
+    # Frames of (2 + 205) * 80 = 16,560 samples with CFO: each frame row alone
+    # is past that threshold (2**14 complex samples).
+    "qpsk_long_rows_cfo": ("simulate", {
+        "channel": {"taps": [1.0, [0.3, 0.2], 0.1], "snr_db": 30.0, "sigma": 0.26,
+                    "cfo_hz": 5000.0},
+        "modulation": "qpsk", "pnc_enabled": True,
+        "n_frames": 2, "n_payload_symbols": 205, "seed": 17,
+    }),
+}
+
 K_LIST = "0,2,3"
 STREAM_BYTES = 700
+# Stream input sizes that differ from STREAM_BYTES.
+STREAM_SIZES = {"qam64_stream_chunks": 16 * 1024}
 
 GOLDEN = {
     "qam64_nopnc": {
@@ -82,6 +106,14 @@ GOLDEN = {
                 "2c827b4a22720a2e3d10e104015227cc078e2281c9713871fa65202236706651",
             "stream_report.json":
                 "eef62c955058af8d1fddbfbfc317879e5424ffdd341fcaef8ace8e7bf25ca63a",
+        },
+    },
+    "qam64_stream_chunks": {
+        "stream": {
+            "recovered.bin":
+                "f4a23222019ba9dd6e0259a5e19c8c77e49d77ad71b56f8edc465b2fec2c8b62",
+            "stream_report.json":
+                "0fd42595c1233725219c4ee47223c4fb71983ed76663b6e469ca58a70dc400ee",
         },
     },
     "probe_blocks_cfo": {
@@ -124,6 +156,16 @@ GOLDEN = {
                 "0cd74d53ca5548b7859ca60a8223d80d45f6786b3263cf9132ebf22ce3aca43a",
         },
     },
+    "qpsk_long_rows_cfo": {
+        "simulate": {
+            "constellation.csv":
+                "c21bff76cca6844fdf808fd260d43767aa271af4533b86bdf0d7b225f5e46413",
+            "evm.csv":
+                "2ad2f3ff965585704859b43e86eb714dd028466acf6b05453afccb6279f181bb",
+            "summary.json":
+                "ff4fe7a592f77bbb037203ce2f81094eed2a14f0293d924e945d2b974abb625c",
+        },
+    },
     "qpsk_multipath_pnc": {
         "simulate": {
             "constellation.csv":
@@ -149,7 +191,8 @@ GOLDEN = {
 
 def run_command(tmp_path: Path, name: str, command: str) -> dict:
     """Run one CLI command on a named config; returns {artifact: sha256}."""
-    config = {**CONFIGS, **PROBE_CONFIGS}[name]
+    extra = {name: cfg for name, (_, cfg) in ONE_COMMAND_CONFIGS.items()}
+    config = {**CONFIGS, **PROBE_CONFIGS, **extra}[name]
     cfg_path = tmp_path / f"{name}.json"
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / f"{name}-{command}"
@@ -158,7 +201,8 @@ def run_command(tmp_path: Path, name: str, command: str) -> dict:
         argv += ["--k-list", K_LIST]
     elif command == "stream":
         data_path = tmp_path / f"{name}.bin"
-        data_path.write_bytes(random.Random(config["seed"]).randbytes(STREAM_BYTES))
+        data_path.write_bytes(random.Random(config["seed"]).randbytes(
+            STREAM_SIZES.get(name, STREAM_BYTES)))
         argv += ["--input", str(data_path)]
     assert main(argv) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -176,6 +220,12 @@ def test_golden_measure_pn(tmp_path, name):
     assert run_command(tmp_path, name, "measure-pn") == GOLDEN[name]["measure-pn"]
 
 
+@pytest.mark.parametrize("name", sorted(ONE_COMMAND_CONFIGS))
+def test_golden_one_command(tmp_path, name):
+    command = ONE_COMMAND_CONFIGS[name][0]
+    assert run_command(tmp_path, name, command) == GOLDEN[name][command]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -185,5 +235,7 @@ if __name__ == "__main__":
                  for name in sorted(CONFIGS)}
         table.update({name: {"measure-pn": run_command(Path(tmp), name, "measure-pn")}
                       for name in sorted(PROBE_CONFIGS)})
+        table.update({name: {command: run_command(Path(tmp), name, command)}
+                      for name, (command, _) in sorted(ONE_COMMAND_CONFIGS.items())})
     json.dump(table, sys.stdout, indent=4, sort_keys=True)
     print()
