@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -180,8 +181,70 @@ class ChannelConfig:
         _check_phase_noise(self.phase_noise, self.sample_rate_hz)
 
 
-def _stream_seed(seed: int, stream: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+# np.random.SeedSequence hashes with fixed multiplier sequences: hash step i
+# xors init * mult**i and then multiplies by init * mult**(i + 1), mod 2**32.
+@functools.lru_cache(maxsize=None)
+def _hash_steps(init: int, mult: int, first: int, n: int) -> np.ndarray:
+    return np.array([init * pow(mult, i, 1 << 32) % (1 << 32)
+                     for i in range(first, first + n + 1)], dtype=np.uint32)
+
+
+def _hashmix(value, steps):
+    """Hash steps along the last axis: steps[..., :-1] xor, steps[..., 1:] multiply."""
+    value = (value ^ steps[..., :-1]) * steps[..., 1:]
+    return value ^ (value >> 16)
+
+
+def _seed_words(n) -> list:
+    """The uint32 words, low first, np.random.SeedSequence makes of an int."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    return [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _pools(entropies) -> np.ndarray:
+    """Pools (F, 4) of np.random.SeedSequences of the entropy word lists."""
+    return np.array([np.random.SeedSequence(np.array(e, dtype=np.uint32)).pool
+                     for e in entropies])
+
+
+def _generated_states(pools, n_words: int) -> np.ndarray:
+    """generate_state(n_words) of SeedSequences with pools (F, 4): (F, n_words) uint32."""
+    return _hashmix(np.take(pools, np.arange(n_words) % 4, axis=1),
+                    _hash_steps(0x8B51F9DD, 0x58F38DED, 0, n_words))
+
+
+class _Generated(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state words are generated already."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _stream_rngs(seeds) -> list:
+    """Each seed's phase noise and AWGN generators, np.random.default_rng(
+    np.random.SeedSequence(entropy=seed, spawn_key=(stream,))) for streams 0
+    and 1.
+
+    Such a sequence hashes the seed's words, at least four, and then the
+    spawn key. A SeedSequence of the seed alone stops before the key, so one
+    sequence per seed serves both streams, and the key's step and
+    generate_state run for all seeds at once.
+    """
+    words = [_seed_words(seed) for seed in seeds]
+    pools = _pools(words)
+    # Four hash steps ran per entropy word; the key's four steps follow.
+    steps = np.array([_hash_steps(0x43B0D7E5, 0x931E8875, 4 * max(4, len(w)), 4) for w in words])
+    streams = []
+    for key in (0, 1):
+        mixed = pools * 0xCA01F9DD - _hashmix(np.uint32(key), steps) * 0x4973F715
+        states = _generated_states(mixed ^ (mixed >> 16), 8).view(np.uint64)
+        streams.append([np.random.Generator(np.random.PCG64(_Generated(s))) for s in states])
+    return streams
 
 
 # Long buffers run through the channel and the metrics in blocks of this many
@@ -219,54 +282,83 @@ def apply_channel(x, cfg: ChannelConfig, seeds=None):
     if rows.ndim != 2 or rows.shape[1] == 0 or len(seeds) != rows.shape[0]:
         raise ValueError("input must be a non-empty 1-D buffer, or an (F, n) stack "
                          "with one seed per row")
-    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz,
-                             [_stream_seed(seed, 0) for seed in seeds], rows.shape[1])
+    pn_rngs, noise_rngs = _stream_rngs(seeds)
+    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz, pn_rngs, rows.shape[1])
     y = np.empty(rows.shape, dtype=complex)
-    for row, row_theta, seed, row_y in zip(rows, theta, seeds, y):
-        _channel_row(lambda a, b: row[a:b], row_theta, cfg, seed, row_y)
+    _channel_rows(lambda a, b: rows[:, a:b], theta, cfg, noise_rngs, y)
     return (y, theta) if stacked else (y[0], theta[0])
 
 
-def _channel_row(samples, theta, cfg: ChannelConfig, seed, y) -> None:
-    """Write one buffer's channel output into y, block by block.
+# numpy computes `s * t` as `t * s`, in place, when the temporary t holds
+# 256 KiB or more, and complex products round differently in the two orders.
+# The bytes of the whole-buffer expressions `s * exp(...)` therefore come
+# from the swapped order in blocks of this many complex samples or more.
+SWAPPED_ORDER_SAMPLES = 1 << 14
 
-    samples(a, b) returns input samples [a, b). Each block runs the
-    expressions of a whole buffer: numpy reuses large temporaries and
-    multiplies complex operands in the other order when it does, so the
-    bytes depend on these forms, and on blocks being either the whole
-    buffer or at least SAMPLE_BLOCK long.
+
+def _rotate(s, factor) -> None:
+    """s *= factor in place, in the operand order of `s * factor` on a block
+    of s's length (see SWAPPED_ORDER_SAMPLES)."""
+    if s.shape[-1] >= SWAPPED_ORDER_SAMPLES:
+        np.multiply(factor, s, out=s)
+    else:
+        np.multiply(s, factor, out=s)
+
+
+def _channel_rows(samples, theta, cfg: ChannelConfig, rngs, y) -> None:
+    """Write the channel output of rows (F, n) into y, row f's AWGN drawn
+    from rngs[f], block by block.
+
+    samples(a, b) returns input samples [a, b) of every row, (F, b - a).
+    Only the draws and the convolution run row by row. The CFO ramp, |s|^2,
+    the SNR scale, the rotation and the AWGN add each run once over a block
+    of all rows, as ufuncs in a fixed operand order, so that each row's bytes
+    equal the whole-buffer expressions on that row alone.
     """
-    n_samples = y.size
+    n_rows, n_samples = y.shape
     h = np.asarray(cfg.taps, dtype=complex)
     noisy = math.isfinite(cfg.snr_db)
     blocks = sample_blocks(n_samples)
     # Pass 1: taps and CFO into y, |s|^2 for the SNR power.
-    power = np.empty(n_samples) if noisy else None
+    power = np.empty(y.shape) if noisy else None
     for a, b in blocks:
+        s = y[:, a:b]
         lo = max(a - (h.size - 1), 0)
         x = samples(lo, b)
-        s = np.convolve(x, h)[a - lo:b - lo] if h.size > 1 else x * h[0]
+        if h.size > 1:
+            for row, out in zip(x, s):
+                out[:] = np.convolve(row, h)[a - lo:b - lo]
+        else:
+            np.multiply(x, h[0], out=s)
         if cfg.cfo_hz:
             n = np.arange(a, b)
-            s = s * np.exp(2j * np.pi * cfg.cfo_hz * n / cfg.sample_rate_hz)
-        y[a:b] = s
+            _rotate(s, np.exp(2j * np.pi * cfg.cfo_hz * n / cfg.sample_rate_hz))
         if noisy:
-            np.square(np.abs(s, out=power[a:b]), out=power[a:b])
+            np.square(np.abs(s, out=power[:, a:b]), out=power[:, a:b])
     if noisy:
-        # np.mean's sum and division, without its per-call overhead.
-        noise_var = power.sum() / n_samples * 10.0 ** (-cfg.snr_db / 10.0)
-        scale = np.sqrt(noise_var / 2.0)
-        rng = np.random.default_rng(_stream_seed(seed, 1))
-        # All real parts are drawn before any imaginary part.
-        real = rng.standard_normal(out=power)
-    # Pass 2: phase noise rotation, then AWGN.
+        # np.mean's sum and division, without its per-call overhead; a sum
+        # over a contiguous row equals that row's sum alone.
+        noise_var = power.sum(axis=-1) / n_samples * 10.0 ** (-cfg.snr_db / 10.0)
+        scale = np.sqrt(noise_var / 2.0)[:, None]
+        # All real parts of a row are drawn before any imaginary part.
+        for rng, row in zip(rngs, power):
+            rng.standard_normal(out=row)
+    # Pass 2: phase noise rotation, then AWGN, through one complex buffer.
     for a, b in blocks:
-        rotated = y[a:b] * np.exp(1j * theta[a:b])
+        s = y[:, a:b]
+        buf = np.empty(s.shape, dtype=complex)
+        # exp(1j * theta), bit for bit: libm's complex exp of (±0, t) is
+        # (cos t, sin t), and the imaginary part of 1j * theta is theta + 0.0.
+        np.cos(theta[:, a:b], out=buf.real)
+        np.add(np.sin(theta[:, a:b], out=buf.imag), 0.0, out=buf.imag)
+        _rotate(s, buf)
         if noisy:
-            w = scale * (real[a:b] + 1j * rng.standard_normal(b - a))
-            np.add(rotated, w, out=y[a:b])
-        else:
-            y[a:b] = rotated
+            imag = np.empty(s.shape)
+            for rng, row in zip(rngs, imag):
+                rng.standard_normal(out=row)
+            # scale * (real + 1j * imag), added to the rotated samples.
+            np.add(power[:, a:b], np.multiply(1j, imag, out=buf), out=buf)
+            np.add(s, np.multiply(scale, buf, out=buf), out=s)
 
 
 def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig):
@@ -285,8 +377,8 @@ def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig):
         n = np.arange(a, b)
         return np.exp(2j * np.pi * freq_hz * n / cfg.sample_rate_hz)
 
-    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz,
-                             [_stream_seed(cfg.seed, 0)], n_samples)[0]
-    y = np.empty(n_samples, dtype=complex)
-    _channel_row(tone, theta, cfg, cfg.seed, y)
-    return y, theta
+    pn_rngs, noise_rngs = _stream_rngs([cfg.seed])
+    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz, pn_rngs, n_samples)
+    y = np.empty((1, n_samples), dtype=complex)
+    _channel_rows(lambda a, b: tone(a, b)[None], theta, cfg, noise_rngs, y)
+    return y[0], theta[0]

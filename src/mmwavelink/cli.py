@@ -285,6 +285,8 @@ def cmd_measure_pn(args) -> int:
         tone = cfg["phy"]["sample_rate_hz"] / 8.0
     elif isinstance(tone, bool) or not isinstance(tone, (int, float)):
         raise ConfigError("probe.tone_hz must be a number or null")
+    if not abs(tone) < channel_cfg.sample_rate_hz / 2:
+        raise ConfigError(f"probe.tone_hz must lie inside +-sample_rate_hz/2, got {tone}")
     n_samples = _require_number(cfg, "probe", "n_samples", integer=True)
     if n_samples < 4096:
         raise ConfigError("probe.n_samples must be >= 4096 for the PSD estimate")
@@ -313,6 +315,8 @@ def cmd_sweep_k(args) -> int:
     modulation = build_modulation(cfg)
     base_ofdm = build_ofdm_config(cfg)
     _validate_run_params(cfg, base_ofdm)
+    if cfg["n_frames"] < 1:
+        raise ConfigError("sweep-k needs n_frames >= 1 for a mean EVM")
     channel_cfg = build_channel_config(cfg, seed=cfg["seed"])
     try:
         k_values = [int(v) for v in args.k_list.split(",") if v.strip() != ""]

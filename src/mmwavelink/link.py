@@ -3,11 +3,12 @@ decode for a stack of frames at once."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ChannelConfig, apply_channel
+from .channel import ChannelConfig, _generated_states, _pools, _seed_words, apply_channel
 from .modulation import Modulation, evm_db_from_powers
 from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig, build_frames, frame_capacity_bits
 from .pnc import estimate_phase
@@ -19,9 +20,15 @@ from .receiver import DecodeReport, decode_frames
 CHUNK_FRAMES = 16
 
 
+def derived_seeds(keys) -> list:
+    """derived_seed(*key) of each key."""
+    pools = _pools([[w for part in key for w in _seed_words(part)] for key in keys])
+    return _generated_states(pools, 2).view(np.uint64)[:, 0].tolist()
+
+
 def derived_seed(*parts: int) -> int:
     """Stable 64-bit seed derived from integer key parts."""
-    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
+    return derived_seeds([parts])[0]
 
 
 @dataclass
@@ -30,8 +37,15 @@ class FrameResult:
     tx_bits: np.ndarray
     n_channel_uses: int
     theta_true: np.ndarray      # ground truth over the whole frame buffer
-    theta_est: np.ndarray       # estimator output over payload symbol bodies
     theta_true_bodies: np.ndarray  # ground truth aligned with theta_est
+    _theta_est: object = field(repr=False)   # () -> theta_est
+
+    @property
+    def theta_est(self) -> np.ndarray:
+        """Phase estimate over the payload symbol bodies: the PNC track, or
+        with PNC off the same estimator run on the received frame as an
+        oracle, made for the whole stack when first read."""
+        return self._theta_est()
 
 
 def _payload_bodies(x, cfg: OfdmConfig) -> np.ndarray:
@@ -47,13 +61,13 @@ def _run_stack(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
     symbols, padded = build_frames(bits, modulation, ofdm_cfg, n_payload_symbols)
     y, theta = apply_channel(symbols.reshape(len(seeds), -1), channel_cfg, seeds)
     del symbols   # not needed past the channel; frees the chunk's largest buffer
-    reports, theta_est = decode_frames(y, ofdm_cfg, modulation, pnc_enabled, true_bits=padded)
-    if theta_est is None:
-        theta_est = estimate_phase(_payload_bodies(y, ofdm_cfg), ofdm_cfg).per_sample_phase
+    reports, phase = decode_frames(y, ofdm_cfg, modulation, pnc_enabled, true_bits=padded)
+    track = functools.cache(lambda: estimate_phase(_payload_bodies(y, ofdm_cfg), ofdm_cfg)
+                            .per_sample_phase if phase is None else phase)
     bodies = _payload_bodies(theta, ofdm_cfg)
     return [FrameResult(report=report, tx_bits=padded[f], n_channel_uses=y.shape[1],
-                        theta_true=theta[f], theta_est=theta_est[f].ravel(),
-                        theta_true_bodies=bodies[f].ravel())
+                        theta_true=theta[f], theta_true_bodies=bodies[f].ravel(),
+                        _theta_est=lambda f=f: track()[f].ravel())
             for f, report in enumerate(reports)]
 
 
@@ -72,7 +86,7 @@ def run_frames(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
     frames = range(first_frame, first_frame + len(bits))
     return _run_stack(bits, modulation, ofdm_cfg,
                       frame_channel_cfg(channel_cfg, run_seed, first_frame),
-                      [derived_seed(run_seed, i, 0) for i in frames],
+                      derived_seeds([(run_seed, i, 0) for i in frames]),
                       pnc_enabled, n_payload_symbols)
 
 

@@ -85,13 +85,16 @@ def packetize(data: bytes, max_payload: int) -> list:
     ]
 
 
-def depacketize(packets) -> tuple:
+def depacketize(packets, payload_len: int | None = None) -> tuple:
     """Reassemble bytes and per-seq statuses from received packets.
 
-    Sequence gaps and packets failing CRC both zero-fill with the largest
-    payload length seen: a corrupted length field is as untrusted as a lost
-    packet's size, and uniform fill keeps later bytes at their original
-    offsets. Returns (data, [(seq, PacketStatus)]).
+    Sequence gaps and packets failing CRC both zero-fill with payload_len,
+    the sender's payload per packet, or without it with the largest payload
+    length seen: a corrupted length field is as untrusted as a lost
+    packet's size. Uniform fill keeps later bytes at their original offsets,
+    and with payload_len at exactly the sender's offsets, even when every
+    full-length packet arrives with a corrupted length field. Returns
+    (data, [(seq, PacketStatus)]).
     """
     if not packets:
         return b"", []
@@ -105,7 +108,7 @@ def depacketize(packets) -> tuple:
     for p in packets:
         if p.seq < n_slots:
             by_seq.setdefault(p.seq, p)
-    fill_len = max(len(p.payload) for p in packets)
+    fill_len = payload_len if payload_len is not None else max(len(p.payload) for p in packets)
     chunks = []
     statuses = []
     for seq in range(n_slots):
@@ -166,8 +169,9 @@ def stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
             error_power += result.report.error_power
             reference_power += result.report.reference_power
             channel_uses += result.n_channel_uses
+        del result   # frees its chunk's arrays before the next chunk runs
 
-    recovered, statuses = depacketize(received)
+    recovered, statuses = depacketize(received, max_payload)
     # Counted over what was received, not over reassembly slots: a packet
     # whose corrupted header claims a far-off seq still failed CRC here.
     ok = sum(1 for p in received if verify_packet(p))

@@ -127,11 +127,6 @@ def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096,
     )
 
 
-def integrated_power(est: PsdEstimate) -> float:
-    df = est.freqs_hz[1] - est.freqs_hz[0]
-    return float(np.sum(10.0 ** (est.power_db / 10.0)) * df)
-
-
 def band_power_fraction(est: PsdEstimate, band_hz: float) -> float:
     """Fraction of total PSD power at |f| <= band_hz."""
     linear = 10.0 ** (est.power_db / 10.0)

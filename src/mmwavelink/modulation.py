@@ -171,17 +171,21 @@ def demap_hard(symbols, modulation: Modulation) -> np.ndarray:
     return indices_to_bits(idx, modulation).reshape(-1)
 
 
-def evm_db_from_powers(error_power, reference_power) -> float | None:
+def evm_db_from_powers(error_power, reference_power):
     """EVM in dB, 10*log10(error/reference), from error and reference powers
-    (sums or means alike); None when reference_power <= 0.
+    (sums or means alike). A zero error reports the -120 dB floor; results
+    are clamped there.
 
-    A zero error reports the -120 dB floor; results are clamped there.
+    Scalars give a float, or None when reference_power <= 0. Arrays,
+    broadcast together, give an array, and every reference power must then
+    be positive.
     """
-    if reference_power <= 0.0:
-        return None
-    if error_power <= 0.0:
-        return EVM_FLOOR_DB
-    return max(10.0 * float(np.log10(error_power / reference_power)), EVM_FLOOR_DB)
+    if np.ndim(error_power) == np.ndim(reference_power) == 0:
+        return None if reference_power <= 0.0 else float(
+            evm_db_from_powers(np.atleast_1d(error_power), reference_power)[0])
+    with np.errstate(divide="ignore"):
+        return np.maximum(10.0 * np.log10(np.divide(error_power, reference_power)),
+                          EVM_FLOOR_DB)
 
 
 def evm_db(received, reference) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,12 +36,18 @@ class DecodeReport:
     evm_db: float
     residual_phase_std: float
     per_symbol_evm: list
-    evm_db_genie: float | None = None
     n_erased: int = 0
     # Linear-domain sums behind evm_db, for aggregation across frames.
     error_power: float = 0.0
     reference_power: float = 0.0
     points: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
+    _genie: object = field(default=None, repr=False)   # () -> evm_db_genie
+
+    @property
+    def evm_db_genie(self) -> float | None:
+        """EVM against the transmitted bits, or None without them; made for
+        the whole decoded stack when first read."""
+        return None if self._genie is None else self._genie()
 
 
 def _signed_indices(plan: SubcarrierPlan) -> np.ndarray:
@@ -166,7 +173,7 @@ def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
     the (F, n_symbols, n_fft) stack, and every per-frame sum is taken over
     that frame's row. `true_bits`, when given, holds each frame's
     transmitted bits, zero-padded here to capacity, and each report then
-    also carries a genie-referenced EVM. Returns
+    also carries a genie-referenced EVM, made when first read. Returns
     (reports, phase): phase is the PNC per-sample phase estimate over the
     payload symbol bodies, (F, n_payload_symbols, n_fft), or None when PNC
     is off.
@@ -209,30 +216,25 @@ def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
     idx[erased] = 0
     bits = indices_to_bits(idx, modulation).reshape(n_frames, -1)
     error, reference, symbol_error = _power_sums(points, modulation.constellation[idx], erased)
-    genie_error = genie_reference = None
-    if true_bits is not None:
+    n_erased = erased.reshape(n_frames, -1).sum(axis=-1)
+    # Means over each frame's decided points; with none, error 0 over 1.
+    n_ok = np.maximum(np.prod(erased.shape[1:]) - n_erased, 1)
+    ref_mean = np.where(reference > 0, reference / n_ok, 1.0)
+    frame_evm = evm_db_from_powers(error / n_ok, ref_mean).tolist()
+    symbol_evm = evm_db_from_powers(np.array(symbol_error), ref_mean[:, None]).tolist()
+
+    @functools.cache
+    def genie():
         padded = np.concatenate([pad_bits(b, bits.shape[1]) for b in true_bits])
         genie_error, genie_reference, _ = _power_sums(
             points, map_bits(padded, modulation).reshape(points.shape), erased)
-    n_erased = erased.reshape(n_frames, -1).sum(axis=-1)
+        return evm_db_from_powers(genie_error / n_ok, np.where(
+            genie_reference > 0, genie_reference / n_ok, 1.0)).tolist()
 
-    reports = []
-    for f in range(n_frames):
-        n_ok = points[f].size - int(n_erased[f])
-        ref_mean = reference[f] / n_ok if n_ok else 1.0
-        evm_genie = None
-        if genie_error is not None:
-            evm_genie = evm_db_from_powers(genie_error[f] / n_ok if n_ok else 0.0,
-                                           genie_reference[f] / n_ok if n_ok else 1.0)
-        reports.append(DecodeReport(
-            bits=bits[f],
-            evm_db=evm_db_from_powers(error[f] / n_ok if n_ok else 0.0, ref_mean),
-            residual_phase_std=float(residual_phase_std[f]),
-            per_symbol_evm=[evm_db_from_powers(e, ref_mean) for e in symbol_error[f]],
-            evm_db_genie=evm_genie,
-            n_erased=int(n_erased[f]),
-            error_power=float(error[f]),
-            reference_power=float(reference[f]),
-            points=points[f].reshape(-1),
-        ))
-    return reports, phase
+    return [DecodeReport(bits=bits[f], evm_db=frame_evm[f],
+                         residual_phase_std=float(residual_phase_std[f]),
+                         per_symbol_evm=symbol_evm[f], n_erased=int(n_erased[f]),
+                         error_power=float(error[f]), reference_power=float(reference[f]),
+                         points=points[f].reshape(-1),
+                         _genie=None if true_bits is None else lambda f=f: genie()[f])
+            for f in range(n_frames)], phase

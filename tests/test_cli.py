@@ -241,6 +241,25 @@ def test_measure_pn_rejects_short_probe(tmp_path):
     assert main(["measure-pn", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("tone_hz", [2e7, -2e7, 12.5e6, -12.5e6])
+def test_measure_pn_tone_at_or_past_nyquist_is_config_error(tmp_path, capsys, tone_hz):
+    # fs is 25 MHz: a tone at or past +-fs/2 aliases, so the probe cannot run.
+    cfg = write_cfg(tmp_path, {"probe": {"tone_hz": tone_hz, "n_samples": 8192}})
+    out = tmp_path / "o"
+    assert main(["measure-pn", "--config", cfg, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_k_zero_frames_is_config_error(tmp_path, capsys):
+    # No frame means no mean EVM: nothing to write into ksweep.csv.
+    cfg = write_cfg(tmp_path, {"n_frames": 0})
+    out = tmp_path / "o"
+    assert main(["sweep-k", "--config", cfg, "--out", str(out), "--k-list", "0"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_k_writes_rows(tmp_path):
     cfg = write_cfg(tmp_path, {"n_frames": 2})
     out = tmp_path / "out"

@@ -3,6 +3,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwavelink import (ChannelConfig, Modulation, OfdmConfig, Packet,
                         PacketStatus, PhaseNoiseConfig, PhaseNoiseModel,
@@ -149,6 +151,41 @@ def test_depacketize_prefers_verified_duplicate():
     # Four receptions mean four slots; the surplus duplicate surfaces as a
     # trailing gap rather than silently shrinking the count.
     assert len(statuses) == 4
+
+
+# A hit flips one bit or overwrites one byte of one frame: (frame, byte,
+# value, flip). Half the hits land in the 10 header and CRC bytes.
+HITS = st.lists(st.tuples(st.integers(0, 2**16),
+                          st.one_of(st.integers(0, 9), st.integers(0, 2**16)),
+                          st.integers(0, 255), st.booleans()), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(max_payload=st.integers(1, 32), n_packets=st.integers(1, 4), tail=st.integers(0, 31),
+       seed=st.integers(0, 2**32 - 1), hits=HITS)
+def test_packets_survive_arbitrary_corruption(max_payload, n_packets, tail, seed, hits):
+    # Each packet travels as one frame's bytes, as in stream_bytes: header,
+    # payload and CRC, zero-padded to the frame. Few packets, so that hits
+    # can reach every full-length one.
+    size = (n_packets - 1) * max_payload + 1 + tail % max_payload
+    data = np.random.default_rng(seed).bytes(size)
+    sent = packetize(data, max_payload)
+    capacity = max_payload + PACKET_OVERHEAD
+    wires = [bytearray(encode_packet(p).ljust(capacity, b"\0")) for p in sent]
+    for frame, at, value, flip in hits:
+        wire = wires[frame % len(wires)]
+        at = at if at < PACKET_OVERHEAD else at % capacity
+        wire[at] = wire[at] ^ (1 << value % 8) if flip else value
+    received = [decode_packet(bytes(wire)) for wire in wires]
+    recovered, statuses = depacketize(received, max_payload)
+    # A packet that verifies is the packet sent in that frame.
+    for got, packet in zip(received, sent):
+        assert not verify_packet(got) or got == packet
+    # Every OK slot holds its packet's payload at the sender's offset.
+    for seq, status in statuses:
+        if status is PacketStatus.OK:
+            start = seq * max_payload
+            assert recovered[start:start + len(sent[seq].payload)] == sent[seq].payload
 
 
 def test_depacketize_empty():
