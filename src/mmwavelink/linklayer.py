@@ -174,9 +174,10 @@ def stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
     recovered, statuses = depacketize(received, max_payload)
     # Counted over what was received, not over reassembly slots: a packet
     # whose corrupted header claims a far-off seq still failed CRC here.
-    ok = sum(1 for p in received if verify_packet(p))
+    verified = [p for p in received if verify_packet(p)]
+    ok = len(verified)
     crc_fail = len(received) - ok
-    ok_bits = 8 * sum(p.payload_len for p in received if verify_packet(p))
+    ok_bits = 8 * sum(p.payload_len for p in verified)
     report = StreamReport(
         packets_sent=len(packets),
         packets_ok=ok,

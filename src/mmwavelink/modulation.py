@@ -72,8 +72,8 @@ def map_bits(bits, modulation: Modulation) -> np.ndarray:
         raise ValueError(f"bit count {bits.size} is not a multiple of {k}")
     if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0 or 1")
-    weights = np.uint8(1) << np.arange(k, dtype=np.uint8)[::-1]
-    idx = bits.reshape(-1, k).astype(np.uint8).dot(weights)
+    # Big-endian place values; the float sums of 0/1 bits are exact.
+    idx = (bits.reshape(-1, k) @ 2.0 ** np.arange(k - 1, -1, -1)).astype(np.intp)
     return modulation.constellation[idx]
 
 
@@ -120,8 +120,10 @@ def _slice_axis(x, slicer):
     thresholds, spacing, codes = slicer
     u = x - thresholds[0]
     u /= spacing
-    np.clip(u, 0.0, thresholds.size - 1.0, out=u)
-    np.rint(np.nan_to_num(u, copy=False), out=u)
+    # fmin and fmax map NaN to a valid index; the caller's margin test sends
+    # such a point to the table.
+    np.fmax(np.fmin(u, thresholds.size - 1.0, out=u), 0.0, out=u)
+    np.rint(u, out=u)
     nearest = u.astype(np.intp)
     t = thresholds[nearest]
     nearest += x > t
