@@ -232,7 +232,7 @@ def cmd_simulate(args) -> int:
     rows = []
     points = []
     reports = []
-    genie_err = 0.0
+    genie = []
     residuals = []
     for i in range(n_frames):
         bits = frame_bits_rng(cfg["seed"], i).integers(0, 2, capacity, dtype=np.uint8)
@@ -240,13 +240,14 @@ def cmd_simulate(args) -> int:
                            frame_channel_cfg(channel_cfg, cfg["seed"], i),
                            cfg["pnc_enabled"], n_sym)
         reports.append(result.report)
+        genie.append(result.report.evm_db_genie)
         rows.append((i, result.report.evm_db, result.report.residual_phase_std))
         points.append(result.report.points)
         if result.theta_est.size:
             d = wrap_phase(result.theta_true_bodies - result.theta_est)
             residuals.append(d - d.mean())
 
-    genie = [r.evm_db_genie for r in reports if r.evm_db_genie is not None]
+    genie = [g for g in genie if g is not None]
     summary = {
         "n_frames": n_frames,
         "n_payload_symbols": n_sym,

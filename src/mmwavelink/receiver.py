@@ -41,13 +41,15 @@ class DecodeReport:
     error_power: float = 0.0
     reference_power: float = 0.0
     points: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
-    _genie: object = field(default=None, repr=False)   # () -> evm_db_genie
+    _genie: object = field(default=None, repr=False)   # () -> evm_db_genie, until read
 
     @property
     def evm_db_genie(self) -> float | None:
         """EVM against the transmitted bits, or None without them; made for
         the whole decoded stack when first read."""
-        return None if self._genie is None else self._genie()
+        if callable(self._genie):
+            self._genie = self._genie()   # keeps the value, not the stack's arrays
+        return self._genie
 
 
 def _signed_indices(plan: SubcarrierPlan) -> np.ndarray:
