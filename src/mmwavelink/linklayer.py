@@ -85,16 +85,13 @@ def packetize(data: bytes, max_payload: int) -> list:
     ]
 
 
-def depacketize(packets, payload_len: int | None = None) -> tuple:
+def depacketize(packets, payload_len: int) -> tuple:
     """Reassemble bytes and per-seq statuses from received packets.
 
     Sequence gaps and packets failing CRC both zero-fill with payload_len,
-    the sender's payload per packet, or without it with the largest payload
-    length seen: a corrupted length field is as untrusted as a lost
-    packet's size. Uniform fill keeps later bytes at their original offsets,
-    and with payload_len at exactly the sender's offsets, even when every
-    full-length packet arrives with a corrupted length field. Returns
-    (data, [(seq, PacketStatus)]).
+    the sender's payload per packet: a corrupted length field is as
+    untrusted as a lost packet's size, and uniform fill keeps later bytes
+    at their original offsets. Returns (data, [(seq, PacketStatus)]).
     """
     if not packets:
         return b"", []
@@ -108,20 +105,19 @@ def depacketize(packets, payload_len: int | None = None) -> tuple:
     for p in packets:
         if p.seq < n_slots:
             by_seq.setdefault(p.seq, p)
-    fill_len = payload_len if payload_len is not None else max(len(p.payload) for p in packets)
     chunks = []
     statuses = []
     for seq in range(n_slots):
         p = by_seq.get(seq)
         if p is None:
             statuses.append((seq, PacketStatus.MISSING))
-            chunks.append(bytes(fill_len))
+            chunks.append(bytes(payload_len))
         elif verify_packet(p):
             statuses.append((seq, PacketStatus.OK))
             chunks.append(p.payload)
         else:
             statuses.append((seq, PacketStatus.CRC_FAIL))
-            chunks.append(bytes(fill_len))
+            chunks.append(bytes(payload_len))
     return b"".join(chunks), statuses
 
 

@@ -104,7 +104,7 @@ def test_every_single_bit_flip_is_detected():
 
 def test_depacketize_in_order():
     packets = packetize(b"abcdefgh", 3)
-    data, statuses = depacketize(packets)
+    data, statuses = depacketize(packets, 3)
     assert data == b"abcdefgh"
     assert statuses == [(0, PacketStatus.OK), (1, PacketStatus.OK),
                         (2, PacketStatus.OK)]
@@ -112,14 +112,14 @@ def test_depacketize_in_order():
 
 def test_depacketize_reorders_by_seq():
     packets = packetize(b"abcdef", 2)
-    data, statuses = depacketize(packets[::-1])
+    data, statuses = depacketize(packets[::-1], 2)
     assert data == b"abcdef"
     assert [s for _, s in statuses] == [PacketStatus.OK] * 3
 
 
 def test_depacketize_zero_fills_missing():
     packets = packetize(b"abcdef", 2)
-    data, statuses = depacketize([packets[0], packets[2]])
+    data, statuses = depacketize([packets[0], packets[2]], 2)
     assert data == b"ab\x00\x00ef"
     assert statuses[1] == (1, PacketStatus.MISSING)
 
@@ -127,7 +127,7 @@ def test_depacketize_zero_fills_missing():
 def test_depacketize_flags_crc_failures():
     packets = packetize(b"abcdef", 2)
     bad = Packet(packets[1].seq, packets[1].payload_len, b"XY", packets[1].crc32)
-    data, statuses = depacketize([packets[0], bad, packets[2]])
+    data, statuses = depacketize([packets[0], bad, packets[2]], 2)
     assert data == b"ab\x00\x00ef"
     assert statuses[1] == (1, PacketStatus.CRC_FAIL)
 
@@ -136,7 +136,7 @@ def test_depacketize_ignores_untrusted_sequence_numbers():
     # A corrupted header claiming a huge seq must not widen the output.
     packets = packetize(b"abcdef", 2)
     bogus = Packet(2 ** 31, 2, b"XY", 0)
-    data, statuses = depacketize([packets[0], bogus, packets[2]])
+    data, statuses = depacketize([packets[0], bogus, packets[2]], 2)
     assert len(statuses) == 3
     assert data == b"ab\x00\x00ef"
     assert statuses[1] == (1, PacketStatus.MISSING)
@@ -145,7 +145,7 @@ def test_depacketize_ignores_untrusted_sequence_numbers():
 def test_depacketize_prefers_verified_duplicate():
     packets = packetize(b"abcdef", 2)
     impostor = Packet(1, 2, b"XY", 0)
-    data, statuses = depacketize([impostor, packets[0], packets[1], packets[2]])
+    data, statuses = depacketize([impostor, packets[0], packets[1], packets[2]], 2)
     assert data[:6] == b"abcdef"
     assert statuses[1] == (1, PacketStatus.OK)
     # Four receptions mean four slots; the surplus duplicate surfaces as a
@@ -189,7 +189,7 @@ def test_packets_survive_arbitrary_corruption(max_payload, n_packets, tail, seed
 
 
 def test_depacketize_empty():
-    assert depacketize([]) == (b"", [])
+    assert depacketize([], 3) == (b"", [])
 
 
 def clean_channel():
