@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -181,70 +180,36 @@ class ChannelConfig:
         _check_phase_noise(self.phase_noise, self.sample_rate_hz)
 
 
-# np.random.SeedSequence hashes with fixed multiplier sequences: hash step i
-# xors init * mult**i and then multiplies by init * mult**(i + 1), mod 2**32.
-@functools.lru_cache(maxsize=None)
-def _hash_steps(init: int, mult: int, first: int, n: int) -> np.ndarray:
-    return np.array([init * pow(mult, i, 1 << 32) % (1 << 32)
-                     for i in range(first, first + n + 1)], dtype=np.uint32)
-
-
-def _hashmix(value, steps):
-    """Hash steps along the last axis: steps[..., :-1] xor, steps[..., 1:] multiply."""
-    value = (value ^ steps[..., :-1]) * steps[..., 1:]
+def seed_states(sequences, n_words: int) -> np.ndarray:
+    """generate_state(n_words) of each np.random.SeedSequence, computed for
+    all of them at once: (len(sequences), n_words) uint32."""
+    # Word i of the cycled pool is xored with 0x8B51F9DD * 0x58F38DED**i and
+    # multiplied by the next such constant, mod 2**32.
+    h = np.array([0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) % (1 << 32)
+                  for i in range(n_words + 1)], dtype=np.uint32)
+    pools = np.array([s.pool for s in sequences])
+    value = (np.take(pools, np.arange(n_words) % 4, axis=1) ^ h[:-1]) * h[1:]
     return value ^ (value >> 16)
 
 
-def _seed_words(n) -> list:
-    """The uint32 words, low first, np.random.SeedSequence makes of an int."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    return [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
-
-
-def _pools(entropies) -> np.ndarray:
-    """Pools (F, 4) of np.random.SeedSequences of the entropy word lists."""
-    return np.array([np.random.SeedSequence(np.array(e, dtype=np.uint32)).pool
-                     for e in entropies])
-
-
-def _generated_states(pools, n_words: int) -> np.ndarray:
-    """generate_state(n_words) of SeedSequences with pools (F, 4): (F, n_words) uint32."""
-    return _hashmix(np.take(pools, np.arange(n_words) % 4, axis=1),
-                    _hash_steps(0x8B51F9DD, 0x58F38DED, 0, n_words))
-
-
 class _Generated(np.random.bit_generator.ISeedSequence):
-    """A seed sequence whose state words are generated already."""
+    """The seed sequence of a PCG64 whose state words are generated already."""
 
     def __init__(self, words):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, np.dtype(dtype)) != (4, np.uint64):
+            raise ValueError("holds only the four uint64 words of a PCG64 seed")
         return self.words
 
 
 def _stream_rngs(seeds) -> list:
-    """Each seed's phase noise and AWGN generators, np.random.default_rng(
-    np.random.SeedSequence(entropy=seed, spawn_key=(stream,))) for streams 0
-    and 1.
-
-    Such a sequence hashes the seed's words, at least four, and then the
-    spawn key. A SeedSequence of the seed alone stops before the key, so one
-    sequence per seed serves both streams, and the key's step and
-    generate_state run for all seeds at once.
-    """
-    words = [_seed_words(seed) for seed in seeds]
-    pools = _pools(words)
-    # Four hash steps ran per entropy word; the key's four steps follow.
-    steps = np.array([_hash_steps(0x43B0D7E5, 0x931E8875, 4 * max(4, len(w)), 4) for w in words])
-    streams = []
-    for key in (0, 1):
-        mixed = pools * 0xCA01F9DD - _hashmix(np.uint32(key), steps) * 0x4973F715
-        states = _generated_states(mixed ^ (mixed >> 16), 8).view(np.uint64)
-        streams.append([np.random.Generator(np.random.PCG64(_Generated(s))) for s in states])
-    return streams
+    """For streams 0 and 1, each seed's generator np.random.default_rng(
+    np.random.SeedSequence(seed, spawn_key=(stream,)))."""
+    return [[np.random.Generator(np.random.PCG64(_Generated(words))) for words in seed_states(
+        [np.random.SeedSequence(seed, spawn_key=(key,)) for seed in seeds], 8).view(np.uint64)]
+        for key in (0, 1)]
 
 
 # Long buffers run through the channel and the metrics in blocks of this many
@@ -282,32 +247,21 @@ def apply_channel(x, cfg: ChannelConfig, seeds=None):
     if rows.ndim != 2 or rows.shape[1] == 0 or len(seeds) != rows.shape[0]:
         raise ValueError("input must be a non-empty 1-D buffer, or an (F, n) stack "
                          "with one seed per row")
-    pn_rngs, noise_rngs = _stream_rngs(seeds)
-    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz, pn_rngs, rows.shape[1])
-    y = np.empty(rows.shape, dtype=complex)
-    _channel_rows(lambda a, b: rows[:, a:b], theta, cfg, noise_rngs, y)
+    y, theta = _channel_rows(lambda a, b: rows[:, a:b], rows.shape, cfg, seeds)
     return (y, theta) if stacked else (y[0], theta[0])
 
 
-# numpy computes `s * t` as `t * s`, in place, when the temporary t holds
-# 256 KiB or more, and complex products round differently in the two orders.
-# The bytes of the whole-buffer expressions `s * exp(...)` therefore come
-# from the swapped order in blocks of this many complex samples or more.
-SWAPPED_ORDER_SAMPLES = 1 << 14
-
-
 def _rotate(s, factor) -> None:
-    """s *= factor in place, in the operand order of `s * factor` on a block
-    of s's length (see SWAPPED_ORDER_SAMPLES)."""
-    if s.shape[-1] >= SWAPPED_ORDER_SAMPLES:
-        np.multiply(factor, s, out=s)
-    else:
-        np.multiply(s, factor, out=s)
+    """s *= factor in place. numpy computes `s * t` as `t * s` when the
+    temporary t holds 256 KiB or more, and complex products round
+    differently in the two orders, so blocks of 2**14 samples or more take
+    `t * s`: each row gets the bytes of `s * factor` on that row alone."""
+    np.multiply(*((factor, s) if s.shape[-1] >= 1 << 14 else (s, factor)), out=s)
 
 
-def _channel_rows(samples, theta, cfg: ChannelConfig, rngs, y) -> None:
-    """Write the channel output of rows (F, n) into y, row f's AWGN drawn
-    from rngs[f], block by block.
+def _channel_rows(samples, shape, cfg: ChannelConfig, seeds) -> tuple:
+    """(y, theta) of rows of the given (F, n) shape, row f drawn with seeds[f],
+    block by block.
 
     samples(a, b) returns input samples [a, b) of every row, (F, b - a).
     Only the draws and the convolution run row by row. The CFO ramp, |s|^2,
@@ -315,7 +269,10 @@ def _channel_rows(samples, theta, cfg: ChannelConfig, rngs, y) -> None:
     of all rows, as ufuncs in a fixed operand order, so that each row's bytes
     equal the whole-buffer expressions on that row alone.
     """
-    n_rows, n_samples = y.shape
+    pn_rngs, rngs = _stream_rngs(seeds)
+    n_samples = shape[1]
+    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz, pn_rngs, n_samples)
+    y = np.empty(shape, dtype=complex)
     h = np.asarray(cfg.taps, dtype=complex)
     noisy = math.isfinite(cfg.snr_db)
     blocks = sample_blocks(n_samples)
@@ -347,10 +304,7 @@ def _channel_rows(samples, theta, cfg: ChannelConfig, rngs, y) -> None:
     for a, b in blocks:
         s = y[:, a:b]
         buf = np.empty(s.shape, dtype=complex)
-        # exp(1j * theta), bit for bit: libm's complex exp of (±0, t) is
-        # (cos t, sin t), and the imaginary part of 1j * theta is theta + 0.0.
-        np.cos(theta[:, a:b], out=buf.real)
-        np.add(np.sin(theta[:, a:b], out=buf.imag), 0.0, out=buf.imag)
+        np.exp(np.multiply(1j, theta[:, a:b], out=buf), out=buf)
         _rotate(s, buf)
         if noisy:
             imag = np.empty(s.shape)
@@ -359,6 +313,12 @@ def _channel_rows(samples, theta, cfg: ChannelConfig, rngs, y) -> None:
             # scale * (real + 1j * imag), added to the rotated samples.
             np.add(power[:, a:b], np.multiply(1j, imag, out=buf), out=buf)
             np.add(s, np.multiply(scale, buf, out=buf), out=s)
+    return y, theta
+
+
+def _check_tone(freq_hz: float, sample_rate_hz: float) -> None:
+    if not abs(freq_hz) < sample_rate_hz / 2:
+        raise ValueError(f"tone at {freq_hz} Hz aliases at fs={sample_rate_hz}")
 
 
 def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig):
@@ -366,8 +326,7 @@ def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig):
 
     Equals apply_channel on the whole tone; the tone is built block by block.
     """
-    if abs(freq_hz) >= cfg.sample_rate_hz / 2:
-        raise ValueError(f"tone at {freq_hz} Hz aliases at fs={cfg.sample_rate_hz}")
+    _check_tone(freq_hz, cfg.sample_rate_hz)
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
     if n_samples == 0:
@@ -377,8 +336,5 @@ def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig):
         n = np.arange(a, b)
         return np.exp(2j * np.pi * freq_hz * n / cfg.sample_rate_hz)
 
-    pn_rngs, noise_rngs = _stream_rngs([cfg.seed])
-    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz, pn_rngs, n_samples)
-    y = np.empty((1, n_samples), dtype=complex)
-    _channel_rows(lambda a, b: tone(a, b)[None], theta, cfg, noise_rngs, y)
+    y, theta = _channel_rows(lambda a, b: tone(a, b)[None], (1, n_samples), cfg, [cfg.seed])
     return y[0], theta[0]

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel,
+from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel, _check_tone,
                       single_tone_probe)
 from .link import (aggregate_evm_db, frame_bits_rng, frame_channel_cfg, run_frame,
                    run_seeded_frames)
@@ -286,8 +286,10 @@ def cmd_measure_pn(args) -> int:
         tone = cfg["phy"]["sample_rate_hz"] / 8.0
     elif isinstance(tone, bool) or not isinstance(tone, (int, float)):
         raise ConfigError("probe.tone_hz must be a number or null")
-    if not abs(tone) < channel_cfg.sample_rate_hz / 2:
-        raise ConfigError(f"probe.tone_hz must lie inside +-sample_rate_hz/2, got {tone}")
+    try:
+        _check_tone(tone, channel_cfg.sample_rate_hz)
+    except ValueError as exc:
+        raise ConfigError(f"probe.tone_hz: {exc}")
     n_samples = _require_number(cfg, "probe", "n_samples", integer=True)
     if n_samples < 4096:
         raise ConfigError("probe.n_samples must be >= 4096 for the PSD estimate")
@@ -336,9 +338,9 @@ def cmd_sweep_k(args) -> int:
             raise ConfigError(str(exc))
         ofdm_cfg = OfdmConfig(plan=plan, cp_len=phy["cp_len"],
                               sample_rate_hz=float(phy["sample_rate_hz"]))
-        reports = [r.report for r in run_seeded_frames(
+        reports = (r.report for r in run_seeded_frames(
             modulation, ofdm_cfg, channel_cfg, cfg["pnc_enabled"],
-            cfg["n_payload_symbols"], cfg["seed"], cfg["n_frames"])]
+            cfg["n_payload_symbols"], cfg["seed"], cfg["n_frames"]))
         results.append((k, aggregate_evm_db(reports)))
         print(f"sweep-k: K={k} mean_evm_db={results[-1][1]}")
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ChannelConfig, _generated_states, _pools, _seed_words, apply_channel
+from .channel import ChannelConfig, apply_channel, seed_states
 from .modulation import Modulation, evm_db_from_powers
 from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig, build_frames, frame_capacity_bits
 from .pnc import estimate_phase
@@ -22,8 +22,8 @@ CHUNK_FRAMES = 16
 
 def derived_seeds(keys) -> list:
     """derived_seed(*key) of each key."""
-    pools = _pools([[w for part in key for w in _seed_words(part)] for key in keys])
-    return _generated_states(pools, 2).view(np.uint64)[:, 0].tolist()
+    sequences = [np.random.SeedSequence(list(key)) for key in keys]
+    return seed_states(sequences, 2).view(np.uint64)[:, 0].tolist()
 
 
 def derived_seed(*parts: int) -> int:
@@ -38,14 +38,11 @@ class FrameResult:
     n_channel_uses: int
     theta_true: np.ndarray      # ground truth over the whole frame buffer
     theta_true_bodies: np.ndarray  # ground truth aligned with theta_est
-    _theta_est: object = field(repr=False)   # () -> theta_est
-
-    @property
-    def theta_est(self) -> np.ndarray:
-        """Phase estimate over the payload symbol bodies: the PNC track, or
-        with PNC off the same estimator run on the received frame as an
-        oracle, made for the whole stack when first read."""
-        return self._theta_est()
+    # () -> the phase estimate over the payload symbol bodies: the PNC track,
+    # or with PNC off the estimator run on the received frame as an oracle,
+    # made for the whole stack when first read.
+    _theta_est: object = field(repr=False)
+    theta_est = property(lambda self: self._theta_est())
 
 
 def _payload_bodies(x, cfg: OfdmConfig) -> np.ndarray:
@@ -123,6 +120,7 @@ def frame_bits_rng(run_seed: int, frame_idx: int) -> np.random.Generator:
 
 
 def aggregate_evm_db(reports) -> float | None:
-    """RMS (linear-domain) EVM over frames; None without any decided points."""
-    return evm_db_from_powers(sum(r.error_power for r in reports),
-                              sum(r.reference_power for r in reports))
+    """RMS (linear-domain) EVM over frames; None without any decided points.
+    Keeps only each report's two powers, so `reports` may be a generator."""
+    powers = [(r.error_power, r.reference_power) for r in reports]
+    return evm_db_from_powers(sum(p[0] for p in powers), sum(p[1] for p in powers))

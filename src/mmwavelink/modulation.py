@@ -175,12 +175,9 @@ def demap_hard(symbols, modulation: Modulation) -> np.ndarray:
 
 def evm_db_from_powers(error_power, reference_power):
     """EVM in dB, 10*log10(error/reference), from error and reference powers
-    (sums or means alike). A zero error reports the -120 dB floor; results
-    are clamped there.
-
-    Scalars give a float, or None when reference_power <= 0. Arrays,
-    broadcast together, give an array, and every reference power must then
-    be positive.
+    (sums or means alike), clamped at the -120 dB floor. Scalars give a
+    float, or None when reference_power <= 0; arrays, broadcast together,
+    give an array, and every reference power must then be positive.
     """
     if np.ndim(error_power) == np.ndim(reference_power) == 0:
         return None if reference_power <= 0.0 else float(

@@ -20,7 +20,7 @@ from mmwavelink import (ChannelConfig, ChannelEstimate, Modulation, OfdmConfig,
 from mmwavelink import channel as channel_module
 from mmwavelink.channel import (PN_CORNER_RATIO, PN_FILTER_ORDER, SAMPLE_BLOCK,
                                 phase_noise_rows, sample_blocks, single_tone_probe)
-from mmwavelink.link import derived_seed, derived_seeds
+from mmwavelink.link import aggregate_evm_db, derived_seed, derived_seeds, run_seeded_frames
 from mmwavelink.metrics import extract_tone_phase, psd_welch, write_series_csv
 from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS
 
@@ -547,3 +547,28 @@ def test_derived_seeds_equal_seed_sequence_states(keys):
     expect = [int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0]) for key in keys]
     assert derived_seeds(keys) == expect
     assert [derived_seed(*key) for key in keys] == expect
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**130), min_size=1, max_size=8),
+       n_words=st.integers(1, 9))
+def test_seed_states_equal_generate_state(seeds, n_words):
+    sequences = [np.random.SeedSequence(seed, spawn_key=(3,)) for seed in seeds]
+    expect = np.array([s.generate_state(n_words) for s in sequences])
+    assert np.array_equal(channel_module.seed_states(sequences, n_words), expect)
+
+
+def test_generated_seed_sequence_refuses_other_requests():
+    words = channel_module.seed_states([np.random.SeedSequence(1)], 8).view(np.uint64)[0]
+    with pytest.raises(ValueError):
+        channel_module._Generated(words).generate_state(4)
+    with pytest.raises(ValueError):
+        channel_module._Generated(words).generate_state(2, np.uint64)
+
+
+def test_aggregate_evm_db_reads_a_generator_once():
+    # sweep-k hands the reports over one at a time and keeps none of them.
+    ofdm = OfdmConfig(plan=build_plan(64, 3, 26), cp_len=16, sample_rate_hz=25e6)
+    channel = ChannelConfig(taps=(1.0, 0.2), snr_db=20.0)
+    reports = [r.report for r in run_seeded_frames(Modulation.QPSK, ofdm, channel, True, 2, 4, 20)]
+    assert aggregate_evm_db(r for r in reports) == aggregate_evm_db(reports)
