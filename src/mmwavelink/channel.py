@@ -256,7 +256,10 @@ def _rotate(s, factor) -> None:
     temporary t holds 256 KiB or more, and complex products round
     differently in the two orders, so blocks of 2**14 samples or more take
     `t * s`: each row gets the bytes of `s * factor` on that row alone."""
-    np.multiply(*((factor, s) if s.shape[-1] >= 1 << 14 else (s, factor)), out=s)
+    if s.shape[-1] >= 1 << 14:
+        np.multiply(factor, s, out=s)
+    else:
+        np.multiply(s, factor, out=s)
 
 
 def _channel_rows(samples, shape, cfg: ChannelConfig, seeds) -> tuple:
