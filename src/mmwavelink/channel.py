@@ -180,36 +180,8 @@ class ChannelConfig:
         _check_phase_noise(self.phase_noise, self.sample_rate_hz)
 
 
-def seed_states(sequences, n_words: int) -> np.ndarray:
-    """generate_state(n_words) of each np.random.SeedSequence, computed for
-    all of them at once: (len(sequences), n_words) uint32."""
-    # Word i of the cycled pool is xored with 0x8B51F9DD * 0x58F38DED**i and
-    # multiplied by the next such constant, mod 2**32.
-    h = np.array([0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) % (1 << 32)
-                  for i in range(n_words + 1)], dtype=np.uint32)
-    pools = np.array([s.pool for s in sequences])
-    value = (np.take(pools, np.arange(n_words) % 4, axis=1) ^ h[:-1]) * h[1:]
-    return value ^ (value >> 16)
-
-
-class _Generated(np.random.bit_generator.ISeedSequence):
-    """The seed sequence of a PCG64 whose state words are generated already."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, np.dtype(dtype)) != (4, np.uint64):
-            raise ValueError("holds only the four uint64 words of a PCG64 seed")
-        return self.words
-
-
-def _stream_rngs(seeds) -> list:
-    """For streams 0 and 1, each seed's generator np.random.default_rng(
-    np.random.SeedSequence(seed, spawn_key=(stream,)))."""
-    return [[np.random.Generator(np.random.PCG64(_Generated(words))) for words in seed_states(
-        [np.random.SeedSequence(seed, spawn_key=(key,)) for seed in seeds], 8).view(np.uint64)]
-        for key in (0, 1)]
+def _stream_seed(seed: int, stream: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
 
 
 # Long buffers run through the channel and the metrics in blocks of this many
@@ -263,8 +235,7 @@ def _rotate(s, factor) -> None:
 
 
 def _channel_rows(samples, shape, cfg: ChannelConfig, seeds) -> tuple:
-    """(y, theta) of rows of the given (F, n) shape, row f drawn with seeds[f],
-    block by block.
+    """(y, theta) of an (F, n) stack, row f drawn with seeds[f], block by block.
 
     samples(a, b) returns input samples [a, b) of every row, (F, b - a).
     Only the draws and the convolution run row by row. The CFO ramp, |s|^2,
@@ -272,9 +243,10 @@ def _channel_rows(samples, shape, cfg: ChannelConfig, seeds) -> tuple:
     of all rows, as ufuncs in a fixed operand order, so that each row's bytes
     equal the whole-buffer expressions on that row alone.
     """
-    pn_rngs, rngs = _stream_rngs(seeds)
     n_samples = shape[1]
-    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz, pn_rngs, n_samples)
+    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz,
+                             [_stream_seed(seed, 0) for seed in seeds], n_samples)
+    rngs = [np.random.default_rng(_stream_seed(seed, 1)) for seed in seeds]
     y = np.empty(shape, dtype=complex)
     h = np.asarray(cfg.taps, dtype=complex)
     noisy = math.isfinite(cfg.snr_db)

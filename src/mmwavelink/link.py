@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ChannelConfig, apply_channel, seed_states
+from .channel import ChannelConfig, apply_channel
 from .modulation import Modulation, evm_db_from_powers
 from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig, build_frames, frame_capacity_bits
 from .pnc import estimate_phase
@@ -20,15 +20,9 @@ from .receiver import DecodeReport, decode_frames
 CHUNK_FRAMES = 16
 
 
-def derived_seeds(keys) -> list:
-    """derived_seed(*key) of each key."""
-    sequences = [np.random.SeedSequence(list(key)) for key in keys]
-    return seed_states(sequences, 2).view(np.uint64)[:, 0].tolist()
-
-
 def derived_seed(*parts: int) -> int:
     """Stable 64-bit seed derived from integer key parts."""
-    return derived_seeds([parts])[0]
+    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
 @dataclass
@@ -83,7 +77,7 @@ def run_frames(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
     frames = range(first_frame, first_frame + len(bits))
     return _run_stack(bits, modulation, ofdm_cfg,
                       frame_channel_cfg(channel_cfg, run_seed, first_frame),
-                      derived_seeds([(run_seed, i, 0) for i in frames]),
+                      [derived_seed(run_seed, i, 0) for i in frames],
                       pnc_enabled, n_payload_symbols)
 
 
@@ -120,7 +114,7 @@ def frame_bits_rng(run_seed: int, frame_idx: int) -> np.random.Generator:
 
 
 def aggregate_evm_db(reports) -> float | None:
-    """RMS (linear-domain) EVM over frames; None without any decided points.
-    Keeps only each report's two powers, so `reports` may be a generator."""
+    """RMS (linear-domain) EVM over frames (any iterable of reports, read once);
+    None without any decided points."""
     powers = [(r.error_power, r.reference_power) for r in reports]
     return evm_db_from_powers(sum(p[0] for p in powers), sum(p[1] for p in powers))

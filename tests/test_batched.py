@@ -20,7 +20,7 @@ from mmwavelink import (ChannelConfig, ChannelEstimate, Modulation, OfdmConfig,
 from mmwavelink import channel as channel_module
 from mmwavelink.channel import (PN_CORNER_RATIO, PN_FILTER_ORDER, SAMPLE_BLOCK,
                                 phase_noise_rows, sample_blocks, single_tone_probe)
-from mmwavelink.link import aggregate_evm_db, derived_seed, derived_seeds, run_seeded_frames
+from mmwavelink.link import aggregate_evm_db, run_seeded_frames
 from mmwavelink.metrics import extract_tone_phase, psd_welch, write_series_csv
 from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS
 
@@ -410,18 +410,13 @@ def assert_same_bytes(got, expect):
     assert got.tobytes() == expect.tobytes()
 
 
-def stream_seed(seed, stream):
-    """The seed sequence of a channel draw: stream 0 phase noise, 1 AWGN."""
-    return np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-
-
 def reference_probe(freq_hz, n_samples, cfg):
     """single_tone_probe in the whole-buffer expressions of the one-shot channel."""
     n = np.arange(n_samples)
     x = np.exp(2j * np.pi * freq_hz * n / cfg.sample_rate_hz)
     h = np.asarray(cfg.taps, dtype=complex)
     theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz,
-                             [stream_seed(cfg.seed, 0)], n_samples)[0]
+                             [channel_module._stream_seed(cfg.seed, 0)], n_samples)[0]
     s = np.convolve(x, h)[:n_samples] if h.size > 1 else x * h[0]
     if cfg.cfo_hz:
         s = s * np.exp(2j * np.pi * cfg.cfo_hz * n / cfg.sample_rate_hz)
@@ -429,7 +424,7 @@ def reference_probe(freq_hz, n_samples, cfg):
     if math.isfinite(cfg.snr_db):
         signal_power = np.mean(np.abs(s) ** 2)
         noise_var = signal_power * 10.0 ** (-cfg.snr_db / 10.0)
-        rng = np.random.default_rng(stream_seed(cfg.seed, 1))
+        rng = np.random.default_rng(channel_module._stream_seed(cfg.seed, 1))
         w = np.sqrt(noise_var / 2.0) * (
             rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
         )
@@ -525,45 +520,6 @@ def test_full_chunk_run_frames_equals_run_frame(pnc_enabled, cfo_hz, n_frames,
         single = run_frame(bits[f], Modulation.QAM64, cfg, frame_channel_cfg(channel, 9, 32 + f),
                            pnc_enabled, n_payload_symbols)
         assert_frame_results_equal(result, single)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seeds=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**200)),
-                      min_size=1, max_size=20))
-def test_stream_generators_equal_seed_sequence_generators(seeds):
-    # The chunk-wide seeding gives each seed the generators numpy's own
-    # SeedSequence route gives it, huge seeds included.
-    pn_rngs, noise_rngs = channel_module._stream_rngs(seeds)
-    for seed, pn_rng, noise_rng in zip(seeds, pn_rngs, noise_rngs):
-        for stream, rng in enumerate((pn_rng, noise_rng)):
-            expect = np.random.default_rng(stream_seed(seed, stream))
-            assert rng.bit_generator.state == expect.bit_generator.state
-
-
-@settings(max_examples=60, deadline=None)
-@given(keys=st.lists(st.lists(st.one_of(st.integers(0, 2**32), st.integers(0, 2**130)),
-                              min_size=1, max_size=5), min_size=1, max_size=20))
-def test_derived_seeds_equal_seed_sequence_states(keys):
-    expect = [int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0]) for key in keys]
-    assert derived_seeds(keys) == expect
-    assert [derived_seed(*key) for key in keys] == expect
-
-
-@settings(max_examples=30, deadline=None)
-@given(seeds=st.lists(st.integers(0, 2**130), min_size=1, max_size=8),
-       n_words=st.integers(1, 9))
-def test_seed_states_equal_generate_state(seeds, n_words):
-    sequences = [np.random.SeedSequence(seed, spawn_key=(3,)) for seed in seeds]
-    expect = np.array([s.generate_state(n_words) for s in sequences])
-    assert np.array_equal(channel_module.seed_states(sequences, n_words), expect)
-
-
-def test_generated_seed_sequence_refuses_other_requests():
-    words = channel_module.seed_states([np.random.SeedSequence(1)], 8).view(np.uint64)[0]
-    with pytest.raises(ValueError):
-        channel_module._Generated(words).generate_state(4)
-    with pytest.raises(ValueError):
-        channel_module._Generated(words).generate_state(2, np.uint64)
 
 
 def test_aggregate_evm_db_reads_a_generator_once():
