@@ -80,6 +80,22 @@ ONE_COMMAND_CONFIGS = {
         "modulation": "qpsk", "pnc_enabled": True,
         "n_frames": 2, "n_payload_symbols": 205, "seed": 17,
     }),
+    # 37 frames: two full 16-frame chunks of `link.CHUNK_FRAMES` and a
+    # 5-frame one, so every `simulate` artifact crosses chunk boundaries.
+    "qpsk_multipath_pnc_chunks": ("simulate", {
+        "channel": {"taps": [1.0, [0.3, 0.2], 0.1], "snr_db": 30.0, "sigma": 0.26},
+        "phy": {"k_guard": 3},
+        "modulation": "qpsk", "pnc_enabled": True,
+        "n_frames": 37, "n_payload_symbols": 6, "seed": 18,
+    }),
+    # 20 frames of 64-QAM with PNC off: one full chunk and a 4-frame one, the
+    # residual phase taken against the oracle track.
+    "qam64_nopnc_chunks": ("simulate", {
+        "channel": {"taps": [1.0, 0.2], "snr_db": 35.0, "sigma": 0.03},
+        "phy": {"k_guard": 0},
+        "modulation": "qam64", "pnc_enabled": False,
+        "n_frames": 20, "n_payload_symbols": 6, "seed": 19,
+    }),
 }
 
 K_LIST = "0,2,3"
@@ -106,6 +122,16 @@ GOLDEN = {
                 "2c827b4a22720a2e3d10e104015227cc078e2281c9713871fa65202236706651",
             "stream_report.json":
                 "eef62c955058af8d1fddbfbfc317879e5424ffdd341fcaef8ace8e7bf25ca63a",
+        },
+    },
+    "qam64_nopnc_chunks": {
+        "simulate": {
+            "constellation.csv":
+                "53397ebac66bbd88f5f58598f7af4ea7cba326c834b969b66b2b3ee972b92119",
+            "evm.csv":
+                "9af36eef6eb7275c1fb534753f4678975aa4a38ceee2bc100f4089e44ec42050",
+            "summary.json":
+                "a7de0a1ef60bd37826e3dfb0b367183c95e3ef32dde6655b23853e92b8b82d9e",
         },
     },
     "qam64_stream_chunks": {
@@ -184,6 +210,16 @@ GOLDEN = {
                 "5c834dee4aafe03c8b1e11a01da87d460286770c10d81ce73c8b03a08b509f34",
             "stream_report.json":
                 "6f92a2cfcd0bb91d1d553832e965b72962292f8e5b84132fcbed37ff8716eeb2",
+        },
+    },
+    "qpsk_multipath_pnc_chunks": {
+        "simulate": {
+            "constellation.csv":
+                "58669e1724afb1fc73b3e83e9c3893b872e07ad434e3bf687920840ae203a08d",
+            "evm.csv":
+                "26719b401be65a4a4008c6e290677194e1be848613a35c51accda87e4699b641",
+            "summary.json":
+                "11f947ce1718d51fc312d30a7516aa2c06995b22f9f08f1ff2a52943fec6d6e0",
         },
     },
 }
