@@ -9,7 +9,7 @@ from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel,
                       PhaseNoiseProcess, apply_channel, single_tone_probe)
 from .pnc import PhaseEstimate, cancel, estimate_phase, pnc_symbol
 from .receiver import (ChannelEstimate, DecodeReport, decode_frame, decode_frames,
-                       equalize, estimate_channel_ls)
+                       equalize, estimate_channel_ls, genie_evm_db)
 from .link import (CHUNK_FRAMES, FrameResult, aggregate_evm_db, derived_seed,
                    frame_bits_rng, frame_channel_cfg, run_frame, run_frames,
                    run_seeded_frames)
@@ -31,7 +31,7 @@ __all__ = [
     "apply_channel", "single_tone_probe",
     "PhaseEstimate", "estimate_phase", "cancel", "pnc_symbol",
     "ChannelEstimate", "DecodeReport", "estimate_channel_ls", "equalize",
-    "decode_frame", "decode_frames",
+    "decode_frame", "decode_frames", "genie_evm_db",
     "CHUNK_FRAMES", "FrameResult", "run_frame", "run_frames", "run_seeded_frames",
     "frame_channel_cfg", "frame_bits_rng", "derived_seed", "aggregate_evm_db",
     "GaussianFit", "PsdEstimate", "PhaseTrackingReport", "extract_tone_phase",

@@ -52,7 +52,7 @@ def _run_stack(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
     symbols, padded = build_frames(bits, modulation, ofdm_cfg, n_payload_symbols)
     y, theta = apply_channel(symbols.reshape(len(seeds), -1), channel_cfg, seeds)
     del symbols   # not needed past the channel; frees the chunk's largest buffer
-    reports, phase = decode_frames(y, ofdm_cfg, modulation, pnc_enabled, true_bits=padded)
+    reports, phase = decode_frames(y, ofdm_cfg, modulation, pnc_enabled)
     track = functools.cache(lambda: estimate_phase(_payload_bodies(y, ofdm_cfg), ofdm_cfg)
                             .per_sample_phase if phase is None else phase)
     bodies = _payload_bodies(theta, ofdm_cfg)

@@ -157,30 +157,50 @@ def phase_tracking_report(theta_true, theta_est) -> PhaseTrackingReport:
     )
 
 
-# Rows formatted per write in write_series_csv; bounds the text held in memory.
+# Rows formatted per write in append_series_csv; bounds the text held in memory.
 CSV_CHUNK_ROWS = 1024
 
 
-def write_series_csv(path, header, columns) -> None:
-    """Write parallel 1-D numeric columns as CSV with a header row.
-
-    Floats are written with 10 significant digits (`.10g`), integers and
-    booleans with str(); lines end in CRLF, as csv.writer writes them. Rows
-    stop at the shortest column.
-    """
+def _numeric_columns(columns):
+    """Columns as 1-D arrays, and the printf format of one row; a column
+    that is not numeric raises TypeError."""
     columns = [np.asarray(c).ravel() for c in columns]
     for c in columns:
         if c.dtype.kind not in "biuf":
             raise TypeError(f"column dtype {c.dtype} is not numeric")
     # printf-style "%.10g" gives the same text as format(v, ".10g"), faster.
-    row_format = ",".join("%.10g" if c.dtype.kind == "f" else "%s"
-                          for c in columns) + "\r\n"
+    return columns, ",".join("%.10g" if c.dtype.kind == "f" else "%s"
+                             for c in columns) + "\r\n"
+
+
+def write_csv_header(fh, header) -> None:
+    """Write a CSV header row to a text file opened with newline=""."""
+    csv.writer(fh).writerow(header)
+
+
+def append_series_csv(fh, columns) -> None:
+    """Append parallel 1-D numeric columns as CSV rows to a text file opened
+    with newline="".
+
+    Floats are written with 10 significant digits (`.10g`), integers and
+    booleans with str(); lines end in CRLF, as csv.writer writes them. Rows
+    stop at the shortest column. Each row's text depends on its values
+    alone, so appending a series in parts writes the same bytes as at once.
+    """
+    columns, row_format = _numeric_columns(columns)
     n_rows = min((c.size for c in columns), default=0)
+    for start in range(0, n_rows, CSV_CHUNK_ROWS):
+        chunk = [c[start:start + CSV_CHUNK_ROWS].tolist() for c in columns]
+        fh.write("".join([row_format % row for row in zip(*chunk)]))
+
+
+def write_series_csv(path, header, columns) -> None:
+    """Write a CSV file: the header row, then append_series_csv's rows. A
+    column that is not numeric raises before the file is opened."""
+    _numeric_columns(columns)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            chunk = [c[start:start + CSV_CHUNK_ROWS].tolist() for c in columns]
-            fh.write("".join([row_format % row for row in zip(*chunk)]))
+        write_csv_header(fh, header)
+        append_series_csv(fh, columns)
 
 
 def write_psd_csv(est: PsdEstimate, path) -> None:

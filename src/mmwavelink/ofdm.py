@@ -148,12 +148,21 @@ def frame_capacity_bits(cfg: OfdmConfig, modulation: Modulation, n_payload_symbo
     return n_payload_symbols * len(cfg.plan.payload_indices) * modulation.bits_per_symbol
 
 
+def _padded_rows(bits, capacity: int) -> np.ndarray:
+    """(F, capacity) array of the bit arrays `bits[f]`, each zero-padded;
+    reject overflow."""
+    padded = np.zeros((len(bits), capacity), dtype=np.uint8)
+    for row, frame_bits in zip(padded, bits):
+        frame_bits = np.asarray(frame_bits, dtype=np.uint8).ravel()
+        if frame_bits.size > capacity:
+            raise ValueError(f"{frame_bits.size} bits exceed frame capacity {capacity}")
+        row[:frame_bits.size] = frame_bits
+    return padded
+
+
 def pad_bits(bits, capacity: int) -> np.ndarray:
     """Zero-pad a bit array up to `capacity`; reject overflow."""
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
-    if bits.size > capacity:
-        raise ValueError(f"{bits.size} bits exceed frame capacity {capacity}")
-    return np.concatenate([bits, np.zeros(capacity - bits.size, dtype=np.uint8)])
+    return _padded_rows([bits], capacity)[0]
 
 
 def build_frames(bits, modulation: Modulation, cfg: OfdmConfig, n_payload_symbols: int):
@@ -170,9 +179,7 @@ def build_frames(bits, modulation: Modulation, cfg: OfdmConfig, n_payload_symbol
     plan = cfg.plan
     capacity = frame_capacity_bits(cfg, modulation, n_payload_symbols)
     n_frames = len(bits)
-    padded = np.empty((n_frames, capacity), dtype=np.uint8)
-    for row, frame_bits in zip(padded, bits):
-        row[:] = pad_bits(frame_bits, capacity)
+    padded = _padded_rows(bits, capacity)
     symbols = map_bits(padded.reshape(-1), modulation).reshape(
         n_frames, n_payload_symbols, len(plan.payload_indices))
 

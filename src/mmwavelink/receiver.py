@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .modulation import (Modulation, evm_db_from_powers, indices_to_bits, map_bits,
                          slice_indices)
-from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig, SubcarrierPlan, pad_bits, training_bins
+from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig, SubcarrierPlan, training_bins
 from .metrics import wrap_phase
 from .pnc import estimate_phase, cancel
 
@@ -41,15 +40,9 @@ class DecodeReport:
     error_power: float = 0.0
     reference_power: float = 0.0
     points: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
-    _genie: object = field(default=None, repr=False)   # () -> evm_db_genie, until read
-
-    @property
-    def evm_db_genie(self) -> float | None:
-        """EVM against the transmitted bits, or None without them; made for
-        the whole decoded stack when first read."""
-        if callable(self._genie):
-            self._genie = self._genie()   # keeps the value, not the stack's arrays
-        return self._genie
+    # (n_payload_symbols, n_payload) bins zeroed instead of divided; points
+    # is this array's shape, flattened.
+    erased: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=bool))
 
 
 def _signed_indices(plan: SubcarrierPlan) -> np.ndarray:
@@ -148,8 +141,30 @@ def _power_sums(points, reference, erased):
     return sums[0], sums[1], symbol_means
 
 
+def _frame_evm_db(error, reference, erased):
+    """Each frame's EVM dB from its power sums: means over its decided
+    points; a frame with none has error 0 over 1."""
+    n_ok = np.maximum(np.prod(erased.shape[1:]) - erased.reshape(len(erased), -1).sum(axis=-1), 1)
+    ref_mean = np.where(reference > 0, reference / n_ok, 1.0)
+    return evm_db_from_powers(error / n_ok, ref_mean), ref_mean
+
+
+def genie_evm_db(points, tx_bits, erased, modulation: Modulation) -> np.ndarray:
+    """EVM dB of each frame of a decoded stack against its transmitted bits.
+
+    `points` and `erased` are (F, n_payload_symbols, n_payload), as a
+    DecodeReport's points and erased mask; `tx_bits` is (F, capacity), each
+    frame's bits zero-padded to capacity. The sums are those of the
+    decision-directed EVM, referenced to the mapped bits instead of the
+    decisions, each frame over its own row.
+    """
+    reference = map_bits(np.asarray(tx_bits).reshape(-1), modulation).reshape(points.shape)
+    error, reference_power, _ = _power_sums(points, reference, erased)
+    return _frame_evm_db(error, reference_power, erased)[0]
+
+
 def decode_frame(samples, cfg: OfdmConfig, modulation: Modulation,
-                 pnc_enabled: bool = True, true_bits=None, return_phase: bool = False):
+                 pnc_enabled: bool = True, return_phase: bool = False):
     """Decode one frame: [2 training symbols | payload symbols].
 
     The single-frame view of decode_frames. Returns a DecodeReport or, with
@@ -160,25 +175,21 @@ def decode_frame(samples, cfg: OfdmConfig, modulation: Modulation,
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim != 1:
         raise ValueError("expected one frame buffer")
-    reports, phase = decode_frames(samples[None], cfg, modulation, pnc_enabled,
-                                   None if true_bits is None else [true_bits])
+    reports, phase = decode_frames(samples[None], cfg, modulation, pnc_enabled)
     report = reports[0]
     return (report, None if phase is None else phase[0]) if return_phase else report
 
 
 def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
-                  pnc_enabled: bool = True, true_bits=None):
+                  pnc_enabled: bool = True):
     """Decode a stack of frames (F, n_symbols * symbol_len) in one pass.
 
     Each frame is decoded on its own, as [2 training symbols | payload
     symbols]: PNC, FFT, LS estimate, zero-forcing and slicing run once over
     the (F, n_symbols, n_fft) stack, and every per-frame sum is taken over
-    that frame's row. `true_bits`, when given, holds each frame's
-    transmitted bits, zero-padded here to capacity, and each report then
-    also carries a genie-referenced EVM, made when first read. Returns
-    (reports, phase): phase is the PNC per-sample phase estimate over the
-    payload symbol bodies, (F, n_payload_symbols, n_fft), or None when PNC
-    is off.
+    that frame's row. Returns (reports, phase): phase is the PNC per-sample
+    phase estimate over the payload symbol bodies, (F, n_payload_symbols,
+    n_fft), or None when PNC is off.
 
     EVM is decision-directed against the demapped constellation points,
     referenced to the mean decided-point power of the whole frame, so the
@@ -219,24 +230,12 @@ def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
     bits = indices_to_bits(idx, modulation).reshape(n_frames, -1)
     error, reference, symbol_error = _power_sums(points, modulation.constellation[idx], erased)
     n_erased = erased.reshape(n_frames, -1).sum(axis=-1)
-    # Means over each frame's decided points; with none, error 0 over 1.
-    n_ok = np.maximum(np.prod(erased.shape[1:]) - n_erased, 1)
-    ref_mean = np.where(reference > 0, reference / n_ok, 1.0)
-    frame_evm = evm_db_from_powers(error / n_ok, ref_mean).tolist()
+    frame_evm, ref_mean = _frame_evm_db(error, reference, erased)
+    frame_evm = frame_evm.tolist()
     symbol_evm = evm_db_from_powers(np.array(symbol_error), ref_mean[:, None]).tolist()
-
-    @functools.cache
-    def genie():
-        padded = np.concatenate([pad_bits(b, bits.shape[1]) for b in true_bits])
-        genie_error, genie_reference, _ = _power_sums(
-            points, map_bits(padded, modulation).reshape(points.shape), erased)
-        return evm_db_from_powers(genie_error / n_ok, np.where(
-            genie_reference > 0, genie_reference / n_ok, 1.0)).tolist()
-
     return [DecodeReport(bits=bits[f], evm_db=frame_evm[f],
                          residual_phase_std=float(residual_phase_std[f]),
                          per_symbol_evm=symbol_evm[f], n_erased=int(n_erased[f]),
                          error_power=float(error[f]), reference_power=float(reference[f]),
-                         points=points[f].reshape(-1),
-                         _genie=None if true_bits is None else lambda f=f: genie()[f])
+                         points=points[f].reshape(-1), erased=erased[f])
             for f in range(n_frames)], phase

@@ -15,13 +15,14 @@ from mmwavelink import (ChannelConfig, ChannelEstimate, Modulation, OfdmConfig,
                         apply_channel, build_frame, build_plan, cancel, decode_frame,
                         demap_hard, equalize, estimate_channel_ls, estimate_phase,
                         frame_bits_rng, frame_capacity_bits, frame_channel_cfg,
-                        map_bits, modulate_symbol, run_frame, run_frames,
+                        genie_evm_db, map_bits, modulate_symbol, run_frame, run_frames,
                         slice_indices, training_bins)
 from mmwavelink import channel as channel_module
 from mmwavelink.channel import (PN_CORNER_RATIO, PN_FILTER_ORDER, SAMPLE_BLOCK,
                                 phase_noise_rows, sample_blocks, single_tone_probe)
 from mmwavelink.link import aggregate_evm_db, run_seeded_frames
-from mmwavelink.metrics import extract_tone_phase, psd_welch, write_series_csv
+from mmwavelink.metrics import (append_series_csv, extract_tone_phase, psd_welch,
+                                write_csv_header, write_series_csv)
 from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS
 
 FS = 25.0e6
@@ -249,14 +250,28 @@ def test_write_series_csv_matches_csv_writer_across_chunks(tmp_path):
 def test_write_series_csv_rejects_non_numeric_columns(tmp_path):
     with pytest.raises(TypeError):
         write_series_csv(tmp_path / "s.csv", ["s"], [np.array(["a,b"])])
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("parts", [[0, 16, 32, 37, 2500], [0, 1, 2, 1030, 2500], [0, 2500]])
+def test_appended_parts_equal_one_write(tmp_path, parts):
+    # simulate appends its rows one chunk at a time.
+    rng = np.random.default_rng(6)
+    columns = [np.arange(2500), rng.standard_normal(2500), rng.standard_normal(2500)]
+    write_series_csv(tmp_path / "whole.csv", ["frame", "a", "b"], columns)
+    with open(tmp_path / "parts.csv", "w", newline="") as fh:
+        write_csv_header(fh, ["frame", "a", "b"])
+        for a, b in zip(parts, parts[1:]):
+            append_series_csv(fh, [c[a:b] for c in columns])
+    assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def assert_frame_results_equal(batched, single):
     """Every array and number of two FrameResults is the same, bit for bit."""
     a, b = batched.report, single.report
-    for name in ("bits", "points"):
+    for name in ("bits", "points", "erased"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    for name in ("evm_db", "evm_db_genie", "error_power", "reference_power",
+    for name in ("evm_db", "error_power", "reference_power",
                  "residual_phase_std", "n_erased", "per_symbol_evm"):
         assert getattr(a, name) == getattr(b, name), name
     for name in ("tx_bits", "theta_true", "theta_est", "theta_true_bodies"):
@@ -520,6 +535,30 @@ def test_full_chunk_run_frames_equals_run_frame(pnc_enabled, cfo_hz, n_frames,
         single = run_frame(bits[f], Modulation.QAM64, cfg, frame_channel_cfg(channel, 9, 32 + f),
                            pnc_enabled, n_payload_symbols)
         assert_frame_results_equal(result, single)
+
+
+@pytest.mark.parametrize("modulation,channel,pnc_enabled", [
+    (Modulation.QPSK, ChannelConfig(taps=(1.0, 0.3 + 0.2j, 0.1), snr_db=30.0), True),
+    (Modulation.QAM64, ChannelConfig(taps=(1.0, 0.2), snr_db=25.0), False),
+    # A noiseless null on subcarrier 6: every frame has erased bins.
+    (Modulation.QAM16, ChannelConfig(taps=null_taps(6), phase_noise=PhaseNoiseConfig(
+        sigma=0.0, model=PhaseNoiseModel.NONE), snr_db=math.inf), True),
+])
+def test_stacked_genie_equals_per_frame_genie(modulation, channel, pnc_enabled):
+    # simulate takes the genie EVM of a whole chunk in one call; each frame's
+    # value must equal the one of that frame alone, erased bins included.
+    cfg = ofdm_cfg(3)
+    capacity = frame_capacity_bits(cfg, modulation, 4)
+    bits = [frame_bits_rng(8, i).integers(0, 2, capacity, dtype=np.uint8) for i in range(16)]
+    results = run_frames(bits, modulation, cfg, channel, pnc_enabled, 4, 8)
+    stacks = [np.stack(v) for v in zip(*[
+        (r.report.points.reshape(r.report.erased.shape), r.tx_bits, r.report.erased)
+        for r in results])]
+    stacked = genie_evm_db(*stacks, modulation)
+    assert stacked.shape == (16,)
+    assert stacks[2].reshape(16, -1).any(axis=-1).all() == (modulation is Modulation.QAM16)
+    for f in range(16):
+        assert genie_evm_db(*[s[f:f + 1] for s in stacks], modulation)[0] == stacked[f]
 
 
 def test_aggregate_evm_db_reads_a_generator_once():

@@ -130,13 +130,13 @@ def test_non_finite_config_numbers_exit_1(tmp_path, capsys, text, command):
 def test_overflowing_sigma_leaves_no_nan_summary(tmp_path):
     # A finite sigma this large overflows the phase process to NaN. The run
     # must fail rather than write a summary.json holding NaN, and must not
-    # leave the CSVs of the failed run behind either.
-    cfg = write_cfg(tmp_path, {"channel": {"sigma": 1e308}, "n_frames": 2})
+    # leave the CSVs of the failed run, or their staged parts, behind either.
+    # 20 frames: the CSV rows of a whole chunk are staged before the failure.
+    cfg = write_cfg(tmp_path, {"channel": {"sigma": 1e308}, "n_frames": 20})
     out = tmp_path / "o"
     with np.errstate(all="ignore"):
         assert main(["simulate", "--config", cfg, "--out", str(out)]) != 0
-    assert not (out / "summary.json").exists()
-    assert not list(out.glob("*.csv"))
+    assert not list(out.iterdir())
 
 
 def test_overflowing_sigma_sweep_k_leaves_no_csv(tmp_path, capsys):

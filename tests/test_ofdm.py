@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmwavelink import (Modulation, OfdmConfig, build_frame, build_plan,
+from mmwavelink import (Modulation, OfdmConfig, build_frame, build_frames, build_plan,
                         demodulate_symbol, frame_capacity_bits, map_bits,
                         modulate_symbol, pad_bits, training_bins)
 from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS
@@ -160,6 +160,17 @@ def test_pad_bits():
     np.testing.assert_array_equal(out, [1, 0, 1, 0, 0, 0])
     with pytest.raises(ValueError):
         pad_bits(np.ones(7, dtype=np.uint8), 6)
+
+
+def test_build_frames_pads_short_frames_and_rejects_over_capacity():
+    cfg = default_cfg()
+    symbols, padded = build_frames([[1, 1], np.ones(92, dtype=np.uint8), []],
+                                   Modulation.QPSK, cfg, 1)
+    assert symbols.shape == (3, N_PREAMBLE_SYMBOLS + 1, 80)
+    np.testing.assert_array_equal(padded, [pad_bits([1, 1], 92), np.ones(92), np.zeros(92)])
+    with pytest.raises(ValueError, match="93 bits exceed frame capacity 92"):
+        build_frames([np.ones(92, dtype=np.uint8), np.ones(93, dtype=np.uint8)],
+                     Modulation.QPSK, cfg, 1)
 
 
 def test_build_frame_structure():

@@ -6,13 +6,19 @@ import pytest
 from mmwavelink import (ChannelConfig, ChannelEstimate, Modulation, OfdmConfig,
                         PhaseNoiseConfig, PhaseNoiseModel, apply_channel,
                         build_frame, build_plan, decode_frame, equalize,
-                        estimate_channel_ls, training_bins)
+                        estimate_channel_ls, genie_evm_db, training_bins)
 
 CLEAN_PN = PhaseNoiseConfig(sigma=0.0, model=PhaseNoiseModel.NONE)
 
 
 def default_cfg():
     return OfdmConfig(plan=build_plan(64, 3, 26), cp_len=16, sample_rate_hz=25.0e6)
+
+
+def genie_of(report, bits, modulation=Modulation.QPSK):
+    """The genie EVM of one decoded frame, as a stack of one."""
+    return genie_evm_db(report.points.reshape(1, *report.erased.shape),
+                        np.asarray(bits)[None], report.erased[None], modulation)[0]
 
 
 def signed_to_fft(plan):
@@ -111,11 +117,10 @@ def test_decode_multipath_noiseless_is_exact():
     bits = rng.integers(0, 2, 92 * 4, dtype=np.uint8)
     frame = build_frame(bits, Modulation.QPSK, cfg, 4)
     y, _ = apply_channel(frame.samples(), channel)
-    report = decode_frame(y, cfg, Modulation.QPSK, pnc_enabled=False,
-                          true_bits=bits)
+    report = decode_frame(y, cfg, Modulation.QPSK, pnc_enabled=False)
     np.testing.assert_array_equal(report.bits, bits)
     assert report.evm_db <= -40.0
-    assert report.evm_db_genie <= -40.0
+    assert genie_of(report, bits) <= -40.0
 
 
 def test_decode_constant_rotation_absorbed_by_ls():
@@ -151,9 +156,10 @@ def test_decode_genie_evm_tracks_true_bits():
     rng = np.random.default_rng(14)
     bits = rng.integers(0, 2, 92 * 2, dtype=np.uint8)
     frame = build_frame(bits, Modulation.QPSK, cfg, 2)
-    report = decode_frame(frame.samples(), cfg, Modulation.QPSK, true_bits=bits)
-    assert report.evm_db_genie == -120.0
-    assert decode_frame(frame.samples(), cfg, Modulation.QPSK).evm_db_genie is None
+    report = decode_frame(frame.samples(), cfg, Modulation.QPSK)
+    assert genie_of(report, bits) == -120.0
+    # Against other bits the points are off by whole constellation steps.
+    assert genie_of(report, 1 - bits) > -5.0
 
 
 def test_decode_frame_validation():
