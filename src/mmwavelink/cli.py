@@ -21,8 +21,8 @@ from .link import (CHUNK_FRAMES, aggregate_evm_db, frame_bits_rng, frame_channel
                    run_frame, run_seeded_frames)
 from .linklayer import stream_bytes
 from .metrics import (append_series_csv, gaussian_fit, extract_tone_phase, phase_pdf,
-                      psd_welch, wrap_phase, write_csv_header, write_phase_pdf_csv,
-                      write_psd_csv, write_series_csv)
+                      psd_welch, std_in_place, wrap_phase, write_csv_header,
+                      write_phase_pdf_csv, write_psd_csv, write_series_csv)
 from .modulation import Modulation, evm_db_from_powers
 from .ofdm import OfdmConfig, build_plan, frame_capacity_bits
 from .receiver import genie_evm_db
@@ -231,8 +231,9 @@ def cmd_simulate(args) -> int:
     n_sym = cfg["n_payload_symbols"]
     capacity = frame_capacity_bits(ofdm_cfg, modulation, n_sym)
     # A run keeps per-frame scalars and each frame's residual phase over its
-    # payload bodies, whose exact std goes into summary.json; a chunk's
-    # reports, points and traces are dropped once its rows are written.
+    # payload bodies, whose exact std goes into summary.json (taken in the
+    # array's own buffer); a chunk's reports, points and traces are dropped
+    # once its rows are written.
     evm, pilot_std, genie = np.empty(n_frames), np.empty(n_frames), np.empty(n_frames)
     powers = np.empty((n_frames, 2))   # each frame's error and reference power
     residual = np.empty((n_frames, n_sym * ofdm_cfg.plan.n_fft))
@@ -278,7 +279,7 @@ def cmd_simulate(args) -> int:
                                          sum(powers[:, 1].tolist())),
             "evm_db_genie_mean": float(genie.mean()) if n_frames else None,
             "residual_phase_std": float(pilot_std.mean()) if n_frames else None,
-            "residual_phase_std_true": float(residual.std()) if n_frames else None,
+            "residual_phase_std_true": std_in_place(residual) if n_frames else None,
             "n_erased": n_erased,
         }
         # Serialized before the CSVs are put in place: a result that is not

@@ -84,6 +84,14 @@ def gaussian_fit(samples) -> GaussianFit:
     )
 
 
+def std_in_place(x: np.ndarray) -> float:
+    """np.std(x), bit for bit, computed in x's own buffer, which it
+    overwrites: numpy's two passes, the mean and then the mean square about
+    it, without the full-size temporary np.std holds."""
+    x -= x.mean()
+    return float(np.sqrt(np.square(x, out=x).sum() / x.size))
+
+
 # Welch segments transformed per FFT call in psd_welch.
 WELCH_BLOCK_SEGMENTS = 64
 

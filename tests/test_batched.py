@@ -22,7 +22,7 @@ from mmwavelink.channel import (PN_CORNER_RATIO, PN_FILTER_ORDER, SAMPLE_BLOCK,
                                 phase_noise_rows, sample_blocks, single_tone_probe)
 from mmwavelink.link import aggregate_evm_db, run_seeded_frames
 from mmwavelink.metrics import (append_series_csv, extract_tone_phase, psd_welch,
-                                write_csv_header, write_series_csv)
+                                std_in_place, write_csv_header, write_series_csv)
 from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS
 
 FS = 25.0e6
@@ -559,6 +559,18 @@ def test_stacked_genie_equals_per_frame_genie(modulation, channel, pnc_enabled):
     assert stacks[2].reshape(16, -1).any(axis=-1).all() == (modulation is Modulation.QAM16)
     for f in range(16):
         assert genie_evm_db(*[s[f:f + 1] for s in stacks], modulation)[0] == stacked[f]
+
+
+@FAST
+@given(shape=st.sampled_from([(1, 1), (3, 768), (37, 384), (400, 768), (5000,)]),
+       scale=st.sampled_from([1e-3, 1.0, 3.0]), offset=st.sampled_from([0.0, 0.4, -2.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_std_in_place_equals_np_std(shape, scale, offset, seed):
+    # simulate takes the residual phase std of a whole run in the array's own
+    # buffer; summary.json must keep np.std's exact value.
+    x = offset + scale * np.random.default_rng(seed).standard_normal(shape)
+    expected = float(np.std(x))
+    assert std_in_place(x) == expected
 
 
 def test_aggregate_evm_db_reads_a_generator_once():
