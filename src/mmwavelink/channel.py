@@ -172,9 +172,16 @@ class ChannelConfig:
         if taps.ndim != 1 or taps.size == 0:
             raise ValueError("taps must be a non-empty 1-D sequence")
         energy = np.sum(np.abs(taps) ** 2)
-        if energy == 0:
-            raise ValueError("taps must carry energy")
+        # An energy that overflows would normalize the taps to zeros.
+        if not 0 < energy < math.inf:
+            raise ValueError(f"taps must carry finite, nonzero energy, got {energy}")
         object.__setattr__(self, "taps", tuple(taps / np.sqrt(energy)))
+        try:   # the noise power _channel_rows scales by
+            noise_power = 10.0 ** (-self.snr_db / 10.0)
+        except OverflowError:
+            noise_power = math.inf
+        if not math.isfinite(noise_power):
+            raise ValueError(f"snr_db={self.snr_db} gives a noise power that is not finite")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
         _check_phase_noise(self.phase_noise, self.sample_rate_hz)

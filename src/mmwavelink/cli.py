@@ -1,17 +1,20 @@
 """Experiment runner: simulate | measure-pn | sweep-k | stream.
 
-Configuration is a single JSON document validated on load; unknown keys are
-rejected. Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Configuration is a single JSON document, checked on load against
+CONFIG_TABLE whatever the subcommand; unknown keys are rejected. Exit codes:
+0 success, 1 configuration error, 2 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,47 +35,63 @@ class ConfigError(Exception):
     pass
 
 
-DEFAULT_CONFIG = {
-    "phy": {
-        "n_fft": 64,
-        "cp_len": 16,
-        "sample_rate_hz": 25.0e6,
-        "k_guard": 3,
-        "used_band": 26,
-    },
-    "channel": {
-        "taps": [1.0],
-        "snr_db": 35.0,
-        "cfo_hz": 0.0,
-        "sigma": 0.26,
-        "bandwidth_hz": 1.0e6,
-        "phase_noise_model": "filtered_gaussian",
-    },
-    "modulation": "qpsk",
-    "n_frames": 200,
-    "n_payload_symbols": 12,
-    "pnc_enabled": True,
-    "seed": 0,
-    "probe": {
-        "tone_hz": None,
-        "n_samples": 1_000_000,
-    },
-}
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _merge_config(defaults: dict, user: dict, path: str = "") -> dict:
-    merged = copy.deepcopy(defaults)
-    for key, value in user.items():
-        where = f"{path}.{key}" if path else key
-        if key not in defaults:
-            raise ConfigError(f"unknown config key: {where}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where} must be an object")
-            merged[key] = _merge_config(defaults[key], value, where)
-        else:
-            merged[key] = value
-    return merged
+def _is_tap(value) -> bool:
+    return _is_number(value) or (isinstance(value, list) and len(value) == 2
+                                 and all(map(_is_number, value)))
+
+
+def _one_of(enum) -> tuple:
+    names = [member.value for member in enum]
+    return (lambda value: value in names), f"one of {names}"
+
+
+# A kind is (test, description).
+INT = (lambda v: isinstance(v, int) and not isinstance(v, bool)), "an integer"
+NUMBER = _is_number, "a number"
+NUMBER_OR_NULL = (lambda v: v is None or _is_number(v)), "a number or null"
+BOOL = (lambda v: isinstance(v, bool)), "a boolean"
+TAPS = ((lambda v: isinstance(v, list) and v != [] and all(map(_is_tap, v))),
+        "a non-empty array of numbers or [re, im] pairs")
+
+# Every config key: (dotted path, kind, default, minimum). Ranges that
+# build_plan, OfdmConfig, ChannelConfig and _check_tone enforce are not
+# repeated here; load_config turns their ValueError into a ConfigError.
+CONFIG_TABLE = (
+    ("phy.n_fft", INT, 64, None),
+    ("phy.cp_len", INT, 16, None),
+    ("phy.sample_rate_hz", NUMBER, 25.0e6, None),
+    ("phy.k_guard", INT, 3, None),
+    ("phy.used_band", INT, 26, None),
+    ("channel.taps", TAPS, [1.0], None),
+    ("channel.snr_db", NUMBER_OR_NULL, 35.0, None),       # null: no noise
+    ("channel.cfo_hz", NUMBER, 0.0, None),
+    ("channel.sigma", NUMBER, 0.26, None),
+    ("channel.bandwidth_hz", NUMBER, 1.0e6, None),
+    ("channel.phase_noise_model", _one_of(PhaseNoiseModel), "filtered_gaussian", None),
+    ("modulation", _one_of(Modulation), "qpsk", None),
+    ("n_frames", INT, 200, 0),
+    ("n_payload_symbols", INT, 12, 1),
+    ("pnc_enabled", BOOL, True, None),
+    ("seed", INT, 0, 0),
+    ("probe.tone_hz", NUMBER_OR_NULL, None, None),        # null: fs / 8
+    ("probe.n_samples", INT, 1_000_000, 4096),            # for the PSD estimate
+)
+DEFAULTS = {path: default for path, _, default, _ in CONFIG_TABLE}
+SECTIONS = {path.partition(".")[0] for path in DEFAULTS if "." in path}
+
+
+class Config(NamedTuple):
+    """A checked config: every value by dotted path, defaults resolved, and
+    the objects a run is built from."""
+    values: dict
+    ofdm: OfdmConfig
+    channel: ChannelConfig
+    modulation: Modulation
+    tone_hz: float
 
 
 def _finite(parse):
@@ -88,121 +107,77 @@ def _finite(parse):
     return hook
 
 
-def load_config(path, seed_override=None) -> dict:
-    """Merged config; numbers must be finite and the seed a non-negative integer."""
-    if path is None:
-        user = {}
-    else:
-        try:
-            with open(path) as fh:
-                user = json.load(fh, parse_float=_finite(float), parse_int=_finite(int),
-                                 parse_constant=_finite(float))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}")
-        if not isinstance(user, dict):
-            raise ConfigError("config root must be a JSON object")
-    cfg = _merge_config(DEFAULT_CONFIG, user)
-    if seed_override is not None:
-        cfg["seed"] = seed_override
-    seed = cfg["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    return cfg
-
-
-def _require_number(cfg: dict, section: str, key: str, integer: bool = False):
-    value = cfg[section][key] if section else cfg[key]
-    where = f"{section}.{key}" if section else key
-    kinds = (int,) if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}")
-    return value
-
-
-def build_ofdm_config(cfg: dict) -> OfdmConfig:
-    phy = cfg["phy"]
-    for key in ("n_fft", "cp_len", "k_guard", "used_band"):
-        _require_number(cfg, "phy", key, integer=True)
-    _require_number(cfg, "phy", "sample_rate_hz")
+def _read_document(path) -> dict:
     try:
-        plan = build_plan(phy["n_fft"], phy["k_guard"], phy["used_band"])
-        return OfdmConfig(plan=plan, cp_len=phy["cp_len"],
-                          sample_rate_hz=float(phy["sample_rate_hz"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        with open(path) as fh:
+            doc = json.load(fh, parse_float=_finite(float), parse_int=_finite(int),
+                            parse_constant=_finite(float))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError("config root must be a JSON object")
+    return doc
 
 
-def _parse_taps(raw) -> tuple:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("channel.taps must be a non-empty array")
-    taps = []
-    for item in raw:
-        if isinstance(item, (int, float)) and not isinstance(item, bool):
-            taps.append(complex(item))
-        elif (isinstance(item, list) and len(item) == 2
-              and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in item)):
-            taps.append(complex(item[0], item[1]))
+def _document_values(doc: dict, prefix: str = "") -> dict:
+    """The document's values by dotted path."""
+    values = {}
+    for key, value in doc.items():
+        path = prefix + key
+        if "." in key or (path not in DEFAULTS and path not in SECTIONS):
+            raise ConfigError(f"unknown config key: {path}")
+        if path not in SECTIONS:
+            values[path] = value
+        elif isinstance(value, dict):
+            values.update(_document_values(value, path + "."))
         else:
-            raise ConfigError("channel.taps entries must be numbers or [re, im] pairs")
-    return tuple(taps)
+            raise ConfigError(f"{path} must be an object")
+    return values
 
 
-def build_channel_config(cfg: dict, seed: int) -> ChannelConfig:
-    ch = cfg["channel"]
-    snr = ch["snr_db"]
-    if snr is None:
-        snr = math.inf
-    elif isinstance(snr, bool) or not isinstance(snr, (int, float)):
-        raise ConfigError("channel.snr_db must be a number or null")
-    _require_number(cfg, "channel", "sigma")
-    _require_number(cfg, "channel", "bandwidth_hz")
-    _require_number(cfg, "channel", "cfo_hz")
+def load_config(args) -> Config:
+    """Check the document at args.config, with args.seed (text) in place of
+    its seed, against CONFIG_TABLE, and build what args.command runs on."""
+    v = {**DEFAULTS, **_document_values({} if args.config is None
+                                        else _read_document(args.config))}
+    if args.seed is not None:
+        try:
+            v["seed"] = int(args.seed)
+        except ValueError:   # left as text for the seed row to reject
+            v["seed"] = args.seed
+    for path, (test, expected), _, minimum in CONFIG_TABLE:
+        value = v[path]
+        if minimum is not None:
+            expected = "a non-negative integer" if minimum == 0 else f"{expected} >= {minimum}"
+        if not test(value) or (minimum is not None and value < minimum):
+            raise ConfigError(f"{path} must be {expected}, got {value!r}")
     try:
-        model = PhaseNoiseModel(ch["phase_noise_model"])
-    except ValueError:
-        raise ConfigError(
-            f"channel.phase_noise_model must be one of "
-            f"{[m.value for m in PhaseNoiseModel]}"
-        )
-    try:
-        pn = PhaseNoiseConfig(sigma=float(ch["sigma"]),
-                              bandwidth_hz=float(ch["bandwidth_hz"]), model=model)
-        return ChannelConfig(taps=_parse_taps(ch["taps"]), snr_db=float(snr),
-                             phase_noise=pn, cfo_hz=float(ch["cfo_hz"]), seed=seed,
-                             sample_rate_hz=float(cfg["phy"]["sample_rate_hz"]))
+        ofdm = OfdmConfig(plan=build_plan(v["phy.n_fft"], v["phy.k_guard"], v["phy.used_band"]),
+                          cp_len=v["phy.cp_len"], sample_rate_hz=float(v["phy.sample_rate_hz"]))
+        fs = ofdm.sample_rate_hz
+        phase_noise = PhaseNoiseConfig(sigma=float(v["channel.sigma"]),
+                                       bandwidth_hz=float(v["channel.bandwidth_hz"]),
+                                       model=PhaseNoiseModel(v["channel.phase_noise_model"]))
+        snr_db = v["channel.snr_db"]
+        channel = ChannelConfig(
+            taps=tuple(complex(*t) if isinstance(t, list) else complex(t)
+                       for t in v["channel.taps"]),
+            snr_db=math.inf if snr_db is None else float(snr_db), phase_noise=phase_noise,
+            cfo_hz=float(v["channel.cfo_hz"]), seed=v["seed"], sample_rate_hz=fs)
+        tone_hz = fs / 8.0 if v["probe.tone_hz"] is None else float(v["probe.tone_hz"])
+        _check_tone(tone_hz, fs)
     except ValueError as exc:
         raise ConfigError(str(exc))
-
-
-def build_modulation(cfg: dict) -> Modulation:
-    try:
-        return Modulation(cfg["modulation"])
-    except ValueError:
-        raise ConfigError(
-            f"modulation must be one of {[m.value for m in Modulation]}"
-        )
-
-
-def _validate_run_params(cfg: dict, ofdm_cfg: OfdmConfig) -> None:
-    n_frames = _require_number(cfg, "", "n_frames", integer=True)
-    n_sym = _require_number(cfg, "", "n_payload_symbols", integer=True)
-    if n_frames < 0:
-        raise ConfigError("n_frames must be >= 0")
-    if n_sym < 1:
-        raise ConfigError("n_payload_symbols must be >= 1")
-    if not isinstance(cfg["pnc_enabled"], bool):
-        raise ConfigError("pnc_enabled must be a boolean")
-    taps = cfg["channel"]["taps"]
+    if args.command == "sweep-k" and v["n_frames"] < 1:
+        raise ConfigError("sweep-k needs n_frames >= 1 for a mean EVM")
     # L taps spread a symbol over L - 1 extra samples, which the CP absorbs
     # while L - 1 <= cp_len.
-    if isinstance(taps, list) and len(taps) - 1 > ofdm_cfg.cp_len:
-        import warnings
-        warnings.warn(
-            f"channel has {len(taps)} taps but cp_len={ofdm_cfg.cp_len}; "
-            "inter-symbol interference will not be absorbed"
-        )
+    if args.command != "measure-pn" and len(channel.taps) - 1 > ofdm.cp_len:
+        warnings.warn(f"channel has {len(channel.taps)} taps but cp_len={ofdm.cp_len}; "
+                      "inter-symbol interference will not be absorbed")
+    return Config(v, ofdm, channel, Modulation(v["modulation"]), tone_hz)
 
 
 def _out_dir(args) -> Path:
@@ -219,16 +194,10 @@ def _json_text(name: str, obj) -> str:
         raise ValueError(f"{name} not written: {exc}") from None
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    ofdm_cfg = build_ofdm_config(cfg)
-    modulation = build_modulation(cfg)
-    _validate_run_params(cfg, ofdm_cfg)
-    channel_cfg = build_channel_config(cfg, seed=cfg["seed"])
+def cmd_simulate(args, cfg: Config) -> int:
     out = _out_dir(args)
-
-    n_frames = cfg["n_frames"]
-    n_sym = cfg["n_payload_symbols"]
+    v, ofdm_cfg, modulation = cfg.values, cfg.ofdm, cfg.modulation
+    n_frames, n_sym, seed = v["n_frames"], v["n_payload_symbols"], v["seed"]
     capacity = frame_capacity_bits(ofdm_cfg, modulation, n_sym)
     # A run keeps per-frame scalars and each frame's residual phase over its
     # payload bodies, whose exact std goes into summary.json (taken in the
@@ -249,9 +218,9 @@ def cmd_simulate(args) -> int:
                 # One run_frame call per frame: the benchmark's run_s clock
                 # starts at the first one (bench/child.py).
                 results = [run_frame(
-                    frame_bits_rng(cfg["seed"], i).integers(0, 2, capacity, dtype=np.uint8),
-                    modulation, ofdm_cfg, frame_channel_cfg(channel_cfg, cfg["seed"], i),
-                    cfg["pnc_enabled"], n_sym) for i in range(rows.start, rows.stop)]
+                    frame_bits_rng(seed, i).integers(0, 2, capacity, dtype=np.uint8),
+                    modulation, ofdm_cfg, frame_channel_cfg(cfg.channel, seed, i),
+                    v["pnc_enabled"], n_sym) for i in range(rows.start, rows.stop)]
                 reports = [r.report for r in results]
                 evm[rows] = [r.evm_db for r in reports]
                 pilot_std[rows] = [r.residual_phase_std for r in reports]
@@ -271,8 +240,8 @@ def cmd_simulate(args) -> int:
             "n_frames": n_frames,
             "n_payload_symbols": n_sym,
             "modulation": modulation.value,
-            "pnc_enabled": cfg["pnc_enabled"],
-            "seed": cfg["seed"],
+            "pnc_enabled": v["pnc_enabled"],
+            "seed": seed,
             "k_guard": ofdm_cfg.plan.k_guard,
             # Left-to-right power sums over the frames, as aggregate_evm_db's.
             "evm_db": evm_db_from_powers(sum(powers[:, 0].tolist()),
@@ -296,31 +265,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_measure_pn(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    ofdm_cfg = build_ofdm_config(cfg)
-    channel_cfg = build_channel_config(cfg, seed=cfg["seed"])
-    tone = cfg["probe"]["tone_hz"]
-    if tone is None:
-        tone = cfg["phy"]["sample_rate_hz"] / 8.0
-    elif isinstance(tone, bool) or not isinstance(tone, (int, float)):
-        raise ConfigError("probe.tone_hz must be a number or null")
-    try:
-        _check_tone(tone, channel_cfg.sample_rate_hz)
-    except ValueError as exc:
-        raise ConfigError(f"probe.tone_hz: {exc}")
-    n_samples = _require_number(cfg, "probe", "n_samples", integer=True)
-    if n_samples < 4096:
-        raise ConfigError("probe.n_samples must be >= 4096 for the PSD estimate")
+def cmd_measure_pn(args, cfg: Config) -> int:
     out = _out_dir(args)
-
+    n_samples, fs = cfg.values["probe.n_samples"], cfg.channel.sample_rate_hz
     # Only the received buffer is kept, and only until its phase is taken.
-    y = single_tone_probe(float(tone), n_samples, channel_cfg)[0]
-    phase = extract_tone_phase(y, float(tone), channel_cfg.sample_rate_hz)
+    y = single_tone_probe(cfg.tone_hz, n_samples, cfg.channel)[0]
+    phase = extract_tone_phase(y, cfg.tone_hz, fs)
     del y
     fit = gaussian_fit(phase)
     centers, density = phase_pdf(phase)
-    psd = psd_welch(phase, channel_cfg.sample_rate_hz)
+    psd = psd_welch(phase, fs)
 
     fit_text = _json_text("pn_fit.json", {
         "mean": fit.mean, "std": fit.std, "sample_count": fit.sample_count,
@@ -332,34 +286,26 @@ def cmd_measure_pn(args) -> int:
     return 0
 
 
-def cmd_sweep_k(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    modulation = build_modulation(cfg)
-    base_ofdm = build_ofdm_config(cfg)
-    _validate_run_params(cfg, base_ofdm)
-    if cfg["n_frames"] < 1:
-        raise ConfigError("sweep-k needs n_frames >= 1 for a mean EVM")
-    channel_cfg = build_channel_config(cfg, seed=cfg["seed"])
+def cmd_sweep_k(args, cfg: Config) -> int:
+    v = cfg.values
     try:
-        k_values = [int(v) for v in args.k_list.split(",") if v.strip() != ""]
+        k_values = [int(k) for k in args.k_list.split(",") if k.strip() != ""]
     except ValueError:
         raise ConfigError(f"bad --k-list {args.k_list!r}: must be comma-separated integers")
     if not k_values:
         raise ConfigError("--k-list is empty")
+    try:
+        ofdm_cfgs = [replace(cfg.ofdm, plan=build_plan(v["phy.n_fft"], k, v["phy.used_band"]))
+                     for k in k_values]
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     out = _out_dir(args)
 
-    phy = cfg["phy"]
     results = []
-    for k in k_values:
-        try:
-            plan = build_plan(phy["n_fft"], k, phy["used_band"])
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        ofdm_cfg = OfdmConfig(plan=plan, cp_len=phy["cp_len"],
-                              sample_rate_hz=float(phy["sample_rate_hz"]))
+    for k, ofdm_cfg in zip(k_values, ofdm_cfgs):
         reports = (r.report for r in run_seeded_frames(
-            modulation, ofdm_cfg, channel_cfg, cfg["pnc_enabled"],
-            cfg["n_payload_symbols"], cfg["seed"], cfg["n_frames"]))
+            cfg.modulation, ofdm_cfg, cfg.channel, v["pnc_enabled"],
+            v["n_payload_symbols"], v["seed"], v["n_frames"]))
         results.append((k, aggregate_evm_db(reports)))
         print(f"sweep-k: K={k} mean_evm_db={results[-1][1]}")
 
@@ -373,12 +319,7 @@ def cmd_sweep_k(args) -> int:
     return 0
 
 
-def cmd_stream(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    ofdm_cfg = build_ofdm_config(cfg)
-    modulation = build_modulation(cfg)
-    _validate_run_params(cfg, ofdm_cfg)
-    channel_cfg = build_channel_config(cfg, seed=cfg["seed"])
+def cmd_stream(args, cfg: Config) -> int:
     out = _out_dir(args)
 
     if args.input == "-":
@@ -386,11 +327,10 @@ def cmd_stream(args) -> int:
     else:
         data = Path(args.input).read_bytes()
 
+    v = cfg.values
     recovered, report = stream_bytes(
-        data, ofdm_cfg, channel_cfg, modulation,
-        pnc_enabled=cfg["pnc_enabled"], seed=cfg["seed"],
-        n_payload_symbols=cfg["n_payload_symbols"],
-    )
+        data, cfg.ofdm, cfg.channel, cfg.modulation, pnc_enabled=v["pnc_enabled"],
+        seed=v["seed"], n_payload_symbols=v["n_payload_symbols"])
     # Serialized first: a report that is not finite fails here, before the
     # recovered bytes are written.
     report_text = _json_text("stream_report.json", {
@@ -413,7 +353,7 @@ def cmd_stream(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", default=None,
                         help="JSON config (defaults used when omitted)")
-    parser.add_argument("--seed", type=int, default=None, metavar="U64",
+    parser.add_argument("--seed", default=None, metavar="U64",
                         help="override the config seed")
     parser.add_argument("--out", metavar="DIR", default="out",
                         help="output directory (default: ./out)")
@@ -453,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -91,6 +91,16 @@ def test_channel_config_validation():
         ChannelConfig(taps=(0.0,))
     with pytest.raises(ValueError):
         ChannelConfig(sample_rate_hz=0.0)
+    # Tap energy that overflows a float would normalize the taps to zeros.
+    for taps in ((1e200, 1e200), (1e308 + 1e308j,)):
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            ChannelConfig(taps=taps)
+    # The noise power 10**(-snr_db/10) must be a finite float; inf disables noise.
+    for snr_db in (-1e308, -3100.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="noise power"):
+            ChannelConfig(snr_db=snr_db)
+    ChannelConfig(snr_db=math.inf)
+    ChannelConfig(snr_db=-3000.0)
     # Phase-noise ranges are checked against the channel's own sample rate.
     for pn, fs in ((PhaseNoiseConfig(sigma=-0.1), FS), (PhaseNoiseConfig(bandwidth_hz=0.0), FS),
                    (PhaseNoiseConfig(bandwidth_hz=5e6), 10e6)):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import mmwavelink
-from mmwavelink.cli import main
+from mmwavelink.cli import CONFIG_TABLE, DEFAULTS, main
 
 CLEAN = {
     "channel": {"snr_db": None, "sigma": 0.0, "phase_noise_model": "none"},
@@ -93,7 +94,20 @@ def test_malformed_json_rejected(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
-@pytest.mark.parametrize("patch", [
+COMMANDS = ["simulate", "measure-pn", "sweep-k", "stream"]
+
+
+def command_argv(tmp_path, command, cfg, out):
+    """argv of `command` on config file `cfg`; stream reads a small input file."""
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "stream":
+        src = tmp_path / "input.bin"
+        src.write_bytes(b"payload")
+        argv += ["--input", str(src)]
+    return argv
+
+
+INVALID_VALUES = [
     {"modulation": "8psk"},
     {"phy": {"n_fft": 60}},
     {"phy": {"k_guard": 26}},
@@ -102,10 +116,29 @@ def test_malformed_json_rejected(tmp_path):
     {"n_frames": -1},
     {"n_payload_symbols": 0},
     {"pnc_enabled": 1},
-])
-def test_invalid_config_values_exit_1(tmp_path, patch):
-    cfg = write_cfg(tmp_path, patch)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    {"n_frames": -5, "pnc_enabled": "yes"},
+    {"probe": {"n_samples": 1024}},
+    {"probe": {"tone_hz": 2e7}},
+    {"phy": 64},
+    {"phy.n_fft": 64},
+    {"channel": {"taps": []}},
+    {"channel": {"taps": [1.0, [0.5]]}},
+    # Finite in the JSON, but the tap energy or the noise power is not.
+    {"channel": {"taps": [1e200, 1e200]}},
+    {"channel": {"snr_db": -1e308}},
+]
+
+
+# Every subcommand checks every key, including those it never reads. The
+# simulate cases are named patch0, patch1, ... so that their ids stay stable.
+@pytest.mark.parametrize("command, patch", [
+    pytest.param(command, patch, id=f"{command}-patch{i}".removeprefix("simulate-"))
+    for command in COMMANDS for i, patch in enumerate(INVALID_VALUES)])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the tap energy
+def test_invalid_config_values_exit_1(tmp_path, command, patch):
+    out = tmp_path / "o"
+    assert main(command_argv(tmp_path, command, write_cfg(tmp_path, patch), out)) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -177,6 +210,22 @@ def test_invalid_phase_noise_is_config_error(tmp_path, capsys, channel, command)
     assert not out.exists()
 
 
+def test_readme_example_config_is_the_table_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Example config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+
+    def flatten(doc, prefix=""):
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                yield from flatten(value, f"{prefix}{key}.")
+            else:
+                yield prefix + key, value
+
+    assert dict(flatten(json.loads(block))) == DEFAULTS
+    # The key table lists every row, in the table's order.
+    assert re.findall(r"^\| `([\w.]+)` \|", readme, re.M) == [row[0] for row in CONFIG_TABLE]
+
+
 def test_json_artifacts_are_strict(tmp_path):
     out = tmp_path / "o"
     assert main(["simulate", "--config", write_cfg(tmp_path, CLEAN), "--out", str(out)]) == 0
@@ -189,12 +238,15 @@ def test_json_artifacts_are_strict(tmp_path):
 
 def test_negative_seed_is_config_error(tmp_path, capsys):
     out = tmp_path / "o"
-    assert main(["simulate", "--seed", "-1", "--out", str(out)]) == 1
+    # --seed text goes through the config's seed row: text that is not an
+    # integer is a config error (exit 1), not an argparse usage error (exit 2).
+    for seed in ("-1", "abc", "1.5"):
+        assert main(["simulate", "--seed", seed, "--out", str(out)]) == 1
     cfg = write_cfg(tmp_path, {"seed": -1, "n_frames": 1})
     for command in ("simulate", "measure-pn", "sweep-k"):
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.count("config error: seed must be a non-negative integer") == 4
+    assert err.count("config error: seed must be a non-negative integer") == 6
     assert "expected non-negative integer" not in err
     assert not out.exists()
 
