@@ -30,7 +30,6 @@ class FrameResult:
     report: DecodeReport
     tx_bits: np.ndarray
     n_channel_uses: int
-    theta_true: np.ndarray      # ground truth over the whole frame buffer
     theta_true_bodies: np.ndarray  # ground truth aligned with theta_est
     # () -> the phase estimate over the payload symbol bodies: the PNC track,
     # or with PNC off the estimator run on the received frame as an oracle,
@@ -57,7 +56,7 @@ def _run_stack(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
                             .per_sample_phase if phase is None else phase)
     bodies = _payload_bodies(theta, ofdm_cfg)
     return [FrameResult(report=report, tx_bits=padded[f], n_channel_uses=y.shape[1],
-                        theta_true=theta[f], theta_true_bodies=bodies[f].ravel(),
+                        theta_true_bodies=bodies[f].ravel(),
                         _theta_est=lambda f=f: track()[f].ravel())
             for f, report in enumerate(reports)]
 

@@ -27,12 +27,6 @@ class PsdEstimate:
     segment_overlap: float
 
 
-@dataclass(frozen=True)
-class PhaseTrackingReport:
-    rmse: float
-    residual_std: float
-
-
 def wrap_phase(x) -> np.ndarray:
     """Wrap angles to (-pi, pi]."""
     x = np.asarray(x, dtype=float)
@@ -150,19 +144,6 @@ def phase_pdf(samples, n_bins: int = 101):
     density, edges = np.histogram(samples, bins=n_bins, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, density
-
-
-def phase_tracking_report(theta_true, theta_est) -> PhaseTrackingReport:
-    """Wrapped-error statistics between a true and an estimated phase track."""
-    theta_true = np.asarray(theta_true, dtype=float).ravel()
-    theta_est = np.asarray(theta_est, dtype=float).ravel()
-    if theta_true.size == 0 or theta_true.size != theta_est.size:
-        raise ValueError("trajectories must be non-empty and equal length")
-    d = wrap_phase(theta_true - theta_est)
-    return PhaseTrackingReport(
-        rmse=float(np.sqrt(np.mean(d ** 2))),
-        residual_std=float(d.std()),
-    )
 
 
 # Rows formatted per write in append_series_csv; bounds the text held in memory.

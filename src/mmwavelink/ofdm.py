@@ -102,17 +102,12 @@ def modulate_symbol(freq_bins, cfg: OfdmConfig) -> np.ndarray:
     return np.concatenate([body[..., n - cfg.cp_len:], body], axis=-1)
 
 
-def demodulate_symbol(samples, cfg: OfdmConfig) -> np.ndarray:
-    """Strip the cyclic prefix and return the unitary FFT of the body."""
-    samples = np.asarray(samples, dtype=complex)
-    if samples.shape != (cfg.symbol_len,):
-        raise ValueError(f"expected {cfg.symbol_len} samples, got shape {samples.shape}")
-    return np.fft.fft(samples[cfg.cp_len:], norm="ortho")
-
-
 @functools.lru_cache(maxsize=64)
-def _training_spectrum(cfg: OfdmConfig) -> np.ndarray:
-    """Read-only training spectrum, computed once per config."""
+def training_bins(cfg: OfdmConfig) -> np.ndarray:
+    """Known preamble spectrum: unit-magnitude pseudo-random tones on the
+    payload bins, the pilot at its nominal value, guards and edges null.
+
+    Computed once per config; the cached array is read-only."""
     plan = cfg.plan
     rng = np.random.default_rng(_TRAINING_SEED)
     phases = rng.uniform(0.0, 2.0 * np.pi, len(plan.payload_indices))
@@ -121,27 +116,6 @@ def _training_spectrum(cfg: OfdmConfig) -> np.ndarray:
     bins[plan.pilot_index] = cfg.pilot_value
     bins.setflags(write=False)
     return bins
-
-
-def training_bins(cfg: OfdmConfig) -> np.ndarray:
-    """Known preamble spectrum: unit-magnitude pseudo-random tones on the
-    payload bins, the pilot at its nominal value, guards and edges null.
-
-    Returns a fresh copy of the per-config cached spectrum."""
-    return _training_spectrum(cfg).copy()
-
-
-@dataclass
-class Frame:
-    """One PHY burst: repeated training symbols followed by payload symbols."""
-
-    preamble_symbols: list
-    payload_symbols: list
-    payload_bits: np.ndarray
-    modulation: Modulation
-
-    def samples(self) -> np.ndarray:
-        return np.concatenate(self.preamble_symbols + self.payload_symbols)
 
 
 def frame_capacity_bits(cfg: OfdmConfig, modulation: Modulation, n_payload_symbols: int) -> int:
@@ -158,11 +132,6 @@ def _padded_rows(bits, capacity: int) -> np.ndarray:
             raise ValueError(f"{frame_bits.size} bits exceed frame capacity {capacity}")
         row[:frame_bits.size] = frame_bits
     return padded
-
-
-def pad_bits(bits, capacity: int) -> np.ndarray:
-    """Zero-pad a bit array up to `capacity`; reject overflow."""
-    return _padded_rows([bits], capacity)[0]
 
 
 def build_frames(bits, modulation: Modulation, cfg: OfdmConfig, n_payload_symbols: int):
@@ -184,22 +153,9 @@ def build_frames(bits, modulation: Modulation, cfg: OfdmConfig, n_payload_symbol
         n_frames, n_payload_symbols, len(plan.payload_indices))
 
     bins = np.zeros((n_frames, N_PREAMBLE_SYMBOLS + n_payload_symbols, plan.n_fft), dtype=complex)
-    bins[:, :N_PREAMBLE_SYMBOLS] = _training_spectrum(cfg)
+    bins[:, :N_PREAMBLE_SYMBOLS] = training_bins(cfg)
     payload = bins[:, N_PREAMBLE_SYMBOLS:]
     payload[..., list(plan.payload_indices)] = symbols
     payload[..., plan.pilot_index] = cfg.pilot_value
     return modulate_symbol(bins, cfg), padded
 
-
-def build_frame(bits, modulation: Modulation, cfg: OfdmConfig, n_payload_symbols: int) -> Frame:
-    """Assemble one frame: the single-frame view of build_frames.
-
-    The padded bits are recorded on the frame.
-    """
-    symbols, padded = build_frames([bits], modulation, cfg, n_payload_symbols)
-    return Frame(
-        preamble_symbols=list(symbols[0, :N_PREAMBLE_SYMBOLS]),
-        payload_symbols=list(symbols[0, N_PREAMBLE_SYMBOLS:]),
-        payload_bits=padded[0],
-        modulation=modulation,
-    )

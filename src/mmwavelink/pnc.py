@@ -20,11 +20,10 @@ DEGENERATE_EPS = 1e-9
 
 @dataclass
 class PhaseEstimate:
-    """Per-sample phase in (-pi, pi] plus the raw band-limited estimate,
-    shaped like the input bodies."""
+    """Per-sample phase in (-pi, pi], shaped like the input bodies, and the
+    count of degenerate samples."""
 
     per_sample_phase: np.ndarray
-    raw_complex: np.ndarray
     degenerate_samples: int
 
 
@@ -57,11 +56,7 @@ def estimate_phase(body, cfg: OfdmConfig) -> PhaseEstimate:
         np.maximum.accumulate(last_valid, axis=-1, out=last_valid)
         held = np.take_along_axis(phase, np.maximum(last_valid, 0), axis=-1)
         phase = np.where(last_valid >= 0, held, 0.0)
-    return PhaseEstimate(
-        per_sample_phase=phase,
-        raw_complex=raw,
-        degenerate_samples=int(degenerate.sum()),
-    )
+    return PhaseEstimate(per_sample_phase=phase, degenerate_samples=int(degenerate.sum()))
 
 
 def cancel(samples, estimate: PhaseEstimate) -> np.ndarray:
@@ -78,14 +73,3 @@ def cancel(samples, estimate: PhaseEstimate) -> np.ndarray:
     rotation = np.exp(-1j * estimate.per_sample_phase)
     return samples * rotation
 
-
-def pnc_symbol(samples, cfg: OfdmConfig) -> np.ndarray:
-    """Strip the CP, estimate the phase from pilot+guard bins, counter-rotate.
-
-    Returns the cleaned n_fft-sample body, ready for the demodulation FFT.
-    """
-    samples = np.asarray(samples, dtype=complex)
-    if samples.shape != (cfg.symbol_len,):
-        raise ValueError(f"expected {cfg.symbol_len} samples, got shape {samples.shape}")
-    body = samples[cfg.cp_len:]
-    return cancel(body, estimate_phase(body, cfg))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +35,14 @@ class DecodeReport:
     evm_db: float
     residual_phase_std: float
     per_symbol_evm: list
-    n_erased: int = 0
+    n_erased: int
     # Linear-domain sums behind evm_db, for aggregation across frames.
-    error_power: float = 0.0
-    reference_power: float = 0.0
-    points: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
+    error_power: float
+    reference_power: float
+    points: np.ndarray
     # (n_payload_symbols, n_payload) bins zeroed instead of divided; points
     # is this array's shape, flattened.
-    erased: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=bool))
+    erased: np.ndarray
 
 
 def _signed_indices(plan: SubcarrierPlan) -> np.ndarray:
@@ -161,23 +161,6 @@ def genie_evm_db(points, tx_bits, erased, modulation: Modulation) -> np.ndarray:
     reference = map_bits(np.asarray(tx_bits).reshape(-1), modulation).reshape(points.shape)
     error, reference_power, _ = _power_sums(points, reference, erased)
     return _frame_evm_db(error, reference_power, erased)[0]
-
-
-def decode_frame(samples, cfg: OfdmConfig, modulation: Modulation,
-                 pnc_enabled: bool = True, return_phase: bool = False):
-    """Decode one frame: [2 training symbols | payload symbols].
-
-    The single-frame view of decode_frames. Returns a DecodeReport or, with
-    return_phase, (report, phase) where phase is the PNC per-sample phase
-    estimate over the payload symbol bodies, shaped (n_payload_symbols,
-    n_fft), or None when PNC is off.
-    """
-    samples = np.asarray(samples, dtype=complex)
-    if samples.ndim != 1:
-        raise ValueError("expected one frame buffer")
-    reports, phase = decode_frames(samples[None], cfg, modulation, pnc_enabled)
-    report = reports[0]
-    return (report, None if phase is None else phase[0]) if return_phase else report
 
 
 def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,

@@ -12,7 +12,7 @@ from scipy import signal
 
 from mmwavelink import (ChannelConfig, ChannelEstimate, Modulation, OfdmConfig,
                         PhaseNoiseConfig, PhaseNoiseModel, PhaseNoiseProcess,
-                        apply_channel, build_frame, build_plan, cancel, decode_frame,
+                        apply_channel, build_frames, build_plan, cancel, decode_frames,
                         demap_hard, equalize, estimate_channel_ls, estimate_phase,
                         frame_bits_rng, frame_capacity_bits, frame_channel_cfg,
                         genie_evm_db, map_bits, modulate_symbol, run_frame, run_frames,
@@ -61,8 +61,6 @@ def test_batched_estimate_phase_equals_per_row(seed, k_guard, kinds):
     singles = [estimate_phase(row, cfg) for row in bodies]
     np.testing.assert_array_equal(batched.per_sample_phase,
                                   np.stack([s.per_sample_phase for s in singles]))
-    np.testing.assert_array_equal(batched.raw_complex,
-                                  np.stack([s.raw_complex for s in singles]))
     assert batched.degenerate_samples == sum(s.degenerate_samples for s in singles)
     np.testing.assert_array_equal(cancel(bodies, batched),
                                   np.stack([cancel(r, s) for r, s in zip(bodies, singles)]))
@@ -128,8 +126,8 @@ def test_run_frame_phase_estimate_equals_per_symbol_oracle(pnc_enabled):
     bits = frame_bits_rng(7, 2).integers(0, 2, 46 * 2 * 5, dtype=np.uint8)
     result = run_frame(bits, Modulation.QPSK, cfg, channel, pnc_enabled, 5)
 
-    frame = build_frame(bits, Modulation.QPSK, cfg, 5)
-    y, theta = apply_channel(frame.samples(), channel)
+    symbols, _ = build_frames([bits], Modulation.QPSK, cfg, 5)
+    y, theta = apply_channel(symbols.ravel(), channel)
     est, true = [], []
     for s in range(N_PREAMBLE_SYMBOLS, N_PREAMBLE_SYMBOLS + 5):
         start = s * cfg.symbol_len + cfg.cp_len
@@ -138,10 +136,10 @@ def test_run_frame_phase_estimate_equals_per_symbol_oracle(pnc_enabled):
     np.testing.assert_array_equal(result.theta_est, np.concatenate(est))
     np.testing.assert_array_equal(result.theta_true_bodies, np.concatenate(true))
 
-    report, phase = decode_frame(y, cfg, Modulation.QPSK, pnc_enabled, return_phase=True)
-    np.testing.assert_array_equal(report.bits, result.report.bits)
+    reports, phase = decode_frames(y[None], cfg, Modulation.QPSK, pnc_enabled)
+    np.testing.assert_array_equal(reports[0].bits, result.report.bits)
     if pnc_enabled:
-        np.testing.assert_array_equal(phase, np.stack(est))
+        np.testing.assert_array_equal(phase[0], np.stack(est))
     else:
         assert phase is None
 
@@ -190,15 +188,16 @@ def test_phase_noise_rows_equal_per_process_across_filter_blocks(monkeypatch):
         np.testing.assert_array_equal(phase_noise_rows(config, FS, seeds, 500), expect)
 
 
-def test_training_bins_copy_protects_the_cache():
+def test_training_bins_is_a_read_only_cache():
     cfg = ofdm_cfg()
     first = training_bins(cfg)
-    frame_before = build_frame(np.zeros(92, dtype=np.uint8), Modulation.QPSK, cfg, 1)
-    first[:] = 0.0
-    np.testing.assert_array_equal(training_bins(cfg), training_bins(ofdm_cfg()))
-    assert np.count_nonzero(training_bins(cfg)) == 1 + len(cfg.plan.payload_indices)
-    frame_after = build_frame(np.zeros(92, dtype=np.uint8), Modulation.QPSK, cfg, 1)
-    np.testing.assert_array_equal(frame_after.samples(), frame_before.samples())
+    frame_before, _ = build_frames([np.zeros(92, dtype=np.uint8)], Modulation.QPSK, cfg, 1)
+    with pytest.raises(ValueError):
+        first[:] = 0.0
+    assert training_bins(ofdm_cfg()) is first
+    assert np.count_nonzero(first) == 1 + len(cfg.plan.payload_indices)
+    frame_after, _ = build_frames([np.zeros(92, dtype=np.uint8)], Modulation.QPSK, cfg, 1)
+    np.testing.assert_array_equal(frame_after, frame_before)
 
 
 def csv_writer_reference(path, header, columns):
@@ -274,7 +273,7 @@ def assert_frame_results_equal(batched, single):
     for name in ("evm_db", "error_power", "reference_power",
                  "residual_phase_std", "n_erased", "per_symbol_evm"):
         assert getattr(a, name) == getattr(b, name), name
-    for name in ("tx_bits", "theta_true", "theta_est", "theta_true_bodies"):
+    for name in ("tx_bits", "theta_est", "theta_true_bodies"):
         np.testing.assert_array_equal(getattr(batched, name), getattr(single, name))
     assert batched.n_channel_uses == single.n_channel_uses
 
@@ -360,9 +359,9 @@ def test_per_symbol_evm_matches_masked_means(taps, pn, erasures, pnc_enabled):
     channel = frame_channel_cfg(ChannelConfig(taps=taps, snr_db=math.inf if erasures else 25.0,
                                               phase_noise=pn), 9, 4)
     bits = frame_bits_rng(9, 4).integers(0, 2, 46 * 4 * 5, dtype=np.uint8)
-    frame = build_frame(bits, Modulation.QAM16, cfg, 5)
-    y, _ = apply_channel(frame.samples(), channel)
-    report = decode_frame(y, cfg, Modulation.QAM16, pnc_enabled)
+    symbols, _ = build_frames([bits], Modulation.QAM16, cfg, 5)
+    y, _ = apply_channel(symbols.ravel(), channel)
+    report = decode_frames(y[None], cfg, Modulation.QAM16, pnc_enabled)[0][0]
     expect, n_erased = per_symbol_evm_reference(y, cfg, Modulation.QAM16, pnc_enabled)
     assert report.n_erased == n_erased and (n_erased > 0) == erasures
     np.testing.assert_allclose(report.per_symbol_evm, expect, rtol=0.0, atol=1e-12)

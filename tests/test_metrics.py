@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from mmwavelink import (ChannelConfig, band_power_fraction, extract_tone_phase,
-                        gaussian_fit, phase_pdf, phase_tracking_report, psd_welch,
-                        single_tone_probe, wrap_phase)
+                        gaussian_fit, phase_pdf, psd_welch, single_tone_probe, wrap_phase)
 from mmwavelink.metrics import write_phase_pdf_csv, write_psd_csv, write_series_csv
 
 
@@ -141,29 +140,6 @@ def test_phase_pdf_integrates_to_one():
     assert density.sum() * width == pytest.approx(1.0, rel=1e-9)
     with pytest.raises(ValueError):
         phase_pdf([])
-
-
-def test_phase_tracking_report_constant_bias():
-    true = np.linspace(0.0, 1.0, 100)
-    report = phase_tracking_report(true, true - 0.1)
-    assert report.rmse == pytest.approx(0.1)
-    assert report.residual_std == pytest.approx(0.0, abs=1e-12)
-
-
-def test_phase_tracking_report_wraps_full_turns():
-    rng = np.random.default_rng(26)
-    true = rng.uniform(-0.5, 0.5, 200)
-    est = true + 0.02 * rng.standard_normal(200)
-    a = phase_tracking_report(true, est)
-    b = phase_tracking_report(true + 2.0 * np.pi, est)
-    assert a.rmse == pytest.approx(b.rmse, abs=1e-9)
-
-
-def test_phase_tracking_report_validation():
-    with pytest.raises(ValueError):
-        phase_tracking_report([], [])
-    with pytest.raises(ValueError):
-        phase_tracking_report([0.1, 0.2], [0.1])
 
 
 def test_write_series_csv_round_trip(tmp_path):

@@ -1,15 +1,25 @@
 import numpy as np
 import pytest
 
-from mmwavelink import (Modulation, OfdmConfig, build_frame, build_frames, build_plan,
-                        demodulate_symbol, frame_capacity_bits, map_bits,
-                        modulate_symbol, pad_bits, training_bins)
-from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS
+from mmwavelink import (Modulation, OfdmConfig, build_frames, build_plan,
+                        frame_capacity_bits, map_bits, modulate_symbol, training_bins)
+from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS, _padded_rows
 
 
 def default_cfg(k_guard=3):
     return OfdmConfig(plan=build_plan(64, k_guard, 26), cp_len=16,
                       sample_rate_hz=25.0e6)
+
+
+def build_one(bits, modulation, cfg, n_payload_symbols):
+    """One frame as a stack of one: its (symbols, symbol_len) and padded bits."""
+    symbols, padded = build_frames([bits], modulation, cfg, n_payload_symbols)
+    return symbols[0], padded[0]
+
+
+def demodulate(samples, cfg):
+    """The receiver's transform of one symbol: drop the CP, unitary FFT."""
+    return np.fft.fft(samples[cfg.cp_len:], norm="ortho")
 
 
 def test_plan_counts_default():
@@ -105,8 +115,7 @@ def test_modulate_demodulate_round_trip():
     cfg = default_cfg()
     rng = np.random.default_rng(5)
     bins = rng.normal(size=64) + 1j * rng.normal(size=64)
-    np.testing.assert_allclose(demodulate_symbol(modulate_symbol(bins, cfg), cfg),
-                               bins, atol=1e-12)
+    np.testing.assert_allclose(demodulate(modulate_symbol(bins, cfg), cfg), bins, atol=1e-12)
 
 
 def test_unitary_transform_preserves_energy():
@@ -128,8 +137,6 @@ def test_cp_is_tail_copy():
 def test_modulate_rejects_wrong_bin_count():
     with pytest.raises(ValueError):
         modulate_symbol(np.zeros(63, dtype=complex), default_cfg())
-    with pytest.raises(ValueError):
-        demodulate_symbol(np.zeros(79, dtype=complex), default_cfg())
 
 
 def test_training_bins_layout():
@@ -156,10 +163,10 @@ def test_frame_capacity():
 
 
 def test_pad_bits():
-    out = pad_bits([1, 0, 1], 6)
-    np.testing.assert_array_equal(out, [1, 0, 1, 0, 0, 0])
+    out = _padded_rows([[1, 0, 1]], 6)
+    np.testing.assert_array_equal(out, [[1, 0, 1, 0, 0, 0]])
     with pytest.raises(ValueError):
-        pad_bits(np.ones(7, dtype=np.uint8), 6)
+        _padded_rows([np.ones(7, dtype=np.uint8)], 6)
 
 
 def test_build_frames_pads_short_frames_and_rejects_over_capacity():
@@ -167,7 +174,7 @@ def test_build_frames_pads_short_frames_and_rejects_over_capacity():
     symbols, padded = build_frames([[1, 1], np.ones(92, dtype=np.uint8), []],
                                    Modulation.QPSK, cfg, 1)
     assert symbols.shape == (3, N_PREAMBLE_SYMBOLS + 1, 80)
-    np.testing.assert_array_equal(padded, [pad_bits([1, 1], 92), np.ones(92), np.zeros(92)])
+    np.testing.assert_array_equal(padded, [np.r_[1, 1, np.zeros(90)], np.ones(92), np.zeros(92)])
     with pytest.raises(ValueError, match="93 bits exceed frame capacity 92"):
         build_frames([np.ones(92, dtype=np.uint8), np.ones(93, dtype=np.uint8)],
                      Modulation.QPSK, cfg, 1)
@@ -177,20 +184,17 @@ def test_build_frame_structure():
     cfg = default_cfg()
     rng = np.random.default_rng(9)
     bits = rng.integers(0, 2, 92, dtype=np.uint8)
-    frame = build_frame(bits, Modulation.QPSK, cfg, 1)
-    assert len(frame.preamble_symbols) == N_PREAMBLE_SYMBOLS
-    assert len(frame.payload_symbols) == 1
-    assert frame.samples().shape == (240,)
-    np.testing.assert_array_equal(frame.preamble_symbols[0],
-                                  frame.preamble_symbols[1])
-    np.testing.assert_array_equal(frame.payload_bits, bits)
+    symbols, padded = build_one(bits, Modulation.QPSK, cfg, 1)
+    assert symbols.shape == (N_PREAMBLE_SYMBOLS + 1, 80)
+    np.testing.assert_array_equal(symbols[0], symbols[1])
+    np.testing.assert_array_equal(padded, bits)
 
 
 def test_build_frame_payload_spectrum():
     cfg = default_cfg()
     bits = np.zeros(92, dtype=np.uint8)
-    frame = build_frame(bits, Modulation.QPSK, cfg, 1)
-    bins = demodulate_symbol(frame.payload_symbols[0], cfg)
+    symbols, _ = build_one(bits, Modulation.QPSK, cfg, 1)
+    bins = demodulate(symbols[N_PREAMBLE_SYMBOLS], cfg)
     plan = cfg.plan
     expect = map_bits(bits, Modulation.QPSK)
     np.testing.assert_allclose(bins[list(plan.payload_indices)], expect, atol=1e-12)
@@ -200,20 +204,20 @@ def test_build_frame_payload_spectrum():
 
 def test_build_frame_pads_short_bits():
     cfg = default_cfg()
-    frame = build_frame([1, 1], Modulation.QPSK, cfg, 1)
-    assert frame.payload_bits.size == 92
-    np.testing.assert_array_equal(frame.payload_bits[:2], [1, 1])
-    assert frame.payload_bits[2:].sum() == 0
+    _, padded = build_one([1, 1], Modulation.QPSK, cfg, 1)
+    assert padded.size == 92
+    np.testing.assert_array_equal(padded[:2], [1, 1])
+    assert padded[2:].sum() == 0
 
 
 def test_build_frame_rejects_overflow():
     cfg = default_cfg()
     with pytest.raises(ValueError):
-        build_frame(np.ones(93, dtype=np.uint8), Modulation.QPSK, cfg, 1)
+        build_one(np.ones(93, dtype=np.uint8), Modulation.QPSK, cfg, 1)
 
 
 def test_build_frame_preamble_only():
     cfg = default_cfg()
-    frame = build_frame([], Modulation.QPSK, cfg, 0)
-    assert frame.payload_bits.size == 0
-    assert frame.samples().shape == (160,)
+    symbols, padded = build_one([], Modulation.QPSK, cfg, 0)
+    assert padded.size == 0
+    assert symbols.shape == (N_PREAMBLE_SYMBOLS, 80)

@@ -3,7 +3,7 @@ import pytest
 
 from mmwavelink import (ChannelConfig, Modulation, OfdmConfig, build_plan,
                         cancel, estimate_phase, frame_bits_rng,
-                        frame_channel_cfg, pnc_symbol, run_frame, wrap_phase)
+                        frame_channel_cfg, run_frame, wrap_phase)
 from mmwavelink.pnc import DEGENERATE_EPS
 
 
@@ -89,17 +89,6 @@ def test_cancel_rejects_length_mismatch():
     est = estimate_phase(np.zeros(64, dtype=complex), cfg)
     with pytest.raises(ValueError):
         cancel(np.zeros(63, dtype=complex), est)
-
-
-def test_pnc_symbol_equals_manual_pipeline():
-    cfg = default_cfg()
-    rng = np.random.default_rng(3)
-    samples = rng.normal(size=80) + 1j * rng.normal(size=80)
-    body = samples[16:]
-    expect = cancel(body, estimate_phase(body, cfg))
-    np.testing.assert_array_equal(pnc_symbol(samples, cfg), expect)
-    with pytest.raises(ValueError):
-        pnc_symbol(samples[:-1], cfg)
 
 
 def run_frames(k_guard, n_frames, run_seed):

@@ -5,7 +5,7 @@ import pytest
 
 from mmwavelink import (ChannelConfig, ChannelEstimate, Modulation, OfdmConfig,
                         PhaseNoiseConfig, PhaseNoiseModel, apply_channel,
-                        build_frame, build_plan, decode_frame, equalize,
+                        build_frames, build_plan, decode_frames, equalize,
                         estimate_channel_ls, genie_evm_db, training_bins)
 
 CLEAN_PN = PhaseNoiseConfig(sigma=0.0, model=PhaseNoiseModel.NONE)
@@ -13,6 +13,16 @@ CLEAN_PN = PhaseNoiseConfig(sigma=0.0, model=PhaseNoiseModel.NONE)
 
 def default_cfg():
     return OfdmConfig(plan=build_plan(64, 3, 26), cp_len=16, sample_rate_hz=25.0e6)
+
+
+def frame_samples(bits, modulation, cfg, n_payload_symbols):
+    """One frame's buffer, built as a stack of one."""
+    return build_frames([bits], modulation, cfg, n_payload_symbols)[0].ravel()
+
+
+def decode_one(samples, cfg, modulation, pnc_enabled=True):
+    """The DecodeReport of one frame buffer, decoded as a stack of one."""
+    return decode_frames(np.asarray(samples)[None], cfg, modulation, pnc_enabled)[0][0]
 
 
 def genie_of(report, bits, modulation=Modulation.QPSK):
@@ -102,8 +112,7 @@ def test_decode_clean_frame_is_exact(mod, pnc_enabled):
     cfg = default_cfg()
     rng = np.random.default_rng(10)
     bits = rng.integers(0, 2, 46 * mod.bits_per_symbol * 4, dtype=np.uint8)
-    frame = build_frame(bits, mod, cfg, 4)
-    report = decode_frame(frame.samples(), cfg, mod, pnc_enabled=pnc_enabled)
+    report = decode_one(frame_samples(bits, mod, cfg, 4), cfg, mod, pnc_enabled=pnc_enabled)
     np.testing.assert_array_equal(report.bits, bits)
     assert report.evm_db == -120.0
     assert report.n_erased == 0
@@ -115,9 +124,8 @@ def test_decode_multipath_noiseless_is_exact():
     taps = tuple(rng.normal(size=4) + 1j * rng.normal(size=4))
     channel = ChannelConfig(taps=taps, snr_db=math.inf, phase_noise=CLEAN_PN, seed=1)
     bits = rng.integers(0, 2, 92 * 4, dtype=np.uint8)
-    frame = build_frame(bits, Modulation.QPSK, cfg, 4)
-    y, _ = apply_channel(frame.samples(), channel)
-    report = decode_frame(y, cfg, Modulation.QPSK, pnc_enabled=False)
+    y, _ = apply_channel(frame_samples(bits, Modulation.QPSK, cfg, 4), channel)
+    report = decode_one(y, cfg, Modulation.QPSK, pnc_enabled=False)
     np.testing.assert_array_equal(report.bits, bits)
     assert report.evm_db <= -40.0
     assert genie_of(report, bits) <= -40.0
@@ -127,9 +135,8 @@ def test_decode_constant_rotation_absorbed_by_ls():
     cfg = default_cfg()
     rng = np.random.default_rng(12)
     bits = rng.integers(0, 2, 92 * 3, dtype=np.uint8)
-    frame = build_frame(bits, Modulation.QPSK, cfg, 3)
-    y = frame.samples() * np.exp(1j * 0.7)
-    report = decode_frame(y, cfg, Modulation.QPSK, pnc_enabled=False)
+    y = frame_samples(bits, Modulation.QPSK, cfg, 3) * np.exp(1j * 0.7)
+    report = decode_one(y, cfg, Modulation.QPSK, pnc_enabled=False)
     np.testing.assert_array_equal(report.bits, bits)
     assert report.evm_db == -120.0
     assert report.residual_phase_std < 1e-9
@@ -139,10 +146,9 @@ def test_frame_evm_is_rms_of_per_symbol_evm():
     cfg = default_cfg()
     rng = np.random.default_rng(13)
     bits = rng.integers(0, 2, 92 * 6, dtype=np.uint8)
-    frame = build_frame(bits, Modulation.QPSK, cfg, 6)
     channel = ChannelConfig(taps=(1.0,), snr_db=25.0, phase_noise=CLEAN_PN, seed=2)
-    y, _ = apply_channel(frame.samples(), channel)
-    report = decode_frame(y, cfg, Modulation.QPSK, pnc_enabled=False)
+    y, _ = apply_channel(frame_samples(bits, Modulation.QPSK, cfg, 6), channel)
+    report = decode_one(y, cfg, Modulation.QPSK, pnc_enabled=False)
     assert report.n_erased == 0
     combined = 10.0 * np.log10(np.mean(10.0 ** (np.asarray(report.per_symbol_evm) / 10.0)))
     assert abs(report.evm_db - combined) < 1e-9
@@ -155,8 +161,7 @@ def test_decode_genie_evm_tracks_true_bits():
     cfg = default_cfg()
     rng = np.random.default_rng(14)
     bits = rng.integers(0, 2, 92 * 2, dtype=np.uint8)
-    frame = build_frame(bits, Modulation.QPSK, cfg, 2)
-    report = decode_frame(frame.samples(), cfg, Modulation.QPSK)
+    report = decode_one(frame_samples(bits, Modulation.QPSK, cfg, 2), cfg, Modulation.QPSK)
     assert genie_of(report, bits) == -120.0
     # Against other bits the points are off by whole constellation steps.
     assert genie_of(report, 1 - bits) > -5.0
@@ -164,9 +169,9 @@ def test_decode_genie_evm_tracks_true_bits():
 
 def test_decode_frame_validation():
     cfg = default_cfg()
-    with pytest.raises(ValueError):
-        decode_frame(np.zeros(81, dtype=complex), cfg, Modulation.QPSK)
-    with pytest.raises(ValueError):
-        decode_frame(np.zeros(80, dtype=complex), cfg, Modulation.QPSK)
-    with pytest.raises(ValueError):
-        decode_frame(np.zeros((2, 80), dtype=complex), cfg, Modulation.QPSK)
+    with pytest.raises(ValueError, match="multiple of 80"):
+        decode_frames(np.zeros((1, 161), dtype=complex), cfg, Modulation.QPSK)
+    with pytest.raises(ValueError, match="shorter than the preamble"):
+        decode_frames(np.zeros((1, 80), dtype=complex), cfg, Modulation.QPSK)
+    with pytest.raises(ValueError, match="multiple of 80"):
+        decode_frames(np.zeros(160, dtype=complex), cfg, Modulation.QPSK)
