@@ -184,6 +184,7 @@ class ChannelConfig:
             raise ValueError(f"snr_db={self.snr_db} gives a noise power that is not finite")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
+        _check_tone(self.cfo_hz, self.sample_rate_hz, "cfo_hz")
         _check_phase_noise(self.phase_noise, self.sample_rate_hz)
 
 
@@ -298,9 +299,10 @@ def _channel_rows(samples, shape, cfg: ChannelConfig, seeds) -> tuple:
     return y, theta
 
 
-def _check_tone(freq_hz: float, sample_rate_hz: float) -> None:
+def _check_tone(freq_hz: float, sample_rate_hz: float, name: str = "tone") -> None:
+    """Reject a frequency at or beyond fs/2 (the probe tone or the CFO)."""
     if not abs(freq_hz) < sample_rate_hz / 2:
-        raise ValueError(f"tone at {freq_hz} Hz aliases at fs={sample_rate_hz}")
+        raise ValueError(f"{name} at {freq_hz} Hz aliases at fs={sample_rate_hz}")
 
 
 def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig):

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmwavelink import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel,
                         PhaseNoiseProcess, apply_channel, band_power_fraction,
                         gaussian_fit, psd_welch, single_tone_probe)
 
 FS = 25.0e6
+FAST = settings(max_examples=40, deadline=None)
 
 CLEAN_PN = PhaseNoiseConfig(sigma=0.0, model=PhaseNoiseModel.NONE)
 
@@ -107,15 +110,26 @@ def test_channel_config_validation():
         with pytest.raises(ValueError):
             ChannelConfig(phase_noise=pn, sample_rate_hz=fs)
     ChannelConfig(phase_noise=PhaseNoiseConfig(bandwidth_hz=0.0, model=PhaseNoiseModel.NONE))
+    # A CFO at or beyond fs/2 aliases, as the probe tone would.
+    for cfo_hz, fs in ((1e308, FS), (12.5e6, FS), (-2e7, FS), (math.nan, FS), (5e6, 10e6)):
+        with pytest.raises(ValueError, match="cfo_hz"):
+            ChannelConfig(cfo_hz=cfo_hz, sample_rate_hz=fs)
+    ChannelConfig(cfo_hz=-12.4e6)
 
 
+@FAST
 @pytest.mark.parametrize("model", [PhaseNoiseModel.FILTERED_GAUSSIAN,
                                    PhaseNoiseModel.RANDOM_WALK])
-def test_generator_chunked_equals_one_shot(model):
-    cfg = PhaseNoiseConfig(sigma=0.26, bandwidth_hz=1e6, model=model)
-    one = PhaseNoiseProcess(cfg, FS, seed=5).generate(1000)
-    p = PhaseNoiseProcess(cfg, FS, seed=5)
-    split = np.concatenate([p.generate(300), p.generate(700)])
+@given(seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 3.0),
+       chunks=st.lists(st.integers(0, 700), min_size=1, max_size=6))
+@example(seed=5, sigma=0.26, chunks=[300, 0, 700])
+@example(seed=5, sigma=0.26, chunks=[1000])
+def test_generator_chunked_equals_one_shot(model, seed, sigma, chunks):
+    # Any split of a trajectory, empty draws included, equals one draw.
+    cfg = PhaseNoiseConfig(sigma=sigma, bandwidth_hz=1e6, model=model)
+    one = PhaseNoiseProcess(cfg, FS, seed=seed).generate(sum(chunks))
+    p = PhaseNoiseProcess(cfg, FS, seed=seed)
+    split = np.concatenate([p.generate(n) for n in chunks])
     np.testing.assert_array_equal(split, one)
 
 

@@ -126,6 +126,10 @@ INVALID_VALUES = [
     # Finite in the JSON, but the tap energy or the noise power is not.
     {"channel": {"taps": [1e200, 1e200]}},
     {"channel": {"snr_db": -1e308}},
+    # A CFO at or beyond fs/2 (12.5 MHz at the default rate) aliases.
+    {"channel": {"cfo_hz": 1e308}},
+    {"channel": {"cfo_hz": 12.5e6}},
+    {"channel": {"cfo_hz": -2e7}},
 ]
 
 

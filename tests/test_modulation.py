@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwavelink import Modulation, demap_hard, evm_db, map_bits
 
 ALL_MODS = list(Modulation)
+FAST = settings(max_examples=40, deadline=None)
 
 
 def test_bits_per_symbol():
@@ -62,10 +65,15 @@ def test_gray_property_nearest_neighbors_differ_by_one_bit(mod):
         assert bin(i ^ j).count("1") == 1
 
 
+@FAST
 @pytest.mark.parametrize("mod", ALL_MODS)
-def test_map_demap_round_trip(mod):
-    rng = np.random.default_rng(42)
-    bits = rng.integers(0, 2, 6 * mod.bits_per_symbol * 50, dtype=np.uint8)
+@given(bits=st.lists(st.integers(0, 1), max_size=600).map(lambda v: np.array(v, dtype=np.uint8)))
+def test_map_demap_round_trip(mod, bits):
+    # Any whole number of symbols round-trips; any other length is rejected.
+    if bits.size % mod.bits_per_symbol:
+        with pytest.raises(ValueError, match="not a multiple"):
+            map_bits(bits, mod)
+        return
     out = demap_hard(map_bits(bits, mod), mod)
     np.testing.assert_array_equal(out, bits)
     assert out.dtype == np.uint8
