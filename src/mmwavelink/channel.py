@@ -231,6 +231,34 @@ def apply_channel(x, cfg: ChannelConfig, seeds=None):
     return (y, theta) if stacked else (y[0], theta[0])
 
 
+def phasor(theta, sign: int = 1) -> np.ndarray:
+    """np.exp(sign * 1j * theta) for sign = ±1, bit for bit for finite theta.
+
+    numpy's sign * 1j * theta has a zero real part and the imaginary part
+    sign * theta + sign * 0.0, and libm's cexp(±0 + iy) is cos(y) + i sin(y).
+    """
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.add(np.multiply(theta, sign, out=out.imag), sign * 0.0, out=out.imag)
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
+    return out
+
+
+def tone(k: complex, a: int, b: int, sample_rate_hz: float) -> np.ndarray:
+    """np.exp(k * np.arange(a, b) / sample_rate_hz) for k = ±2j*pi*f, bit for bit.
+
+    numpy's k * n has the zero real part r = k.real - k.imag*0 (n >= 0) and
+    imaginary part k.imag*n + k.real*0, which / fs makes (imag - r*0) * (1/fs).
+    The zero terms fold into one add, as a sum of zeros is -0 only if every
+    term is; * (-1/fs) negates exactly, for phasor's sign -1.
+    """
+    phase = np.arange(a, b, dtype=float)
+    phase *= k.imag
+    phase += k.real * 0.0 - (k.real - k.imag * 0.0) * 0.0
+    phase *= -1.0 / sample_rate_hz
+    return phasor(phase, -1)
+
+
 def _rotate(s, factor) -> None:
     """s *= factor in place. numpy computes `s * t` as `t * s` when the
     temporary t holds 256 KiB or more, and complex products round
@@ -271,8 +299,7 @@ def _channel_rows(samples, shape, cfg: ChannelConfig, seeds) -> tuple:
         else:
             np.multiply(x, h[0], out=s)
         if cfg.cfo_hz:
-            n = np.arange(a, b)
-            _rotate(s, np.exp(2j * np.pi * cfg.cfo_hz * n / cfg.sample_rate_hz))
+            _rotate(s, tone(2j * np.pi * cfg.cfo_hz, a, b, cfg.sample_rate_hz))
         if noisy:
             np.square(np.abs(s, out=power[:, a:b]), out=power[:, a:b])
     if noisy:
@@ -286,8 +313,7 @@ def _channel_rows(samples, shape, cfg: ChannelConfig, seeds) -> tuple:
     # Pass 2: phase noise rotation, then AWGN, through one complex buffer.
     for a, b in blocks:
         s = y[:, a:b]
-        buf = np.empty(s.shape, dtype=complex)
-        np.exp(np.multiply(1j, theta[:, a:b], out=buf), out=buf)
+        buf = phasor(theta[:, a:b])
         _rotate(s, buf)
         if noisy:
             imag = np.empty(s.shape)
@@ -316,9 +342,7 @@ def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig):
     if n_samples == 0:
         return np.zeros(0, dtype=complex), np.zeros(0)
 
-    def tone(a, b):
-        n = np.arange(a, b)
-        return np.exp(2j * np.pi * freq_hz * n / cfg.sample_rate_hz)
-
-    y, theta = _channel_rows(lambda a, b: tone(a, b)[None], (1, n_samples), cfg, [cfg.seed])
+    k = 2j * np.pi * freq_hz
+    y, theta = _channel_rows(lambda a, b: tone(k, a, b, cfg.sample_rate_hz)[None],
+                             (1, n_samples), cfg, [cfg.seed])
     return y[0], theta[0]

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.fft
 from scipy import signal
 
-from .channel import sample_blocks
+from .channel import sample_blocks, tone
 
 
 @dataclass(frozen=True)
@@ -45,23 +45,27 @@ def extract_tone_phase(y, tone_hz: float, sample_rate_hz: float) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("input must be a non-empty 1-D buffer")
-    phase = np.empty(y.size)
+    phase, k = np.empty(y.size), -2j * np.pi * tone_hz
     prev, carry = None, 0.0
     for a, b in sample_blocks(y.size):
-        n = np.arange(a, b)
-        wrapped = np.angle(y[a:b] * np.exp(-2j * np.pi * tone_hz * n / sample_rate_hz))
-        # np.unwrap's formula (period 2 pi); the running sum of corrections
-        # carries across blocks.
+        # An unnamed mixer keeps the whole-buffer product's operand order.
+        wrapped = np.angle(y[a:b] * tone(k, a, b, sample_rate_hz))
+        # np.unwrap's formula (period 2 pi) at the jumps only, as its correction
+        # is 0 wherever |dd| < pi; the running sum of corrections carries across blocks.
         dd = np.diff(wrapped, prepend=wrapped[0] if prev is None else prev)
-        ddmod = np.mod(dd - -np.pi, 2 * np.pi) + -np.pi
-        np.copyto(ddmod, np.pi, where=(ddmod == -np.pi) & (dd > 0))
-        correction = ddmod - dd
-        np.copyto(correction, 0, where=abs(dd) < np.pi)
-        correction = np.cumsum(np.concatenate(([carry], correction)))[1:]
-        phase[a:b] = wrapped + correction
+        dd = dd[jumps := np.flatnonzero(~(abs(dd) < np.pi))]
+        correction = carry
+        if jumps.size:
+            ddmod = np.mod(dd - -np.pi, 2 * np.pi) + -np.pi
+            np.copyto(ddmod, np.pi, where=(ddmod == -np.pi) & (dd > 0))
+            correction = np.zeros(b - a)
+            correction[jumps] = ddmod - dd
+            correction[0] += carry
+            carry = np.cumsum(correction, out=correction)[-1]
+        np.add(wrapped, correction, out=phase[a:b])
         if prev is None:
             phase[0] = wrapped[0]  # kept as is, -0.0 included
-        prev, carry = wrapped[-1], correction[-1]
+        prev = wrapped[-1]
     phase -= phase.mean()
     return phase
 
@@ -117,7 +121,8 @@ def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096,
     for p in range(0, len(segments), WELCH_BLOCK_SEGMENTS):
         block = segments[p:p + WELCH_BLOCK_SEGMENTS]
         spectra = scipy.fft.fft(signal.detrend(block, type="constant") * stft.win, axis=-1)
-        power[:, p:p + len(block)] = (spectra.real ** 2 + spectra.imag ** 2).T
+        re, im = spectra.real, spectra.imag  # |X|^2, squared in the spectra's own buffer
+        power[:, p:p + len(block)] = np.add(np.square(re, out=re), np.square(im, out=im), out=re).T
     freqs, density = stft.f, power.mean(axis=-1)
     order = np.argsort(freqs)
     power_db = 10.0 * np.log10(np.maximum(density[order], 1e-300))

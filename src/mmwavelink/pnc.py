@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import phasor
 from .ofdm import OfdmConfig
 
 DEGENERATE_EPS = 1e-9
@@ -70,6 +71,6 @@ def cancel(samples, estimate: PhaseEstimate) -> np.ndarray:
     samples = np.asarray(samples, dtype=complex)
     if samples.shape != estimate.per_sample_phase.shape:
         raise ValueError("samples and estimate shapes differ")
-    rotation = np.exp(-1j * estimate.per_sample_phase)
+    rotation = phasor(estimate.per_sample_phase, -1)
     return samples * rotation
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
@@ -18,8 +18,8 @@ from mmwavelink import (ChannelConfig, ChannelEstimate, Modulation, OfdmConfig,
                         genie_evm_db, map_bits, modulate_symbol, run_frame, run_frames,
                         slice_indices, training_bins)
 from mmwavelink import channel as channel_module
-from mmwavelink.channel import (PN_CORNER_RATIO, PN_FILTER_ORDER, SAMPLE_BLOCK,
-                                phase_noise_rows, sample_blocks, single_tone_probe)
+from mmwavelink.channel import (PN_CORNER_RATIO, PN_FILTER_ORDER, SAMPLE_BLOCK, phase_noise_rows,
+                                phasor, sample_blocks, single_tone_probe, tone)
 from mmwavelink.link import aggregate_evm_db, run_seeded_frames
 from mmwavelink.metrics import (append_series_csv, extract_tone_phase, psd_welch,
                                 std_in_place, write_csv_header, write_series_csv)
@@ -483,6 +483,65 @@ def test_blocked_probe_and_phase_equal_one_shot(n_samples, taps, cfo_hz, model, 
     assert_same_bytes(theta, theta_ref)
     assert_same_bytes(extract_tone_phase(y, tone_hz, FS),
                       reference_tone_phase(y_ref, tone_hz, FS))
+
+
+# Signed zeros, subnormals, the extremes and the values around pi.
+PHASOR_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+                   -2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308,
+                   -1.7976931348623157e308, np.pi, -np.pi, 2 * np.pi, 1e6, -1e6]
+
+
+@FAST
+@given(theta=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=300),
+       sign=st.sampled_from([1, -1]))
+def test_phasor_equals_complex_exp(theta, sign):
+    theta = np.array(theta + PHASOR_SPECIALS)
+    expect = np.exp(1j * theta) if sign > 0 else np.exp(-1j * theta)
+    assert_same_bytes(phasor(theta, sign), expect)
+    # A strided (F, n) view, as the channel's blocks of a stack are.
+    rows = np.stack([theta, theta[::-1]])[:, 1:]
+    expect = np.exp(1j * rows) if sign > 0 else np.exp(-1j * rows)
+    assert_same_bytes(phasor(rows, sign), expect)
+
+
+TONE_FREQS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, FS / 8, -FS / 8]),
+                       st.floats(-FS / 2, FS / 2, exclude_min=True, exclude_max=True))
+
+
+@FAST
+@given(freq_hz=TONE_FREQS, start=st.integers(0, 2**22), length=st.integers(1, 2**17),
+       sign=st.sampled_from([1, -1]))
+@example(freq_hz=-FS / 8, start=0, length=3, sign=1)
+@example(freq_hz=-5e-324, start=0, length=1, sign=1)
+@example(freq_hz=-0.0, start=0, length=2, sign=-1)
+@example(freq_hz=0.0, start=0, length=2, sign=1)
+def test_tone_equals_complex_exp(freq_hz, start, length, sign):
+    n = np.arange(start, start + length)
+    if sign > 0:
+        expect, k = np.exp(2j * np.pi * freq_hz * n / FS), 2j * np.pi * freq_hz
+    else:
+        expect, k = np.exp(-2j * np.pi * freq_hz * n / FS), -2j * np.pi * freq_hz
+    assert_same_bytes(tone(k, start, start + length, FS), expect)
+
+
+DENSE_N = 3 * SAMPLE_BLOCK + 1234
+
+
+def test_tone_phase_with_dense_wraps_equals_np_unwrap():
+    n = np.arange(DENSE_N)
+    # Mixed with a tone fs/1024 below the sent one, the baseband phase turns
+    # once per 1,024 samples and passes pi halfway between samples k*1024 - 1
+    # and k*1024: a wrap falls on every block's first sample.
+    mix_hz = FS / 8 - FS / 1024
+    y = np.exp(1j * (2 * np.pi * (FS / 8) * n / FS + np.pi + np.pi / 1024))
+    dd = np.diff(np.angle(y * np.exp(-2j * np.pi * mix_hz * n / FS)))
+    for a, _ in sample_blocks(DENSE_N)[1:]:
+        assert not abs(dd[a - 1]) < np.pi
+    assert np.count_nonzero(~(abs(dd) < np.pi)) > 3 * SAMPLE_BLOCK // 1024
+    assert_same_bytes(extract_tone_phase(y, mix_hz, FS), reference_tone_phase(y, mix_hz, FS))
+    # A probe at 0 dB SNR, whose noise makes jumps at random samples.
+    y = single_tone_probe(FS / 8, DENSE_N, ChannelConfig(snr_db=0.0, seed=11))[0]
+    assert_same_bytes(extract_tone_phase(y, FS / 8, FS), reference_tone_phase(y, FS / 8, FS))
 
 
 def reference_psd_welch(samples, sample_rate_hz, nfft, overlap):

@@ -172,7 +172,7 @@ def test_psd_and_pdf_csv_writers(tmp_path):
 
 
 # Traced allocation peaks of the measure-pn pipeline on 2**19 samples, in
-# bytes per sample (numpy 2.4, scipy 1.17): 44 for probe and phase, 36 for
+# bytes per sample (numpy 2.4, scipy 1.17): 39 for probe and phase, 36 for
 # the PSD. Whole-buffer code took 96 and 64.
 PROBE_PHASE_BYTES_PER_SAMPLE = 64
 PSD_BYTES_PER_SAMPLE = 52
