@@ -9,9 +9,8 @@ from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel,
 from .pnc import PhaseEstimate, cancel, estimate_phase
 from .receiver import (ChannelEstimate, DecodeReport, decode_frames, equalize,
                        estimate_channel_ls, genie_evm_db)
-from .link import (CHUNK_FRAMES, FrameResult, aggregate_evm_db, derived_seed,
-                   frame_bits_rng, frame_channel_cfg, run_frame, run_frames,
-                   run_seeded_frames)
+from .link import (CHUNK_FRAMES, FrameStack, aggregate_evm_db, derived_seed,
+                   frame_bits_rng, run_frame, run_frames, run_seeded_frames)
 from .metrics import (GaussianFit, PsdEstimate, band_power_fraction, extract_tone_phase,
                       gaussian_fit, phase_pdf, psd_welch, wrap_phase)
 from .linklayer import (Packet, PacketStatus, StreamReport, depacketize,
@@ -29,8 +28,8 @@ __all__ = [
     "PhaseEstimate", "estimate_phase", "cancel",
     "ChannelEstimate", "DecodeReport", "estimate_channel_ls", "equalize",
     "decode_frames", "genie_evm_db",
-    "CHUNK_FRAMES", "FrameResult", "run_frame", "run_frames", "run_seeded_frames",
-    "frame_channel_cfg", "frame_bits_rng", "derived_seed", "aggregate_evm_db",
+    "CHUNK_FRAMES", "FrameStack", "run_frame", "run_frames", "run_seeded_frames",
+    "frame_bits_rng", "derived_seed", "aggregate_evm_db",
     "GaussianFit", "PsdEstimate", "extract_tone_phase", "gaussian_fit", "psd_welch",
     "band_power_fraction", "phase_pdf", "wrap_phase",
     "Packet", "PacketStatus", "StreamReport", "packetize", "depacketize",

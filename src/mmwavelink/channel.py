@@ -69,6 +69,11 @@ def _check_phase_noise(config: PhaseNoiseConfig, sample_rate_hz: float) -> None:
             )
 
 
+# The random walk's sigma is its increment std over this many samples: one
+# symbol at the default PHY (n_fft 64 + cp_len 16), whatever PHY runs.
+RANDOM_WALK_SPAN = 80
+
+
 class PhaseNoiseProcess:
     """Stateful theta(n) generator.
 
@@ -76,11 +81,8 @@ class PhaseNoiseProcess:
     generating n then m samples equals generating n+m at once.
     """
 
-    def __init__(self, config: PhaseNoiseConfig, sample_rate_hz: float, seed,
-                 symbol_len: int = 80):
+    def __init__(self, config: PhaseNoiseConfig, sample_rate_hz: float, seed):
         _check_phase_noise(config, sample_rate_hz)
-        if symbol_len < 1:
-            raise ValueError("symbol_len must be >= 1")
         self.config = config
         self.sample_rate_hz = sample_rate_hz
         self._rng = np.random.default_rng(seed)
@@ -92,7 +94,7 @@ class PhaseNoiseProcess:
             # block of n_settle samples ahead of the requested ones.
             self._zi = None
         elif config.model is PhaseNoiseModel.RANDOM_WALK:
-            self._step = config.sigma / np.sqrt(symbol_len)
+            self._step = config.sigma / np.sqrt(RANDOM_WALK_SPAN)
             self._level = 0.0
 
     def generate(self, n: int) -> np.ndarray:
@@ -171,7 +173,8 @@ class ChannelConfig:
         taps = np.asarray(self.taps, dtype=complex)
         if taps.ndim != 1 or taps.size == 0:
             raise ValueError("taps must be a non-empty 1-D sequence")
-        energy = np.sum(np.abs(taps) ** 2)
+        with np.errstate(over="ignore"):   # an overflow is rejected just below
+            energy = np.sum(np.abs(taps) ** 2)
         # An energy that overflows would normalize the taps to zeros.
         if not 0 < energy < math.inf:
             raise ValueError(f"taps must carry finite, nonzero energy, got {energy}")

@@ -20,13 +20,12 @@ import numpy as np
 
 from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel, _check_tone,
                       single_tone_probe)
-from .link import (CHUNK_FRAMES, aggregate_evm_db, frame_bits_rng, frame_channel_cfg,
-                   run_frame, run_seeded_frames)
+from .link import CHUNK_FRAMES, aggregate_evm_db, frame_bits_rng, run_frame, run_seeded_frames
 from .linklayer import stream_bytes
 from .metrics import (append_series_csv, gaussian_fit, extract_tone_phase, phase_pdf,
                       psd_welch, std_in_place, wrap_phase, write_csv_header,
                       write_phase_pdf_csv, write_psd_csv, write_series_csv)
-from .modulation import Modulation, evm_db_from_powers
+from .modulation import Modulation
 from .ofdm import OfdmConfig, build_plan, frame_capacity_bits
 from .receiver import genie_evm_db
 
@@ -194,6 +193,11 @@ def _json_text(name: str, obj) -> str:
         raise ValueError(f"{name} not written: {exc}") from None
 
 
+def _joined(items, name: str) -> np.ndarray:
+    """The named (F, ...) array of several stacks or reports, joined along frames."""
+    return np.concatenate([getattr(item, name) for item in items])
+
+
 def cmd_simulate(args, cfg: Config) -> int:
     out = _out_dir(args)
     v, ofdm_cfg, modulation = cfg.values, cfg.ofdm, cfg.modulation
@@ -201,10 +205,10 @@ def cmd_simulate(args, cfg: Config) -> int:
     capacity = frame_capacity_bits(ofdm_cfg, modulation, n_sym)
     # A run keeps per-frame scalars and each frame's residual phase over its
     # payload bodies, whose exact std goes into summary.json (taken in the
-    # array's own buffer); a chunk's reports, points and traces are dropped
+    # array's own buffer); a chunk's stacks, points and traces are dropped
     # once its rows are written.
     evm, pilot_std, genie = np.empty(n_frames), np.empty(n_frames), np.empty(n_frames)
-    powers = np.empty((n_frames, 2))   # each frame's error and reference power
+    powers = np.empty((2, n_frames))   # each frame's error and reference power
     residual = np.empty((n_frames, n_sym * ofdm_cfg.plan.n_fft))
     n_erased = 0
     staged = {name: out / f".{name}.partial" for name in ("evm.csv", "constellation.csv")}
@@ -217,20 +221,20 @@ def cmd_simulate(args, cfg: Config) -> int:
                 rows = slice(start, min(start + CHUNK_FRAMES, n_frames))
                 # One run_frame call per frame: the benchmark's run_s clock
                 # starts at the first one (bench/child.py).
-                results = [run_frame(
+                stacks = [run_frame(
                     frame_bits_rng(seed, i).integers(0, 2, capacity, dtype=np.uint8),
-                    modulation, ofdm_cfg, frame_channel_cfg(cfg.channel, seed, i),
-                    v["pnc_enabled"], n_sym) for i in range(rows.start, rows.stop)]
-                reports = [r.report for r in results]
-                evm[rows] = [r.evm_db for r in reports]
-                pilot_std[rows] = [r.residual_phase_std for r in reports]
-                powers[rows] = [(r.error_power, r.reference_power) for r in reports]
-                n_erased += sum(r.n_erased for r in reports)
-                points = np.stack([r.points for r in reports]).reshape(len(reports), n_sym, -1)
-                genie[rows] = genie_evm_db(points, np.stack([r.tx_bits for r in results]),
-                                           np.stack([r.erased for r in reports]), modulation)
-                d = wrap_phase(np.stack([r.theta_true_bodies for r in results])
-                               - np.stack([r.theta_est for r in results]))
+                    modulation, ofdm_cfg, cfg.channel, v["pnc_enabled"], n_sym, seed, i)
+                    for i in range(rows.start, rows.stop)]
+                reports = [s.report for s in stacks]
+                evm[rows] = _joined(reports, "evm_db")
+                pilot_std[rows] = _joined(reports, "residual_phase_std")
+                powers[:, rows] = (_joined(reports, "error_power"),
+                                   _joined(reports, "reference_power"))
+                n_erased += int(_joined(reports, "n_erased").sum())
+                points = _joined(reports, "points")
+                genie[rows] = genie_evm_db(points, _joined(stacks, "tx_bits"),
+                                           _joined(reports, "erased"), modulation)
+                d = wrap_phase(_joined(stacks, "theta_true_bodies") - _joined(stacks, "theta_est"))
                 residual[rows] = d - d.mean(axis=-1, keepdims=True)
                 append_series_csv(evm_fh, [np.arange(rows.start, rows.stop), evm[rows],
                                            pilot_std[rows]])
@@ -243,9 +247,7 @@ def cmd_simulate(args, cfg: Config) -> int:
             "pnc_enabled": v["pnc_enabled"],
             "seed": seed,
             "k_guard": ofdm_cfg.plan.k_guard,
-            # Left-to-right power sums over the frames, as aggregate_evm_db's.
-            "evm_db": evm_db_from_powers(sum(powers[:, 0].tolist()),
-                                         sum(powers[:, 1].tolist())),
+            "evm_db": aggregate_evm_db(*powers),
             "evm_db_genie_mean": float(genie.mean()) if n_frames else None,
             "residual_phase_std": float(pilot_std.mean()) if n_frames else None,
             "residual_phase_std_true": std_in_place(residual) if n_frames else None,
@@ -303,10 +305,12 @@ def cmd_sweep_k(args, cfg: Config) -> int:
 
     results = []
     for k, ofdm_cfg in zip(k_values, ofdm_cfgs):
-        reports = (r.report for r in run_seeded_frames(
+        # Only each chunk's two power arrays outlive it.
+        powers = [(s.report.error_power, s.report.reference_power) for s in run_seeded_frames(
             cfg.modulation, ofdm_cfg, cfg.channel, v["pnc_enabled"],
-            v["n_payload_symbols"], v["seed"], v["n_frames"]))
-        results.append((k, aggregate_evm_db(reports)))
+            v["n_payload_symbols"], v["seed"], v["n_frames"])]
+        errors, references = zip(*powers)
+        results.append((k, aggregate_evm_db(np.concatenate(errors), np.concatenate(references))))
         print(f"sweep-k: K={k} mean_evm_db={results[-1][1]}")
 
     # A result that is not finite fails here, before ksweep.csv is opened.

@@ -26,16 +26,21 @@ def derived_seed(*parts: int) -> int:
 
 
 @dataclass
-class FrameResult:
+class FrameStack:
+    """Consecutive frames of a run, sent and decoded together; every array is
+    indexed by frame first."""
     report: DecodeReport
-    tx_bits: np.ndarray
-    n_channel_uses: int
-    theta_true_bodies: np.ndarray  # ground truth aligned with theta_est
-    # () -> the phase estimate over the payload symbol bodies: the PNC track,
-    # or with PNC off the estimator run on the received frame as an oracle,
-    # made for the whole stack when first read.
-    _theta_est: object = field(repr=False)
-    theta_est = property(lambda self: self._theta_est())
+    tx_bits: np.ndarray            # (F, capacity), each frame's bits zero-padded
+    theta_true_bodies: np.ndarray  # (F, S * n_fft) ground truth aligned with theta_est
+    samples_per_frame: int
+    # () -> the estimator run on the received payload bodies, (F, S, n_fft):
+    # theta_est's oracle with PNC off, made only when first read.
+    _oracle: object = field(repr=False)
+
+    @functools.cached_property
+    def theta_est(self) -> np.ndarray:   # (F, S * n_fft), the PNC track or the oracle
+        phase = self._oracle() if self.report.phase is None else self.report.phase
+        return phase.reshape(len(phase), -1)
 
 
 def _payload_bodies(x, cfg: OfdmConfig) -> np.ndarray:
@@ -44,76 +49,60 @@ def _payload_bodies(x, cfg: OfdmConfig) -> np.ndarray:
     return x.reshape(*x.shape[:-1], -1, cfg.symbol_len)[..., N_PREAMBLE_SYMBOLS:, cfg.cp_len:]
 
 
-def _run_stack(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
-               channel_cfg: ChannelConfig, seeds, pnc_enabled: bool,
-               n_payload_symbols: int) -> list:
-    """Frames with channel seeds `seeds`, as (F, symbols, n_fft) stacks."""
-    symbols, padded = build_frames(bits, modulation, ofdm_cfg, n_payload_symbols)
-    y, theta = apply_channel(symbols.reshape(len(seeds), -1), channel_cfg, seeds)
-    del symbols   # not needed past the channel; frees the chunk's largest buffer
-    reports, phase = decode_frames(y, ofdm_cfg, modulation, pnc_enabled)
-    track = functools.cache(lambda: estimate_phase(_payload_bodies(y, ofdm_cfg), ofdm_cfg)
-                            .per_sample_phase if phase is None else phase)
-    bodies = _payload_bodies(theta, ofdm_cfg)
-    return [FrameResult(report=report, tx_bits=padded[f], n_channel_uses=y.shape[1],
-                        theta_true_bodies=bodies[f].ravel(),
-                        _theta_est=lambda f=f: track()[f].ravel())
-            for f, report in enumerate(reports)]
-
-
 def run_frames(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
                channel_cfg: ChannelConfig, pnc_enabled: bool, n_payload_symbols: int,
-               run_seed: int, first_frame: int = 0) -> list:
+               run_seed: int, first_frame: int = 0) -> FrameStack:
     """Frames first_frame .. first_frame + F - 1 of a run, built, sent and
     decoded together as (F, symbols, n_fft) stacks.
 
-    `bits[f]` is the payload of frame first_frame + f. Each frame keeps its
-    own channel draw, frame_channel_cfg(channel_cfg, run_seed, i), so its
-    FrameResult equals run_frame on that frame alone, bit for bit.
+    `bits[f]` is the payload of frame first_frame + f, whose channel draws
+    use a seed derived from (run_seed, first_frame + f), so row f equals
+    run_frame on that frame alone, bit for bit.
     """
-    if not len(bits):
-        return []
-    frames = range(first_frame, first_frame + len(bits))
-    return _run_stack(bits, modulation, ofdm_cfg,
-                      frame_channel_cfg(channel_cfg, run_seed, first_frame),
-                      [derived_seed(run_seed, i, 0) for i in frames],
-                      pnc_enabled, n_payload_symbols)
+    seeds = [derived_seed(run_seed, i, 0) for i in range(first_frame, first_frame + len(bits))]
+    # A copy normalizes the taps once more; every pinned artifact depends on
+    # taps normalized twice. Its seed is not read: each row has its own.
+    channel_cfg = replace(channel_cfg)
+    symbols, padded = build_frames(bits, modulation, ofdm_cfg, n_payload_symbols)
+    y, theta = apply_channel(symbols.reshape(len(seeds), -1), channel_cfg, seeds)
+    del symbols   # not needed past the channel; frees the chunk's largest buffer
+    return FrameStack(
+        report=decode_frames(y, ofdm_cfg, modulation, pnc_enabled), tx_bits=padded,
+        theta_true_bodies=_payload_bodies(theta, ofdm_cfg).reshape(len(seeds), -1),
+        samples_per_frame=y.shape[1],
+        _oracle=lambda: estimate_phase(_payload_bodies(y, ofdm_cfg), ofdm_cfg).per_sample_phase)
 
 
 def run_frame(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
-              channel_cfg: ChannelConfig, pnc_enabled: bool,
-              n_payload_symbols: int) -> FrameResult:
-    """Transmit one frame of bits through the channel, drawn with
-    channel_cfg.seed, and decode it: the one-frame view of run_frames."""
-    return _run_stack([bits], modulation, ofdm_cfg, channel_cfg, [channel_cfg.seed],
-                      pnc_enabled, n_payload_symbols)[0]
+              channel_cfg: ChannelConfig, pnc_enabled: bool, n_payload_symbols: int,
+              run_seed: int, frame: int) -> FrameStack:
+    """Frame `frame` of a run on its own: run_frames on a stack of one."""
+    return run_frames([bits], modulation, ofdm_cfg, channel_cfg, pnc_enabled,
+                      n_payload_symbols, run_seed, frame)
 
 
 def run_seeded_frames(modulation: Modulation, ofdm_cfg: OfdmConfig,
                       channel_cfg: ChannelConfig, pnc_enabled: bool,
                       n_payload_symbols: int, run_seed: int, n_frames: int):
-    """Yield the FrameResults of frames 0 .. n_frames - 1 of a run whose frame
+    """Yield the FrameStacks of frames 0 .. n_frames - 1 of a run whose frame
     i carries frame_bits_rng(run_seed, i) bits, CHUNK_FRAMES frames at a time."""
     capacity = frame_capacity_bits(ofdm_cfg, modulation, n_payload_symbols)
     for start in range(0, n_frames, CHUNK_FRAMES):
         frames = range(start, min(start + CHUNK_FRAMES, n_frames))
         bits = [frame_bits_rng(run_seed, i).integers(0, 2, capacity, dtype=np.uint8)
                 for i in frames]
-        yield from run_frames(bits, modulation, ofdm_cfg, channel_cfg, pnc_enabled,
-                              n_payload_symbols, run_seed, start)
-
-
-def frame_channel_cfg(channel_cfg: ChannelConfig, run_seed: int, frame_idx: int) -> ChannelConfig:
-    """Per-frame channel config with an independent derived seed."""
-    return replace(channel_cfg, seed=derived_seed(run_seed, frame_idx, 0))
+        yield run_frames(bits, modulation, ofdm_cfg, channel_cfg, pnc_enabled,
+                         n_payload_symbols, run_seed, start)
 
 
 def frame_bits_rng(run_seed: int, frame_idx: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([run_seed, frame_idx, 1]))
 
 
-def aggregate_evm_db(reports) -> float | None:
-    """RMS (linear-domain) EVM over frames (any iterable of reports, read once);
-    None without any decided points."""
-    powers = [(r.error_power, r.reference_power) for r in reports]
-    return evm_db_from_powers(sum(p[0] for p in powers), sum(p[1] for p in powers))
+def aggregate_evm_db(error_power, reference_power) -> float | None:
+    """RMS (linear-domain) EVM over frames from their (F,) power sums, each
+    added left to right, as np.cumsum does on every Python (sum() of floats
+    is compensated from Python 3.12); None without any decided points."""
+    if not len(error_power):
+        return None
+    return evm_db_from_powers(np.cumsum(error_power)[-1], np.cumsum(reference_power)[-1])

@@ -10,8 +10,8 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelConfig
-from .link import CHUNK_FRAMES, run_frames
-from .modulation import Modulation, evm_db_from_powers
+from .link import CHUNK_FRAMES, aggregate_evm_db, run_frames
+from .modulation import Modulation
 from .ofdm import OfdmConfig, frame_capacity_bits
 
 _HEADER = struct.Struct(">IH")   # seq: u32, payload_len: u16
@@ -152,20 +152,19 @@ def stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
 
     packets = packetize(data, max_payload) if data else []
     received = []
-    error_power = 0.0
-    reference_power = 0.0
+    powers = np.empty((2, len(packets)))   # each frame's error and reference power
     channel_uses = 0
     for start in range(0, len(packets), CHUNK_FRAMES):
         chunk = packets[start:start + CHUNK_FRAMES]
         tx_bits = [np.unpackbits(np.frombuffer(encode_packet(p), dtype=np.uint8)) for p in chunk]
-        for result in run_frames(tx_bits, modulation, ofdm_cfg, channel_cfg, pnc_enabled,
-                                 n_payload_symbols, seed, start):
-            rx_bytes = np.packbits(result.report.bits[:capacity_bytes * 8]).tobytes()
-            received.append(decode_packet(rx_bytes))
-            error_power += result.report.error_power
-            reference_power += result.report.reference_power
-            channel_uses += result.n_channel_uses
-        del result   # frees its chunk's arrays before the next chunk runs
+        stack = run_frames(tx_bits, modulation, ofdm_cfg, channel_cfg, pnc_enabled,
+                           n_payload_symbols, seed, start)
+        report = stack.report
+        rx_bytes = np.packbits(report.bits[:, :capacity_bytes * 8], axis=-1)
+        received.extend(decode_packet(row.tobytes()) for row in rx_bytes)
+        powers[:, start:start + len(chunk)] = report.error_power, report.reference_power
+        channel_uses += len(chunk) * stack.samples_per_frame
+        del stack, report   # frees the chunk's arrays before the next chunk runs
 
     recovered, statuses = depacketize(received, max_payload)
     # Counted over what was received, not over reassembly slots: a packet
@@ -180,6 +179,6 @@ def stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
         packets_crc_fail=crc_fail,
         per=1.0 - ok / len(packets) if packets else 0.0,
         goodput_bits_per_channel_use=ok_bits / channel_uses if channel_uses else 0.0,
-        mean_evm_db=evm_db_from_powers(error_power, reference_power),
+        mean_evm_db=aggregate_evm_db(*powers),
     )
     return recovered, report

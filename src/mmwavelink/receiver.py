@@ -31,18 +31,19 @@ class ChannelEstimate:
 
 @dataclass
 class DecodeReport:
-    bits: np.ndarray
-    evm_db: float
-    residual_phase_std: float
-    per_symbol_evm: list
-    n_erased: int
-    # Linear-domain sums behind evm_db, for aggregation across frames.
-    error_power: float
-    reference_power: float
-    points: np.ndarray
-    # (n_payload_symbols, n_payload) bins zeroed instead of divided; points
-    # is this array's shape, flattened.
-    erased: np.ndarray
+    """A decoded stack of F frames, every field indexed by frame first."""
+
+    bits: np.ndarray                # (F, capacity)
+    evm_db: np.ndarray              # (F,)
+    residual_phase_std: np.ndarray  # (F,)
+    per_symbol_evm: np.ndarray      # (F, n_payload_symbols)
+    n_erased: np.ndarray            # (F,)
+    # Linear-domain sums behind evm_db, (F,) each, for aggregation across frames.
+    error_power: np.ndarray
+    reference_power: np.ndarray
+    points: np.ndarray              # (F, n_payload_symbols, n_payload)
+    erased: np.ndarray              # shaped as points: bins zeroed instead of divided
+    phase: np.ndarray | None        # (F, n_payload_symbols, n_fft) PNC phase; None if off
 
 
 def _signed_indices(plan: SubcarrierPlan) -> np.ndarray:
@@ -132,7 +133,7 @@ def _power_sums(points, reference, erased):
     """
     err2 = np.abs(points - reference) ** 2
     sums = [t.reshape(len(t), -1).sum(axis=-1) for t in (err2, np.abs(reference) ** 2)]
-    symbol_means = list(err2.mean(axis=-1))
+    symbol_means = err2.mean(axis=-1)
     for f in np.flatnonzero(erased.reshape(len(erased), -1).any(axis=-1)):
         ok = ~erased[f]
         sums[0][f] = err2[f][ok].sum()
@@ -170,9 +171,7 @@ def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
     Each frame is decoded on its own, as [2 training symbols | payload
     symbols]: PNC, FFT, LS estimate, zero-forcing and slicing run once over
     the (F, n_symbols, n_fft) stack, and every per-frame sum is taken over
-    that frame's row. Returns (reports, phase): phase is the PNC per-sample
-    phase estimate over the payload symbol bodies, (F, n_payload_symbols,
-    n_fft), or None when PNC is off.
+    that frame's row. Returns one DecodeReport for the stack.
 
     EVM is decision-directed against the demapped constellation points,
     referenced to the mean decided-point power of the whole frame, so the
@@ -212,13 +211,9 @@ def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
     idx[erased] = 0
     bits = indices_to_bits(idx, modulation).reshape(n_frames, -1)
     error, reference, symbol_error = _power_sums(points, modulation.constellation[idx], erased)
-    n_erased = erased.reshape(n_frames, -1).sum(axis=-1)
     frame_evm, ref_mean = _frame_evm_db(error, reference, erased)
-    frame_evm = frame_evm.tolist()
-    symbol_evm = evm_db_from_powers(np.array(symbol_error), ref_mean[:, None]).tolist()
-    return [DecodeReport(bits=bits[f], evm_db=frame_evm[f],
-                         residual_phase_std=float(residual_phase_std[f]),
-                         per_symbol_evm=symbol_evm[f], n_erased=int(n_erased[f]),
-                         error_power=float(error[f]), reference_power=float(reference[f]),
-                         points=points[f].reshape(-1), erased=erased[f])
-            for f in range(n_frames)], phase
+    return DecodeReport(bits=bits, evm_db=frame_evm, residual_phase_std=residual_phase_std,
+                        per_symbol_evm=evm_db_from_powers(symbol_error, ref_mean[:, None]),
+                        n_erased=erased.reshape(n_frames, -1).sum(axis=-1),
+                        error_power=error, reference_power=reference, points=points,
+                        erased=erased, phase=phase)

@@ -2,7 +2,9 @@
 forms exactly, bit for bit."""
 
 import csv
+import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,17 +12,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
-from mmwavelink import (ChannelConfig, ChannelEstimate, Modulation, OfdmConfig,
+from mmwavelink import (ChannelConfig, ChannelEstimate, DecodeReport, Modulation, OfdmConfig,
                         PhaseNoiseConfig, PhaseNoiseModel, PhaseNoiseProcess,
                         apply_channel, build_frames, build_plan, cancel, decode_frames,
                         demap_hard, equalize, estimate_channel_ls, estimate_phase,
-                        frame_bits_rng, frame_capacity_bits, frame_channel_cfg,
+                        derived_seed, frame_bits_rng, frame_capacity_bits,
                         genie_evm_db, map_bits, modulate_symbol, run_frame, run_frames,
                         slice_indices, training_bins)
 from mmwavelink import channel as channel_module
 from mmwavelink.channel import (PN_CORNER_RATIO, PN_FILTER_ORDER, SAMPLE_BLOCK, phase_noise_rows,
                                 phasor, sample_blocks, single_tone_probe, tone)
-from mmwavelink.link import aggregate_evm_db, run_seeded_frames
+from mmwavelink.link import aggregate_evm_db
+from mmwavelink.modulation import evm_db_from_powers
 from mmwavelink.metrics import (append_series_csv, extract_tone_phase, psd_welch,
                                 std_in_place, write_csv_header, write_series_csv)
 from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS
@@ -122,26 +125,26 @@ def test_batched_equalize_equals_per_row(seed, n_rows, n_weak):
 @pytest.mark.parametrize("pnc_enabled", [True, False])
 def test_run_frame_phase_estimate_equals_per_symbol_oracle(pnc_enabled):
     cfg = ofdm_cfg()
-    channel = frame_channel_cfg(ChannelConfig(taps=(1.0, 0.3 + 0.2j), snr_db=30.0), 7, 2)
+    channel = ChannelConfig(taps=(1.0, 0.3 + 0.2j), snr_db=30.0)
     bits = frame_bits_rng(7, 2).integers(0, 2, 46 * 2 * 5, dtype=np.uint8)
-    result = run_frame(bits, Modulation.QPSK, cfg, channel, pnc_enabled, 5)
+    result = run_frame(bits, Modulation.QPSK, cfg, channel, pnc_enabled, 5, 7, 2)
 
     symbols, _ = build_frames([bits], Modulation.QPSK, cfg, 5)
-    y, theta = apply_channel(symbols.ravel(), channel)
+    y, theta = apply_channel(symbols.ravel(), replace(channel, seed=derived_seed(7, 2, 0)))
     est, true = [], []
     for s in range(N_PREAMBLE_SYMBOLS, N_PREAMBLE_SYMBOLS + 5):
         start = s * cfg.symbol_len + cfg.cp_len
         est.append(estimate_phase(y[start:start + 64], cfg).per_sample_phase)
         true.append(theta[start:start + 64])
-    np.testing.assert_array_equal(result.theta_est, np.concatenate(est))
-    np.testing.assert_array_equal(result.theta_true_bodies, np.concatenate(true))
+    np.testing.assert_array_equal(result.theta_est, np.concatenate(est)[None])
+    np.testing.assert_array_equal(result.theta_true_bodies, np.concatenate(true)[None])
 
-    reports, phase = decode_frames(y[None], cfg, Modulation.QPSK, pnc_enabled)
-    np.testing.assert_array_equal(reports[0].bits, result.report.bits)
+    report = decode_frames(y[None], cfg, Modulation.QPSK, pnc_enabled)
+    np.testing.assert_array_equal(report.bits, result.report.bits)
     if pnc_enabled:
-        np.testing.assert_array_equal(phase[0], np.stack(est))
+        np.testing.assert_array_equal(report.phase[0], np.stack(est))
     else:
-        assert phase is None
+        assert report.phase is None
 
 
 def reference_trajectory(sigma, bandwidth_hz, seed, n):
@@ -265,17 +268,20 @@ def test_appended_parts_equal_one_write(tmp_path, parts):
     assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
-def assert_frame_results_equal(batched, single):
-    """Every array and number of two FrameResults is the same, bit for bit."""
-    a, b = batched.report, single.report
-    for name in ("bits", "points", "erased"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    for name in ("evm_db", "error_power", "reference_power",
-                 "residual_phase_std", "n_erased", "per_symbol_evm"):
-        assert getattr(a, name) == getattr(b, name), name
-    for name in ("tx_bits", "theta_est", "theta_true_bodies"):
-        np.testing.assert_array_equal(getattr(batched, name), getattr(single, name))
-    assert batched.n_channel_uses == single.n_channel_uses
+def assert_row_equals(stack, f, single):
+    """Row f of a FrameStack equals the one row of the stack `single`, bit for
+    bit, in every field."""
+    rows = [(getattr(stack.report, field.name), getattr(single.report, field.name))
+            for field in dataclasses.fields(DecodeReport)]
+    rows += [(getattr(stack, name), getattr(single, name))
+             for name in ("tx_bits", "theta_est", "theta_true_bodies")]
+    for a, b in rows:
+        if a is None or b is None:   # the PNC phase, with PNC off
+            assert a is None and b is None
+        else:
+            assert len(b) == 1
+            assert_same_bytes(np.asarray(a[f]), np.asarray(b[0]))
+    assert stack.samples_per_frame == single.samples_per_frame
 
 
 def null_taps(k0):
@@ -312,12 +318,11 @@ def test_run_frames_equals_run_frame(modulation, pnc_enabled, taps, cfo_hz, mode
     bits = [rng.integers(0, 2, int(fill * capacity), dtype=np.uint8) for fill in fills]
     batched = run_frames(bits, modulation, cfg, channel, pnc_enabled, n_payload_symbols,
                          run_seed, first_frame)
-    assert len(batched) == len(bits)
-    for f, result in enumerate(batched):
-        single = run_frame(bits[f], modulation, cfg,
-                           frame_channel_cfg(channel, run_seed, first_frame + f),
-                           pnc_enabled, n_payload_symbols)
-        assert_frame_results_equal(result, single)
+    assert len(batched.tx_bits) == len(bits)
+    for f in range(len(bits)):
+        single = run_frame(bits[f], modulation, cfg, channel, pnc_enabled, n_payload_symbols,
+                           run_seed, first_frame + f)
+        assert_row_equals(batched, f, single)
 
 
 def old_power_db(err_power, ref_power):
@@ -356,15 +361,15 @@ def test_per_symbol_evm_matches_masked_means(taps, pn, erasures, pnc_enabled):
     # frame sums keep their bytes either way (golden tests), and the
     # per-symbol values agree with one masked mean per symbol.
     cfg = ofdm_cfg(3)
-    channel = frame_channel_cfg(ChannelConfig(taps=taps, snr_db=math.inf if erasures else 25.0,
-                                              phase_noise=pn), 9, 4)
+    channel = replace(ChannelConfig(taps=taps, snr_db=math.inf if erasures else 25.0,
+                                    phase_noise=pn), seed=derived_seed(9, 4, 0))
     bits = frame_bits_rng(9, 4).integers(0, 2, 46 * 4 * 5, dtype=np.uint8)
     symbols, _ = build_frames([bits], Modulation.QAM16, cfg, 5)
     y, _ = apply_channel(symbols.ravel(), channel)
-    report = decode_frames(y[None], cfg, Modulation.QAM16, pnc_enabled)[0][0]
+    report = decode_frames(y[None], cfg, Modulation.QAM16, pnc_enabled)
     expect, n_erased = per_symbol_evm_reference(y, cfg, Modulation.QAM16, pnc_enabled)
-    assert report.n_erased == n_erased and (n_erased > 0) == erasures
-    np.testing.assert_allclose(report.per_symbol_evm, expect, rtol=0.0, atol=1e-12)
+    assert report.n_erased[0] == n_erased and (n_erased > 0) == erasures
+    np.testing.assert_allclose(report.per_symbol_evm[0], expect, rtol=0.0, atol=1e-12)
 
 
 def table_argmin(z, modulation):
@@ -588,11 +593,11 @@ def test_full_chunk_run_frames_equals_run_frame(pnc_enabled, cfo_hz, n_frames,
             for i in range(n_frames)]
     batched = run_frames(bits, Modulation.QAM64, cfg, channel, pnc_enabled,
                          n_payload_symbols, 9, 32)
-    assert len(batched) == n_frames
-    for f, result in enumerate(batched):
-        single = run_frame(bits[f], Modulation.QAM64, cfg, frame_channel_cfg(channel, 9, 32 + f),
-                           pnc_enabled, n_payload_symbols)
-        assert_frame_results_equal(result, single)
+    assert len(batched.tx_bits) == n_frames
+    for f in range(n_frames):
+        single = run_frame(bits[f], Modulation.QAM64, cfg, channel, pnc_enabled,
+                           n_payload_symbols, 9, 32 + f)
+        assert_row_equals(batched, f, single)
 
 
 @pytest.mark.parametrize("modulation,channel,pnc_enabled", [
@@ -608,10 +613,8 @@ def test_stacked_genie_equals_per_frame_genie(modulation, channel, pnc_enabled):
     cfg = ofdm_cfg(3)
     capacity = frame_capacity_bits(cfg, modulation, 4)
     bits = [frame_bits_rng(8, i).integers(0, 2, capacity, dtype=np.uint8) for i in range(16)]
-    results = run_frames(bits, modulation, cfg, channel, pnc_enabled, 4, 8)
-    stacks = [np.stack(v) for v in zip(*[
-        (r.report.points.reshape(r.report.erased.shape), r.tx_bits, r.report.erased)
-        for r in results])]
+    result = run_frames(bits, modulation, cfg, channel, pnc_enabled, 4, 8)
+    stacks = [result.report.points, result.tx_bits, result.report.erased]
     stacked = genie_evm_db(*stacks, modulation)
     assert stacked.shape == (16,)
     assert stacks[2].reshape(16, -1).any(axis=-1).all() == (modulation is Modulation.QAM16)
@@ -631,9 +634,21 @@ def test_std_in_place_equals_np_std(shape, scale, offset, seed):
     assert std_in_place(x) == expected
 
 
-def test_aggregate_evm_db_reads_a_generator_once():
-    # sweep-k hands the reports over one at a time and keeps none of them.
-    ofdm = OfdmConfig(plan=build_plan(64, 3, 26), cp_len=16, sample_rate_hz=25e6)
-    channel = ChannelConfig(taps=(1.0, 0.2), snr_db=20.0)
-    reports = [r.report for r in run_seeded_frames(Modulation.QPSK, ofdm, channel, True, 2, 4, 20)]
-    assert aggregate_evm_db(r for r in reports) == aggregate_evm_db(reports)
+@FAST
+@given(powers=st.lists(st.tuples(st.floats(0.0, 1e6),
+                                 st.one_of(st.just(0.0), st.floats(1e-3, 1e6))), max_size=40))
+# math.fsum, like sum() from Python 3.12, gives another EVM here.
+@example(powers=[(1e16, 1e16), (1.0, 3.0), (1.0, 3.0)])
+@example(powers=[(0.0, 0.0)])
+def test_aggregate_evm_db_sums_left_to_right(powers):
+    # summary.json, ksweep.csv and stream_report.json keep their bytes on
+    # every Python: the power sums run left to right, as a += loop does.
+    error, reference = np.array(powers).reshape(-1, 2).T
+    if not powers:
+        assert aggregate_evm_db(error, reference) is None
+        return
+    total = [0.0, 0.0]
+    for e, r in powers:
+        total[0] += e
+        total[1] += r
+    assert aggregate_evm_db(error, reference) == evm_db_from_powers(*total)

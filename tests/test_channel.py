@@ -156,8 +156,6 @@ def test_generator_validation():
     with pytest.raises(ValueError):
         PhaseNoiseProcess(PhaseNoiseConfig(bandwidth_hz=FS), FS, seed=0)
     with pytest.raises(ValueError):
-        PhaseNoiseProcess(PhaseNoiseConfig(), FS, seed=0, symbol_len=0)
-    with pytest.raises(ValueError):
         PhaseNoiseProcess(PhaseNoiseConfig(), FS, seed=0).generate(-1)
 
 
@@ -180,9 +178,9 @@ def test_filtered_gaussian_power_stays_in_band():
 
 
 def test_random_walk_increment_scaling():
-    # Per-symbol increment std is sigma when steps are sigma/sqrt(symbol_len).
+    # The increment std over RANDOM_WALK_SPAN = 80 samples is sigma.
     cfg = PhaseNoiseConfig(sigma=0.26, model=PhaseNoiseModel.RANDOM_WALK)
-    theta = PhaseNoiseProcess(cfg, FS, seed=8, symbol_len=80).generate(80 * 20000)
+    theta = PhaseNoiseProcess(cfg, FS, seed=8).generate(80 * 20000)
     inc = theta[80::80] - theta[:-80:80]
     assert abs(inc.std() / 0.26 - 1.0) < 0.05
 

@@ -138,7 +138,6 @@ INVALID_VALUES = [
 @pytest.mark.parametrize("command, patch", [
     pytest.param(command, patch, id=f"{command}-patch{i}".removeprefix("simulate-"))
     for command in COMMANDS for i, patch in enumerate(INVALID_VALUES)])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the tap energy
 def test_invalid_config_values_exit_1(tmp_path, command, patch):
     out = tmp_path / "o"
     assert main(command_argv(tmp_path, command, write_cfg(tmp_path, patch), out)) == 1

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mmwavelink import (ChannelConfig, Modulation, OfdmConfig, build_plan,
-                        cancel, estimate_phase, frame_bits_rng,
-                        frame_channel_cfg, run_frame, wrap_phase)
+from mmwavelink import (ChannelConfig, Modulation, OfdmConfig, aggregate_evm_db, build_plan,
+                        cancel, estimate_phase, frame_bits_rng, run_frames, wrap_phase)
 from mmwavelink.pnc import DEGENERATE_EPS
 
 
@@ -91,31 +90,27 @@ def test_cancel_rejects_length_mismatch():
         cancel(np.zeros(63, dtype=complex), est)
 
 
-def run_frames(k_guard, n_frames, run_seed):
+def run_stack(k_guard, n_frames, run_seed):
+    """Frames 0 .. n_frames - 1 of a QPSK run with PNC, as one stack."""
     cfg = OfdmConfig(plan=build_plan(64, k_guard, 26), cp_len=16,
                      sample_rate_hz=25.0e6)
-    channel = ChannelConfig(seed=0)
     capacity = 12 * len(cfg.plan.payload_indices) * 2
-    results = []
-    for i in range(n_frames):
-        bits = frame_bits_rng(run_seed, i).integers(0, 2, capacity, dtype=np.uint8)
-        results.append(run_frame(bits, Modulation.QPSK, cfg,
-                                 frame_channel_cfg(channel, run_seed, i),
-                                 True, 12))
-    return results
+    bits = [frame_bits_rng(run_seed, i).integers(0, 2, capacity, dtype=np.uint8)
+            for i in range(n_frames)]
+    return run_frames(bits, Modulation.QPSK, cfg, ChannelConfig(seed=0), True, 12, run_seed)
 
 
 def test_tracking_residual_at_default_calibration():
-    results = run_frames(3, 25, 7)
-    resid = []
-    for r in results:
-        d = wrap_phase(r.theta_true_bodies - r.theta_est)
-        resid.append(d - d.mean())
-    assert np.concatenate(resid).std() < 0.12
+    stack = run_stack(3, 25, 7)
+    d = wrap_phase(stack.theta_true_bodies - stack.theta_est)
+    assert (d - d.mean(axis=-1, keepdims=True)).std() < 0.12
+
+
+def stack_evm_db(stack):
+    return aggregate_evm_db(stack.report.error_power, stack.report.reference_power)
 
 
 def test_guard_band_beats_pilot_only_tracking():
-    from mmwavelink import aggregate_evm_db
-    evm_k0 = aggregate_evm_db([r.report for r in run_frames(0, 20, 11)])
-    evm_k3 = aggregate_evm_db([r.report for r in run_frames(3, 20, 11)])
+    evm_k0 = stack_evm_db(run_stack(0, 20, 11))
+    evm_k3 = stack_evm_db(run_stack(3, 20, 11))
     assert evm_k3 < evm_k0 - 0.5

@@ -22,13 +22,12 @@ def frame_samples(bits, modulation, cfg, n_payload_symbols):
 
 def decode_one(samples, cfg, modulation, pnc_enabled=True):
     """The DecodeReport of one frame buffer, decoded as a stack of one."""
-    return decode_frames(np.asarray(samples)[None], cfg, modulation, pnc_enabled)[0][0]
+    return decode_frames(np.asarray(samples)[None], cfg, modulation, pnc_enabled)
 
 
 def genie_of(report, bits, modulation=Modulation.QPSK):
-    """The genie EVM of one decoded frame, as a stack of one."""
-    return genie_evm_db(report.points.reshape(1, *report.erased.shape),
-                        np.asarray(bits)[None], report.erased[None], modulation)[0]
+    """The genie EVM of a decoded stack of one frame."""
+    return genie_evm_db(report.points, np.asarray(bits)[None], report.erased, modulation)[0]
 
 
 def signed_to_fft(plan):
@@ -113,9 +112,9 @@ def test_decode_clean_frame_is_exact(mod, pnc_enabled):
     rng = np.random.default_rng(10)
     bits = rng.integers(0, 2, 46 * mod.bits_per_symbol * 4, dtype=np.uint8)
     report = decode_one(frame_samples(bits, mod, cfg, 4), cfg, mod, pnc_enabled=pnc_enabled)
-    np.testing.assert_array_equal(report.bits, bits)
-    assert report.evm_db == -120.0
-    assert report.n_erased == 0
+    np.testing.assert_array_equal(report.bits[0], bits)
+    assert report.evm_db[0] == -120.0
+    assert report.n_erased[0] == 0
 
 
 def test_decode_multipath_noiseless_is_exact():
@@ -126,8 +125,8 @@ def test_decode_multipath_noiseless_is_exact():
     bits = rng.integers(0, 2, 92 * 4, dtype=np.uint8)
     y, _ = apply_channel(frame_samples(bits, Modulation.QPSK, cfg, 4), channel)
     report = decode_one(y, cfg, Modulation.QPSK, pnc_enabled=False)
-    np.testing.assert_array_equal(report.bits, bits)
-    assert report.evm_db <= -40.0
+    np.testing.assert_array_equal(report.bits[0], bits)
+    assert report.evm_db[0] <= -40.0
     assert genie_of(report, bits) <= -40.0
 
 
@@ -137,9 +136,9 @@ def test_decode_constant_rotation_absorbed_by_ls():
     bits = rng.integers(0, 2, 92 * 3, dtype=np.uint8)
     y = frame_samples(bits, Modulation.QPSK, cfg, 3) * np.exp(1j * 0.7)
     report = decode_one(y, cfg, Modulation.QPSK, pnc_enabled=False)
-    np.testing.assert_array_equal(report.bits, bits)
-    assert report.evm_db == -120.0
-    assert report.residual_phase_std < 1e-9
+    np.testing.assert_array_equal(report.bits[0], bits)
+    assert report.evm_db[0] == -120.0
+    assert report.residual_phase_std[0] < 1e-9
 
 
 def test_frame_evm_is_rms_of_per_symbol_evm():
@@ -149,12 +148,12 @@ def test_frame_evm_is_rms_of_per_symbol_evm():
     channel = ChannelConfig(taps=(1.0,), snr_db=25.0, phase_noise=CLEAN_PN, seed=2)
     y, _ = apply_channel(frame_samples(bits, Modulation.QPSK, cfg, 6), channel)
     report = decode_one(y, cfg, Modulation.QPSK, pnc_enabled=False)
-    assert report.n_erased == 0
-    combined = 10.0 * np.log10(np.mean(10.0 ** (np.asarray(report.per_symbol_evm) / 10.0)))
-    assert abs(report.evm_db - combined) < 1e-9
+    assert report.n_erased[0] == 0
+    combined = 10.0 * np.log10(np.mean(10.0 ** (report.per_symbol_evm[0] / 10.0)))
+    assert abs(report.evm_db[0] - combined) < 1e-9
     # The linear-domain sums must reproduce the reported dB value.
-    assert report.evm_db == pytest.approx(
-        10.0 * np.log10(report.error_power / report.reference_power), abs=1e-9)
+    assert report.evm_db[0] == pytest.approx(
+        10.0 * np.log10(report.error_power[0] / report.reference_power[0]), abs=1e-9)
 
 
 def test_decode_genie_evm_tracks_true_bits():
