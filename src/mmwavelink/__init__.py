@@ -11,8 +11,8 @@ from .receiver import (ChannelEstimate, DecodeReport, decode_frames, equalize,
                        estimate_channel_ls, genie_evm_db)
 from .link import (CHUNK_FRAMES, FrameStack, aggregate_evm_db, derived_seed,
                    frame_bits_rng, run_frame, run_frames, run_seeded_frames)
-from .metrics import (GaussianFit, PsdEstimate, band_power_fraction, extract_tone_phase,
-                      gaussian_fit, phase_pdf, psd_welch, wrap_phase)
+from .metrics import (GaussianFit, PsdEstimate, band_power_fraction, gaussian_fit,
+                      phase_pdf, psd_welch, wrap_phase)
 from .linklayer import (Packet, PacketStatus, StreamReport, depacketize,
                         make_packet, packetize, stream_bytes, verify_packet)
 
@@ -30,7 +30,7 @@ __all__ = [
     "decode_frames", "genie_evm_db",
     "CHUNK_FRAMES", "FrameStack", "run_frame", "run_frames", "run_seeded_frames",
     "frame_bits_rng", "derived_seed", "aggregate_evm_db",
-    "GaussianFit", "PsdEstimate", "extract_tone_phase", "gaussian_fit", "psd_welch",
+    "GaussianFit", "PsdEstimate", "gaussian_fit", "psd_welch",
     "band_power_fraction", "phase_pdf", "wrap_phase",
     "Packet", "PacketStatus", "StreamReport", "packetize", "depacketize",
     "make_packet", "verify_packet", "stream_bytes",

@@ -179,7 +179,7 @@ class ChannelConfig:
         if not 0 < energy < math.inf:
             raise ValueError(f"taps must carry finite, nonzero energy, got {energy}")
         object.__setattr__(self, "taps", tuple(taps / np.sqrt(energy)))
-        try:   # the noise power _channel_rows scales by
+        try:   # the noise power _channel_blocks scales by
             noise_power = 10.0 ** (-self.snr_db / 10.0)
         except OverflowError:
             noise_power = math.inf
@@ -230,7 +230,12 @@ def apply_channel(x, cfg: ChannelConfig, seeds=None):
     if rows.ndim != 2 or rows.shape[1] == 0 or len(seeds) != rows.shape[0]:
         raise ValueError("input must be a non-empty 1-D buffer, or an (F, n) stack "
                          "with one seed per row")
-    y, theta = _channel_rows(lambda a, b: rows[:, a:b], rows.shape, cfg, seeds)
+    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz,
+                             [_stream_seed(seed, 0) for seed in seeds], rows.shape[1])
+    y = np.empty(rows.shape, dtype=complex)
+    for _ in _channel_blocks(lambda a, b: rows[:, a:b], rows.shape, cfg, seeds,
+                             lambda a, b: theta[:, a:b], y):
+        pass
     return (y, theta) if stacked else (y[0], theta[0])
 
 
@@ -273,29 +278,29 @@ def _rotate(s, factor) -> None:
         np.multiply(s, factor, out=s)
 
 
-def _channel_rows(samples, shape, cfg: ChannelConfig, seeds) -> tuple:
-    """(y, theta) of an (F, n) stack, row f drawn with seeds[f], block by block.
+def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, theta, y=None):
+    """Blocks of an (F, n) stack through the channel, row f drawn with seeds[f].
 
-    samples(a, b) returns input samples [a, b) of every row, (F, b - a).
+    samples(a, b) returns input samples [a, b) of every row, (F, b - a), and
+    theta(a, b) the phase noise of block [a, b), asked for in block order.
+    Yields (a, b, x, y) per block in order: the input and the received
+    samples. With a complex (F, n) buffer y, pass 1 keeps each block's taps
+    and CFO in it for pass 2; without one, pass 2 computes them again.
     Only the draws and the convolution run row by row. The CFO ramp, |s|^2,
     the SNR scale, the rotation and the AWGN add each run once over a block
     of all rows, as ufuncs in a fixed operand order, so that each row's bytes
     equal the whole-buffer expressions on that row alone.
     """
-    n_samples = shape[1]
-    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz,
-                             [_stream_seed(seed, 0) for seed in seeds], n_samples)
     rngs = [np.random.default_rng(_stream_seed(seed, 1)) for seed in seeds]
-    y = np.empty(shape, dtype=complex)
     h = np.asarray(cfg.taps, dtype=complex)
     noisy = math.isfinite(cfg.snr_db)
-    blocks = sample_blocks(n_samples)
-    # Pass 1: taps and CFO into y, |s|^2 for the SNR power.
-    power = np.empty(y.shape) if noisy else None
-    for a, b in blocks:
-        s = y[:, a:b]
+    blocks = sample_blocks(shape[1])
+
+    def transmit(a, b):
+        """Input block [a, b) and, in y or a new buffer, its taps and CFO."""
         lo = max(a - (h.size - 1), 0)
         x = samples(lo, b)
+        s = np.empty((shape[0], b - a), dtype=complex) if y is None else y[:, a:b]
         if h.size > 1:
             for row, out in zip(x, s):
                 out[:] = np.convolve(row, h)[a - lo:b - lo]
@@ -303,20 +308,27 @@ def _channel_rows(samples, shape, cfg: ChannelConfig, seeds) -> tuple:
             np.multiply(x, h[0], out=s)
         if cfg.cfo_hz:
             _rotate(s, tone(2j * np.pi * cfg.cfo_hz, a, b, cfg.sample_rate_hz))
-        if noisy:
-            np.square(np.abs(s, out=power[:, a:b]), out=power[:, a:b])
+        return x[:, a - lo:], s
+
+    # Pass 1: taps and CFO, and |s|^2 for the SNR power.
+    power = np.empty(shape) if noisy else None
+    if noisy or y is not None:
+        for a, b in blocks:
+            s = transmit(a, b)[1]
+            if noisy:
+                np.square(np.abs(s, out=power[:, a:b]), out=power[:, a:b])
     if noisy:
         # np.mean's sum and division, without its per-call overhead; a sum
         # over a contiguous row equals that row's sum alone.
-        noise_var = power.sum(axis=-1) / n_samples * 10.0 ** (-cfg.snr_db / 10.0)
+        noise_var = power.sum(axis=-1) / shape[1] * 10.0 ** (-cfg.snr_db / 10.0)
         scale = np.sqrt(noise_var / 2.0)[:, None]
         # All real parts of a row are drawn before any imaginary part.
         for rng, row in zip(rngs, power):
             rng.standard_normal(out=row)
     # Pass 2: phase noise rotation, then AWGN, through one complex buffer.
     for a, b in blocks:
-        s = y[:, a:b]
-        buf = phasor(theta[:, a:b])
+        x, s = transmit(a, b) if y is None else (samples(a, b), y[:, a:b])
+        buf = phasor(theta(a, b))
         _rotate(s, buf)
         if noisy:
             imag = np.empty(s.shape)
@@ -325,7 +337,7 @@ def _channel_rows(samples, shape, cfg: ChannelConfig, seeds) -> tuple:
             # scale * (real + 1j * imag), added to the rotated samples.
             np.add(power[:, a:b], np.multiply(1j, imag, out=buf), out=buf)
             np.add(s, np.multiply(scale, buf, out=buf), out=s)
-    return y, theta
+        yield a, b, x, s
 
 
 def _check_tone(freq_hz: float, sample_rate_hz: float, name: str = "tone") -> None:
@@ -334,18 +346,62 @@ def _check_tone(freq_hz: float, sample_rate_hz: float, name: str = "tone") -> No
         raise ValueError(f"{name} at {freq_hz} Hz aliases at fs={sample_rate_hz}")
 
 
-def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig):
-    """Send exp(j 2 pi f n / fs) through the channel; returns (y, theta).
+def _mixer(t, freq_hz: float, a: int, b: int, sample_rate_hz: float) -> np.ndarray:
+    """tone(-2j*pi*f, a, b) from t = tone(2j*pi*f, a, b), bit for bit.
 
-    Equals apply_channel on the whole tone; the tone is built block by block.
+    libm's cos is even and its sin odd, so t's conjugate holds those bytes
+    wherever the phase is not zero. A zero phase (n = 0, or a tone too slow
+    to turn) leaves a zero sine whose sign follows each argument's own
+    rounding of its zero terms, so those samples are computed again.
+    """
+    out = np.conjugate(t)
+    zero = np.flatnonzero(t.imag == 0)
+    if zero.size:
+        lo, hi = zero[0], zero[-1] + 1
+        out[lo:hi] = tone(-2j * np.pi * freq_hz, a + lo, a + hi, sample_rate_hz)
+    return out
+
+
+def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig) -> np.ndarray:
+    """Send exp(j 2 pi f n / fs) through the channel; returns its phase.
+
+    The phase is np.unwrap(np.angle(y * np.exp(-2j*pi*f*n/fs))) less its
+    mean, bit for bit, where y = apply_channel(tone, cfg)[0], so a constant
+    channel rotation does not bias it. Only |s|^2 (later the noise's real
+    parts) and the phase are held at full length: the tone, the phase noise
+    and y are made block by block, the tone and its taps and CFO once per
+    pass.
     """
     _check_tone(freq_hz, cfg.sample_rate_hz)
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
     if n_samples == 0:
-        return np.zeros(0, dtype=complex), np.zeros(0)
+        return np.zeros(0)
 
-    k = 2j * np.pi * freq_hz
-    y, theta = _channel_rows(lambda a, b: tone(k, a, b, cfg.sample_rate_hz)[None],
-                             (1, n_samples), cfg, [cfg.seed])
-    return y[0], theta[0]
+    fs, k = cfg.sample_rate_hz, 2j * np.pi * freq_hz
+    process = PhaseNoiseProcess(cfg.phase_noise, fs, _stream_seed(cfg.seed, 0))
+    phase, prev, carry = np.empty(n_samples), None, 0.0
+    for a, b, x, y in _channel_blocks(lambda a, b: tone(k, a, b, fs)[None], (1, n_samples),
+                                      cfg, [cfg.seed],
+                                      lambda a, b: process.generate(b - a)[None]):
+        # Mixed down in the whole-buffer product's operand order.
+        _rotate(y, _mixer(x[0], freq_hz, a, b, fs))
+        wrapped = np.angle(y[0])
+        # np.unwrap's formula (period 2 pi) at the jumps only, as its correction
+        # is 0 wherever |dd| < pi; the running sum of corrections carries across blocks.
+        dd = np.diff(wrapped, prepend=wrapped[0] if prev is None else prev)
+        dd = dd[jumps := np.flatnonzero(~(abs(dd) < np.pi))]
+        correction = carry
+        if jumps.size:
+            ddmod = np.mod(dd - -np.pi, 2 * np.pi) + -np.pi
+            np.copyto(ddmod, np.pi, where=(ddmod == -np.pi) & (dd > 0))
+            correction = np.zeros(b - a)
+            correction[jumps] = ddmod - dd
+            correction[0] += carry
+            carry = np.cumsum(correction, out=correction)[-1]
+        np.add(wrapped, correction, out=phase[a:b])
+        if prev is None:
+            phase[0] = wrapped[0]  # kept as is, -0.0 included
+        prev = wrapped[-1]
+    phase -= phase.mean()
+    return phase

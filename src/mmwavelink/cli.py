@@ -22,9 +22,9 @@ from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel, _check_t
                       single_tone_probe)
 from .link import CHUNK_FRAMES, aggregate_evm_db, frame_bits_rng, run_frame, run_seeded_frames
 from .linklayer import stream_bytes
-from .metrics import (append_series_csv, gaussian_fit, extract_tone_phase, phase_pdf,
-                      psd_welch, std_in_place, wrap_phase, write_csv_header,
-                      write_phase_pdf_csv, write_psd_csv, write_series_csv)
+from .metrics import (append_series_csv, gaussian_fit, phase_pdf, psd_welch, std_in_place,
+                      wrap_phase, write_csv_header, write_phase_pdf_csv, write_psd_csv,
+                      write_series_csv)
 from .modulation import Modulation
 from .ofdm import OfdmConfig, build_plan, frame_capacity_bits
 from .receiver import genie_evm_db
@@ -270,10 +270,7 @@ def cmd_simulate(args, cfg: Config) -> int:
 def cmd_measure_pn(args, cfg: Config) -> int:
     out = _out_dir(args)
     n_samples, fs = cfg.values["probe.n_samples"], cfg.channel.sample_rate_hz
-    # Only the received buffer is kept, and only until its phase is taken.
-    y = single_tone_probe(cfg.tone_hz, n_samples, cfg.channel)[0]
-    phase = extract_tone_phase(y, cfg.tone_hz, fs)
-    del y
+    phase = single_tone_probe(cfg.tone_hz, n_samples, cfg.channel)
     fit = gaussian_fit(phase)
     centers, density = phase_pdf(phase)
     psd = psd_welch(phase, fs)

@@ -1,4 +1,4 @@
-"""Measurement utilities: tone phase extraction, distribution fits, Welch PSD."""
+"""Measurement utilities: distribution fits, Welch PSD, CSV output."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 from scipy import signal
-
-from .channel import sample_blocks, tone
 
 
 @dataclass(frozen=True)
@@ -34,42 +32,6 @@ def wrap_phase(x) -> np.ndarray:
     return np.where(wrapped == -np.pi, np.pi, wrapped)
 
 
-def extract_tone_phase(y, tone_hz: float, sample_rate_hz: float) -> np.ndarray:
-    """Phase trajectory of a received single tone.
-
-    Mixes the tone down to DC, unwraps the angle, and removes the mean so a
-    constant channel rotation does not bias the result. Runs in blocks of
-    SAMPLE_BLOCK samples and equals the whole-buffer
-    `np.unwrap(np.angle(y * np.exp(-2j*pi*f*n/fs)))` bit for bit.
-    """
-    y = np.asarray(y, dtype=complex)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("input must be a non-empty 1-D buffer")
-    phase, k = np.empty(y.size), -2j * np.pi * tone_hz
-    prev, carry = None, 0.0
-    for a, b in sample_blocks(y.size):
-        # An unnamed mixer keeps the whole-buffer product's operand order.
-        wrapped = np.angle(y[a:b] * tone(k, a, b, sample_rate_hz))
-        # np.unwrap's formula (period 2 pi) at the jumps only, as its correction
-        # is 0 wherever |dd| < pi; the running sum of corrections carries across blocks.
-        dd = np.diff(wrapped, prepend=wrapped[0] if prev is None else prev)
-        dd = dd[jumps := np.flatnonzero(~(abs(dd) < np.pi))]
-        correction = carry
-        if jumps.size:
-            ddmod = np.mod(dd - -np.pi, 2 * np.pi) + -np.pi
-            np.copyto(ddmod, np.pi, where=(ddmod == -np.pi) & (dd > 0))
-            correction = np.zeros(b - a)
-            correction[jumps] = ddmod - dd
-            correction[0] += carry
-            carry = np.cumsum(correction, out=correction)[-1]
-        np.add(wrapped, correction, out=phase[a:b])
-        if prev is None:
-            phase[0] = wrapped[0]  # kept as is, -0.0 included
-        prev = wrapped[-1]
-    phase -= phase.mean()
-    return phase
-
-
 def gaussian_fit(samples) -> GaussianFit:
     """Method-of-moments Gaussian fit (unbiased std)."""
     samples = np.asarray(samples, dtype=float).ravel()
@@ -90,8 +52,12 @@ def std_in_place(x: np.ndarray) -> float:
     return float(np.sqrt(np.square(x, out=x).sum() / x.size))
 
 
-# Welch segments transformed per FFT call in psd_welch.
-WELCH_BLOCK_SEGMENTS = 64
+# numpy's pairwise summation, which reduces a float row: a run of at most
+# PAIRWISE_BLOCK values is summed by 8 accumulators, each taking every 8th
+# value, which are then added pairwise, and the values past the last full 8
+# in turn; a longer run splits at half its length, rounded down to a
+# multiple of 8, and adds the sums of its halves.
+PAIRWISE_BLOCK = 128
 
 
 def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096,
@@ -110,20 +76,39 @@ def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096,
     if nfft < 2 or nfft > samples.size:
         raise ValueError(f"nfft={nfft} must be in [2, len(samples)={samples.size}]")
     noverlap = int(round(nfft * overlap))
-    # scipy.signal.welch's windowed, detrended periodograms, averaged by the
-    # same reduction over a (nfft, segments) array, but transformed in
-    # blocks of WELCH_BLOCK_SEGMENTS segments, one FFT call each.
+    # scipy.signal.welch's windowed, detrended periodograms and their mean
+    # over segments, which numpy sums pairwise. The segments of each run
+    # that sum leaves whole are transformed by one FFT call and summed as
+    # they come, and the run sums are added in numpy's order, so no
+    # (nfft, segments) array is held and the bytes stay those of welch.
     stft = signal.ShortTimeFFT(signal.get_window("hann", nfft), nfft - noverlap,
                                sample_rate_hz, fft_mode="twosided", mfft=nfft,
                                scale_to="psd", phase_shift=None)
     segments = np.lib.stride_tricks.sliding_window_view(samples, nfft)[::stft.hop]
-    power = np.empty((nfft, len(segments)))
-    for p in range(0, len(segments), WELCH_BLOCK_SEGMENTS):
-        block = segments[p:p + WELCH_BLOCK_SEGMENTS]
-        spectra = scipy.fft.fft(signal.detrend(block, type="constant") * stft.win, axis=-1)
+
+    def power_sum(p: int, q: int) -> np.ndarray:
+        if q - p > PAIRWISE_BLOCK:
+            half = (q - p) // 2 // 8 * 8
+            return power_sum(p, p + half) + power_sum(p + half, q)
+        spectra = scipy.fft.fft(signal.detrend(segments[p:q], type="constant") * stft.win,
+                                axis=-1)
         re, im = spectra.real, spectra.imag  # |X|^2, squared in the spectra's own buffer
-        power[:, p:p + len(block)] = np.add(np.square(re, out=re), np.square(im, out=im), out=re).T
-    freqs, density = stft.f, power.mean(axis=-1)
+        power = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
+        end = (q - p) // 8 * 8
+        if end:
+            acc = power[:8].copy()
+            for i in range(8, end, 8):
+                acc += power[i:i + 8]
+            total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                     + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+        else:
+            total = np.zeros(nfft)
+        for row in power[end:]:
+            total += row
+        return total
+
+    # The reduction's initial 0.0 leaves a sum of squares as it is.
+    freqs, density = stft.f, power_sum(0, len(segments)) / len(segments)
     order = np.argsort(freqs)
     power_db = 10.0 * np.log10(np.maximum(density[order], 1e-300))
     return PsdEstimate(

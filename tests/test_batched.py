@@ -20,12 +20,12 @@ from mmwavelink import (ChannelConfig, ChannelEstimate, DecodeReport, Modulation
                         genie_evm_db, map_bits, modulate_symbol, run_frame, run_frames,
                         slice_indices, training_bins)
 from mmwavelink import channel as channel_module
-from mmwavelink.channel import (PN_CORNER_RATIO, PN_FILTER_ORDER, SAMPLE_BLOCK, phase_noise_rows,
-                                phasor, sample_blocks, single_tone_probe, tone)
+from mmwavelink.channel import (PN_CORNER_RATIO, PN_FILTER_ORDER, SAMPLE_BLOCK, _mixer,
+                                phase_noise_rows, phasor, sample_blocks, single_tone_probe, tone)
 from mmwavelink.link import aggregate_evm_db
 from mmwavelink.modulation import evm_db_from_powers
-from mmwavelink.metrics import (append_series_csv, extract_tone_phase, psd_welch,
-                                std_in_place, write_csv_header, write_series_csv)
+from mmwavelink.metrics import (append_series_csv, psd_welch, std_in_place, write_csv_header,
+                                write_series_csv)
 from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS
 
 FS = 25.0e6
@@ -472,22 +472,19 @@ BLOCK_SIZES = [k * SAMPLE_BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
 @given(n_samples=st.one_of(st.sampled_from(BLOCK_SIZES), st.integers(1, 3000)),
        taps=TAPS, cfo_hz=st.sampled_from([0.0, 5000.0]),
        model=st.sampled_from(list(PhaseNoiseModel)), snr_db=st.sampled_from([None, 8.0, 30.0]),
-       tone_hz=st.sampled_from([FS / 8, -1.3e6, 0.0]), seed=st.integers(0, 2**32 - 1))
+       tone_hz=st.sampled_from([FS / 8, -1.3e6, 0.0, -0.0]), seed=st.integers(0, 2**32 - 1))
 def test_blocked_probe_and_phase_equal_one_shot(n_samples, taps, cfo_hz, model, snr_db,
                                                 tone_hz, seed):
     cfg = ChannelConfig(taps=taps, snr_db=math.inf if snr_db is None else snr_db,
                         phase_noise=PhaseNoiseConfig(sigma=0.26, model=model),
                         cfo_hz=cfo_hz, seed=seed)
     x, y_ref, theta_ref = reference_probe(tone_hz, n_samples, cfg)
-    y, theta = single_tone_probe(tone_hz, n_samples, cfg)
-    assert_same_bytes(y, y_ref)
-    assert_same_bytes(theta, theta_ref)
+    assert_same_bytes(single_tone_probe(tone_hz, n_samples, cfg),
+                      reference_tone_phase(y_ref, tone_hz, FS))
     # The one-buffer channel takes the same blocked path from an array.
     y, theta = apply_channel(x, cfg)
     assert_same_bytes(y, y_ref)
     assert_same_bytes(theta, theta_ref)
-    assert_same_bytes(extract_tone_phase(y, tone_hz, FS),
-                      reference_tone_phase(y_ref, tone_hz, FS))
 
 
 # Signed zeros, subnormals, the extremes and the values around pi.
@@ -529,24 +526,44 @@ def test_tone_equals_complex_exp(freq_hz, start, length, sign):
     assert_same_bytes(tone(k, start, start + length, FS), expect)
 
 
+@FAST
+@given(freq_hz=TONE_FREQS, start=st.integers(0, 2**22), length=st.integers(1, 2**17))
+@example(freq_hz=-0.0, start=0, length=2)
+@example(freq_hz=5e-324, start=3, length=2)
+@example(freq_hz=FS / 8, start=0, length=3)
+def test_tone_conjugate_equals_negated_tone(freq_hz, start, length):
+    k, stop = 2j * np.pi * freq_hz, start + length
+    t = tone(k, start, stop, FS)
+    expect = np.exp(-2j * np.pi * freq_hz * np.arange(start, stop) / FS)
+    # cos is even and sin odd: off a zero phase, the conjugate is the tone
+    # of -k and the probe's mixer alike.
+    turned = t.imag != 0
+    assert_same_bytes(np.conjugate(t)[turned], tone(-k, start, stop, FS)[turned])
+    assert_same_bytes(np.conjugate(t)[turned], expect[turned])
+    assert_same_bytes(_mixer(t, freq_hz, start, stop, FS), expect)
+
+
 DENSE_N = 3 * SAMPLE_BLOCK + 1234
 
 
 def test_tone_phase_with_dense_wraps_equals_np_unwrap():
-    n = np.arange(DENSE_N)
-    # Mixed with a tone fs/1024 below the sent one, the baseband phase turns
-    # once per 1,024 samples and passes pi halfway between samples k*1024 - 1
+    # A CFO of fs/1024 turns the baseband phase once per 1,024 samples, and
+    # the tap's phase makes it pass pi halfway between samples k*1024 - 1
     # and k*1024: a wrap falls on every block's first sample.
-    mix_hz = FS / 8 - FS / 1024
-    y = np.exp(1j * (2 * np.pi * (FS / 8) * n / FS + np.pi + np.pi / 1024))
-    dd = np.diff(np.angle(y * np.exp(-2j * np.pi * mix_hz * n / FS)))
+    cfg = ChannelConfig(taps=(np.exp(1j * (np.pi + np.pi / 1024)),), snr_db=math.inf,
+                        phase_noise=PhaseNoiseConfig(model=PhaseNoiseModel.NONE),
+                        cfo_hz=FS / 1024)
+    y = reference_probe(FS / 8, DENSE_N, cfg)[1]
+    dd = np.diff(np.angle(y * np.exp(-2j * np.pi * (FS / 8) * np.arange(DENSE_N) / FS)))
     for a, _ in sample_blocks(DENSE_N)[1:]:
         assert not abs(dd[a - 1]) < np.pi
     assert np.count_nonzero(~(abs(dd) < np.pi)) > 3 * SAMPLE_BLOCK // 1024
-    assert_same_bytes(extract_tone_phase(y, mix_hz, FS), reference_tone_phase(y, mix_hz, FS))
+    assert_same_bytes(single_tone_probe(FS / 8, DENSE_N, cfg),
+                      reference_tone_phase(y, FS / 8, FS))
     # A probe at 0 dB SNR, whose noise makes jumps at random samples.
-    y = single_tone_probe(FS / 8, DENSE_N, ChannelConfig(snr_db=0.0, seed=11))[0]
-    assert_same_bytes(extract_tone_phase(y, FS / 8, FS), reference_tone_phase(y, FS / 8, FS))
+    cfg = ChannelConfig(snr_db=0.0, seed=11)
+    assert_same_bytes(single_tone_probe(FS / 8, DENSE_N, cfg),
+                      reference_tone_phase(reference_probe(FS / 8, DENSE_N, cfg)[1], FS / 8, FS))
 
 
 def reference_psd_welch(samples, sample_rate_hz, nfft, overlap):
@@ -558,12 +575,22 @@ def reference_psd_welch(samples, sample_rate_hz, nfft, overlap):
     return freqs[order], 10.0 * np.log10(np.maximum(density[order], 1e-300))
 
 
+# Past 128 segments, numpy's pairwise sum splits the segments, and past 256
+# it splits them more than once.
 @settings(max_examples=40, deadline=None)
-@given(nfft=st.one_of(st.integers(16, 4096), st.sampled_from([16, 1024, 4096])),
-       overlap=st.sampled_from([0.0, 0.5, 0.75]), n_segments=st.integers(1, 140),
-       extra=st.integers(0, 15), complex_input=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_blocked_psd_welch_equals_scipy_welch(nfft, overlap, n_segments, extra,
-                                              complex_input, seed):
+@given(shape=st.one_of(
+           st.tuples(st.one_of(st.integers(16, 4096), st.sampled_from([16, 1024, 4096])),
+                     st.integers(1, 140)),
+           st.tuples(st.just(16), st.one_of(st.sampled_from([256, 257, 975, 1031]),
+                                            st.integers(141, 1100)))),
+       overlap=st.sampled_from([0.0, 0.5, 0.75]), extra=st.integers(0, 15),
+       complex_input=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(16, 256), overlap=0.5, extra=0, complex_input=False, seed=1)
+@example(shape=(16, 257), overlap=0.0, extra=3, complex_input=True, seed=2)
+@example(shape=(16, 975), overlap=0.5, extra=7, complex_input=False, seed=3)
+@example(shape=(16, 1031), overlap=0.75, extra=15, complex_input=True, seed=4)
+def test_blocked_psd_welch_equals_scipy_welch(shape, overlap, extra, complex_input, seed):
+    nfft, n_segments = shape
     hop = nfft - int(round(nfft * overlap))
     rng = np.random.default_rng(seed)
     n = nfft + hop * (n_segments - 1) + extra

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,12 +195,35 @@ def test_slow_phase_noise_nearly_constant_within_a_symbol():
 
 
 def test_single_tone_probe_clean():
-    cfg = clean_cfg()
-    y, theta = single_tone_probe(FS / 8.0, 64, cfg)
-    n = np.arange(64)
-    np.testing.assert_allclose(y, np.exp(2j * np.pi * (FS / 8.0) * n / FS),
-                               atol=1e-12)
-    np.testing.assert_array_equal(theta, np.zeros(64))
+    # Through a clean channel the tone mixes down to a constant phase.
+    phase = single_tone_probe(FS / 8.0, 64, clean_cfg())
+    assert phase.shape == (64,) and phase.dtype == float
+    np.testing.assert_allclose(phase, np.zeros(64), atol=1e-12)
+
+
+def test_single_tone_probe_recovers_phase_noise():
+    # Noiseless, one tap, no CFO: the phase is the channel's own theta, whose
+    # random walk passes +-pi, less its mean.
+    cfg = clean_cfg(phase_noise=PhaseNoiseConfig(sigma=1.0, model=PhaseNoiseModel.RANDOM_WALK),
+                    seed=4)
+    theta = apply_channel(np.ones(5000, dtype=complex), cfg)[1]
+    assert np.ptp(theta) > 2 * np.pi
+    np.testing.assert_allclose(single_tone_probe(FS / 8.0, 5000, cfg), theta - theta.mean(),
+                               atol=1e-9)
+
+
+def test_single_tone_probe_ignores_constant_offset():
+    # A tap's constant rotation leaves with the mean.
+    cfg = clean_cfg(taps=(np.exp(1j * 0.9),))
+    np.testing.assert_allclose(single_tone_probe(1.0e6, 2000, cfg), np.zeros(2000), atol=1e-12)
+
+
+def test_single_tone_probe_zero_samples():
+    # An empty probe has an empty phase, and takes no mean of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phase = single_tone_probe(1.0e6, 0, clean_cfg(snr_db=30.0))
+    assert phase.shape == (0,) and phase.dtype == float
 
 
 def test_single_tone_probe_validation():
@@ -207,6 +231,6 @@ def test_single_tone_probe_validation():
     with pytest.raises(ValueError):
         single_tone_probe(FS / 2.0, 16, cfg)
     with pytest.raises(ValueError):
+        single_tone_probe(-FS / 2.0, 16, cfg)
+    with pytest.raises(ValueError):
         single_tone_probe(1.0e6, -1, cfg)
-    y, theta = single_tone_probe(1.0e6, 0, cfg)
-    assert y.size == 0 and theta.size == 0

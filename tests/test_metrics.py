@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mmwavelink import (ChannelConfig, band_power_fraction, extract_tone_phase,
-                        gaussian_fit, phase_pdf, psd_welch, single_tone_probe, wrap_phase)
+from mmwavelink import (ChannelConfig, band_power_fraction, gaussian_fit, phase_pdf, psd_welch,
+                        single_tone_probe, wrap_phase)
 from mmwavelink.metrics import write_phase_pdf_csv, write_psd_csv, write_series_csv
 
 
@@ -23,32 +23,6 @@ def test_wrap_phase_range():
     w = wrap_phase(x)
     assert np.all(w > -np.pi) and np.all(w <= np.pi)
     np.testing.assert_allclose(np.exp(1j * w), np.exp(1j * x), atol=1e-9)
-
-
-def test_extract_tone_phase_recovers_modulation():
-    fs = 25.0e6
-    f0 = fs / 8.0
-    n = np.arange(5000)
-    phi = 0.3 * np.sin(2.0 * np.pi * n / 500.0)
-    y = np.exp(1j * (2.0 * np.pi * f0 * n / fs + phi))
-    got = extract_tone_phase(y, f0, fs)
-    np.testing.assert_allclose(got, phi - phi.mean(), atol=1e-9)
-
-
-def test_extract_tone_phase_ignores_constant_offset():
-    fs = 25.0e6
-    f0 = 1.0e6
-    n = np.arange(2000)
-    y = np.exp(1j * (2.0 * np.pi * f0 * n / fs))
-    got = extract_tone_phase(y * np.exp(1j * 0.9), f0, fs)
-    np.testing.assert_allclose(got, np.zeros(2000), atol=1e-12)
-
-
-def test_extract_tone_phase_validation():
-    with pytest.raises(ValueError):
-        extract_tone_phase(np.zeros(0, dtype=complex), 1.0, 10.0)
-    with pytest.raises(ValueError):
-        extract_tone_phase(np.zeros((2, 2), dtype=complex), 1.0, 10.0)
 
 
 def test_gaussian_fit_two_points():
@@ -172,23 +146,22 @@ def test_psd_and_pdf_csv_writers(tmp_path):
 
 
 # Traced allocation peaks of the measure-pn pipeline on 2**19 samples, in
-# bytes per sample (numpy 2.4, scipy 1.17): 39 for probe and phase, 36 for
-# the PSD. Whole-buffer code took 96 and 64.
-PROBE_PHASE_BYTES_PER_SAMPLE = 64
-PSD_BYTES_PER_SAMPLE = 52
+# bytes per sample (numpy 2.4, scipy 1.17): 30.0 for the probe's phase, 22.6
+# for the PSD; the bounds add 20 % and round up. A received buffer kept
+# whole took 39 and a (nfft, segments) power array 36; whole-buffer code
+# took 96 and 64.
+PROBE_PHASE_BYTES_PER_SAMPLE = 36
+PSD_BYTES_PER_SAMPLE = 28
 
 
 def test_measure_pn_pipeline_memory_per_sample():
     n = 1 << 19
     cfg = ChannelConfig(taps=(1.0, 0.2), snr_db=30.0, seed=3)
     tone = cfg.sample_rate_hz / 8
-    psd_welch(extract_tone_phase(single_tone_probe(tone, 1 << 14, cfg)[0], tone,
-                                 cfg.sample_rate_hz), cfg.sample_rate_hz)  # warm caches
+    psd_welch(single_tone_probe(tone, 1 << 14, cfg), cfg.sample_rate_hz)  # warm caches
     tracemalloc.start()
     try:
-        y = single_tone_probe(tone, n, cfg)[0]
-        phase = extract_tone_phase(y, tone, cfg.sample_rate_hz)
-        del y
+        phase = single_tone_probe(tone, n, cfg)
         held, probe_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         psd_welch(phase, cfg.sample_rate_hz)
