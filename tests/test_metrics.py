@@ -147,9 +147,7 @@ def test_psd_and_pdf_csv_writers(tmp_path):
 
 # Traced allocation peaks of the measure-pn pipeline on 2**19 samples, in
 # bytes per sample (numpy 2.4, scipy 1.17): 30.0 for the probe's phase, 22.6
-# for the PSD; the bounds add 20 % and round up. A received buffer kept
-# whole took 39 and a (nfft, segments) power array 36; whole-buffer code
-# took 96 and 64.
+# for the PSD; the bounds add 20 % and round up.
 PROBE_PHASE_BYTES_PER_SAMPLE = 36
 PSD_BYTES_PER_SAMPLE = 28
 
