@@ -285,7 +285,9 @@ def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, theta, y=None):
     theta(a, b) the phase noise of block [a, b), asked for in block order.
     Yields (a, b, x, y) per block in order: the input and the received
     samples. With a complex (F, n) buffer y, pass 1 keeps each block's taps
-    and CFO in it for pass 2; without one, pass 2 computes them again.
+    and CFO in it for pass 2; without one, pass 2 computes them again, in
+    one block buffer that every block reuses, so a yielded block holds its
+    samples until the next is asked for.
     Only the draws and the convolution run row by row. The CFO ramp, |s|^2,
     the SNR scale, the rotation and the AWGN add each run once over a block
     of all rows, as ufuncs in a fixed operand order, so that each row's bytes
@@ -295,12 +297,15 @@ def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, theta, y=None):
     h = np.asarray(cfg.taps, dtype=complex)
     noisy = math.isfinite(cfg.snr_db)
     blocks = sample_blocks(shape[1])
+    # The last block is the longest.
+    work = None if y is not None else np.empty((shape[0], blocks[-1][1] - blocks[-1][0]),
+                                               dtype=complex)
 
     def transmit(a, b):
-        """Input block [a, b) and, in y or a new buffer, its taps and CFO."""
+        """Input block [a, b) and, in y or the block buffer, its taps and CFO."""
         lo = max(a - (h.size - 1), 0)
         x = samples(lo, b)
-        s = np.empty((shape[0], b - a), dtype=complex) if y is None else y[:, a:b]
+        s = y[:, a:b] if y is not None else work[:, :b - a]
         if h.size > 1:
             for row, out in zip(x, s):
                 out[:] = np.convolve(row, h)[a - lo:b - lo]

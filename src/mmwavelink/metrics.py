@@ -52,11 +52,12 @@ def std_in_place(x: np.ndarray) -> float:
     return float(np.sqrt(np.square(x, out=x).sum() / x.size))
 
 
-# numpy's pairwise summation, which reduces a float row: a run of at most
+# numpy's pairwise summation, which reduces a float row: a run of 8 to
 # PAIRWISE_BLOCK values is summed by 8 accumulators, each taking every 8th
 # value, which are then added pairwise, and the values past the last full 8
-# in turn; a longer run splits at half its length, rounded down to a
-# multiple of 8, and adds the sums of its halves.
+# in turn; a shorter run is summed in turn from 0.0; a longer one splits at
+# half its length, rounded down to a multiple of 8, and adds the sums of
+# its halves.
 PAIRWISE_BLOCK = 128
 
 

@@ -146,9 +146,9 @@ def test_psd_and_pdf_csv_writers(tmp_path):
 
 
 # Traced allocation peaks of the measure-pn pipeline on 2**19 samples, in
-# bytes per sample (numpy 2.4, scipy 1.17): 30.0 for the probe's phase, 22.6
+# bytes per sample (numpy 2.4, scipy 1.17): 29.0 for the probe's phase, 22.6
 # for the PSD; the bounds add 20 % and round up.
-PROBE_PHASE_BYTES_PER_SAMPLE = 36
+PROBE_PHASE_BYTES_PER_SAMPLE = 35
 PSD_BYTES_PER_SAMPLE = 28
 
 
