@@ -283,7 +283,7 @@ def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, theta, y=None):
 
     samples(a, b) returns input samples [a, b) of every row, (F, b - a), and
     theta(a, b) the phase noise of block [a, b), asked for in block order.
-    Yields (a, b, x, y) per block in order: the input and the received
+    Yields (a, b, x, s) per block in order: its input and its received
     samples. With a complex (F, n) buffer y, pass 1 keeps each block's taps
     and CFO in it for pass 2; without one, pass 2 computes them again, in
     one block buffer that every block reuses, so a yielded block holds its
