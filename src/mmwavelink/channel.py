@@ -278,7 +278,7 @@ def _rotate(s, factor) -> None:
         np.multiply(s, factor, out=s)
 
 
-def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, theta, y=None):
+def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, theta, y=None, power=None):
     """Blocks of an (F, n) stack through the channel, row f drawn with seeds[f].
 
     samples(a, b) returns input samples [a, b) of every row, (F, b - a), and
@@ -288,6 +288,9 @@ def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, theta, y=None):
     and CFO in it for pass 2; without one, pass 2 computes them again, in
     one block buffer that every block reuses, so a yielded block holds its
     samples until the next is asked for.
+    A float (F, n) buffer power, or one of its own, holds |s|^2 and then the
+    AWGN's real parts. Pass 2 reads power[:, a:b] before it yields block
+    [a, b), so the caller may write there from then on.
     Only the draws and the convolution run row by row. The CFO ramp, |s|^2,
     the SNR scale, the rotation and the AWGN add each run once over a block
     of all rows, as ufuncs in a fixed operand order, so that each row's bytes
@@ -316,7 +319,8 @@ def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, theta, y=None):
         return x[:, a - lo:], s
 
     # Pass 1: taps and CFO, and |s|^2 for the SNR power.
-    power = np.empty(shape) if noisy else None
+    if noisy and power is None:
+        power = np.empty(shape)
     if noisy or y is not None:
         for a, b in blocks:
             s = transmit(a, b)[1]
@@ -372,10 +376,10 @@ def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig) -> np.
 
     The phase is np.unwrap(np.angle(y * np.exp(-2j*pi*f*n/fs))) less its
     mean, bit for bit, where y = apply_channel(tone, cfg)[0], so a constant
-    channel rotation does not bias it. Only |s|^2 (later the noise's real
-    parts) and the phase are held at full length: the tone, the phase noise
-    and y are made block by block, the tone and its taps and CFO once per
-    pass.
+    channel rotation does not bias it. Only the phase is held at full
+    length, and it first holds |s|^2 and the noise's real parts: the tone,
+    the phase noise and y are made block by block, the tone and its taps
+    and CFO once per pass.
     """
     _check_tone(freq_hz, cfg.sample_rate_hz)
     if n_samples < 0:
@@ -388,7 +392,8 @@ def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig) -> np.
     phase, prev, carry = np.empty(n_samples), None, 0.0
     for a, b, x, y in _channel_blocks(lambda a, b: tone(k, a, b, fs)[None], (1, n_samples),
                                       cfg, [cfg.seed],
-                                      lambda a, b: process.generate(b - a)[None]):
+                                      lambda a, b: process.generate(b - a)[None],
+                                      power=phase[None]):
         # Mixed down in the whole-buffer product's operand order.
         _rotate(y, _mixer(x[0], freq_hz, a, b, fs))
         wrapped = np.angle(y[0])

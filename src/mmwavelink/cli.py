@@ -21,10 +21,10 @@ import numpy as np
 from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel, _check_tone,
                       single_tone_probe)
 from .link import CHUNK_FRAMES, aggregate_evm_db, frame_bits_rng, run_frame, run_seeded_frames
-from .linklayer import stream_bytes
-from .metrics import (append_series_csv, gaussian_fit, phase_pdf, psd_welch, std_in_place,
-                      wrap_phase, write_csv_header, write_phase_pdf_csv, write_psd_csv,
-                      write_series_csv)
+from .linklayer import PACKET_OVERHEAD, stream_bytes
+from .metrics import (append_series_csv, gaussian_fit_in_place, phase_pdf, psd_welch,
+                      std_in_place, wrap_phase, write_csv_header, write_phase_pdf_csv,
+                      write_psd_csv, write_series_csv)
 from .modulation import Modulation
 from .ofdm import OfdmConfig, build_plan, frame_capacity_bits
 from .receiver import genie_evm_db
@@ -171,12 +171,17 @@ def load_config(args) -> Config:
         raise ConfigError(str(exc))
     if args.command == "sweep-k" and v["n_frames"] < 1:
         raise ConfigError("sweep-k needs n_frames >= 1 for a mean EVM")
+    modulation = Modulation(v["modulation"])
+    capacity = frame_capacity_bits(ofdm, modulation, v["n_payload_symbols"]) // 8
+    if args.command == "stream" and capacity <= PACKET_OVERHEAD:
+        raise ConfigError(f"stream needs a frame of more than {PACKET_OVERHEAD} bytes for a "
+                          f"packet's header and CRC, got {capacity}")
     # L taps spread a symbol over L - 1 extra samples, which the CP absorbs
     # while L - 1 <= cp_len.
     if args.command != "measure-pn" and len(channel.taps) - 1 > ofdm.cp_len:
         warnings.warn(f"channel has {len(channel.taps)} taps but cp_len={ofdm.cp_len}; "
                       "inter-symbol interference will not be absorbed")
-    return Config(v, ofdm, channel, Modulation(v["modulation"]), tone_hz)
+    return Config(v, ofdm, channel, modulation, tone_hz)
 
 
 def _out_dir(args) -> Path:
@@ -271,9 +276,9 @@ def cmd_measure_pn(args, cfg: Config) -> int:
     out = _out_dir(args)
     n_samples, fs = cfg.values["probe.n_samples"], cfg.channel.sample_rate_hz
     phase = single_tone_probe(cfg.tone_hz, n_samples, cfg.channel)
-    fit = gaussian_fit(phase)
-    centers, density = phase_pdf(phase)
     psd = psd_welch(phase, fs)
+    centers, density = phase_pdf(phase)
+    fit = gaussian_fit_in_place(phase)   # the last reader: it overwrites the phase
 
     fit_text = _json_text("pn_fit.json", {
         "mean": fit.mean, "std": fit.std, "sample_count": fit.sample_count,

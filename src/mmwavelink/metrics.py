@@ -33,23 +33,25 @@ def wrap_phase(x) -> np.ndarray:
 
 
 def gaussian_fit(samples) -> GaussianFit:
-    """Method-of-moments Gaussian fit (unbiased std)."""
-    samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size < 2:
+    """Method-of-moments Gaussian fit (unbiased std); samples are left as they are."""
+    return gaussian_fit_in_place(np.array(samples, dtype=float).ravel())
+
+
+def gaussian_fit_in_place(x: np.ndarray) -> GaussianFit:
+    """gaussian_fit(x), bit for bit, computed in the float array x's own
+    buffer, which it overwrites."""
+    if x.size < 2:
         raise ValueError("need at least 2 samples")
-    return GaussianFit(
-        mean=float(samples.mean()),
-        std=float(samples.std(ddof=1)),
-        sample_count=samples.size,
-    )
+    mean = float(x.mean())
+    return GaussianFit(mean=mean, std=std_in_place(x, ddof=1), sample_count=x.size)
 
 
-def std_in_place(x: np.ndarray) -> float:
-    """np.std(x), bit for bit, computed in x's own buffer, which it
-    overwrites: numpy's two passes, the mean and then the mean square about
-    it, without the full-size temporary np.std holds."""
+def std_in_place(x: np.ndarray, ddof: int = 0) -> float:
+    """np.std(x, ddof=ddof), bit for bit, computed in x's own buffer, which
+    it overwrites: numpy's two passes, the mean and then the sum of squares
+    about it, without the full-size temporary np.std holds."""
     x -= x.mean()
-    return float(np.sqrt(np.square(x, out=x).sum() / x.size))
+    return float(np.sqrt(np.square(x, out=x).sum() / (x.size - ddof)))
 
 
 # numpy's pairwise summation, which reduces a float row: a run of 8 to
@@ -78,34 +80,37 @@ def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096,
         raise ValueError(f"nfft={nfft} must be in [2, len(samples)={samples.size}]")
     noverlap = int(round(nfft * overlap))
     # scipy.signal.welch's windowed, detrended periodograms and their mean
-    # over segments, which numpy sums pairwise. The segments of each run
-    # that sum leaves whole are transformed by one FFT call and summed as
-    # they come, and the run sums are added in numpy's order, so no
+    # over segments, which numpy sums pairwise. Each step of a run's 8
+    # accumulators is one FFT call of 8 segments, the run's leftover
+    # segments one more, and the run sums are added in numpy's order, so no
     # (nfft, segments) array is held and the bytes stay those of welch.
     stft = signal.ShortTimeFFT(signal.get_window("hann", nfft), nfft - noverlap,
                                sample_rate_hz, fft_mode="twosided", mfft=nfft,
                                scale_to="psd", phase_shift=None)
     segments = np.lib.stride_tricks.sliding_window_view(samples, nfft)[::stft.hop]
 
+    def periodograms(p: int, q: int) -> np.ndarray:
+        spectra = scipy.fft.fft(signal.detrend(segments[p:q], type="constant") * stft.win,
+                                axis=-1)
+        re, im = spectra.real, spectra.imag  # |X|^2, squared in the spectra's own buffer
+        return np.add(np.square(re, out=re), np.square(im, out=im), out=re)
+
     def power_sum(p: int, q: int) -> np.ndarray:
         if q - p > PAIRWISE_BLOCK:
             half = (q - p) // 2 // 8 * 8
             return power_sum(p, p + half) + power_sum(p + half, q)
-        spectra = scipy.fft.fft(signal.detrend(segments[p:q], type="constant") * stft.win,
-                                axis=-1)
-        re, im = spectra.real, spectra.imag  # |X|^2, squared in the spectra's own buffer
-        power = np.add(np.square(re, out=re), np.square(im, out=im), out=re)
-        end = (q - p) // 8 * 8
-        if end:
-            acc = power[:8].copy()
-            for i in range(8, end, 8):
-                acc += power[i:i + 8]
+        end = p + (q - p) // 8 * 8
+        if end > p:
+            acc = periodograms(p, p + 8)
+            for i in range(p + 8, end, 8):
+                acc += periodograms(i, i + 8)
             total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
                      + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
         else:
             total = np.zeros(nfft)
-        for row in power[end:]:
-            total += row
+        if end < q:
+            for row in periodograms(end, q):
+                total += row
         return total
 
     # The reduction's initial 0.0 leaves a sum of squares as it is.

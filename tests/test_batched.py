@@ -654,11 +654,14 @@ def test_stacked_genie_equals_per_frame_genie(modulation, channel, pnc_enabled):
        scale=st.sampled_from([1e-3, 1.0, 3.0]), offset=st.sampled_from([0.0, 0.4, -2.5]),
        seed=st.integers(0, 2**32 - 1))
 def test_std_in_place_equals_np_std(shape, scale, offset, seed):
-    # simulate takes the residual phase std of a whole run in the array's own
-    # buffer; summary.json must keep np.std's exact value.
+    # simulate takes the residual phase std of a whole run (ddof 0), and
+    # measure-pn the fitted std of its phase (ddof 1), in the array's own
+    # buffer; summary.json and pn_fit.json must keep np.std's exact value.
     x = offset + scale * np.random.default_rng(seed).standard_normal(shape)
-    expected = float(np.std(x))
-    assert std_in_place(x) == expected
+    for ddof in (0, 1):
+        if x.size > ddof:
+            expected = float(np.std(x, ddof=ddof))
+            assert std_in_place(x.copy(), ddof) == expected
 
 
 @FAST

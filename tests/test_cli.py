@@ -195,6 +195,18 @@ def test_overflowing_sigma_stream_leaves_no_file(tmp_path, capsys):
     assert not list(out.iterdir())
 
 
+def test_stream_frame_without_room_for_a_packet_is_config_error(tmp_path, capsys):
+    # One BPSK payload symbol carries 46 bits, 5 whole bytes: not even a
+    # packet's 10 bytes of header and CRC. Nothing is written.
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"payload")
+    cfg = write_cfg(tmp_path, {"modulation": "bpsk", "n_payload_symbols": 1})
+    out = tmp_path / "o"
+    assert main(["stream", "--config", cfg, "--out", str(out), "--input", str(src)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("channel", [{"bandwidth_hz": 0.0}, {"bandwidth_hz": 12.5e6},
                                      {"sigma": -0.1}],
                          ids=["zero-bandwidth", "nyquist-bandwidth", "negative-sigma"])

@@ -6,7 +6,8 @@ import pytest
 
 from mmwavelink import (ChannelConfig, band_power_fraction, gaussian_fit, phase_pdf, psd_welch,
                         single_tone_probe, wrap_phase)
-from mmwavelink.metrics import write_phase_pdf_csv, write_psd_csv, write_series_csv
+from mmwavelink.metrics import (gaussian_fit_in_place, write_phase_pdf_csv, write_psd_csv,
+                                write_series_csv)
 
 
 def test_wrap_phase_examples():
@@ -43,6 +44,17 @@ def test_gaussian_fit_matches_moments():
     fit = gaussian_fit(x)
     assert abs(fit.mean - 0.2) < 0.001
     assert abs(fit.std - 0.05) < 0.001
+
+
+def test_gaussian_fit_leaves_samples_and_equals_in_place_fit():
+    # measure-pn fits its phase in place, as the phase's last reader; any
+    # other caller keeps its samples, and both give numpy's moments exactly.
+    x = 0.3 + 0.1 * np.random.default_rng(22).standard_normal((40, 25))
+    kept = x.copy()
+    fit = gaussian_fit(x)
+    np.testing.assert_array_equal(x, kept)
+    assert fit == gaussian_fit_in_place(kept.ravel())
+    assert (fit.mean, fit.std) == (float(x.mean()), float(x.std(ddof=1)))
 
 
 def test_psd_welch_parseval_on_white_noise():
@@ -146,25 +158,40 @@ def test_psd_and_pdf_csv_writers(tmp_path):
 
 
 # Traced allocation peaks of the measure-pn pipeline on 2**19 samples, in
-# bytes per sample (numpy 2.4, scipy 1.17): 29.0 for the probe's phase, 22.6
-# for the PSD; the bounds add 20 % and round up.
-PROBE_PHASE_BYTES_PER_SAMPLE = 35
-PSD_BYTES_PER_SAMPLE = 28
+# bytes per sample (numpy 2.4, scipy 1.17), in the order measure-pn runs
+# them: 21.0 for the probe's phase, 2.8 for the PSD, 4.5 for the PDF
+# (np.histogram's blocks of 65,536 samples) and 0.1 for the in-place fit.
+# The bounds add 20 % and round up; a full-size float temporary anywhere
+# adds 8.
+PROBE_PHASE_BYTES_PER_SAMPLE = 26
+PSD_BYTES_PER_SAMPLE = 4
+PDF_BYTES_PER_SAMPLE = 6
+FIT_BYTES_PER_SAMPLE = 1
 
 
 def test_measure_pn_pipeline_memory_per_sample():
     n = 1 << 19
     cfg = ChannelConfig(taps=(1.0, 0.2), snr_db=30.0, seed=3)
     tone = cfg.sample_rate_hz / 8
-    psd_welch(single_tone_probe(tone, 1 << 14, cfg), cfg.sample_rate_hz)  # warm caches
+    warm = single_tone_probe(tone, 1 << 14, cfg)   # warm caches
+    psd_welch(warm, cfg.sample_rate_hz)
+    phase_pdf(warm)
+    gaussian_fit_in_place(warm)
+    stages = [lambda phase: psd_welch(phase, cfg.sample_rate_hz), phase_pdf,
+              gaussian_fit_in_place]
     tracemalloc.start()
     try:
         phase = single_tone_probe(tone, n, cfg)
         held, probe_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        psd_welch(phase, cfg.sample_rate_hz)
-        psd_peak = tracemalloc.get_traced_memory()[1] - held
+        peaks = []
+        for stage in stages:
+            tracemalloc.reset_peak()
+            stage(phase)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
     finally:
         tracemalloc.stop()
     assert probe_peak / n <= PROBE_PHASE_BYTES_PER_SAMPLE
+    psd_peak, pdf_peak, fit_peak = peaks
     assert psd_peak / n <= PSD_BYTES_PER_SAMPLE
+    assert pdf_peak / n <= PDF_BYTES_PER_SAMPLE
+    assert fit_peak / n <= FIT_BYTES_PER_SAMPLE
