@@ -67,6 +67,12 @@ def _check_phase_noise(config: PhaseNoiseConfig, sample_rate_hz: float) -> None:
             raise ValueError(
                 f"bandwidth_hz must be in (0, sample_rate/2), got {config.bandwidth_hz}"
             )
+    # PhaseNoiseProcess scales its drive by 1/sqrt(energy).
+    if config.model is PhaseNoiseModel.FILTERED_GAUSSIAN and \
+            not _shaping_filter(config.bandwidth_hz, sample_rate_hz)[2] > 0.0:
+        raise ValueError(f"bandwidth_hz={config.bandwidth_hz} is too narrow for "
+                         f"sample_rate_hz={sample_rate_hz}: the shaping filter's "
+                         "impulse response energy underflows to 0")
 
 
 # The random walk's sigma is its increment std over this many samples: one

@@ -24,8 +24,8 @@ from mmwavelink.channel import (PN_CORNER_RATIO, PN_FILTER_ORDER, SAMPLE_BLOCK, 
                                 phase_noise_rows, phasor, sample_blocks, single_tone_probe, tone)
 from mmwavelink.link import aggregate_evm_db
 from mmwavelink.modulation import evm_db_from_powers
-from mmwavelink.metrics import (append_series_csv, psd_welch, std_in_place, write_csv_header,
-                                write_series_csv)
+from mmwavelink.metrics import (CSV_BLOCK_ROWS, append_series_csv, psd_welch, std_in_place,
+                                write_csv_header, write_series_csv)
 from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS
 
 FS = 25.0e6
@@ -214,8 +214,38 @@ def csv_writer_reference(path, header, columns):
                              for v in row])
 
 
+def neighbours(x: float, ulps: int = 3) -> list:
+    below, above = [x], [x]
+    for _ in range(ulps):
+        below.append(float(np.nextafter(below[-1], -np.inf)))
+        above.append(float(np.nextafter(above[-1], np.inf)))
+    return below[1:] + [x] + above[1:]
+
+
+def kernel_edge_floats() -> list:
+    """Doubles on which the float kernel's "%.10g" is easy to get wrong; plain
+    st.floats() almost never draws them."""
+    edges = []
+    # Powers of ten, where log10 can be off by one; 1e-4 and 1e10 bound the
+    # kernel's range.
+    for j in range(-5, 12):
+        edges += neighbours(float(f"1e{j}"))
+    # Roundings that carry across a power of ten (9.9999999997 -> 10), and
+    # the ties where they start.
+    for j in range(-5, 10):
+        edges += neighbours(float(f"9.9999999995e{j}"))
+        edges += [float(f"9.9999999997e{j}"), float(f"9.99999999999e{j}")]
+    # Exact ties at the 11th significant digit: k / 2^(j + 1) with k odd and
+    # k 5^(j + 1) of eleven digits is k 5^(j + 1) 10^-(j + 1), ending in 5.
+    for j in range(14):
+        low = -(-10 ** 10 // 5 ** (j + 1)) | 1
+        edges += [k / 2 ** (j + 1) for k in range(low, low + 6, 2)]
+    return edges
+
+
+KERNEL_EDGE_FLOATS = kernel_edge_floats()
 SPECIAL_FLOATS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
-                  0.1, 123456789012345.0, -2.5e-17]
+                  0.1, 123456789012345.0, -2.5e-17] + KERNEL_EDGE_FLOATS
 
 column_strategy = st.one_of(
     st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL_FLOATS),
@@ -239,7 +269,7 @@ def test_write_series_csv_matches_csv_writer(tmp_path_factory, columns):
 
 def test_write_series_csv_matches_csv_writer_across_chunks(tmp_path):
     rng = np.random.default_rng(5)
-    n = 10_001   # spans several write chunks (CSV_CHUNK_ROWS rows each)
+    n = 10_001   # spans several write blocks (CSV_BLOCK_ROWS rows each)
     columns = [np.arange(n), rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
                np.resize(np.array(SPECIAL_FLOATS), n), np.array([], dtype=float)]
     header = ["frame", "value, with comma", "special", "empty"]
@@ -247,6 +277,45 @@ def test_write_series_csv_matches_csv_writer_across_chunks(tmp_path):
         write_series_csv(tmp_path / "new.csv", header[:len(cols)], cols)
         csv_writer_reference(tmp_path / "old.csv", header[:len(cols)], cols)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_csv_kernel_edge_floats_are_ties_and_carries():
+    ties = [v for v in KERNEL_EDGE_FLOATS if (d := repr(v).replace(".", "").strip("0"))
+            and len(d) == 11 and d.endswith("5")]
+    assert len(ties) >= 40
+    assert f"{9.9999999997:.10g}" == "10" and f"{9.9999999997e9:.10g}" == "1e+10"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+def test_write_series_csv_kernel_edges_match_csv_writer(tmp_path, dtype):
+    edges = np.array(KERNEL_EDGE_FLOATS + [0.0, np.nan, np.inf])
+    with np.errstate(over="ignore"):   # float16 overflows to inf
+        column = np.concatenate([edges, -edges]).astype(dtype)
+    columns = [column, column[::-1].copy()]
+    write_series_csv(tmp_path / "new.csv", ["a", "b"], columns)
+    csv_writer_reference(tmp_path / "old.csv", ["a", "b"], columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_series_csv_long_float_columns_with_fallback_rows(tmp_path):
+    # Float columns across three kernel blocks, with printf rows at and
+    # between the block edges.
+    n = 2 * CSV_BLOCK_ROWS + 7
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal(n), rng.standard_normal(n) * 1e3
+    for i, v in zip([0, 1, 17, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 3000,
+                     n - 1], [0.0, np.nan, -np.inf, 1e-5, 1e12, 1234567890.5, -0.0, 9999999999.5]):
+        a[i] = v
+    b[2 * CSV_BLOCK_ROWS] = 0.0
+    b[5] = 2.5e-5
+    write_series_csv(tmp_path / "new.csv", ["a", "b"], [a, b])
+    csv_writer_reference(tmp_path / "old.csv", ["a", "b"], [a, b])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    with open(tmp_path / "parts.csv", "w", newline="") as fh:
+        write_csv_header(fh, ["a", "b"])
+        for start in range(0, n, 1000):
+            append_series_csv(fh, [a[start:start + 1000], b[start:start + 1000]])
+    assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
 
 
 def test_write_series_csv_rejects_non_numeric_columns(tmp_path):

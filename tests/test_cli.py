@@ -208,8 +208,9 @@ def test_stream_frame_without_room_for_a_packet_is_config_error(tmp_path, capsys
 
 
 @pytest.mark.parametrize("channel", [{"bandwidth_hz": 0.0}, {"bandwidth_hz": 12.5e6},
-                                     {"sigma": -0.1}],
-                         ids=["zero-bandwidth", "nyquist-bandwidth", "negative-sigma"])
+                                     {"sigma": -0.1}, {"bandwidth_hz": 1e-300}],
+                         ids=["zero-bandwidth", "nyquist-bandwidth", "negative-sigma",
+                              "underflowing-bandwidth"])
 @pytest.mark.parametrize("command", ["simulate", "measure-pn", "sweep-k", "stream"])
 def test_invalid_phase_noise_is_config_error(tmp_path, capsys, channel, command):
     # Rejected while the channel config is built: exit 1, no output directory.
