@@ -336,7 +336,6 @@ class _FloatRows:
         return ok
 
 
-
 def _corrected(a, m, x4):
     """(X + 4, d, exact) for the values |v| = a whose estimate x4 left their
     scaled value m outside [1e9, 1e10) or rounding to 1e10."""
