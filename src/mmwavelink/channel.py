@@ -90,7 +90,6 @@ class PhaseNoiseProcess:
     def __init__(self, config: PhaseNoiseConfig, sample_rate_hz: float, seed):
         _check_phase_noise(config, sample_rate_hz)
         self.config = config
-        self.sample_rate_hz = sample_rate_hz
         self._rng = np.random.default_rng(seed)
         if config.model is PhaseNoiseModel.FILTERED_GAUSSIAN:
             self._sos, self._n_settle, energy = _shaping_filter(config.bandwidth_hz,
@@ -218,31 +217,27 @@ def sample_blocks(n: int) -> list:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def apply_channel(x, cfg: ChannelConfig, seeds=None):
-    """Run samples through taps, CFO, phase noise, and AWGN.
+def apply_channel(x, cfg: ChannelConfig, seeds):
+    """Run a stack of frames (F, n) through taps, CFO, phase noise, and AWGN.
 
-    `x` is one buffer (n,), drawn with cfg.seed, or with `seeds` a stack of
-    frames (F, n) whose row f is drawn with seeds[f], exactly as that row
-    alone with seed seeds[f]. Returns (y, theta), shaped like x, where theta
-    is the ground-truth phase trajectory, for tracking oracles. Pure
+    Row f is drawn with seeds[f], exactly as that row alone with seed
+    seeds[f]; cfg.seed is not read. Returns (y, theta), shaped like x, where
+    theta is the ground-truth phase trajectory, for tracking oracles. Pure
     function of (x, cfg, seeds): the seed fixes both the noise and the phase
-    draw. SNR is defined over each buffer as post-multipath,
-    pre-phase-noise signal power over per-sample noise power.
+    draw. SNR is defined over each row as post-multipath, pre-phase-noise
+    signal power over per-sample noise power.
     """
     x = np.asarray(x, dtype=complex)
-    stacked = seeds is not None
-    rows = x if stacked else x[None]
-    seeds = list(seeds) if stacked else [cfg.seed]
-    if rows.ndim != 2 or rows.shape[1] == 0 or len(seeds) != rows.shape[0]:
-        raise ValueError("input must be a non-empty 1-D buffer, or an (F, n) stack "
-                         "with one seed per row")
+    seeds = list(seeds)
+    if x.ndim != 2 or x.shape[1] == 0 or len(seeds) != x.shape[0]:
+        raise ValueError("input must be a non-empty (F, n) stack with one seed per row")
     theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz,
-                             [_stream_seed(seed, 0) for seed in seeds], rows.shape[1])
-    y = np.empty(rows.shape, dtype=complex)
-    for _ in _channel_blocks(lambda a, b: rows[:, a:b], rows.shape, cfg, seeds,
+                             [_stream_seed(seed, 0) for seed in seeds], x.shape[1])
+    y = np.empty(x.shape, dtype=complex)
+    for _ in _channel_blocks(lambda a, b: x[:, a:b], x.shape, cfg, seeds,
                              lambda a, b: theta[:, a:b], y):
         pass
-    return (y, theta) if stacked else (y[0], theta[0])
+    return y, theta
 
 
 def phasor(theta, sign: int = 1) -> np.ndarray:
@@ -381,11 +376,11 @@ def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig) -> np.
     """Send exp(j 2 pi f n / fs) through the channel; returns its phase.
 
     The phase is np.unwrap(np.angle(y * np.exp(-2j*pi*f*n/fs))) less its
-    mean, bit for bit, where y = apply_channel(tone, cfg)[0], so a constant
-    channel rotation does not bias it. Only the phase is held at full
-    length, and it first holds |s|^2 and the noise's real parts: the tone,
-    the phase noise and y are made block by block, the tone and its taps
-    and CFO once per pass.
+    mean, bit for bit, where y = apply_channel(tone[None], cfg, [cfg.seed])[0][0],
+    so a constant channel rotation does not bias it. Only the phase is held
+    at full length, and it first holds |s|^2 and the noise's real parts: the
+    tone, the phase noise and y are made block by block, the tone and its
+    taps and CFO once per pass.
     """
     _check_tone(freq_hz, cfg.sample_rate_hz)
     if n_samples < 0:

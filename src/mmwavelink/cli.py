@@ -1,8 +1,8 @@
 """Experiment runner: simulate | measure-pn | sweep-k | stream.
 
 Configuration is a single JSON document, checked on load against
-CONFIG_TABLE whatever the subcommand; unknown keys are rejected. Exit codes:
-0 success, 1 configuration error, 2 runtime error.
+CONFIG_TABLE whatever the subcommand; unknown and repeated keys are rejected.
+Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel, _check_t
 from .link import CHUNK_FRAMES, aggregate_evm_db, frame_bits_rng, run_frame, run_seeded_frames
 from .linklayer import PACKET_OVERHEAD, stream_bytes
 from .metrics import (append_series_csv, gaussian_fit_in_place, phase_pdf, psd_welch,
-                      std_in_place, wrap_phase, write_csv_header, write_phase_pdf_csv,
-                      write_psd_csv, write_series_csv)
+                      std_in_place, wrap_phase, write_csv_header, write_series_csv)
 from .modulation import Modulation
 from .ofdm import OfdmConfig, build_plan, frame_capacity_bits
 from .receiver import genie_evm_db
@@ -106,11 +105,23 @@ def _finite(parse):
     return hook
 
 
+# What a key given twice in one JSON object maps to: _document_values rejects it.
+_REPEATED = object()
+
+
+def _object(pairs) -> dict:
+    """JSON object hook: the object's keys, a repeated one mapped to _REPEATED."""
+    obj = {}
+    for key, value in pairs:
+        obj[key] = _REPEATED if key in obj else value
+    return obj
+
+
 def _read_document(path) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh, parse_float=_finite(float), parse_int=_finite(int),
-                            parse_constant=_finite(float))
+                            parse_constant=_finite(float), object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     except OSError as exc:
@@ -127,6 +138,8 @@ def _document_values(doc: dict, prefix: str = "") -> dict:
         path = prefix + key
         if "." in key or (path not in DEFAULTS and path not in SECTIONS):
             raise ConfigError(f"unknown config key: {path}")
+        if value is _REPEATED:
+            raise ConfigError(f"config key {path} is given more than once")
         if path not in SECTIONS:
             values[path] = value
         elif isinstance(value, dict):
@@ -283,8 +296,8 @@ def cmd_measure_pn(args, cfg: Config) -> int:
     fit_text = _json_text("pn_fit.json", {
         "mean": fit.mean, "std": fit.std, "sample_count": fit.sample_count,
     })
-    write_phase_pdf_csv(centers, density, out / "pn_pdf.csv")
-    write_psd_csv(psd, out / "pn_psd.csv")
+    write_series_csv(out / "pn_pdf.csv", ["bin_center", "density"], [centers, density])
+    write_series_csv(out / "pn_psd.csv", ["freq_hz", "power_db"], [psd.freqs_hz, psd.power_db])
     (out / "pn_fit.json").write_text(fit_text)
     print(f"measure-pn: {n_samples} samples, fitted std={fit.std:.6g} rad")
     return 0

@@ -21,8 +21,6 @@ class GaussianFit:
 class PsdEstimate:
     freqs_hz: np.ndarray
     power_db: np.ndarray
-    nfft: int
-    segment_overlap: float
 
 
 def wrap_phase(x) -> np.ndarray:
@@ -32,14 +30,10 @@ def wrap_phase(x) -> np.ndarray:
     return np.where(wrapped == -np.pi, np.pi, wrapped)
 
 
-def gaussian_fit(samples) -> GaussianFit:
-    """Method-of-moments Gaussian fit (unbiased std); samples are left as they are."""
-    return gaussian_fit_in_place(np.array(samples, dtype=float).ravel())
-
-
 def gaussian_fit_in_place(x: np.ndarray) -> GaussianFit:
-    """gaussian_fit(x), bit for bit, computed in the float array x's own
-    buffer, which it overwrites."""
+    """Method-of-moments Gaussian fit of the 1-D float array x: x.mean() and
+    np.std(x, ddof=1), bit for bit, computed in x's own buffer, which it
+    overwrites; fit a copy to keep the samples."""
     if x.size < 2:
         raise ValueError("need at least 2 samples")
     mean = float(x.mean())
@@ -63,9 +57,9 @@ def std_in_place(x: np.ndarray, ddof: int = 0) -> float:
 PAIRWISE_BLOCK = 128
 
 
-def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096,
-              overlap: float = 0.5) -> PsdEstimate:
-    """Two-sided Welch power spectral density, Hann window, density scaling.
+def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096) -> PsdEstimate:
+    """Two-sided Welch power spectral density, Hann window, density scaling,
+    segments overlapping by half (round(nfft / 2) samples).
 
     Frequencies are returned in ascending order spanning [-fs/2, fs/2); the
     integrated density matches the time-domain variance up to window and
@@ -74,17 +68,14 @@ def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096,
     samples = np.asarray(samples)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("input must be a non-empty 1-D buffer")
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError("overlap must be in [0, 1)")
     if nfft < 2 or nfft > samples.size:
         raise ValueError(f"nfft={nfft} must be in [2, len(samples)={samples.size}]")
-    noverlap = int(round(nfft * overlap))
     # scipy.signal.welch's windowed, detrended periodograms and their mean
     # over segments, which numpy sums pairwise. Each step of a run's 8
     # accumulators is one FFT call of 8 segments, the run's leftover
     # segments one more, and the run sums are added in numpy's order, so no
     # (nfft, segments) array is held and the bytes stay those of welch.
-    stft = signal.ShortTimeFFT(signal.get_window("hann", nfft), nfft - noverlap,
+    stft = signal.ShortTimeFFT(signal.get_window("hann", nfft), nfft - round(nfft / 2),
                                sample_rate_hz, fft_mode="twosided", mfft=nfft,
                                scale_to="psd", phase_shift=None)
     segments = np.lib.stride_tricks.sliding_window_view(samples, nfft)[::stft.hop]
@@ -117,19 +108,7 @@ def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096,
     freqs, density = stft.f, power_sum(0, len(segments)) / len(segments)
     order = np.argsort(freqs)
     power_db = 10.0 * np.log10(np.maximum(density[order], 1e-300))
-    return PsdEstimate(
-        freqs_hz=freqs[order],
-        power_db=power_db,
-        nfft=nfft,
-        segment_overlap=overlap,
-    )
-
-
-def band_power_fraction(est: PsdEstimate, band_hz: float) -> float:
-    """Fraction of total PSD power at |f| <= band_hz."""
-    linear = 10.0 ** (est.power_db / 10.0)
-    in_band = np.abs(est.freqs_hz) <= band_hz
-    return float(np.sum(linear[in_band]) / np.sum(linear))
+    return PsdEstimate(freqs_hz=freqs[order], power_db=power_db)
 
 
 def phase_pdf(samples, n_bins: int = 101):
@@ -399,11 +378,3 @@ def write_series_csv(path, header, columns) -> None:
     with open(path, "w", newline="") as fh:
         write_csv_header(fh, header)
         append_series_csv(fh, columns)
-
-
-def write_psd_csv(est: PsdEstimate, path) -> None:
-    write_series_csv(path, ["freq_hz", "power_db"], [est.freqs_hz, est.power_db])
-
-
-def write_phase_pdf_csv(centers, density, path) -> None:
-    write_series_csv(path, ["bin_center", "density"], [centers, density])

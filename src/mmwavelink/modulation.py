@@ -164,15 +164,6 @@ def indices_to_bits(idx, modulation: Modulation) -> np.ndarray:
     return (np.asarray(idx).astype(np.uint8)[..., None] >> shifts) & np.uint8(1)
 
 
-def demap_hard(symbols, modulation: Modulation) -> np.ndarray:
-    """Nearest-point hard decisions, returned as a flat uint8 bit array.
-
-    Exact distance ties resolve to the lower constellation-table index.
-    """
-    idx = slice_indices(np.asarray(symbols, dtype=complex).ravel(), modulation)
-    return indices_to_bits(idx, modulation).reshape(-1)
-
-
 def evm_db_from_powers(error_power, reference_power):
     """EVM in dB, 10*log10(error/reference), from error and reference powers
     (sums or means alike), clamped at the -120 dB floor. Scalars give a
@@ -185,21 +176,6 @@ def evm_db_from_powers(error_power, reference_power):
     with np.errstate(divide="ignore"):
         return np.maximum(10.0 * np.log10(np.divide(error_power, reference_power)),
                           EVM_FLOOR_DB)
-
-
-def evm_db(received, reference) -> float:
-    """Error vector magnitude in dB: 20*log10(rms error / rms reference).
-
-    A zero error vector reports the -120 dB floor; results are clamped there.
-    """
-    received = np.asarray(received, dtype=complex).ravel()
-    reference = np.asarray(reference, dtype=complex).ravel()
-    if received.size == 0 or received.size != reference.size:
-        raise ValueError("received and reference must be non-empty and equal length")
-    ref_power = np.mean(np.abs(reference) ** 2)
-    if ref_power == 0.0:
-        raise ValueError("reference power is zero")
-    return evm_db_from_powers(np.mean(np.abs(received - reference) ** 2), ref_power)
 
 
 _SLICERS = _build_slicers()

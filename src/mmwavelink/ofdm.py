@@ -10,6 +10,8 @@ import numpy as np
 from .modulation import Modulation, map_bits
 
 N_PREAMBLE_SYMBOLS = 2
+# The value every symbol, training included, carries on the pilot bin.
+PILOT_VALUE = 1.0 + 0.0j
 
 # Fixed seed for the pseudo-random preamble training tones; both ends derive
 # the identical sequence from the plan alone.
@@ -72,19 +74,12 @@ class OfdmConfig:
     plan: SubcarrierPlan
     cp_len: int
     sample_rate_hz: float
-    pilot_value: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         if not 0 <= self.cp_len < self.plan.n_fft:
             raise ValueError(f"cp_len must be in [0, n_fft), got {self.cp_len}")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
-        if self.pilot_value == 0:
-            raise ValueError("pilot_value must be nonzero")
-
-    @property
-    def subcarrier_spacing_hz(self) -> float:
-        return self.sample_rate_hz / self.plan.n_fft
 
     @property
     def symbol_len(self) -> int:
@@ -113,7 +108,7 @@ def training_bins(cfg: OfdmConfig) -> np.ndarray:
     phases = rng.uniform(0.0, 2.0 * np.pi, len(plan.payload_indices))
     bins = np.zeros(plan.n_fft, dtype=complex)
     bins[list(plan.payload_indices)] = np.exp(1j * phases)
-    bins[plan.pilot_index] = cfg.pilot_value
+    bins[plan.pilot_index] = PILOT_VALUE
     bins.setflags(write=False)
     return bins
 
@@ -156,6 +151,6 @@ def build_frames(bits, modulation: Modulation, cfg: OfdmConfig, n_payload_symbol
     bins[:, :N_PREAMBLE_SYMBOLS] = training_bins(cfg)
     payload = bins[:, N_PREAMBLE_SYMBOLS:]
     payload[..., list(plan.payload_indices)] = symbols
-    payload[..., plan.pilot_index] = cfg.pilot_value
+    payload[..., plan.pilot_index] = PILOT_VALUE
     return modulate_symbol(bins, cfg), padded
 

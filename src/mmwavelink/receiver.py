@@ -8,7 +8,7 @@ import numpy as np
 
 from .modulation import (Modulation, evm_db_from_powers, indices_to_bits, map_bits,
                          slice_indices)
-from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig, SubcarrierPlan, training_bins
+from .ofdm import N_PREAMBLE_SYMBOLS, PILOT_VALUE, OfdmConfig, SubcarrierPlan, training_bins
 from .metrics import wrap_phase
 from .pnc import estimate_phase, cancel
 
@@ -21,11 +21,10 @@ ERASURE_RATIO = 1e-6
 class ChannelEstimate:
     """H(k) over the used band, ordered by signed subcarrier -u .. +u.
 
-    For a stack of frames, h_freq is (..., 2u+1) and noise_floor_est an
-    array of the leading shape."""
+    h_freq is (..., 2u+1) and noise_floor_est an array of the leading shape."""
 
     h_freq: np.ndarray
-    noise_floor_est: float | np.ndarray
+    noise_floor_est: np.ndarray
     plan: SubcarrierPlan
 
 
@@ -36,7 +35,6 @@ class DecodeReport:
     bits: np.ndarray                # (F, capacity)
     evm_db: np.ndarray              # (F,)
     residual_phase_std: np.ndarray  # (F,)
-    per_symbol_evm: np.ndarray      # (F, n_payload_symbols)
     n_erased: np.ndarray            # (F,)
     # Linear-domain sums behind evm_db, (F,) each, for aggregation across frames.
     error_power: np.ndarray
@@ -46,15 +44,11 @@ class DecodeReport:
     phase: np.ndarray | None        # (F, n_payload_symbols, n_fft) PNC phase; None if off
 
 
-def _signed_indices(plan: SubcarrierPlan) -> np.ndarray:
-    return np.arange(-plan.used_band, plan.used_band + 1)
-
-
 def estimate_channel_ls(preamble_bins, training, plan: SubcarrierPlan) -> ChannelEstimate:
     """Average Y(k)/T(k) over the preamble repeats on the used band.
 
-    `preamble_bins` is (2, n_fft) for one frame or (..., 2, n_fft) for a
-    stack, each frame estimated on its own. Guard bins carry no training
+    `preamble_bins` is a stack (..., 2, n_fft), each frame estimated on its
+    own. Guard bins carry no training
     energy; their H is interpolated linearly between the surrounding
     estimates. The spread between repeats gives a per-bin noise variance
     estimate (zero for identical repeats).
@@ -69,7 +63,7 @@ def estimate_channel_ls(preamble_bins, training, plan: SubcarrierPlan) -> Channe
     if training.shape != (plan.n_fft,):
         raise ValueError("training shape mismatch")
 
-    signed = _signed_indices(plan)
+    signed = np.arange(-plan.used_band, plan.used_band + 1)
     fft_idx = np.mod(signed, plan.n_fft)
     t_used = training[fft_idx]
     known = np.abs(t_used) > 0.0
@@ -91,8 +85,7 @@ def estimate_channel_ls(preamble_bins, training, plan: SubcarrierPlan) -> Channe
 
     diff = ratios[..., 0, :] - ratios[..., 1, :]
     noise_floor = np.mean(np.abs(diff) ** 2, axis=-1) / 2.0
-    return ChannelEstimate(h_freq=h_freq, noise_floor_est=noise_floor.item()
-                           if noise_floor.ndim == 0 else noise_floor, plan=plan)
+    return ChannelEstimate(h_freq=h_freq, noise_floor_est=noise_floor, plan=plan)
 
 
 def equalize(symbol_bins, est: ChannelEstimate):
@@ -123,31 +116,26 @@ def equalize(symbol_bins, est: ChannelEstimate):
 
 def _power_sums(points, reference, erased):
     """Per-frame sums of |points - reference|^2 and |reference|^2 over the
-    points not erased, and per-symbol means of the former, for a stack
-    (F, S, n_payload).
+    points not erased, for a stack (F, S, n_payload).
 
     Points are C-contiguous (see equalize), and a sum over a contiguous last
     axis is bit-identical to the sum of that row alone. A frame with erased
-    bins is summed through its mask instead, as one 1-D array in row order,
-    and its symbols' means likewise.
+    bins is summed through its mask instead, as one 1-D array in row order.
     """
     err2 = np.abs(points - reference) ** 2
     sums = [t.reshape(len(t), -1).sum(axis=-1) for t in (err2, np.abs(reference) ** 2)]
-    symbol_means = err2.mean(axis=-1)
     for f in np.flatnonzero(erased.reshape(len(erased), -1).any(axis=-1)):
         ok = ~erased[f]
         sums[0][f] = err2[f][ok].sum()
         sums[1][f] = (np.abs(reference[f][ok]) ** 2).sum()
-        symbol_means[f] = [row[m].mean() if m.any() else 0.0 for row, m in zip(err2[f], ok)]
-    return sums[0], sums[1], symbol_means
+    return sums[0], sums[1]
 
 
 def _frame_evm_db(error, reference, erased):
     """Each frame's EVM dB from its power sums: means over its decided
     points; a frame with none has error 0 over 1."""
     n_ok = np.maximum(np.prod(erased.shape[1:]) - erased.reshape(len(erased), -1).sum(axis=-1), 1)
-    ref_mean = np.where(reference > 0, reference / n_ok, 1.0)
-    return evm_db_from_powers(error / n_ok, ref_mean), ref_mean
+    return evm_db_from_powers(error / n_ok, np.where(reference > 0, reference / n_ok, 1.0))
 
 
 def genie_evm_db(points, tx_bits, erased, modulation: Modulation) -> np.ndarray:
@@ -160,8 +148,7 @@ def genie_evm_db(points, tx_bits, erased, modulation: Modulation) -> np.ndarray:
     decisions, each frame over its own row.
     """
     reference = map_bits(np.asarray(tx_bits).reshape(-1), modulation).reshape(points.shape)
-    error, reference_power, _ = _power_sums(points, reference, erased)
-    return _frame_evm_db(error, reference_power, erased)[0]
+    return _frame_evm_db(*_power_sums(points, reference, erased), erased)
 
 
 def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
@@ -174,8 +161,9 @@ def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
     that frame's row. Returns one DecodeReport for the stack.
 
     EVM is decision-directed against the demapped constellation points,
-    referenced to the mean decided-point power of the whole frame, so the
-    frame EVM equals the RMS (linear-domain) combination of per_symbol_evm.
+    referenced to the mean decided-point power of the whole frame: the
+    error and reference powers are each averaged over the frame's points
+    not erased.
     residual_phase_std is the spread of the raw pilot-bin phase across
     symbols, taken about its circular mean.
     """
@@ -197,7 +185,9 @@ def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
         phase = phase_est.per_sample_phase[:, N_PREAMBLE_SYMBOLS:]
     all_bins = np.fft.fft(bodies, norm="ortho", axis=-1)
 
-    pilot_phase = np.angle(all_bins[..., plan.pilot_index] / cfg.pilot_value)
+    # Not a no-op although PILOT_VALUE is 1 + 0j: it turns -1 - 0j into
+    # -1 + 0j, whose np.angle is pi, not -pi.
+    pilot_phase = np.angle(all_bins[..., plan.pilot_index] / PILOT_VALUE)
     center = np.angle(np.mean(np.exp(1j * pilot_phase), axis=-1))
     centered = wrap_phase(pilot_phase - center[:, None])
     residual_phase_std = np.sqrt(np.mean(centered ** 2, axis=-1))
@@ -210,10 +200,9 @@ def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
     idx = slice_indices(points, modulation)
     idx[erased] = 0
     bits = indices_to_bits(idx, modulation).reshape(n_frames, -1)
-    error, reference, symbol_error = _power_sums(points, modulation.constellation[idx], erased)
-    frame_evm, ref_mean = _frame_evm_db(error, reference, erased)
-    return DecodeReport(bits=bits, evm_db=frame_evm, residual_phase_std=residual_phase_std,
-                        per_symbol_evm=evm_db_from_powers(symbol_error, ref_mean[:, None]),
+    error, reference = _power_sums(points, modulation.constellation[idx], erased)
+    return DecodeReport(bits=bits, evm_db=_frame_evm_db(error, reference, erased),
+                        residual_phase_std=residual_phase_std,
                         n_erased=erased.reshape(n_frames, -1).sum(axis=-1),
                         error_power=error, reference_power=reference, points=points,
                         erased=erased, phase=phase)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import band_power_fraction, channel_row
 from mmwavelink import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel,
-                        PhaseNoiseProcess, apply_channel, band_power_fraction,
-                        gaussian_fit, psd_welch, single_tone_probe)
+                        PhaseNoiseProcess, apply_channel, gaussian_fit_in_place, psd_welch,
+                        single_tone_probe)
 
 FS = 25.0e6
 FAST = settings(max_examples=40, deadline=None)
@@ -25,7 +26,7 @@ def clean_cfg(**kw):
 def test_impairment_free_channel_is_identity():
     rng = np.random.default_rng(0)
     x = rng.normal(size=256) + 1j * rng.normal(size=256)
-    y, theta = apply_channel(x, clean_cfg())
+    y, theta = channel_row(x, clean_cfg())
     np.testing.assert_array_equal(y, x)
     np.testing.assert_array_equal(theta, np.zeros(256))
 
@@ -33,8 +34,8 @@ def test_impairment_free_channel_is_identity():
 def test_apply_channel_deterministic():
     x = np.ones(512, dtype=complex)
     cfg = ChannelConfig(seed=3)
-    y1, t1 = apply_channel(x, cfg)
-    y2, t2 = apply_channel(x, cfg)
+    y1, t1 = channel_row(x, cfg)
+    y2, t2 = channel_row(x, cfg)
     np.testing.assert_array_equal(y1, y2)
     np.testing.assert_array_equal(t1, t2)
 
@@ -50,7 +51,7 @@ def test_impulse_reveals_taps():
     cfg = clean_cfg(taps=(3.0, 4.0j))
     x = np.zeros(8, dtype=complex)
     x[0] = 1.0
-    y, _ = apply_channel(x, cfg)
+    y, _ = channel_row(x, cfg)
     np.testing.assert_allclose(y[:2], [0.6, 0.8j], atol=1e-12)
     np.testing.assert_allclose(y[2:], 0.0, atol=1e-15)
 
@@ -59,7 +60,7 @@ def test_phase_noise_multiplies_unit_magnitude():
     rng = np.random.default_rng(1)
     x = rng.normal(size=400) + 1j * rng.normal(size=400)
     cfg = ChannelConfig(taps=(1.0,), snr_db=math.inf, seed=9)
-    y, theta = apply_channel(x, cfg)
+    y, theta = channel_row(x, cfg)
     np.testing.assert_array_equal(y, x * np.exp(1j * theta))
     np.testing.assert_allclose(np.abs(y), np.abs(x), atol=1e-12)
 
@@ -68,14 +69,14 @@ def test_cfo_rotation():
     n = np.arange(64)
     x = np.ones(64, dtype=complex)
     cfg = clean_cfg(cfo_hz=1.0e5)
-    y, _ = apply_channel(x, cfg)
+    y, _ = channel_row(x, cfg)
     np.testing.assert_allclose(y, np.exp(2j * np.pi * 1.0e5 * n / FS), atol=1e-12)
 
 
 def test_snr_calibration():
     x = np.ones(200_000, dtype=complex)
     cfg = ChannelConfig(taps=(1.0,), snr_db=20.0, phase_noise=CLEAN_PN, seed=4)
-    y, _ = apply_channel(x, cfg)
+    y, _ = channel_row(x, cfg)
     noise_db = 10.0 * np.log10(np.mean(np.abs(y - x) ** 2))
     assert abs(noise_db - (-20.0)) < 0.2
 
@@ -83,9 +84,11 @@ def test_snr_calibration():
 def test_apply_channel_rejects_bad_input():
     cfg = clean_cfg()
     with pytest.raises(ValueError):
-        apply_channel(np.zeros(0, dtype=complex), cfg)
+        apply_channel(np.zeros((1, 0), dtype=complex), cfg, [0])
     with pytest.raises(ValueError):
-        apply_channel(np.zeros((2, 4), dtype=complex), cfg)
+        apply_channel(np.zeros(4, dtype=complex), cfg, [0])
+    with pytest.raises(ValueError):
+        apply_channel(np.zeros((2, 4), dtype=complex), cfg, [0])
 
 
 def test_channel_config_validation():
@@ -167,7 +170,7 @@ def test_generator_empty_request():
 
 def test_filtered_gaussian_std_calibration():
     theta = PhaseNoiseProcess(PhaseNoiseConfig(sigma=0.26), FS, seed=7).generate(1_000_000)
-    fit = gaussian_fit(theta)
+    fit = gaussian_fit_in_place(theta)
     assert 0.26 * 0.95 <= fit.std <= 0.26 * 1.05
     assert abs(fit.mean) < 0.005
 
@@ -206,7 +209,7 @@ def test_single_tone_probe_recovers_phase_noise():
     # random walk passes +-pi, less its mean.
     cfg = clean_cfg(phase_noise=PhaseNoiseConfig(sigma=1.0, model=PhaseNoiseModel.RANDOM_WALK),
                     seed=4)
-    theta = apply_channel(np.ones(5000, dtype=complex), cfg)[1]
+    theta = channel_row(np.ones(5000, dtype=complex), cfg)[1]
     assert np.ptp(theta) > 2 * np.pi
     np.testing.assert_allclose(single_tone_probe(FS / 8.0, 5000, cfg), theta - theta.mean(),
                                atol=1e-9)

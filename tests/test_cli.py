@@ -163,6 +163,25 @@ def test_non_finite_config_numbers_exit_1(tmp_path, capsys, text, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"n_frames": 1, "n_frames": 3, "channel": {"snr_db": 20}, "channel": {"sigma": 0.1}}',
+     "n_frames"),
+    ('{"channel": {"snr_db": 20}, "channel": {"sigma": 0.1}}', "channel"),
+    ('{"channel": {"snr_db": 20, "sigma": 0.1, "snr_db": 30}}', "channel.snr_db"),
+    ('{"probe": {"tone_hz": null, "tone_hz": 1e6}}', "probe.tone_hz"),
+], ids=["top-level", "section", "nested", "nested-null"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_repeated_config_key_exit_1(tmp_path, capsys, text, key, command):
+    # JSON leaves a repeated key to the parser; taking the last value would
+    # drop the user's earlier one, and a repeated section its whole body.
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main(command_argv(tmp_path, command, str(path), out)) == 1
+    assert f"config key {key} is given more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_overflowing_sigma_leaves_no_nan_summary(tmp_path):
     # A finite sigma this large overflows the phase process to NaN. The run
     # must fail rather than write a summary.json holding NaN, and must not
@@ -434,3 +453,16 @@ def test_console_script_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "simulate:" in proc.stdout
     assert (out / "summary.json").exists()
+
+
+def test_public_names_resolve():
+    # Every exported name exists, and so does each name the benchmark binds
+    # by name (bench/child.py and bench/spans.py).
+    namespace = {}
+    exec("from mmwavelink import *", namespace)
+    assert len(set(mmwavelink.__all__)) == len(mmwavelink.__all__)
+    assert set(mmwavelink.__all__) <= namespace.keys()
+    for module, name in [(mmwavelink.cli, "run_frame"), (mmwavelink.cli, "stream_bytes"),
+                         (mmwavelink.cli, "single_tone_probe"),
+                         (mmwavelink.channel, "PhaseNoiseProcess")]:
+        assert callable(getattr(module, name)), name

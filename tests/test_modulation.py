@@ -3,10 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmwavelink import Modulation, demap_hard, evm_db, map_bits
+from mmwavelink import Modulation, evm_db_from_powers, indices_to_bits, map_bits, slice_indices
 
 ALL_MODS = list(Modulation)
 FAST = settings(max_examples=40, deadline=None)
+
+
+def demap(symbols, mod):
+    """Hard decisions as a flat bit array, as decode_frames makes them."""
+    return indices_to_bits(slice_indices(symbols, mod), mod).reshape(-1)
+
+
+def points_evm_db(received, reference):
+    """EVM dB of points against their reference: mean error power over mean
+    reference power, as decode_frames takes them."""
+    received, reference = np.asarray(received), np.asarray(reference)
+    return evm_db_from_powers(np.mean(np.abs(received - reference) ** 2),
+                              np.mean(np.abs(reference) ** 2))
 
 
 def test_bits_per_symbol():
@@ -71,7 +84,7 @@ def test_gray_property_nearest_neighbors_differ_by_one_bit(mod):
 def test_map_demap_round_trip(mod, bits):
     # Any whole number of symbols round-trips; a partial symbol is rejected.
     whole = bits[:bits.size // mod.bits_per_symbol * mod.bits_per_symbol]
-    out = demap_hard(map_bits(whole, mod), mod)
+    out = demap(map_bits(whole, mod), mod)
     np.testing.assert_array_equal(out, whole)
     assert out.dtype == np.uint8
     if whole.size < bits.size:
@@ -85,7 +98,7 @@ def test_demap_matches_exhaustive_nearest_point(mod):
     symbols = rng.normal(size=200) + 1j * rng.normal(size=200)
     const = mod.constellation
     k = mod.bits_per_symbol
-    got = demap_hard(symbols, mod).reshape(-1, k)
+    got = demap(symbols, mod).reshape(-1, k)
     for s, bits in zip(symbols, got):
         d2 = np.abs(s - const) ** 2
         idx = int(np.argmin(d2))  # argmin takes the first (lowest) index on ties
@@ -95,20 +108,21 @@ def test_demap_matches_exhaustive_nearest_point(mod):
 
 def test_demap_tie_breaks_to_lower_index():
     # Equidistant from all four QPSK points; index 0 wins.
-    np.testing.assert_array_equal(demap_hard([0.0 + 0.0j], Modulation.QPSK),
-                                  [0, 0])
+    np.testing.assert_array_equal(demap([0.0 + 0.0j], Modulation.QPSK), [0, 0])
     # On the I axis, between indices 0 (1+1j) and 1 (1-1j).
     np.testing.assert_array_equal(
-        demap_hard([1.0 / np.sqrt(2.0) + 0.0j], Modulation.QPSK), [0, 0])
+        demap([1.0 / np.sqrt(2.0) + 0.0j], Modulation.QPSK), [0, 0])
 
 
 def test_evm_db_known_ratio():
     # rx = 1.1, ref = 1: error power 0.01 -> -20 dB.
-    assert abs(evm_db([1.1 + 0.0j], [1.0 + 0.0j]) - (-20.0)) < 1e-9
+    assert abs(points_evm_db([1.1 + 0.0j], [1.0 + 0.0j]) - (-20.0)) < 1e-9
 
 
 def test_evm_db_floor_for_exact_match():
-    assert evm_db([1 + 1j, 2 - 1j], [1 + 1j, 2 - 1j]) == -120.0
+    assert points_evm_db([1 + 1j, 2 - 1j], [1 + 1j, 2 - 1j]) == -120.0
+    np.testing.assert_array_equal(evm_db_from_powers(np.array([0.0, 0.01]), 1.0),
+                                  [-120.0, 10.0 * np.log10(0.01)])
 
 
 def test_evm_db_scale_invariance():
@@ -116,12 +130,12 @@ def test_evm_db_scale_invariance():
     ref = rng.normal(size=64) + 1j * rng.normal(size=64)
     rx = ref + 0.05 * (rng.normal(size=64) + 1j * rng.normal(size=64))
     a = 7.3 - 2.1j
-    assert abs(evm_db(rx, ref) - evm_db(a * rx, a * ref)) < 1e-9
+    assert abs(points_evm_db(rx, ref) - points_evm_db(a * rx, a * ref)) < 1e-9
 
 
 def test_evm_db_clamps_at_floor():
     # -180 dB true ratio clamps to the reporting floor.
-    assert evm_db([1.0 + 1e-9j], [1.0 + 0.0j]) == -120.0
+    assert points_evm_db([1.0 + 1e-9j], [1.0 + 0.0j]) == -120.0
 
 
 @pytest.mark.parametrize("bits,mod", [
@@ -139,9 +153,9 @@ def test_map_bits_rejects_2d():
 
 
 def test_evm_db_rejects_degenerate_input():
+    # A scalar reference power that is not positive has no EVM; arrays must
+    # broadcast together.
+    assert evm_db_from_powers(0.5, 0.0) is None
+    assert evm_db_from_powers(0.5, -1.0) is None
     with pytest.raises(ValueError):
-        evm_db([], [])
-    with pytest.raises(ValueError):
-        evm_db([1 + 0j], [1 + 0j, 0j])
-    with pytest.raises(ValueError):
-        evm_db([1 + 0j], [0j])
+        evm_db_from_powers(np.ones(2), np.ones(3))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mmwavelink import (ChannelConfig, Modulation, OfdmConfig, aggregate_evm_db, build_plan,
-                        cancel, estimate_phase, frame_bits_rng, run_frames, wrap_phase)
+from mmwavelink import (PILOT_VALUE, ChannelConfig, Modulation, OfdmConfig, aggregate_evm_db,
+                        build_plan, cancel, estimate_phase, frame_bits_rng, run_frames,
+                        wrap_phase)
 from mmwavelink.pnc import DEGENERATE_EPS
 
 
@@ -12,7 +13,7 @@ def default_cfg():
 
 def pilot_only_body(cfg):
     bins = np.zeros(64, dtype=complex)
-    bins[cfg.plan.pilot_index] = cfg.pilot_value
+    bins[cfg.plan.pilot_index] = PILOT_VALUE
     return np.fft.ifft(bins, norm="ortho")
 
 
@@ -38,7 +39,7 @@ def test_estimate_zero_phase_with_payload_present():
     bins = np.zeros(64, dtype=complex)
     idx = list(cfg.plan.payload_indices)
     bins[idx] = np.exp(2j * np.pi * rng.uniform(size=len(idx)))
-    bins[cfg.plan.pilot_index] = cfg.pilot_value
+    bins[cfg.plan.pilot_index] = PILOT_VALUE
     body = np.fft.ifft(bins, norm="ortho")
     est = estimate_phase(body, cfg)
     assert np.max(np.abs(est.per_sample_phase)) < 1e-12

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import channel_row
 from mmwavelink import (ChannelConfig, ChannelEstimate, Modulation, OfdmConfig,
-                        PhaseNoiseConfig, PhaseNoiseModel, apply_channel,
-                        build_frames, build_plan, decode_frames, equalize,
-                        estimate_channel_ls, genie_evm_db, training_bins)
+                        PhaseNoiseConfig, PhaseNoiseModel, build_frames, build_plan,
+                        decode_frames, equalize, estimate_channel_ls, genie_evm_db,
+                        slice_indices, training_bins)
 
 CLEAN_PN = PhaseNoiseConfig(sigma=0.0, model=PhaseNoiseModel.NONE)
 
@@ -123,7 +124,7 @@ def test_decode_multipath_noiseless_is_exact():
     taps = tuple(rng.normal(size=4) + 1j * rng.normal(size=4))
     channel = ChannelConfig(taps=taps, snr_db=math.inf, phase_noise=CLEAN_PN, seed=1)
     bits = rng.integers(0, 2, 92 * 4, dtype=np.uint8)
-    y, _ = apply_channel(frame_samples(bits, Modulation.QPSK, cfg, 4), channel)
+    y, _ = channel_row(frame_samples(bits, Modulation.QPSK, cfg, 4), channel)
     report = decode_one(y, cfg, Modulation.QPSK, pnc_enabled=False)
     np.testing.assert_array_equal(report.bits[0], bits)
     assert report.evm_db[0] <= -40.0
@@ -146,10 +147,15 @@ def test_frame_evm_is_rms_of_per_symbol_evm():
     rng = np.random.default_rng(13)
     bits = rng.integers(0, 2, 92 * 6, dtype=np.uint8)
     channel = ChannelConfig(taps=(1.0,), snr_db=25.0, phase_noise=CLEAN_PN, seed=2)
-    y, _ = apply_channel(frame_samples(bits, Modulation.QPSK, cfg, 6), channel)
+    y, _ = channel_row(frame_samples(bits, Modulation.QPSK, cfg, 6), channel)
     report = decode_one(y, cfg, Modulation.QPSK, pnc_enabled=False)
     assert report.n_erased[0] == 0
-    combined = 10.0 * np.log10(np.mean(10.0 ** (report.per_symbol_evm[0] / 10.0)))
+    # Each symbol's EVM against the frame's mean decided-point power.
+    points = report.points[0]
+    decisions = Modulation.QPSK.constellation[slice_indices(points, Modulation.QPSK)]
+    per_symbol = np.mean(np.abs(points - decisions) ** 2, axis=-1) \
+        / np.mean(np.abs(decisions) ** 2)
+    combined = 10.0 * np.log10(np.mean(per_symbol))
     assert abs(report.evm_db[0] - combined) < 1e-9
     # The linear-domain sums must reproduce the reported dB value.
     assert report.evm_db[0] == pytest.approx(
