@@ -396,7 +396,8 @@ def test_run_frames_equals_run_frame(modulation, pnc_enabled, taps, cfo_hz, mode
 
 
 def old_power_db(err_power, ref_power):
-    """The dB formula of the per-frame loop the batched decoder replaced."""
+    """The dB formula of the per-symbol loop the batched decoder replaced,
+    here applied to a whole frame."""
     if err_power <= 0.0 or ref_power <= 0.0:
         return -120.0
     return max(10.0 * float(np.log10(err_power / ref_power)), -120.0)
