@@ -8,12 +8,15 @@ TX+RX oscillator phase trajectory.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import signal
+import scipy
 
 
 class PhaseNoiseModel(Enum):
@@ -28,7 +31,51 @@ class PhaseNoiseModel(Enum):
 # enough spectral tail near the subcarrier spacing to defeat pilot-band
 # phase tracking regardless of corner placement.
 PN_CORNER_RATIO = 16.0
-PN_FILTER_ORDER = 3
+
+
+def _load_sosfilt():
+    """scipy's compiled _sosfilt, loaded from its file to skip scipy.signal's package init."""
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(os.path.dirname(scipy.__file__), "signal", "_sosfilt" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.signal._sosfilt", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module._sosfilt
+    from scipy.signal._sosfilt import _sosfilt
+    return _sosfilt
+
+
+_sosfilt = _load_sosfilt()
+
+
+def _poly(roots) -> np.ndarray:
+    """scipy.signal's poly: the monic polynomial of roots, real for conjugate pairs."""
+    roots = np.asarray(roots)
+    a = np.ones(1, roots.dtype)
+    for root in roots:
+        a = np.convolve(a, np.stack((np.ones_like(root), -root)))
+    conjugate = a.dtype.kind == "c" and np.all(np.sort(roots.imag) == np.sort(roots.conj().imag))
+    return a.real.copy() if conjugate else a
+
+
+def _butter_sos(corner_hz: float, sample_rate_hz: float) -> np.ndarray:
+    """signal.butter(3, corner_hz, fs=sample_rate_hz, output="sos") bit for bit
+    below fs/32, in scipy's operations; a corner of 0 gives a zero gain. The
+    zeros (0, -1) pair with the conjugate pair or, once _cplxreal counts it real
+    (corners below about 6e-14 fs), the two largest poles; (-1, -1) take the rest."""
+    warped = float(4.0 * np.tan(np.pi * (np.float64(corner_hz) / (sample_rate_hz / 2)) / 2.0))
+    s = warped * -np.exp(1j * np.pi * np.arange(-2.0, 3.0, 2.0) / 6)   # buttap, lp2lp_zpk
+    p = (4.0 + s) / (4.0 - s)   # bilinear_zpk
+    if abs(p[0].imag) > 100 * np.finfo(float).eps * abs(p[0]):
+        pair = (p[0] + p[2].conj()) / 2
+        nearest, last = [pair, pair.conj()], np.array([p[1].real, 0.0], complex)
+    else:
+        real = np.sort(p.real)
+        nearest, last = real[[2, 1]], np.array([real[0], 0.0])
+    gain = warped ** 3 * (1.0 / np.prod(4.0 - s)).real
+    return np.array([np.concatenate((_poly([-1.0, -1.0]) * gain, _poly(last))),
+                     np.concatenate((_poly([0.0, -1.0]), _poly(nearest)))])
 
 
 @dataclass(frozen=True)
@@ -43,19 +90,18 @@ def _shaping_filter(bandwidth_hz: float, sample_rate_hz: float):
     """Phase-noise shaping filter design: (sos, n_settle, impulse energy).
 
     Depends only on the band, not on sigma, so every frame of a run shares
-    one design. The sos array stays writable because sosfilt requires it;
+    one design. The sos array stays writable because _sosfilt requires it;
     callers must not modify it.
     """
-    corner_hz = bandwidth_hz / PN_CORNER_RATIO
-    sos = signal.butter(PN_FILTER_ORDER, corner_hz, fs=sample_rate_hz, output="sos")
+    sos = _butter_sos(bandwidth_hz / PN_CORNER_RATIO, sample_rate_hz)
     poles = np.concatenate([np.roots(section[3:6]) for section in sos])
     slowest = min(max(np.abs(poles)), 1.0 - 1e-12)
     # Long enough for the impulse response energy sum and for the warmup in
     # PhaseNoiseProcess to converge; capped for pathologically slow corners.
     n_settle = int(min(max(np.ceil(-12.0 / np.log(slowest)), 64), 2 ** 22))
-    impulse = np.zeros(n_settle)
-    impulse[0] = 1.0
-    energy = float(np.sum(signal.sosfilt(sos, impulse) ** 2))
+    impulse = np.eye(1, n_settle)
+    _sosfilt(sos, impulse, np.zeros((1, len(sos), 2)))
+    energy = float(np.sum(impulse[0] ** 2))
     return sos, n_settle, energy
 
 
@@ -122,9 +168,9 @@ def _filtered_rows(processes, n: int) -> np.ndarray:
     """Next n filtered-Gaussian samples of each process, (len(processes), n).
 
     The processes share one config and are all fresh or all warmed up. Each
-    draws from its own generator; one sosfilt call runs over the stack,
-    warmup included, which is bit-identical to filtering each row, and its
-    warmup apart, on its own.
+    draws from its own generator; one _sosfilt call filters the stack in
+    place, warmup included, which is bit-identical to filtering each row, and
+    its warmup apart, on its own.
     """
     first = processes[0]
     settle = first._n_settle if first._zi is None else 0
@@ -132,18 +178,16 @@ def _filtered_rows(processes, n: int) -> np.ndarray:
     for row, process in zip(drive, processes):
         process._rng.standard_normal(out=row)
     drive *= first._drive_std
-    if first._zi is None:
-        zi = np.zeros((first._sos.shape[0], len(processes), 2))
-    else:
-        zi = np.stack([p._zi for p in processes], axis=1)
-    theta, zf = signal.sosfilt(first._sos, drive, zi=zi)
-    for i, process in enumerate(processes):
-        process._zi = zf[:, i]
+    zi = (np.zeros((len(processes), len(first._sos), 2)) if first._zi is None
+          else np.stack([p._zi for p in processes]))
+    _sosfilt(first._sos, drive, zi)
+    for process, state in zip(processes, zi):
+        process._zi = state
     # A copy drops the warmup columns of a stack; one row is returned as a view.
-    return np.ascontiguousarray(theta[:, settle:])
+    return np.ascontiguousarray(drive[:, settle:])
 
 
-# Rows filtered per sosfilt call are capped so that a call holds about this
+# Rows filtered per _sosfilt call are capped so that a call holds about this
 # many samples, warmup included: a slow shaping filter's warmup runs to
 # 2**22 samples per frame.
 PN_FILTER_BLOCK_SAMPLES = 1 << 21

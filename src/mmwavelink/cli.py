@@ -339,12 +339,14 @@ def cmd_sweep_k(args, cfg: Config) -> int:
 
 
 def cmd_stream(args, cfg: Config) -> int:
-    out = _out_dir(args)
-
     if args.input == "-":
         data = sys.stdin.buffer.read()
     else:
-        data = Path(args.input).read_bytes()
+        try:   # before the output directory is made, which a bad path leaves empty
+            data = Path(args.input).read_bytes()
+        except OSError as exc:
+            raise ConfigError(f"cannot read input: {exc}")
+    out = _out_dir(args)
 
     v = cfg.values
     recovered, report = stream_bytes(

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy import signal
 
 
 @dataclass(frozen=True)
@@ -75,14 +74,14 @@ def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096) -> PsdEstimate:
     # accumulators is one FFT call of 8 segments, the run's leftover
     # segments one more, and the run sums are added in numpy's order, so no
     # (nfft, segments) array is held and the bytes stay those of welch.
-    stft = signal.ShortTimeFFT(signal.get_window("hann", nfft), nfft - round(nfft / 2),
-                               sample_rate_hz, fft_mode="twosided", mfft=nfft,
-                               scale_to="psd", phase_shift=None)
-    segments = np.lib.stride_tricks.sliding_window_view(samples, nfft)[::stft.hop]
+    # welch's periodic Hann window (general_cosine), in ShortTimeFFT's PSD scale and builtin sum.
+    win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nfft + 1)[:-1])
+    win = win * (1 / np.sqrt(sum(win ** 2) / (1 / sample_rate_hz)))
+    segments = np.lib.stride_tricks.sliding_window_view(samples, nfft)[::nfft - round(nfft / 2)]
 
     def periodograms(p: int, q: int) -> np.ndarray:
-        spectra = scipy.fft.fft(signal.detrend(segments[p:q], type="constant") * stft.win,
-                                axis=-1)
+        block = segments[p:q]   # detrend(type="constant"), then the window
+        spectra = scipy.fft.fft((block - np.mean(block, axis=-1, keepdims=True)) * win, axis=-1)
         re, im = spectra.real, spectra.imag  # |X|^2, squared in the spectra's own buffer
         return np.add(np.square(re, out=re), np.square(im, out=im), out=re)
 
@@ -105,9 +104,9 @@ def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096) -> PsdEstimate:
         return total
 
     # The reduction's initial 0.0 leaves a sum of squares as it is.
-    freqs, density = stft.f, power_sum(0, len(segments)) / len(segments)
+    freqs, total = scipy.fft.fftfreq(nfft, 1 / sample_rate_hz), power_sum(0, len(segments))
     order = np.argsort(freqs)
-    power_db = 10.0 * np.log10(np.maximum(density[order], 1e-300))
+    power_db = 10.0 * np.log10(np.maximum(total[order] / len(segments), 1e-300))
     return PsdEstimate(freqs_hz=freqs[order], power_db=power_db)
 
 

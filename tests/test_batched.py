@@ -21,7 +21,7 @@ from mmwavelink import (ChannelConfig, ChannelEstimate, DecodeReport, Modulation
                         map_bits, modulate_symbol, run_frame, run_frames, slice_indices,
                         training_bins)
 from mmwavelink import channel as channel_module
-from mmwavelink.channel import (PN_CORNER_RATIO, PN_FILTER_ORDER, SAMPLE_BLOCK, _mixer,
+from mmwavelink.channel import (PN_CORNER_RATIO, SAMPLE_BLOCK, _mixer,
                                 phase_noise_rows, phasor, sample_blocks, single_tone_probe, tone)
 from mmwavelink.link import aggregate_evm_db
 from mmwavelink.modulation import evm_db_from_powers
@@ -151,7 +151,7 @@ def test_run_frame_phase_estimate_equals_per_symbol_oracle(pnc_enabled):
 def reference_trajectory(sigma, bandwidth_hz, seed, n):
     """Filtered-Gaussian theta(n) with the shaping filter designed from scratch."""
     rng = np.random.default_rng(seed)
-    sos = signal.butter(PN_FILTER_ORDER, bandwidth_hz / PN_CORNER_RATIO, fs=FS, output="sos")
+    sos = signal.butter(3, bandwidth_hz / PN_CORNER_RATIO, fs=FS, output="sos")
     poles = np.concatenate([np.roots(section[3:6]) for section in sos])
     slowest = min(max(np.abs(poles)), 1.0 - 1e-12)
     n_settle = int(min(max(np.ceil(-12.0 / np.log(slowest)), 64), 2 ** 22))

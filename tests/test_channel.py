@@ -1,3 +1,4 @@
+import importlib.machinery
 import math
 import warnings
 
@@ -5,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from helpers import band_power_fraction, channel_row
 from mmwavelink import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel,
                         PhaseNoiseProcess, apply_channel, gaussian_fit_in_place, psd_welch,
                         single_tone_probe)
+from mmwavelink.channel import (PN_CORNER_RATIO, _butter_sos, _load_sosfilt, _shaping_filter,
+                                _sosfilt)
 
 FS = 25.0e6
 FAST = settings(max_examples=40, deadline=None)
@@ -237,3 +241,75 @@ def test_single_tone_probe_validation():
         single_tone_probe(-FS / 2.0, 16, cfg)
     with pytest.raises(ValueError):
         single_tone_probe(1.0e6, -1, cfg)
+
+
+def butter_bands():
+    """(band, fs) pairs: log-uniform bands from far below fs up to fs/2, more
+    in the range where _cplxreal counts the conjugate pair as real, and 1 uHz
+    at 25 MHz, which is in that range."""
+    rng = np.random.default_rng(17)
+    for fs in (1.0, 7.0, 1e3, FS, 1e9, 1e300):
+        top = math.log10(fs / 2)
+        bands = np.concatenate([10 ** rng.uniform(top - 300, top, 150),
+                                10 ** rng.uniform(top - 16, top - 12, 50)])
+        yield from ((band, fs) for band in bands if 0 < band < fs / 2)
+    yield 1e-6, FS
+
+
+def test_butter_port_equals_scipy_butter():
+    pairings = {True: [], False: []}
+    for band, fs in butter_bands():
+        sos = _butter_sos(band / PN_CORNER_RATIO, fs)
+        ref = signal.butter(3, band / PN_CORNER_RATIO, fs=fs, output="sos")
+        assert sos.tobytes() == ref.tobytes(), (band, fs)
+        # zpk2sos counts a pole as real within 100 eps of its magnitude.
+        poles = signal.butter(3, band / PN_CORNER_RATIO, fs=fs, output="zpk")[1]
+        all_real = bool(np.all(abs(poles.imag) <= 100 * np.finfo(float).eps * abs(poles)))
+        pairings[all_real].append((band, fs))
+    assert len(pairings[False]) >= 50 and len(pairings[True]) >= 50
+    assert (1e-6, FS) in pairings[True]
+
+
+def test_butter_port_zero_corner_has_zero_gain():
+    # scipy rejects a corner that rounds to 0; the port gives a zero gain, so
+    # a zero impulse energy, which the underflow rule rejects.
+    with pytest.raises(ValueError, match="greater than 0"):
+        signal.butter(3, 5e-324 / PN_CORNER_RATIO, fs=FS, output="sos")
+    sos, _, energy = _shaping_filter(5e-324, FS)
+    assert not sos[0, :3].any() and energy == 0.0
+    with pytest.raises(ValueError, match="underflows"):
+        ChannelConfig(phase_noise=PhaseNoiseConfig(bandwidth_hz=5e-324))
+
+
+def sosfilt_in_place(sosfilt, sos, x, zi):
+    """Filter a copy of x with the kernel, zi in scipy's (sections, F, 2)."""
+    y, state = x.copy(), zi.transpose(1, 0, 2).copy()
+    sosfilt(sos, y, state)
+    return y, state.transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("band", [1e6, 1e-6])
+def test_sosfilt_equals_scipy_sosfilt(rows, band):
+    rng = np.random.default_rng(rows)
+    sos = _shaping_filter(band, FS)[0]
+    x = rng.standard_normal((rows, 3000))
+    y = sosfilt_in_place(_sosfilt, sos, x, np.zeros((2, rows, 2)))[0]
+    assert y.tobytes() == signal.sosfilt(sos, x).tobytes()
+    zi = rng.standard_normal((2, rows, 2))
+    y, zf = sosfilt_in_place(_sosfilt, sos, x, zi)
+    ref, ref_zf = signal.sosfilt(sos, x, zi=zi)
+    assert y.tobytes() == ref.tobytes()
+    assert zf.tobytes() == ref_zf.tobytes()
+
+
+def test_sosfilt_import_fallback_gives_the_same_bytes(monkeypatch):
+    # With no extension file found, the loader imports scipy.signal's kernel.
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+    fallback = _load_sosfilt()
+    sos = _shaping_filter(1e6, FS)[0]
+    x = np.random.default_rng(4).standard_normal((3, 2000))
+    zi = np.random.default_rng(5).standard_normal((2, 3, 2))
+    loaded = sosfilt_in_place(_sosfilt, sos, x, zi)
+    for a, b in zip(sosfilt_in_place(fallback, sos, x, zi), loaded):
+        assert a.tobytes() == b.tobytes()

@@ -227,9 +227,10 @@ def test_stream_frame_without_room_for_a_packet_is_config_error(tmp_path, capsys
 
 
 @pytest.mark.parametrize("channel", [{"bandwidth_hz": 0.0}, {"bandwidth_hz": 12.5e6},
-                                     {"sigma": -0.1}, {"bandwidth_hz": 1e-300}],
+                                     {"sigma": -0.1}, {"bandwidth_hz": 1e-300},
+                                     {"bandwidth_hz": 5e-324}],
                          ids=["zero-bandwidth", "nyquist-bandwidth", "negative-sigma",
-                              "underflowing-bandwidth"])
+                              "underflowing-bandwidth", "zero-corner"])
 @pytest.mark.parametrize("command", ["simulate", "measure-pn", "sweep-k", "stream"])
 def test_invalid_phase_noise_is_config_error(tmp_path, capsys, channel, command):
     # Rejected while the channel config is built: exit 1, no output directory.
@@ -393,9 +394,13 @@ def test_stream_default_output_location(tmp_path):
     assert (out / "recovered.bin").read_bytes() == b"payload bytes"
 
 
-def test_stream_missing_input_is_runtime_error(tmp_path):
-    assert main(["stream", "--out", str(tmp_path / "o"),
-                 "--input", str(tmp_path / "nope.bin")]) == 2
+@pytest.mark.parametrize("name", ["nope.bin", "."], ids=["missing", "directory"])
+def test_stream_unreadable_input_is_config_error(tmp_path, capsys, name):
+    # The input is read before the output directory is made.
+    out = tmp_path / "o"
+    assert main(["stream", "--out", str(out), "--input", str(tmp_path / name)]) == 1
+    assert "config error: cannot read input" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def run_all_artifacts(tmp_path, tag):
