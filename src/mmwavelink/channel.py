@@ -16,6 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+# numpy loads these on first use; every run calls both, so they load with the
+# package and not inside the first frame's time.
+import numpy.fft
+import numpy.random
 import scipy
 
 
@@ -33,20 +37,25 @@ class PhaseNoiseModel(Enum):
 PN_CORNER_RATIO = 16.0
 
 
-def _load_sosfilt():
-    """scipy's compiled _sosfilt, loaded from its file to skip scipy.signal's package init."""
+def _load_scipy_extension(name: str):
+    """scipy's compiled module `name`, loaded from its file to skip the package inits above it.
+
+    The path follows scipy's private file layout (checked on scipy 1.17.1); if
+    the file is missing, the module is imported by name, which gives the same
+    functions.
+    """
+    *packages, leaf = name.split(".")[1:]
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(os.path.dirname(scipy.__file__), "signal", "_sosfilt" + suffix)
+        path = os.path.join(os.path.dirname(scipy.__file__), *packages, leaf + suffix)
         if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location("scipy.signal._sosfilt", path)
+            spec = importlib.util.spec_from_file_location(name, path)
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
-            return module._sosfilt
-    from scipy.signal._sosfilt import _sosfilt
-    return _sosfilt
+            return module
+    return importlib.import_module(name)
 
 
-_sosfilt = _load_sosfilt()
+_sosfilt = _load_scipy_extension("scipy.signal._sosfilt")._sosfilt
 
 
 def _poly(roots) -> np.ndarray:

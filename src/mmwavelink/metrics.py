@@ -6,7 +6,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
+
+from .channel import _load_scipy_extension
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,11 @@ def std_in_place(x: np.ndarray, ddof: int = 0) -> float:
 # its halves.
 PAIRWISE_BLOCK = 128
 
+# scipy.fft's compiled pocketfft, whose c2c(x, axes, forward, norm, out,
+# workers) is what scipy.fft.fft(x, axis=-1) calls for a float64 or
+# complex128 x: no normalization (0), a new output array, one worker.
+_c2c = _load_scipy_extension("scipy.fft._pocketfft.pypocketfft").c2c
+
 
 def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096) -> PsdEstimate:
     """Two-sided Welch power spectral density, Hann window, density scaling,
@@ -81,7 +87,8 @@ def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096) -> PsdEstimate:
 
     def periodograms(p: int, q: int) -> np.ndarray:
         block = segments[p:q]   # detrend(type="constant"), then the window
-        spectra = scipy.fft.fft((block - np.mean(block, axis=-1, keepdims=True)) * win, axis=-1)
+        spectra = _c2c((block - np.mean(block, axis=-1, keepdims=True)) * win,
+                       (-1,), True, 0, None, 1)
         re, im = spectra.real, spectra.imag  # |X|^2, squared in the spectra's own buffer
         return np.add(np.square(re, out=re), np.square(im, out=im), out=re)
 
@@ -104,7 +111,7 @@ def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096) -> PsdEstimate:
         return total
 
     # The reduction's initial 0.0 leaves a sum of squares as it is.
-    freqs, total = scipy.fft.fftfreq(nfft, 1 / sample_rate_hz), power_sum(0, len(segments))
+    freqs, total = np.fft.fftfreq(nfft, 1 / sample_rate_hz), power_sum(0, len(segments))
     order = np.argsort(freqs)
     power_db = 10.0 * np.log10(np.maximum(total[order] / len(segments), 1e-300))
     return PsdEstimate(freqs_hz=freqs[order], power_db=power_db)

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy.fft
 from scipy import signal
 
 from helpers import band_power_fraction, channel_row
 from mmwavelink import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel,
                         PhaseNoiseProcess, apply_channel, gaussian_fit_in_place, psd_welch,
                         single_tone_probe)
-from mmwavelink.channel import (PN_CORNER_RATIO, _butter_sos, _load_sosfilt, _shaping_filter,
-                                _sosfilt)
+from mmwavelink.channel import (PN_CORNER_RATIO, _butter_sos, _load_scipy_extension,
+                                _shaping_filter, _sosfilt)
+from mmwavelink.metrics import _c2c
 
 FS = 25.0e6
 FAST = settings(max_examples=40, deadline=None)
@@ -303,13 +305,35 @@ def test_sosfilt_equals_scipy_sosfilt(rows, band):
     assert zf.tobytes() == ref_zf.tobytes()
 
 
-def test_sosfilt_import_fallback_gives_the_same_bytes(monkeypatch):
-    # With no extension file found, the loader imports scipy.signal's kernel.
-    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
-    fallback = _load_sosfilt()
+def sosfilt_call(sosfilt):
     sos = _shaping_filter(1e6, FS)[0]
     x = np.random.default_rng(4).standard_normal((3, 2000))
     zi = np.random.default_rng(5).standard_normal((2, 3, 2))
-    loaded = sosfilt_in_place(_sosfilt, sos, x, zi)
-    for a, b in zip(sosfilt_in_place(fallback, sos, x, zi), loaded):
+    return sosfilt_in_place(sosfilt, sos, x, zi)
+
+
+def c2c_call(c2c):
+    x = np.random.default_rng(4).standard_normal((3, 2001)) * (1 + 2j)
+    return (c2c(x, (-1,), True, 0, None, 1),)
+
+
+@pytest.mark.parametrize("name, kernel, loaded, call", [
+    ("scipy.signal._sosfilt", "_sosfilt", _sosfilt, sosfilt_call),
+    ("scipy.fft._pocketfft.pypocketfft", "c2c", _c2c, c2c_call),
+], ids=["sosfilt", "pocketfft"])
+def test_kernel_import_fallback_gives_the_same_bytes(monkeypatch, name, kernel, loaded, call):
+    # With no extension file found, the loader imports the kernel's module.
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+    fallback = getattr(_load_scipy_extension(name), kernel)
+    for a, b in zip(call(fallback), call(loaded)):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("nfft", [64, 4096, 63, 4097])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_c2c_equals_scipy_fft(nfft, dtype):
+    rng = np.random.default_rng(nfft)
+    x = rng.standard_normal((9, nfft))
+    if dtype is np.complex128:
+        x = x + 1j * rng.standard_normal((9, nfft))
+    assert _c2c(x, (-1,), True, 0, None, 1).tobytes() == scipy.fft.fft(x, axis=-1).tobytes()

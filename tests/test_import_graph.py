@@ -1,10 +1,14 @@
-"""The package's import graph: no scipy.signal, in a fresh interpreter.
+"""The package's import graph: no scipy.signal or scipy.fft, in a fresh interpreter.
 
-scipy.signal's package init imports scipy.stats, scipy.optimize and
-scipy.interpolate, and costs most of a short run's start-up. The package
-needs none of them; this test's own process imports scipy.signal elsewhere,
-so the check runs in a subprocess, after the import and after each
-subcommand, which also catches an import that only a run reaches.
+The package calls two of their compiled kernels, scipy.signal's _sosfilt and
+scipy.fft's pocketfft c2c, and loads each from its file. scipy.signal's
+package init imports scipy.stats, scipy.optimize and scipy.interpolate;
+scipy.fft's imports scipy.special and scipy's array-API layer, which brings
+in numpy.testing and numpy.f2py. Together they cost most of a short run's
+start-up, and the package needs none of them. This test's own process
+imports scipy.signal and scipy.fft elsewhere, so the check runs in a
+subprocess, after the import and after each subcommand, which also catches
+an import that only a run reaches.
 """
 
 import json
@@ -15,7 +19,8 @@ from pathlib import Path
 
 import mmwavelink
 
-HEAVY = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.interpolate")
+HEAVY = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.fft",
+         "scipy.special", "scipy._lib._array_api", "numpy.testing", "numpy.f2py")
 
 CHECK = """
 import sys
@@ -34,7 +39,7 @@ for argv in (["simulate"], ["measure-pn"], ["sweep-k", "--k-list", "0,3"],
 """
 
 
-def test_no_subcommand_imports_scipy_signal(tmp_path):
+def test_no_subcommand_imports_scipy_signal_or_fft(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_frames": 2, "probe": {"n_samples": 8192}}))
     src = tmp_path / "input.bin"
