@@ -253,13 +253,14 @@ def _stream_seed(seed: int, stream: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
 
 
-# Long buffers run through the channel and the metrics in blocks of this many
-# samples. A buffer of two or more blocks folds its tail into the last block,
-# so every block holds at least SAMPLE_BLOCK samples: its complex and float
-# temporaries (1 MiB and 512 KiB) stay past numpy's 256 KiB threshold for
-# reusing temporaries, which keeps the order of complex products, and so the
-# bytes, of the whole-buffer expressions.
-SAMPLE_BLOCK = 1 << 16
+# Long buffers run through the channel in blocks of this many samples. A
+# buffer of two or more blocks folds its tail into the last block, so every
+# block holds at least SAMPLE_BLOCK samples. numpy reuses a complex temporary
+# from 256 KiB (2**14 samples) up, which flips the operand order of a complex
+# product and so its rounding; _rotate switches order at this size, so every
+# block of a multi-block buffer takes the whole-buffer expressions' order. A
+# smaller block would flip _rotate's order against them.
+SAMPLE_BLOCK = 1 << 14
 
 
 def sample_blocks(n: int) -> list:
@@ -324,9 +325,9 @@ def tone(k: complex, a: int, b: int, sample_rate_hz: float) -> np.ndarray:
 def _rotate(s, factor) -> None:
     """s *= factor in place. numpy computes `s * t` as `t * s` when the
     temporary t holds 256 KiB or more, and complex products round
-    differently in the two orders, so blocks of 2**14 samples or more take
-    `t * s`: each row gets the bytes of `s * factor` on that row alone."""
-    if s.shape[-1] >= 1 << 14:
+    differently in the two orders, so blocks of SAMPLE_BLOCK samples or more
+    take `t * s`: each row gets the bytes of `s * factor` on that row alone."""
+    if s.shape[-1] >= SAMPLE_BLOCK:
         np.multiply(factor, s, out=s)
     else:
         np.multiply(s, factor, out=s)

@@ -676,10 +676,12 @@ def test_blocked_psd_welch_equals_scipy_welch(shape, extra, complex_input, seed)
 # Full 16-frame chunks of 12 payload symbols: a (16, 1120) complex stack is
 # past numpy's 256 KiB threshold for reusing temporaries, so a stacked
 # expression whose operand order flips there differs from the one-frame run.
-# Rows of (2 + 205) * 80 = 16,560 samples are past it on their own.
+# Rows of (2 + 205) * 80 = 16,560 samples are past it on their own, and rows
+# of (2 + 420) * 80 = 33,760 span two of the channel's SAMPLE_BLOCK blocks.
 @pytest.mark.parametrize("pnc_enabled,cfo_hz,n_frames,n_payload_symbols", [
     (False, 0.0, 16, 12), (True, 0.0, 16, 12), (False, 5000.0, 16, 12),
-    (True, 5000.0, 16, 12), (False, 5000.0, 2, 205), (True, 5000.0, 2, 205)])
+    (True, 5000.0, 16, 12), (False, 5000.0, 2, 205), (True, 5000.0, 2, 205),
+    (False, 5000.0, 2, 420), (True, 5000.0, 2, 420)])
 def test_full_chunk_run_frames_equals_run_frame(pnc_enabled, cfo_hz, n_frames,
                                                 n_payload_symbols):
     cfg = ofdm_cfg(3 if pnc_enabled else 0)

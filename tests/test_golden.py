@@ -42,17 +42,19 @@ CONFIGS = {
     },
 }
 
-# The probe is 2**16 samples, a 1 MiB complex buffer: past numpy's 256 KiB
-# threshold for reusing temporaries, like the benchmark's 2 M-sample probe,
-# so the pinned bytes cover the order of the channel's complex products there.
+# The probe is 2**16 samples, 4 of the channel's 2**14-sample blocks, each a
+# 256 KiB complex temporary: at numpy's threshold for reusing temporaries,
+# like the blocks of the benchmark's 2 M-sample probe, so the pinned bytes
+# cover the order of the channel's complex products there.
 PROBE_CONFIGS = {
     "probe_multipath": {
         "channel": {"taps": [1.0, 0.2], "snr_db": 30.0, "sigma": 0.26},
         "probe": {"n_samples": 65536},
         "seed": 14,
     },
-    # 3 * 2**16 + 1234 samples with CFO: several of the channel's and the
-    # metrics' 2**16-sample blocks, the last one holding an odd tail.
+    # 3 * 2**16 + 1234 samples with CFO: 12 of the channel's 2**14-sample
+    # blocks, the last one holding an odd tail, and 4 of np.histogram's
+    # 65,536-sample blocks in the PDF.
     "probe_blocks_cfo": {
         "channel": {"taps": [1.0, 0.2], "snr_db": 30.0, "sigma": 0.26,
                     "cfo_hz": 2000.0},

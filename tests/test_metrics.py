@@ -153,11 +153,12 @@ def test_psd_and_pdf_csv_writers(tmp_path):
 
 # Traced allocation peaks of the measure-pn pipeline on 2**19 samples, in
 # bytes per sample (numpy 2.4, scipy 1.17), in the order measure-pn runs
-# them: 21.0 for the probe's phase, 2.8 for the PSD, 4.5 for the PDF
-# (np.histogram's blocks of 65,536 samples) and 0.1 for the in-place fit.
-# The bounds add 20 % and round up; a full-size float temporary anywhere
-# adds 8.
-PROBE_PHASE_BYTES_PER_SAMPLE = 26
+# them: 11.3 for the probe's phase (8 of them the phase itself, the rest the
+# channel's 2**14-sample block temporaries), 2.8 for the PSD, 4.5 for the
+# PDF (np.histogram's blocks of 65,536 samples) and 0.1 for the in-place
+# fit. The bounds add 20 % and round up; a full-size float temporary
+# anywhere adds 8.
+PROBE_PHASE_BYTES_PER_SAMPLE = 14
 PSD_BYTES_PER_SAMPLE = 4
 PDF_BYTES_PER_SAMPLE = 6
 FIT_BYTES_PER_SAMPLE = 1
