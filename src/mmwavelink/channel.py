@@ -114,14 +114,19 @@ def _shaping_filter(bandwidth_hz: float, sample_rate_hz: float):
     return sos, n_settle, energy
 
 
+# Far above any oscillator's sigma, and far enough below overflow for every
+# band _check_phase_noise accepts: the filtered drive is sigma / sqrt(energy),
+# and an impulse energy near 2e-322, the least that does not underflow, puts
+# its tails near 1e262. At the default band, a sigma of 1e307 overflows.
+MAX_PN_SIGMA = 1e100
+
+
 def _check_phase_noise(config: PhaseNoiseConfig, sample_rate_hz: float) -> None:
-    if config.sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {config.sigma}")
-    if config.model is not PhaseNoiseModel.NONE:
-        if not 0.0 < config.bandwidth_hz < sample_rate_hz / 2:
-            raise ValueError(
-                f"bandwidth_hz must be in (0, sample_rate/2), got {config.bandwidth_hz}"
-            )
+    if not 0.0 <= config.sigma <= MAX_PN_SIGMA:
+        raise ValueError(f"sigma must be in [0, {MAX_PN_SIGMA:g}], got {config.sigma}")
+    if config.model is not PhaseNoiseModel.NONE and \
+            not 0.0 < config.bandwidth_hz < sample_rate_hz / 2:
+        raise ValueError(f"bandwidth_hz must be in (0, sample_rate/2), got {config.bandwidth_hz}")
     # PhaseNoiseProcess scales its drive by 1/sqrt(energy).
     if config.model is PhaseNoiseModel.FILTERED_GAUSSIAN and \
             not _shaping_filter(config.bandwidth_hz, sample_rate_hz)[2] > 0.0:
@@ -134,86 +139,70 @@ def _check_phase_noise(config: PhaseNoiseConfig, sample_rate_hz: float) -> None:
 # symbol at the default PHY (n_fft 64 + cp_len 16), whatever PHY runs.
 RANDOM_WALK_SPAN = 80
 
-
-class PhaseNoiseProcess:
-    """Stateful theta(n) generator.
-
-    Same seed and the same sequence of draws reproduce the same trajectory;
-    generating n then m samples equals generating n+m at once.
-    """
-
-    def __init__(self, config: PhaseNoiseConfig, sample_rate_hz: float, seed):
-        _check_phase_noise(config, sample_rate_hz)
-        self.config = config
-        self._rng = np.random.default_rng(seed)
-        if config.model is PhaseNoiseModel.FILTERED_GAUSSIAN:
-            self._sos, self._n_settle, energy = _shaping_filter(config.bandwidth_hz,
-                                                                sample_rate_hz)
-            self._drive_std = config.sigma / np.sqrt(energy)
-            # Stationary start: the first draw filters a discarded warmup
-            # block of n_settle samples ahead of the requested ones.
-            self._zi = None
-        elif config.model is PhaseNoiseModel.RANDOM_WALK:
-            self._step = config.sigma / np.sqrt(RANDOM_WALK_SPAN)
-            self._level = 0.0
-
-    def generate(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        cfg = self.config
-        if cfg.model is PhaseNoiseModel.NONE or n == 0:
-            return np.zeros(n)
-        if cfg.model is PhaseNoiseModel.FILTERED_GAUSSIAN:
-            return _filtered_rows([self], n)[0]
-        steps = self._step * self._rng.standard_normal(n)
-        # Folding the carried level into the cumsum keeps chunked generation
-        # bit-identical to one-shot generation.
-        theta = np.cumsum(np.concatenate(([self._level], steps)))[1:]
-        self._level = theta[-1]
-        return theta
-
-
-def _filtered_rows(processes, n: int) -> np.ndarray:
-    """Next n filtered-Gaussian samples of each process, (len(processes), n).
-
-    The processes share one config and are all fresh or all warmed up. Each
-    draws from its own generator; one _sosfilt call filters the stack in
-    place, warmup included, which is bit-identical to filtering each row, and
-    its warmup apart, on its own.
-    """
-    first = processes[0]
-    settle = first._n_settle if first._zi is None else 0
-    drive = np.empty((len(processes), settle + n))
-    for row, process in zip(drive, processes):
-        process._rng.standard_normal(out=row)
-    drive *= first._drive_std
-    zi = (np.zeros((len(processes), len(first._sos), 2)) if first._zi is None
-          else np.stack([p._zi for p in processes]))
-    _sosfilt(first._sos, drive, zi)
-    for process, state in zip(processes, zi):
-        process._zi = state
-    # A copy drops the warmup columns of a stack; one row is returned as a view.
-    return np.ascontiguousarray(drive[:, settle:])
-
-
-# Rows filtered per _sosfilt call are capped so that a call holds about this
-# many samples, warmup included: a slow shaping filter's warmup runs to
-# 2**22 samples per frame.
+# Rows filtered per _sosfilt call are capped so that a call holds about
+# this many samples, warmup included: a slow shaping filter's warmup runs to
+# 2**22 samples per row.
 PN_FILTER_BLOCK_SAMPLES = 1 << 21
 
 
-def phase_noise_rows(config: PhaseNoiseConfig, sample_rate_hz: float, seeds, n: int):
-    """Phase trajectories of len(seeds) frames of n samples, (len(seeds), n).
+class PhaseNoiseProcess:
+    """Stateful theta(n) generator for a stack of rows, row f drawn with seeds[f].
 
-    Row f equals PhaseNoiseProcess(config, sample_rate_hz, seeds[f]).generate(n)
-    bit for bit.
+    Each row has its own generator and filter state, so row f equals that row
+    generated alone, and generating n then m samples equals generating n+m at
+    once, bit for bit.
     """
-    processes = [PhaseNoiseProcess(config, sample_rate_hz, seed) for seed in seeds]
-    if config.model is not PhaseNoiseModel.FILTERED_GAUSSIAN or n == 0 or not processes:
-        return np.array([p.generate(n) for p in processes]).reshape(len(processes), n)
-    rows = max(1, PN_FILTER_BLOCK_SAMPLES // (processes[0]._n_settle + n))
-    blocks = [_filtered_rows(processes[i:i + rows], n) for i in range(0, len(processes), rows)]
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+    def __init__(self, config: PhaseNoiseConfig, sample_rate_hz: float, seeds):
+        _check_phase_noise(config, sample_rate_hz)
+        self.config = config
+        self._rngs = [np.random.default_rng(seed) for seed in seeds]
+        if config.model is PhaseNoiseModel.FILTERED_GAUSSIAN:
+            self._sos, self._settle, energy = _shaping_filter(config.bandwidth_hz,
+                                                              sample_rate_hz)
+            self._drive_std = config.sigma / np.sqrt(energy)
+            # Stationary start: the first draw filters a discarded warmup
+            # block of _settle samples ahead of the requested ones.
+            self._zi = np.zeros((len(self._rngs), len(self._sos), 2))
+        elif config.model is PhaseNoiseModel.RANDOM_WALK:
+            self._step = config.sigma / np.sqrt(RANDOM_WALK_SPAN)
+            self._level = np.zeros((len(self._rngs), 1))
+
+    def generate(self, n: int) -> np.ndarray:
+        """The next n samples of every row, (rows, n)."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        rows = len(self._rngs)
+        if self.config.model is PhaseNoiseModel.NONE or n == 0 or rows == 0:
+            return np.zeros((rows, n))
+        if self.config.model is PhaseNoiseModel.RANDOM_WALK:
+            walk = np.empty((rows, n + 1))
+            walk[:, :1] = self._level
+            for rng, row in zip(self._rngs, walk):
+                rng.standard_normal(out=row[1:])
+            walk[:, 1:] *= self._step
+            # Folding the carried level into the cumsum keeps chunked
+            # generation bit-identical to one-shot generation.
+            np.cumsum(walk, axis=1, out=walk)
+            self._level = walk[:, -1:].copy()
+            return walk[:, 1:]
+        settle, self._settle = self._settle, 0
+        step = max(1, PN_FILTER_BLOCK_SAMPLES // (settle + n))
+        theta = None if step >= rows else np.empty((rows, n))
+        for i in range(0, rows, step):
+            drive = np.empty((min(step, rows - i), settle + n))
+            for rng, row in zip(self._rngs[i:i + step], drive):
+                rng.standard_normal(out=row)
+            drive *= self._drive_std
+            # Filters each row on its own, in place, warmup included, and
+            # writes the rows' final states back through the view.
+            _sosfilt(self._sos, drive, self._zi[i:i + step])
+            if theta is None:
+                # A copy drops a stack's warmup columns; one row, or a warm
+                # stack, is returned as a view.
+                return np.ascontiguousarray(drive[:, settle:])
+            theta[i:i + step] = drive[:, settle:]
+        return theta
 
 
 @dataclass(frozen=True)
@@ -224,7 +213,6 @@ class ChannelConfig:
     snr_db: float = 35.0  # math.inf disables noise
     phase_noise: PhaseNoiseConfig = PhaseNoiseConfig()
     cfo_hz: float = 0.0
-    seed: int = 0
     sample_rate_hz: float = 25.0e6
 
     def __post_init__(self):
@@ -275,8 +263,8 @@ def apply_channel(x, cfg: ChannelConfig, seeds):
     """Run a stack of frames (F, n) through taps, CFO, phase noise, and AWGN.
 
     Row f is drawn with seeds[f], exactly as that row alone with seed
-    seeds[f]; cfg.seed is not read. Returns (y, theta), shaped like x, where
-    theta is the ground-truth phase trajectory, for tracking oracles. Pure
+    seeds[f]. Returns (y, theta), shaped like x, where theta is the
+    ground-truth phase trajectory, for tracking oracles. Pure
     function of (x, cfg, seeds): the seed fixes both the noise and the phase
     draw. SNR is defined over each row as post-multipath, pre-phase-noise
     signal power over per-sample noise power.
@@ -285,13 +273,9 @@ def apply_channel(x, cfg: ChannelConfig, seeds):
     seeds = list(seeds)
     if x.ndim != 2 or x.shape[1] == 0 or len(seeds) != x.shape[0]:
         raise ValueError("input must be a non-empty (F, n) stack with one seed per row")
-    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz,
-                             [_stream_seed(seed, 0) for seed in seeds], x.shape[1])
     y = np.empty(x.shape, dtype=complex)
-    for _ in _channel_blocks(lambda a, b: x[:, a:b], x.shape, cfg, seeds,
-                             lambda a, b: theta[:, a:b], y):
-        pass
-    return y, theta
+    theta = [t for *_, t in _channel_blocks(lambda a, b: x[:, a:b], x.shape, cfg, seeds, y)]
+    return y, theta[0] if len(theta) == 1 else np.concatenate(theta, axis=1)
 
 
 def phasor(theta, sign: int = 1) -> np.ndarray:
@@ -333,24 +317,26 @@ def _rotate(s, factor) -> None:
         np.multiply(s, factor, out=s)
 
 
-def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, theta, y=None, power=None):
+def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, y=None, power=None):
     """Blocks of an (F, n) stack through the channel, row f drawn with seeds[f].
 
-    samples(a, b) returns input samples [a, b) of every row, (F, b - a), and
-    theta(a, b) the phase noise of block [a, b), asked for in block order.
-    Yields (a, b, x, s) per block in order: its input and its received
-    samples. With a complex (F, n) buffer y, pass 1 keeps each block's taps
-    and CFO in it for pass 2; without one, pass 2 computes them again, in
-    one block buffer that every block reuses, so a yielded block holds its
-    samples until the next is asked for.
+    samples(a, b) returns input samples [a, b) of every row, (F, b - a).
+    Yields (a, b, x, s, theta) per block in order: its input, its received
+    samples and its phase noise. With a complex (F, n) buffer y, pass 1
+    keeps each block's taps and CFO in it for pass 2; without one, pass 2
+    computes them again, in one block buffer that every block reuses, so a
+    yielded block holds its samples until the next is asked for.
     A float (F, n) buffer power, or one of its own, holds |s|^2 and then the
     AWGN's real parts. Pass 2 reads power[:, a:b] before it yields block
     [a, b), so the caller may write there from then on.
-    Only the draws and the convolution run row by row. The CFO ramp, |s|^2,
-    the SNR scale, the rotation and the AWGN add each run once over a block
-    of all rows, as ufuncs in a fixed operand order, so that each row's bytes
-    equal the whole-buffer expressions on that row alone.
+    Only the draws and the convolution run row by row; one PhaseNoiseProcess
+    holds every row's phase noise state. The CFO ramp, |s|^2, the SNR scale,
+    the rotation and the AWGN add each run once over a block of all rows, as
+    ufuncs in a fixed operand order, so that each row's bytes equal the
+    whole-buffer expressions on that row alone.
     """
+    process = PhaseNoiseProcess(cfg.phase_noise, cfg.sample_rate_hz,
+                                [_stream_seed(seed, 0) for seed in seeds])
     rngs = [np.random.default_rng(_stream_seed(seed, 1)) for seed in seeds]
     h = np.asarray(cfg.taps, dtype=complex)
     noisy = math.isfinite(cfg.snr_db)
@@ -392,7 +378,8 @@ def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, theta, y=None, po
     # Pass 2: phase noise rotation, then AWGN, through one complex buffer.
     for a, b in blocks:
         x, s = transmit(a, b) if y is None else (samples(a, b), y[:, a:b])
-        buf = phasor(theta(a, b))
+        theta = process.generate(b - a)
+        buf = phasor(theta)
         _rotate(s, buf)
         if noisy:
             imag = np.empty(s.shape)
@@ -401,7 +388,7 @@ def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, theta, y=None, po
             # scale * (real + 1j * imag), added to the rotated samples.
             np.add(power[:, a:b], np.multiply(1j, imag, out=buf), out=buf)
             np.add(s, np.multiply(scale, buf, out=buf), out=s)
-        yield a, b, x, s
+        yield a, b, x, s, theta
 
 
 def _check_tone(freq_hz: float, sample_rate_hz: float, name: str = "tone") -> None:
@@ -426,11 +413,11 @@ def _mixer(t, freq_hz: float, a: int, b: int, sample_rate_hz: float) -> np.ndarr
     return out
 
 
-def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig) -> np.ndarray:
+def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig, seed) -> np.ndarray:
     """Send exp(j 2 pi f n / fs) through the channel; returns its phase.
 
     The phase is np.unwrap(np.angle(y * np.exp(-2j*pi*f*n/fs))) less its
-    mean, bit for bit, where y = apply_channel(tone[None], cfg, [cfg.seed])[0][0],
+    mean, bit for bit, where y = apply_channel(tone[None], cfg, [seed])[0][0],
     so a constant channel rotation does not bias it. Only the phase is held
     at full length, and it first holds |s|^2 and the noise's real parts: the
     tone, the phase noise and y are made block by block, the tone and its
@@ -443,12 +430,9 @@ def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig) -> np.
         return np.zeros(0)
 
     fs, k = cfg.sample_rate_hz, 2j * np.pi * freq_hz
-    process = PhaseNoiseProcess(cfg.phase_noise, fs, _stream_seed(cfg.seed, 0))
     phase, prev, carry = np.empty(n_samples), None, 0.0
-    for a, b, x, y in _channel_blocks(lambda a, b: tone(k, a, b, fs)[None], (1, n_samples),
-                                      cfg, [cfg.seed],
-                                      lambda a, b: process.generate(b - a)[None],
-                                      power=phase[None]):
+    for a, b, x, y, _ in _channel_blocks(lambda a, b: tone(k, a, b, fs)[None], (1, n_samples),
+                                         cfg, [seed], power=phase[None]):
         # Mixed down in the whole-buffer product's operand order.
         _rotate(y, _mixer(x[0], freq_hz, a, b, fs))
         wrapped = np.angle(y[0])

@@ -177,7 +177,7 @@ def load_config(args) -> Config:
             taps=tuple(complex(*t) if isinstance(t, list) else complex(t)
                        for t in v["channel.taps"]),
             snr_db=math.inf if snr_db is None else float(snr_db), phase_noise=phase_noise,
-            cfo_hz=float(v["channel.cfo_hz"]), seed=v["seed"], sample_rate_hz=fs)
+            cfo_hz=float(v["channel.cfo_hz"]), sample_rate_hz=fs)
         tone_hz = fs / 8.0 if v["probe.tone_hz"] is None else float(v["probe.tone_hz"])
         _check_tone(tone_hz, fs)
     except ValueError as exc:
@@ -288,7 +288,7 @@ def cmd_simulate(args, cfg: Config) -> int:
 def cmd_measure_pn(args, cfg: Config) -> int:
     out = _out_dir(args)
     n_samples, fs = cfg.values["probe.n_samples"], cfg.channel.sample_rate_hz
-    phase = single_tone_probe(cfg.tone_hz, n_samples, cfg.channel)
+    phase = single_tone_probe(cfg.tone_hz, n_samples, cfg.channel, cfg.values["seed"])
     psd = psd_welch(phase, fs)
     centers, density = phase_pdf(phase)
     fit = gaussian_fit_in_place(phase)   # the last reader: it overwrites the phase

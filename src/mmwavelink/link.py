@@ -61,7 +61,7 @@ def run_frames(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
     """
     seeds = [derived_seed(run_seed, i, 0) for i in range(first_frame, first_frame + len(bits))]
     # A copy normalizes the taps once more; every pinned artifact depends on
-    # taps normalized twice. Its seed is not read: each row has its own.
+    # taps normalized twice.
     channel_cfg = replace(channel_cfg)
     symbols, padded = build_frames(bits, modulation, ofdm_cfg, n_payload_symbols)
     y, theta = apply_channel(symbols.reshape(len(seeds), -1), channel_cfg, seeds)

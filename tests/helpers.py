@@ -5,9 +5,9 @@ import numpy as np
 from mmwavelink import apply_channel
 
 
-def channel_row(x, cfg):
-    """apply_channel on the one buffer x, drawn with cfg.seed: (y, theta)."""
-    y, theta = apply_channel(np.asarray(x, dtype=complex)[None], cfg, [cfg.seed])
+def channel_row(x, cfg, seed):
+    """apply_channel on the one buffer x, drawn with seed: (y, theta)."""
+    y, theta = apply_channel(np.asarray(x, dtype=complex)[None], cfg, [seed])
     return y[0], theta[0]
 
 

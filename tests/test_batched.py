@@ -21,8 +21,8 @@ from mmwavelink import (ChannelConfig, ChannelEstimate, DecodeReport, Modulation
                         map_bits, modulate_symbol, run_frame, run_frames, slice_indices,
                         training_bins)
 from mmwavelink import channel as channel_module
-from mmwavelink.channel import (PN_CORNER_RATIO, SAMPLE_BLOCK, _mixer,
-                                phase_noise_rows, phasor, sample_blocks, single_tone_probe, tone)
+from mmwavelink.channel import (PN_CORNER_RATIO, SAMPLE_BLOCK, _mixer, phasor, sample_blocks,
+                                single_tone_probe, tone)
 from mmwavelink.link import aggregate_evm_db
 from mmwavelink.modulation import evm_db_from_powers
 from mmwavelink.metrics import (CSV_BLOCK_ROWS, append_series_csv, psd_welch, std_in_place,
@@ -131,7 +131,8 @@ def test_run_frame_phase_estimate_equals_per_symbol_oracle(pnc_enabled):
     result = run_frame(bits, Modulation.QPSK, cfg, channel, pnc_enabled, 5, 7, 2)
 
     symbols, _ = build_frames([bits], Modulation.QPSK, cfg, 5)
-    y, theta = channel_row(symbols.ravel(), replace(channel, seed=derived_seed(7, 2, 0)))
+    # A copy normalizes the taps twice, as run_frames does.
+    y, theta = channel_row(symbols.ravel(), replace(channel), derived_seed(7, 2, 0))
     est, true = [], []
     for s in range(N_PREAMBLE_SYMBOLS, N_PREAMBLE_SYMBOLS + 5):
         start = s * cfg.symbol_len + cfg.cp_len
@@ -175,21 +176,31 @@ def test_phase_noise_trajectory_matches_uncached_design(draws):
     # new bandwidths miss it. Both must give the uncached trajectory.
     for sigma, bandwidth_hz, seed in draws:
         process = PhaseNoiseProcess(PhaseNoiseConfig(sigma=sigma, bandwidth_hz=bandwidth_hz),
-                                    FS, seed)
-        np.testing.assert_array_equal(process.generate(300),
+                                    FS, [seed])
+        np.testing.assert_array_equal(process.generate(300)[0],
                                       reference_trajectory(sigma, bandwidth_hz, seed, 300))
 
 
 def test_phase_noise_rows_equal_per_process_across_filter_blocks(monkeypatch):
-    # Caps below one row's warmup plus frame filter each row in its own call;
-    # a cap of two rows splits three frames into blocks of two and one.
-    config = PhaseNoiseConfig(sigma=0.26)
-    seeds = [3, 4, 5]
-    expect = np.stack([PhaseNoiseProcess(config, FS, s).generate(500) for s in seeds])
-    n_settle = channel_module._shaping_filter(config.bandwidth_hz, FS)[1]
-    for cap in (1, 2 * (n_settle + 500), 1 << 21):
-        monkeypatch.setattr(channel_module, "PN_FILTER_BLOCK_SAMPLES", cap)
-        np.testing.assert_array_equal(phase_noise_rows(config, FS, seeds, 500), expect)
+    # Two successive draws of a stacked process equal, row by row, one draw of
+    # that row alone, for every model. A cap below one row filters each row
+    # in its own _sosfilt call; a cap of two rows splits three rows into
+    # blocks of two and one. Each block's warm state must be written back
+    # for the second draw.
+    seeds, lengths = [3, 4, 5], (500, 300)
+    n_settle = channel_module._shaping_filter(PhaseNoiseConfig().bandwidth_hz, FS)[1]
+    for model in PhaseNoiseModel:
+        config = PhaseNoiseConfig(sigma=0.26, model=model)
+        expect = np.concatenate([PhaseNoiseProcess(config, FS, [s]).generate(sum(lengths))
+                                 for s in seeds])
+        for rows in (0, 2, len(seeds)):
+            stacked, draws = PhaseNoiseProcess(config, FS, seeds), []
+            for settle, n in zip((n_settle, 0), lengths):
+                monkeypatch.setattr(channel_module, "PN_FILTER_BLOCK_SAMPLES",
+                                    max(1, rows * (settle + n)))
+                draws.append(stacked.generate(n))
+            monkeypatch.undo()
+            np.testing.assert_array_equal(np.concatenate(draws, axis=1), expect)
 
 
 def test_training_bins_is_a_read_only_cache():
@@ -382,7 +393,7 @@ def test_run_frames_equals_run_frame(modulation, pnc_enabled, taps, cfo_hz, mode
     cfg = ofdm_cfg(k_guard)
     channel = ChannelConfig(taps=taps, snr_db=math.inf if snr_db is None else snr_db,
                             phase_noise=PhaseNoiseConfig(sigma=sigma, model=model),
-                            cfo_hz=cfo_hz, seed=run_seed % 7)
+                            cfo_hz=cfo_hz)
     capacity = frame_capacity_bits(cfg, modulation, n_payload_symbols)
     rng = np.random.default_rng(run_seed)
     bits = [rng.integers(0, 2, int(fill * capacity), dtype=np.uint8) for fill in fills]
@@ -430,11 +441,10 @@ def test_frame_evm_matches_masked_means(taps, pn, erasures, pnc_enabled):
     # their bytes either way (golden tests), and the frame EVM agrees with
     # masked means over the frame's decided points.
     cfg = ofdm_cfg(3)
-    channel = replace(ChannelConfig(taps=taps, snr_db=math.inf if erasures else 25.0,
-                                    phase_noise=pn), seed=derived_seed(9, 4, 0))
+    channel = ChannelConfig(taps=taps, snr_db=math.inf if erasures else 25.0, phase_noise=pn)
     bits = frame_bits_rng(9, 4).integers(0, 2, 46 * 4 * 5, dtype=np.uint8)
     symbols, _ = build_frames([bits], Modulation.QAM16, cfg, 5)
-    y, _ = channel_row(symbols.ravel(), channel)
+    y, _ = channel_row(symbols.ravel(), channel, derived_seed(9, 4, 0))
     report = decode_frames(y[None], cfg, Modulation.QAM16, pnc_enabled)
     expect, n_erased = frame_evm_reference(y, cfg, Modulation.QAM16, pnc_enabled)
     assert report.n_erased[0] == n_erased and (n_erased > 0) == erasures
@@ -498,13 +508,13 @@ def assert_same_bytes(got, expect):
     assert got.tobytes() == expect.tobytes()
 
 
-def reference_probe(freq_hz, n_samples, cfg):
+def reference_probe(freq_hz, n_samples, cfg, seed):
     """single_tone_probe in the whole-buffer expressions of the one-shot channel."""
     n = np.arange(n_samples)
     x = np.exp(2j * np.pi * freq_hz * n / cfg.sample_rate_hz)
     h = np.asarray(cfg.taps, dtype=complex)
-    theta = phase_noise_rows(cfg.phase_noise, cfg.sample_rate_hz,
-                             [channel_module._stream_seed(cfg.seed, 0)], n_samples)[0]
+    theta = PhaseNoiseProcess(cfg.phase_noise, cfg.sample_rate_hz,
+                              [channel_module._stream_seed(seed, 0)]).generate(n_samples)[0]
     s = np.convolve(x, h)[:n_samples] if h.size > 1 else x * h[0]
     if cfg.cfo_hz:
         s = s * np.exp(2j * np.pi * cfg.cfo_hz * n / cfg.sample_rate_hz)
@@ -512,7 +522,7 @@ def reference_probe(freq_hz, n_samples, cfg):
     if math.isfinite(cfg.snr_db):
         signal_power = np.mean(np.abs(s) ** 2)
         noise_var = signal_power * 10.0 ** (-cfg.snr_db / 10.0)
-        rng = np.random.default_rng(channel_module._stream_seed(cfg.seed, 1))
+        rng = np.random.default_rng(channel_module._stream_seed(seed, 1))
         w = np.sqrt(noise_var / 2.0) * (
             rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
         )
@@ -546,12 +556,12 @@ def test_blocked_probe_and_phase_equal_one_shot(n_samples, taps, cfo_hz, model, 
                                                 tone_hz, seed):
     cfg = ChannelConfig(taps=taps, snr_db=math.inf if snr_db is None else snr_db,
                         phase_noise=PhaseNoiseConfig(sigma=0.26, model=model),
-                        cfo_hz=cfo_hz, seed=seed)
-    x, y_ref, theta_ref = reference_probe(tone_hz, n_samples, cfg)
-    assert_same_bytes(single_tone_probe(tone_hz, n_samples, cfg),
+                        cfo_hz=cfo_hz)
+    x, y_ref, theta_ref = reference_probe(tone_hz, n_samples, cfg, seed)
+    assert_same_bytes(single_tone_probe(tone_hz, n_samples, cfg, seed),
                       reference_tone_phase(y_ref, tone_hz, FS))
     # The channel on a stack of one takes the same blocked path from an array.
-    y, theta = channel_row(x, cfg)
+    y, theta = channel_row(x, cfg, seed)
     assert_same_bytes(y, y_ref)
     assert_same_bytes(theta, theta_ref)
 
@@ -622,17 +632,18 @@ def test_tone_phase_with_dense_wraps_equals_np_unwrap():
     cfg = ChannelConfig(taps=(np.exp(1j * (np.pi + np.pi / 1024)),), snr_db=math.inf,
                         phase_noise=PhaseNoiseConfig(model=PhaseNoiseModel.NONE),
                         cfo_hz=FS / 1024)
-    y = reference_probe(FS / 8, DENSE_N, cfg)[1]
+    y = reference_probe(FS / 8, DENSE_N, cfg, 0)[1]
     dd = np.diff(np.angle(y * np.exp(-2j * np.pi * (FS / 8) * np.arange(DENSE_N) / FS)))
     for a, _ in sample_blocks(DENSE_N)[1:]:
         assert not abs(dd[a - 1]) < np.pi
     assert np.count_nonzero(~(abs(dd) < np.pi)) > 3 * SAMPLE_BLOCK // 1024
-    assert_same_bytes(single_tone_probe(FS / 8, DENSE_N, cfg),
+    assert_same_bytes(single_tone_probe(FS / 8, DENSE_N, cfg, 0),
                       reference_tone_phase(y, FS / 8, FS))
     # A probe at 0 dB SNR, whose noise makes jumps at random samples.
-    cfg = ChannelConfig(snr_db=0.0, seed=11)
-    assert_same_bytes(single_tone_probe(FS / 8, DENSE_N, cfg),
-                      reference_tone_phase(reference_probe(FS / 8, DENSE_N, cfg)[1], FS / 8, FS))
+    cfg = ChannelConfig(snr_db=0.0)
+    assert_same_bytes(single_tone_probe(FS / 8, DENSE_N, cfg, 11),
+                      reference_tone_phase(reference_probe(FS / 8, DENSE_N, cfg, 11)[1],
+                                           FS / 8, FS))
 
 
 def reference_psd_welch(samples, sample_rate_hz, nfft):
@@ -686,7 +697,7 @@ def test_full_chunk_run_frames_equals_run_frame(pnc_enabled, cfo_hz, n_frames,
                                                 n_payload_symbols):
     cfg = ofdm_cfg(3 if pnc_enabled else 0)
     channel = ChannelConfig(taps=(1.0, 0.3 + 0.2j, 0.1), snr_db=35.0,
-                            phase_noise=PhaseNoiseConfig(sigma=0.26), cfo_hz=cfo_hz, seed=5)
+                            phase_noise=PhaseNoiseConfig(sigma=0.26), cfo_hz=cfo_hz)
     capacity = frame_capacity_bits(cfg, Modulation.QAM64, n_payload_symbols)
     bits = [frame_bits_rng(9, i).integers(0, 2, capacity, dtype=np.uint8)
             for i in range(n_frames)]

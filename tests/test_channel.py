@@ -13,8 +13,8 @@ from helpers import band_power_fraction, channel_row
 from mmwavelink import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel,
                         PhaseNoiseProcess, apply_channel, gaussian_fit_in_place, psd_welch,
                         single_tone_probe)
-from mmwavelink.channel import (PN_CORNER_RATIO, _butter_sos, _load_scipy_extension,
-                                _shaping_filter, _sosfilt)
+from mmwavelink.channel import (MAX_PN_SIGMA, PN_CORNER_RATIO, _butter_sos,
+                                _load_scipy_extension, _shaping_filter, _sosfilt)
 from mmwavelink.metrics import _c2c
 
 FS = 25.0e6
@@ -24,7 +24,7 @@ CLEAN_PN = PhaseNoiseConfig(sigma=0.0, model=PhaseNoiseModel.NONE)
 
 
 def clean_cfg(**kw):
-    base = dict(taps=(1.0 + 0.0j,), snr_db=math.inf, phase_noise=CLEAN_PN, seed=0)
+    base = dict(taps=(1.0 + 0.0j,), snr_db=math.inf, phase_noise=CLEAN_PN)
     base.update(kw)
     return ChannelConfig(**base)
 
@@ -32,16 +32,16 @@ def clean_cfg(**kw):
 def test_impairment_free_channel_is_identity():
     rng = np.random.default_rng(0)
     x = rng.normal(size=256) + 1j * rng.normal(size=256)
-    y, theta = channel_row(x, clean_cfg())
+    y, theta = channel_row(x, clean_cfg(), 0)
     np.testing.assert_array_equal(y, x)
     np.testing.assert_array_equal(theta, np.zeros(256))
 
 
 def test_apply_channel_deterministic():
     x = np.ones(512, dtype=complex)
-    cfg = ChannelConfig(seed=3)
-    y1, t1 = channel_row(x, cfg)
-    y2, t2 = channel_row(x, cfg)
+    cfg = ChannelConfig()
+    y1, t1 = channel_row(x, cfg, 3)
+    y2, t2 = channel_row(x, cfg, 3)
     np.testing.assert_array_equal(y1, y2)
     np.testing.assert_array_equal(t1, t2)
 
@@ -57,7 +57,7 @@ def test_impulse_reveals_taps():
     cfg = clean_cfg(taps=(3.0, 4.0j))
     x = np.zeros(8, dtype=complex)
     x[0] = 1.0
-    y, _ = channel_row(x, cfg)
+    y, _ = channel_row(x, cfg, 0)
     np.testing.assert_allclose(y[:2], [0.6, 0.8j], atol=1e-12)
     np.testing.assert_allclose(y[2:], 0.0, atol=1e-15)
 
@@ -65,8 +65,8 @@ def test_impulse_reveals_taps():
 def test_phase_noise_multiplies_unit_magnitude():
     rng = np.random.default_rng(1)
     x = rng.normal(size=400) + 1j * rng.normal(size=400)
-    cfg = ChannelConfig(taps=(1.0,), snr_db=math.inf, seed=9)
-    y, theta = channel_row(x, cfg)
+    cfg = ChannelConfig(taps=(1.0,), snr_db=math.inf)
+    y, theta = channel_row(x, cfg, 9)
     np.testing.assert_array_equal(y, x * np.exp(1j * theta))
     np.testing.assert_allclose(np.abs(y), np.abs(x), atol=1e-12)
 
@@ -75,14 +75,14 @@ def test_cfo_rotation():
     n = np.arange(64)
     x = np.ones(64, dtype=complex)
     cfg = clean_cfg(cfo_hz=1.0e5)
-    y, _ = channel_row(x, cfg)
+    y, _ = channel_row(x, cfg, 0)
     np.testing.assert_allclose(y, np.exp(2j * np.pi * 1.0e5 * n / FS), atol=1e-12)
 
 
 def test_snr_calibration():
     x = np.ones(200_000, dtype=complex)
-    cfg = ChannelConfig(taps=(1.0,), snr_db=20.0, phase_noise=CLEAN_PN, seed=4)
-    y, _ = channel_row(x, cfg)
+    cfg = ChannelConfig(taps=(1.0,), snr_db=20.0, phase_noise=CLEAN_PN)
+    y, _ = channel_row(x, cfg, 4)
     noise_db = 10.0 * np.log10(np.mean(np.abs(y - x) ** 2))
     assert abs(noise_db - (-20.0)) < 0.2
 
@@ -137,9 +137,9 @@ def test_channel_config_validation():
 def test_generator_chunked_equals_one_shot(model, seed, sigma, chunks):
     # Any split of a trajectory, empty draws included, equals one draw.
     cfg = PhaseNoiseConfig(sigma=sigma, bandwidth_hz=1e6, model=model)
-    one = PhaseNoiseProcess(cfg, FS, seed=seed).generate(sum(chunks))
-    p = PhaseNoiseProcess(cfg, FS, seed=seed)
-    split = np.concatenate([p.generate(n) for n in chunks])
+    one = PhaseNoiseProcess(cfg, FS, [seed]).generate(sum(chunks))
+    p = PhaseNoiseProcess(cfg, FS, [seed])
+    split = np.concatenate([p.generate(n) for n in chunks], axis=1)
     np.testing.assert_array_equal(split, one)
 
 
@@ -147,42 +147,51 @@ def test_generator_chunked_equals_one_shot(model, seed, sigma, chunks):
                                    PhaseNoiseModel.RANDOM_WALK])
 def test_generator_deterministic(model):
     cfg = PhaseNoiseConfig(model=model)
-    a = PhaseNoiseProcess(cfg, FS, seed=6).generate(2048)
-    b = PhaseNoiseProcess(cfg, FS, seed=6).generate(2048)
+    a = PhaseNoiseProcess(cfg, FS, [6]).generate(2048)
+    b = PhaseNoiseProcess(cfg, FS, [6]).generate(2048)
     np.testing.assert_array_equal(a, b)
 
 
 def test_generator_zero_sigma_is_silent():
     for model in (PhaseNoiseModel.FILTERED_GAUSSIAN, PhaseNoiseModel.RANDOM_WALK):
-        p = PhaseNoiseProcess(PhaseNoiseConfig(sigma=0.0, model=model), FS, seed=0)
-        np.testing.assert_array_equal(p.generate(128), np.zeros(128))
+        p = PhaseNoiseProcess(PhaseNoiseConfig(sigma=0.0, model=model), FS, [0])
+        np.testing.assert_array_equal(p.generate(128), np.zeros((1, 128)))
 
 
 def test_generator_validation():
+    # A negative sigma, NaN, or one above MAX_PN_SIGMA is rejected under every
+    # model; one at the bound draws finite values.
+    for sigma in (-0.1, math.nan, 1e307, 1.7e308, math.inf):
+        for model in PhaseNoiseModel:
+            with pytest.raises(ValueError, match="sigma"):
+                PhaseNoiseProcess(PhaseNoiseConfig(sigma=sigma, model=model), FS, [0])
+    for model in PhaseNoiseModel:
+        p = PhaseNoiseProcess(PhaseNoiseConfig(sigma=MAX_PN_SIGMA, model=model), FS, [0])
+        assert np.isfinite(p.generate(4096)).all()
     with pytest.raises(ValueError):
-        PhaseNoiseProcess(PhaseNoiseConfig(sigma=-0.1), FS, seed=0)
+        PhaseNoiseProcess(PhaseNoiseConfig(bandwidth_hz=0.0), FS, [0])
     with pytest.raises(ValueError):
-        PhaseNoiseProcess(PhaseNoiseConfig(bandwidth_hz=0.0), FS, seed=0)
+        PhaseNoiseProcess(PhaseNoiseConfig(bandwidth_hz=FS), FS, [0])
     with pytest.raises(ValueError):
-        PhaseNoiseProcess(PhaseNoiseConfig(bandwidth_hz=FS), FS, seed=0)
-    with pytest.raises(ValueError):
-        PhaseNoiseProcess(PhaseNoiseConfig(), FS, seed=0).generate(-1)
+        PhaseNoiseProcess(PhaseNoiseConfig(), FS, [0]).generate(-1)
 
 
 def test_generator_empty_request():
-    p = PhaseNoiseProcess(PhaseNoiseConfig(), FS, seed=0)
-    assert p.generate(0).shape == (0,)
+    p = PhaseNoiseProcess(PhaseNoiseConfig(), FS, [0])
+    assert p.generate(0).shape == (1, 0)
+    for model in PhaseNoiseModel:   # a stack of no rows
+        assert PhaseNoiseProcess(PhaseNoiseConfig(model=model), FS, []).generate(5).shape == (0, 5)
 
 
 def test_filtered_gaussian_std_calibration():
-    theta = PhaseNoiseProcess(PhaseNoiseConfig(sigma=0.26), FS, seed=7).generate(1_000_000)
+    theta = PhaseNoiseProcess(PhaseNoiseConfig(sigma=0.26), FS, [7]).generate(1_000_000)[0]
     fit = gaussian_fit_in_place(theta)
     assert 0.26 * 0.95 <= fit.std <= 0.26 * 1.05
     assert abs(fit.mean) < 0.005
 
 
 def test_filtered_gaussian_power_stays_in_band():
-    theta = PhaseNoiseProcess(PhaseNoiseConfig(), FS, seed=7).generate(2 ** 18)
+    theta = PhaseNoiseProcess(PhaseNoiseConfig(), FS, [7]).generate(2 ** 18)[0]
     est = psd_welch(theta, FS)
     assert band_power_fraction(est, 1.0e6) >= 0.85
 
@@ -190,7 +199,7 @@ def test_filtered_gaussian_power_stays_in_band():
 def test_random_walk_increment_scaling():
     # The increment std over RANDOM_WALK_SPAN = 80 samples is sigma.
     cfg = PhaseNoiseConfig(sigma=0.26, model=PhaseNoiseModel.RANDOM_WALK)
-    theta = PhaseNoiseProcess(cfg, FS, seed=8).generate(80 * 20000)
+    theta = PhaseNoiseProcess(cfg, FS, [8]).generate(80 * 20000)[0]
     inc = theta[80::80] - theta[:-80:80]
     assert abs(inc.std() / 0.26 - 1.0) < 0.05
 
@@ -198,14 +207,14 @@ def test_random_walk_increment_scaling():
 def test_slow_phase_noise_nearly_constant_within_a_symbol():
     # At bandwidth/fs = 1e-4 the trajectory barely moves across 16 samples.
     cfg = PhaseNoiseConfig(sigma=0.26, bandwidth_hz=2.5e3)
-    theta = PhaseNoiseProcess(cfg, FS, seed=2).generate(2 ** 16)
+    theta = PhaseNoiseProcess(cfg, FS, [2]).generate(2 ** 16)[0]
     drift = theta[16:] - theta[:-16]
     assert drift.std() < 0.05 * 0.26
 
 
 def test_single_tone_probe_clean():
     # Through a clean channel the tone mixes down to a constant phase.
-    phase = single_tone_probe(FS / 8.0, 64, clean_cfg())
+    phase = single_tone_probe(FS / 8.0, 64, clean_cfg(), 0)
     assert phase.shape == (64,) and phase.dtype == float
     np.testing.assert_allclose(phase, np.zeros(64), atol=1e-12)
 
@@ -213,36 +222,35 @@ def test_single_tone_probe_clean():
 def test_single_tone_probe_recovers_phase_noise():
     # Noiseless, one tap, no CFO: the phase is the channel's own theta, whose
     # random walk passes +-pi, less its mean.
-    cfg = clean_cfg(phase_noise=PhaseNoiseConfig(sigma=1.0, model=PhaseNoiseModel.RANDOM_WALK),
-                    seed=4)
-    theta = channel_row(np.ones(5000, dtype=complex), cfg)[1]
+    cfg = clean_cfg(phase_noise=PhaseNoiseConfig(sigma=1.0, model=PhaseNoiseModel.RANDOM_WALK))
+    theta = channel_row(np.ones(5000, dtype=complex), cfg, 4)[1]
     assert np.ptp(theta) > 2 * np.pi
-    np.testing.assert_allclose(single_tone_probe(FS / 8.0, 5000, cfg), theta - theta.mean(),
+    np.testing.assert_allclose(single_tone_probe(FS / 8.0, 5000, cfg, 4), theta - theta.mean(),
                                atol=1e-9)
 
 
 def test_single_tone_probe_ignores_constant_offset():
     # A tap's constant rotation leaves with the mean.
     cfg = clean_cfg(taps=(np.exp(1j * 0.9),))
-    np.testing.assert_allclose(single_tone_probe(1.0e6, 2000, cfg), np.zeros(2000), atol=1e-12)
+    np.testing.assert_allclose(single_tone_probe(1.0e6, 2000, cfg, 0), np.zeros(2000), atol=1e-12)
 
 
 def test_single_tone_probe_zero_samples():
     # An empty probe has an empty phase, and takes no mean of nothing.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        phase = single_tone_probe(1.0e6, 0, clean_cfg(snr_db=30.0))
+        phase = single_tone_probe(1.0e6, 0, clean_cfg(snr_db=30.0), 0)
     assert phase.shape == (0,) and phase.dtype == float
 
 
 def test_single_tone_probe_validation():
     cfg = clean_cfg()
     with pytest.raises(ValueError):
-        single_tone_probe(FS / 2.0, 16, cfg)
+        single_tone_probe(FS / 2.0, 16, cfg, 0)
     with pytest.raises(ValueError):
-        single_tone_probe(-FS / 2.0, 16, cfg)
+        single_tone_probe(-FS / 2.0, 16, cfg, 0)
     with pytest.raises(ValueError):
-        single_tone_probe(1.0e6, -1, cfg)
+        single_tone_probe(1.0e6, -1, cfg, 0)
 
 
 def butter_bands():

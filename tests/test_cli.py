@@ -182,11 +182,19 @@ def test_repeated_config_key_exit_1(tmp_path, capsys, text, key, command):
     assert not out.exists()
 
 
-def test_overflowing_sigma_leaves_no_nan_summary(tmp_path):
-    # A finite sigma this large overflows the phase process to NaN. The run
-    # must fail rather than write a summary.json holding NaN, and must not
-    # leave the CSVs of the failed run, or their staged parts, behind either.
-    # 20 frames: the CSV rows of a whole chunk are staged before the failure.
+@pytest.fixture
+def unbounded_sigma(monkeypatch):
+    """Lift the config's sigma bound, so that a sigma of 1e308 overflows the
+    phase process to NaN at run time: a run that fails after its output
+    directory is made."""
+    monkeypatch.setattr(mmwavelink.channel, "MAX_PN_SIGMA", float("inf"))
+
+
+def test_overflowing_sigma_leaves_no_nan_summary(tmp_path, unbounded_sigma):
+    # The run must fail rather than write a summary.json holding NaN, and must
+    # not leave the CSVs of the failed run, or their staged parts, behind
+    # either. 20 frames: the CSV rows of a whole chunk are staged before the
+    # failure.
     cfg = write_cfg(tmp_path, {"channel": {"sigma": 1e308}, "n_frames": 20})
     out = tmp_path / "o"
     with np.errstate(all="ignore"):
@@ -194,7 +202,7 @@ def test_overflowing_sigma_leaves_no_nan_summary(tmp_path):
     assert not list(out.iterdir())
 
 
-def test_overflowing_sigma_sweep_k_leaves_no_csv(tmp_path, capsys):
+def test_overflowing_sigma_sweep_k_leaves_no_csv(tmp_path, capsys, unbounded_sigma):
     cfg = write_cfg(tmp_path, {"channel": {"sigma": 1e308}, "n_frames": 2})
     out = tmp_path / "o"
     with np.errstate(all="ignore"):
@@ -203,7 +211,7 @@ def test_overflowing_sigma_sweep_k_leaves_no_csv(tmp_path, capsys):
     assert not list(out.iterdir())
 
 
-def test_overflowing_sigma_stream_leaves_no_file(tmp_path, capsys):
+def test_overflowing_sigma_stream_leaves_no_file(tmp_path, capsys, unbounded_sigma):
     src = tmp_path / "input.bin"
     src.write_bytes(bytes(range(200)))
     cfg = write_cfg(tmp_path, {"channel": {"sigma": 1e308}})
@@ -226,11 +234,16 @@ def test_stream_frame_without_room_for_a_packet_is_config_error(tmp_path, capsys
     assert not out.exists()
 
 
+# A finite sigma of 1e307 or more overflows the draw under either model.
 @pytest.mark.parametrize("channel", [{"bandwidth_hz": 0.0}, {"bandwidth_hz": 12.5e6},
                                      {"sigma": -0.1}, {"bandwidth_hz": 1e-300},
-                                     {"bandwidth_hz": 5e-324}],
+                                     {"bandwidth_hz": 5e-324}, {"sigma": 1e307},
+                                     {"sigma": 1.7e308},
+                                     {"sigma": 1e307, "phase_noise_model": "random_walk"},
+                                     {"sigma": 1.7e308, "phase_noise_model": "random_walk"}],
                          ids=["zero-bandwidth", "nyquist-bandwidth", "negative-sigma",
-                              "underflowing-bandwidth", "zero-corner"])
+                              "underflowing-bandwidth", "zero-corner", "overflowing-sigma",
+                              "largest-sigma", "overflowing-walk-sigma", "largest-walk-sigma"])
 @pytest.mark.parametrize("command", ["simulate", "measure-pn", "sweep-k", "stream"])
 def test_invalid_phase_noise_is_config_error(tmp_path, capsys, channel, command):
     # Rejected while the channel config is built: exit 1, no output directory.

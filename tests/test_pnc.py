@@ -98,7 +98,7 @@ def run_stack(k_guard, n_frames, run_seed):
     capacity = 12 * len(cfg.plan.payload_indices) * 2
     bits = [frame_bits_rng(run_seed, i).integers(0, 2, capacity, dtype=np.uint8)
             for i in range(n_frames)]
-    return run_frames(bits, Modulation.QPSK, cfg, ChannelConfig(seed=0), True, 12, run_seed)
+    return run_frames(bits, Modulation.QPSK, cfg, ChannelConfig(), True, 12, run_seed)
 
 
 def test_tracking_residual_at_default_calibration():

@@ -122,9 +122,9 @@ def test_decode_multipath_noiseless_is_exact():
     cfg = default_cfg()
     rng = np.random.default_rng(11)
     taps = tuple(rng.normal(size=4) + 1j * rng.normal(size=4))
-    channel = ChannelConfig(taps=taps, snr_db=math.inf, phase_noise=CLEAN_PN, seed=1)
+    channel = ChannelConfig(taps=taps, snr_db=math.inf, phase_noise=CLEAN_PN)
     bits = rng.integers(0, 2, 92 * 4, dtype=np.uint8)
-    y, _ = channel_row(frame_samples(bits, Modulation.QPSK, cfg, 4), channel)
+    y, _ = channel_row(frame_samples(bits, Modulation.QPSK, cfg, 4), channel, 1)
     report = decode_one(y, cfg, Modulation.QPSK, pnc_enabled=False)
     np.testing.assert_array_equal(report.bits[0], bits)
     assert report.evm_db[0] <= -40.0
@@ -146,8 +146,8 @@ def test_frame_evm_is_rms_of_per_symbol_evm():
     cfg = default_cfg()
     rng = np.random.default_rng(13)
     bits = rng.integers(0, 2, 92 * 6, dtype=np.uint8)
-    channel = ChannelConfig(taps=(1.0,), snr_db=25.0, phase_noise=CLEAN_PN, seed=2)
-    y, _ = channel_row(frame_samples(bits, Modulation.QPSK, cfg, 6), channel)
+    channel = ChannelConfig(taps=(1.0,), snr_db=25.0, phase_noise=CLEAN_PN)
+    y, _ = channel_row(frame_samples(bits, Modulation.QPSK, cfg, 6), channel, 2)
     report = decode_one(y, cfg, Modulation.QPSK, pnc_enabled=False)
     assert report.n_erased[0] == 0
     # Each symbol's EVM against the frame's mean decided-point power.
