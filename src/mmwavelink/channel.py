@@ -241,13 +241,10 @@ def _stream_seed(seed: int, stream: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
 
 
-# Long buffers run through the channel in blocks of this many samples. A
-# buffer of two or more blocks folds its tail into the last block, so every
-# block holds at least SAMPLE_BLOCK samples. numpy reuses a complex temporary
-# from 256 KiB (2**14 samples) up, which flips the operand order of a complex
-# product and so its rounding; _rotate switches order at this size, so every
-# block of a multi-block buffer takes the whole-buffer expressions' order. A
-# smaller block would flip _rotate's order against them.
+# Long buffers run through the channel in blocks of this many samples, so a
+# long probe's temporaries are 256 KiB complex blocks, not full-length
+# buffers. A buffer of two or more blocks folds its tail into the last block,
+# so every block holds at least SAMPLE_BLOCK samples.
 SAMPLE_BLOCK = 1 << 14
 
 
@@ -279,42 +276,17 @@ def apply_channel(x, cfg: ChannelConfig, seeds):
 
 
 def phasor(theta, sign: int = 1) -> np.ndarray:
-    """np.exp(sign * 1j * theta) for sign = ±1, bit for bit for finite theta.
-
-    numpy's sign * 1j * theta has a zero real part and the imaginary part
-    sign * theta + sign * 0.0, and libm's cexp(±0 + iy) is cos(y) + i sin(y).
-    """
+    """exp(sign * 1j * theta) for sign = ±1, as cos and sin of sign * theta."""
     out = np.empty(np.shape(theta), dtype=complex)
-    np.add(np.multiply(theta, sign, out=out.imag), sign * 0.0, out=out.imag)
+    np.multiply(theta, sign, out=out.imag)
     np.cos(out.imag, out=out.real)
     np.sin(out.imag, out=out.imag)
     return out
 
 
-def tone(k: complex, a: int, b: int, sample_rate_hz: float) -> np.ndarray:
-    """np.exp(k * np.arange(a, b) / sample_rate_hz) for k = ±2j*pi*f, bit for bit.
-
-    numpy's k * n has the zero real part r = k.real - k.imag*0 (n >= 0) and
-    imaginary part k.imag*n + k.real*0, which / fs makes (imag - r*0) * (1/fs).
-    The zero terms fold into one add, as a sum of zeros is -0 only if every
-    term is; * (-1/fs) negates exactly, for phasor's sign -1.
-    """
-    phase = np.arange(a, b, dtype=float)
-    phase *= k.imag
-    phase += k.real * 0.0 - (k.real - k.imag * 0.0) * 0.0
-    phase *= -1.0 / sample_rate_hz
-    return phasor(phase, -1)
-
-
-def _rotate(s, factor) -> None:
-    """s *= factor in place. numpy computes `s * t` as `t * s` when the
-    temporary t holds 256 KiB or more, and complex products round
-    differently in the two orders, so blocks of SAMPLE_BLOCK samples or more
-    take `t * s`: each row gets the bytes of `s * factor` on that row alone."""
-    if s.shape[-1] >= SAMPLE_BLOCK:
-        np.multiply(factor, s, out=s)
-    else:
-        np.multiply(s, factor, out=s)
+def tone(freq_hz: float, a: int, b: int, sample_rate_hz: float) -> np.ndarray:
+    """exp(2j pi freq_hz n / sample_rate_hz) for n in [a, b)."""
+    return phasor(np.arange(a, b) * (2 * np.pi * freq_hz / sample_rate_hz))
 
 
 def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, y=None, power=None):
@@ -332,8 +304,8 @@ def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, y=None, power=Non
     Only the draws and the convolution run row by row; one PhaseNoiseProcess
     holds every row's phase noise state. The CFO ramp, |s|^2, the SNR scale,
     the rotation and the AWGN add each run once over a block of all rows, as
-    ufuncs in a fixed operand order, so that each row's bytes equal the
-    whole-buffer expressions on that row alone.
+    elementwise ufuncs in a fixed operand order, so that each row's bytes
+    equal the whole-buffer expressions on that row alone.
     """
     process = PhaseNoiseProcess(cfg.phase_noise, cfg.sample_rate_hz,
                                 [_stream_seed(seed, 0) for seed in seeds])
@@ -356,7 +328,7 @@ def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, y=None, power=Non
         else:
             np.multiply(x, h[0], out=s)
         if cfg.cfo_hz:
-            _rotate(s, tone(2j * np.pi * cfg.cfo_hz, a, b, cfg.sample_rate_hz))
+            s *= tone(cfg.cfo_hz, a, b, cfg.sample_rate_hz)
         return x[:, a - lo:], s
 
     # Pass 1: taps and CFO, and |s|^2 for the SNR power.
@@ -380,7 +352,7 @@ def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, y=None, power=Non
         x, s = transmit(a, b) if y is None else (samples(a, b), y[:, a:b])
         theta = process.generate(b - a)
         buf = phasor(theta)
-        _rotate(s, buf)
+        s *= buf
         if noisy:
             imag = np.empty(s.shape)
             for rng, row in zip(rngs, imag):
@@ -397,31 +369,16 @@ def _check_tone(freq_hz: float, sample_rate_hz: float, name: str = "tone") -> No
         raise ValueError(f"{name} at {freq_hz} Hz aliases at fs={sample_rate_hz}")
 
 
-def _mixer(t, freq_hz: float, a: int, b: int, sample_rate_hz: float) -> np.ndarray:
-    """tone(-2j*pi*f, a, b) from t = tone(2j*pi*f, a, b), bit for bit.
-
-    libm's cos is even and its sin odd, so t's conjugate holds those bytes
-    wherever the phase is not zero. A zero phase (n = 0, or a tone too slow
-    to turn) leaves a zero sine whose sign follows each argument's own
-    rounding of its zero terms, so those samples are computed again.
-    """
-    out = np.conjugate(t)
-    zero = np.flatnonzero(t.imag == 0)
-    if zero.size:
-        lo, hi = zero[0], zero[-1] + 1
-        out[lo:hi] = tone(-2j * np.pi * freq_hz, a + lo, a + hi, sample_rate_hz)
-    return out
-
-
 def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig, seed) -> np.ndarray:
     """Send exp(j 2 pi f n / fs) through the channel; returns its phase.
 
-    The phase is np.unwrap(np.angle(y * np.exp(-2j*pi*f*n/fs))) less its
-    mean, bit for bit, where y = apply_channel(tone[None], cfg, [seed])[0][0],
-    so a constant channel rotation does not bias it. Only the phase is held
-    at full length, and it first holds |s|^2 and the noise's real parts: the
-    tone, the phase noise and y are made block by block, the tone and its
-    taps and CFO once per pass.
+    The phase is np.unwrap(np.angle(y * np.conjugate(t))) less its mean, bit
+    for bit, where t = tone(f, 0, n_samples, fs) and
+    y = apply_channel(t[None], cfg, [seed])[0][0], so a constant channel
+    rotation does not bias it. Only the phase is held at full length, and it
+    first holds |s|^2 and the noise's real parts: the tone, the phase noise
+    and y are made block by block, the tone and its taps and CFO once per
+    pass.
     """
     _check_tone(freq_hz, cfg.sample_rate_hz)
     if n_samples < 0:
@@ -429,12 +386,11 @@ def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig, seed) 
     if n_samples == 0:
         return np.zeros(0)
 
-    fs, k = cfg.sample_rate_hz, 2j * np.pi * freq_hz
+    fs = cfg.sample_rate_hz
     phase, prev, carry = np.empty(n_samples), None, 0.0
-    for a, b, x, y, _ in _channel_blocks(lambda a, b: tone(k, a, b, fs)[None], (1, n_samples),
-                                         cfg, [seed], power=phase[None]):
-        # Mixed down in the whole-buffer product's operand order.
-        _rotate(y, _mixer(x[0], freq_hz, a, b, fs))
+    for a, b, x, y, _ in _channel_blocks(lambda a, b: tone(freq_hz, a, b, fs)[None],
+                                         (1, n_samples), cfg, [seed], power=phase[None]):
+        y *= np.conjugate(x)
         wrapped = np.angle(y[0])
         # np.unwrap's formula (period 2 pi) at the jumps only, as its correction
         # is 0 wherever |dd| < pi; the running sum of corrections carries across blocks.

@@ -4,7 +4,7 @@ decode for a stack of frames at once."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,9 +60,6 @@ def run_frames(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
     run_frame on that frame alone, bit for bit.
     """
     seeds = [derived_seed(run_seed, i, 0) for i in range(first_frame, first_frame + len(bits))]
-    # A copy normalizes the taps once more; every pinned artifact depends on
-    # taps normalized twice.
-    channel_cfg = replace(channel_cfg)
     symbols, padded = build_frames(bits, modulation, ofdm_cfg, n_payload_symbols)
     y, theta = apply_channel(symbols.reshape(len(seeds), -1), channel_cfg, seeds)
     del symbols   # not needed past the channel; frees the chunk's largest buffer

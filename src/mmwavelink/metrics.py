@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _load_scipy_extension
-
 
 @dataclass(frozen=True)
 class GaussianFit:
@@ -48,20 +46,6 @@ def std_in_place(x: np.ndarray, ddof: int = 0) -> float:
     return float(np.sqrt(np.square(x, out=x).sum() / (x.size - ddof)))
 
 
-# numpy's pairwise summation, which reduces a float row: a run of 8 to
-# PAIRWISE_BLOCK values is summed by 8 accumulators, each taking every 8th
-# value, which are then added pairwise, and the values past the last full 8
-# in turn; a shorter run is summed in turn from 0.0; a longer one splits at
-# half its length, rounded down to a multiple of 8, and adds the sums of
-# its halves.
-PAIRWISE_BLOCK = 128
-
-# scipy.fft's compiled pocketfft, whose c2c(x, axes, forward, norm, out,
-# workers) is what scipy.fft.fft(x, axis=-1) calls for a float64 or
-# complex128 x: no normalization (0), a new output array, one worker.
-_c2c = _load_scipy_extension("scipy.fft._pocketfft.pypocketfft").c2c
-
-
 def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096) -> PsdEstimate:
     """Two-sided Welch power spectral density, Hann window, density scaling,
     segments overlapping by half (round(nfft / 2) samples).
@@ -75,43 +59,20 @@ def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096) -> PsdEstimate:
         raise ValueError("input must be a non-empty 1-D buffer")
     if nfft < 2 or nfft > samples.size:
         raise ValueError(f"nfft={nfft} must be in [2, len(samples)={samples.size}]")
-    # scipy.signal.welch's windowed, detrended periodograms and their mean
-    # over segments, which numpy sums pairwise. Each step of a run's 8
-    # accumulators is one FFT call of 8 segments, the run's leftover
-    # segments one more, and the run sums are added in numpy's order, so no
-    # (nfft, segments) array is held and the bytes stay those of welch.
-    # welch's periodic Hann window (general_cosine), in ShortTimeFFT's PSD scale and builtin sum.
+    # scipy.signal.welch's periodograms: each segment less its mean, times a
+    # periodic Hann window scaled to a density. They are summed as they are
+    # transformed, 8 segments per FFT call, so no (segments, nfft) array is held.
     win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nfft + 1)[:-1])
-    win = win * (1 / np.sqrt(sum(win ** 2) / (1 / sample_rate_hz)))
+    win /= np.sqrt(np.sum(win ** 2) * sample_rate_hz)
     segments = np.lib.stride_tricks.sliding_window_view(samples, nfft)[::nfft - round(nfft / 2)]
 
-    def periodograms(p: int, q: int) -> np.ndarray:
-        block = segments[p:q]   # detrend(type="constant"), then the window
-        spectra = _c2c((block - np.mean(block, axis=-1, keepdims=True)) * win,
-                       (-1,), True, 0, None, 1)
-        re, im = spectra.real, spectra.imag  # |X|^2, squared in the spectra's own buffer
-        return np.add(np.square(re, out=re), np.square(im, out=im), out=re)
+    def periodogram_sum(block) -> np.ndarray:
+        spectra = np.fft.fft((block - block.mean(axis=-1, keepdims=True)) * win)
+        re, im = spectra.real, spectra.imag   # |X|^2, squared in the spectra's own buffer
+        return np.sum(np.square(re, out=re) + np.square(im, out=im), axis=0)
 
-    def power_sum(p: int, q: int) -> np.ndarray:
-        if q - p > PAIRWISE_BLOCK:
-            half = (q - p) // 2 // 8 * 8
-            return power_sum(p, p + half) + power_sum(p + half, q)
-        end = p + (q - p) // 8 * 8
-        if end > p:
-            acc = periodograms(p, p + 8)
-            for i in range(p + 8, end, 8):
-                acc += periodograms(i, i + 8)
-            total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
-                     + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
-        else:
-            total = np.zeros(nfft)
-        if end < q:
-            for row in periodograms(end, q):
-                total += row
-        return total
-
-    # The reduction's initial 0.0 leaves a sum of squares as it is.
-    freqs, total = np.fft.fftfreq(nfft, 1 / sample_rate_hz), power_sum(0, len(segments))
+    total = sum(periodogram_sum(segments[i:i + 8]) for i in range(0, len(segments), 8))
+    freqs = np.fft.fftfreq(nfft, 1 / sample_rate_hz)
     order = np.argsort(freqs)
     power_db = 10.0 * np.log10(np.maximum(total[order] / len(segments), 1e-300))
     return PsdEstimate(freqs_hz=freqs[order], power_db=power_db)

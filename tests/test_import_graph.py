@@ -1,10 +1,10 @@
 """The package's import graph: no scipy.signal or scipy.fft, in a fresh interpreter.
 
-The package calls two of their compiled kernels, scipy.signal's _sosfilt and
-scipy.fft's pocketfft c2c, and loads each from its file. scipy.signal's
-package init imports scipy.stats, scipy.optimize and scipy.interpolate;
-scipy.fft's imports scipy.special and scipy's array-API layer, which brings
-in numpy.testing and numpy.f2py. Together they cost most of a short run's
+The package calls one compiled scipy kernel, scipy.signal's _sosfilt, and
+loads it from its file; its FFTs are numpy's. scipy.signal's package init
+imports scipy.stats, scipy.optimize and scipy.interpolate; scipy.fft's
+imports scipy.special and scipy's array-API layer, which brings in
+numpy.testing and numpy.f2py. Together they cost most of a short run's
 start-up, and the package needs none of them. This test's own process
 imports scipy.signal and scipy.fft elsewhere, so the check runs in a
 subprocess, after the import and after each subcommand, which also catches

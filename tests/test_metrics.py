@@ -154,7 +154,7 @@ def test_psd_and_pdf_csv_writers(tmp_path):
 # Traced allocation peaks of the measure-pn pipeline on 2**19 samples, in
 # bytes per sample (numpy 2.4, scipy 1.17), in the order measure-pn runs
 # them: 11.3 for the probe's phase (8 of them the phase itself, the rest the
-# channel's 2**14-sample block temporaries), 2.8 for the PSD, 4.5 for the
+# channel's 2**14-sample block temporaries), 2.6 for the PSD, 4.5 for the
 # PDF (np.histogram's blocks of 65,536 samples) and 0.1 for the in-place
 # fit. The bounds add 20 % and round up; a full-size float temporary
 # anywhere adds 8.
