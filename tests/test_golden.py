@@ -113,7 +113,7 @@ GOLDEN = {
             "evm.csv":
                 "f346d81fb2a072a71baa86eb5bd3f1e14a410f1424b5217810708b139590174d",
             "summary.json":
-                "b87d504bb39efed4028f940a348c3cf582f65240c9657e115b6132f5b98a2d40",
+                "7f13a172e466249e2b0a7a78ae96f7b18b6206a163de36e542ffc17ac0a88780",
         },
         "sweep-k": {
             "ksweep.csv":
@@ -123,7 +123,7 @@ GOLDEN = {
             "recovered.bin":
                 "2c827b4a22720a2e3d10e104015227cc078e2281c9713871fa65202236706651",
             "stream_report.json":
-                "eef62c955058af8d1fddbfbfc317879e5424ffdd341fcaef8ace8e7bf25ca63a",
+                "b3f0e3de874c408cfddf2dab0f3164ada158642d73afe0eca3990d07f3124c76",
         },
     },
     "qam64_nopnc_chunks": {
@@ -133,7 +133,7 @@ GOLDEN = {
             "evm.csv":
                 "9af36eef6eb7275c1fb534753f4678975aa4a38ceee2bc100f4089e44ec42050",
             "summary.json":
-                "a7de0a1ef60bd37826e3dfb0b367183c95e3ef32dde6655b23853e92b8b82d9e",
+                "c07c276e9047a8e28abb2b60861d47f78925aa3001287b5e266165cde643c72e",
         },
     },
     "qam64_stream_chunks": {
@@ -147,7 +147,7 @@ GOLDEN = {
     "probe_blocks_cfo": {
         "measure-pn": {
             "pn_fit.json":
-                "5c92f9edda89035e541a16da2e868bd7240a7d9bd222827c8d10d5788bcb0d1c",
+                "6d651e04193d066ba4076a86dd89c97dc66aff3420ab9fb87eaa129593cc03c7",
             "pn_pdf.csv":
                 "135fb1400762b776c169c2fdc3ccbba68f74619571dfcaadaa7733baebed6925",
             "pn_psd.csv":
@@ -157,9 +157,9 @@ GOLDEN = {
     "probe_multipath": {
         "measure-pn": {
             "pn_fit.json":
-                "81e19331d8692eb8a1ad72e158f73c5bb19fb0efa0db7685310ad6048f4e7910",
+                "96ffacf1f109b68dbe79186ab1c652e7785f238eb7a3ffa066864152d2b7cbca",
             "pn_pdf.csv":
-                "3839f0a6370c9ec5ecb6687d59105b72e372909ed68ceaae130c93ccb79c7036",
+                "6a4c74ee4b7f657067382a78bbd785d336b2025339369f32d2fcc70a2d2fec8d",
             "pn_psd.csv":
                 "c4b8f4e6292aa397810d52ad3bb1729e33992b2dd7b03a35d287987816e7511a",
         },
@@ -171,7 +171,7 @@ GOLDEN = {
             "evm.csv":
                 "8087a1e10417b33918f7c213613728d18edc920f58ca18acf0c9f6b57e90a41c",
             "summary.json":
-                "7785ded02187a090f196bd8c84feefde338a56ab89a051f43732772e51209bfb",
+                "f93c3789f7987816094e76afc0209e7509be478ac721d18ce1dd44daf88f8245",
         },
         "sweep-k": {
             "ksweep.csv":
@@ -181,7 +181,7 @@ GOLDEN = {
             "recovered.bin":
                 "89756052cfdb75d241fe7cab7ad75826f2507b819010926c6407033d1ba3abea",
             "stream_report.json":
-                "0cd74d53ca5548b7859ca60a8223d80d45f6786b3263cf9132ebf22ce3aca43a",
+                "61babfd1fb8328fd7aa615c5630c1a2f4f59fedc3e539ed6b0a968453dde02c2",
         },
     },
     "qpsk_long_rows_cfo": {
@@ -191,7 +191,7 @@ GOLDEN = {
             "evm.csv":
                 "2ad2f3ff965585704859b43e86eb714dd028466acf6b05453afccb6279f181bb",
             "summary.json":
-                "ff4fe7a592f77bbb037203ce2f81094eed2a14f0293d924e945d2b974abb625c",
+                "11a7c06d8002b0024a0ae8d5c895e8a3a04f84aa72b71f3326cefac5694afa56",
         },
     },
     "qpsk_multipath_pnc": {
