@@ -369,6 +369,15 @@ def _check_tone(freq_hz: float, sample_rate_hz: float, name: str = "tone") -> No
         raise ValueError(f"{name} at {freq_hz} Hz aliases at fs={sample_rate_hz}")
 
 
+def _tone_power(freq_hz: float, n_samples: int, cfg: ChannelConfig) -> float:
+    """Mean |s|^2 of the tone through cfg's L taps over n_samples, without the
+    tone: |s(n)|^2 = |sum_{l <= min(n, L-1)} h_l e^{-j w l}|^2, the same from
+    n = L - 1 on, and CFO does not change it."""
+    h = np.asarray(cfg.taps[:n_samples], dtype=complex)
+    partial = np.square(np.abs(np.cumsum(h * tone(-freq_hz, 0, h.size, cfg.sample_rate_hz))))
+    return (partial.sum() + (n_samples - h.size) * partial[-1]) / n_samples
+
+
 def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig, seed) -> np.ndarray:
     """Send exp(j 2 pi f n / fs) through the channel; returns its phase.
 

@@ -656,6 +656,42 @@ def test_tone_conjugate_equals_negated_tone(freq_hz, start, length):
                          tone_phase_error(freq_hz, n))
 
 
+# The closed form sums at most 8 partial sums, and the explicit mean sums
+# n_samples values of |s|^2, each rounded in the convolution, the CFO product
+# and the square, so the two differ in rounding only, in units of the largest
+# power the taps can give, (sum |h_l|)^2. Over 3,000 random draws of a
+# prototype (1-8 real or complex taps, some summing to zero, tones at 0,
+# -0.0, +-fs/8, -1.3 MHz and uniform in (-fs/2, fs/2), CFO 0 or 5 kHz, 1 to
+# 3 * SAMPLE_BLOCK samples) the largest difference was 2.9 eps of that unit;
+# the bound is 16 eps.
+TONE_POWER_TOLERANCE = 16 * EPS
+CLOSED_FORM_TAPS = st.one_of(
+    st.lists(st.floats(-1, 1), min_size=1, max_size=8),
+    st.lists(st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=8),
+).filter(lambda taps: np.sum(np.abs(np.array(taps)) ** 2) > 1e-100)
+
+
+@FAST
+@given(taps=CLOSED_FORM_TAPS, tone_hz=TONE_FREQS, cfo_hz=st.sampled_from([0.0, 5000.0]),
+       n_samples=st.one_of(st.integers(1, 8), st.integers(1, 3 * SAMPLE_BLOCK)))
+@example(taps=[1.0, 0.3, -0.2, 0.1, 0.5, -0.4, 0.2, 0.3], tone_hz=-0.0, cfo_hz=5000.0,
+         n_samples=3)
+@example(taps=[0.5, -0.5], tone_hz=0.0, cfo_hz=0.0, n_samples=SAMPLE_BLOCK)
+@example(taps=[1.0, 0.3j, -0.2], tone_hz=FS / 8, cfo_hz=5000.0, n_samples=3 * SAMPLE_BLOCK)
+@example(taps=[1.0, 0.2], tone_hz=-1.3e6, cfo_hz=0.0, n_samples=1)
+def test_tone_power_equals_mean_power_of_the_sent_tone(taps, tone_hz, cfo_hz, n_samples):
+    # The probe's SNR power, in closed form, against np.mean of |s|^2 of the
+    # tone convolved with the taps and rotated by the CFO.
+    cfg = ChannelConfig(taps=tuple(taps), cfo_hz=cfo_hz)
+    h = np.asarray(cfg.taps)
+    s = np.convolve(tone(tone_hz, 0, n_samples, FS), h)[:n_samples]
+    if cfo_hz:
+        s *= tone(cfo_hz, 0, n_samples, FS)
+    expect = np.mean(np.abs(s) ** 2)
+    got = channel_module._tone_power(tone_hz, n_samples, cfg)
+    assert abs(got - expect) <= TONE_POWER_TOLERANCE * np.sum(np.abs(h)) ** 2
+
+
 DENSE_N = 3 * SAMPLE_BLOCK + 1234
 
 
