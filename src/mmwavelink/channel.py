@@ -289,15 +289,17 @@ def tone(freq_hz: float, a: int, b: int, sample_rate_hz: float) -> np.ndarray:
     return phasor(np.arange(a, b) * (2 * np.pi * freq_hz / sample_rate_hz))
 
 
-def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, y=None, power=None):
+def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, y=None, power=None,
+                    mean_power=None):
     """Blocks of an (F, n) stack through the channel, row f drawn with seeds[f].
 
     samples(a, b) returns input samples [a, b) of every row, (F, b - a).
     Yields (a, b, x, s, theta) per block in order: its input, its received
     samples and its phase noise. With a complex (F, n) buffer y, pass 1
-    keeps each block's taps and CFO in it for pass 2; without one, pass 2
-    computes them again, in one block buffer that every block reuses, so a
-    yielded block holds its samples until the next is asked for.
+    keeps each block's taps and CFO in it for pass 2 and takes each row's
+    mean |s|^2; without one, mean_power (F,) gives those means, and pass 2
+    makes the taps and CFO in one block buffer that every block reuses, so
+    a yielded block holds its samples until the next is asked for.
     A float (F, n) buffer power, or one of its own, holds |s|^2 and then the
     AWGN's real parts. Pass 2 reads power[:, a:b] before it yields block
     [a, b), so the caller may write there from then on.
@@ -331,19 +333,18 @@ def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, y=None, power=Non
             s *= tone(cfg.cfo_hz, a, b, cfg.sample_rate_hz)
         return x[:, a - lo:], s
 
-    # Pass 1: taps and CFO, and |s|^2 for the SNR power.
-    if noisy and power is None:
-        power = np.empty(shape)
-    if noisy or y is not None:
+    power = np.empty(shape) if noisy and power is None else power
+    # Pass 1, with y: taps and CFO, and |s|^2 for the SNR power.
+    if y is not None:
         for a, b in blocks:
             s = transmit(a, b)[1]
             if noisy:
                 np.square(np.abs(s, out=power[:, a:b]), out=power[:, a:b])
-    if noisy:
         # np.mean's sum and division, without its per-call overhead; a sum
         # over a contiguous row equals that row's sum alone.
-        noise_var = power.sum(axis=-1) / shape[1] * 10.0 ** (-cfg.snr_db / 10.0)
-        scale = np.sqrt(noise_var / 2.0)[:, None]
+        mean_power = power.sum(axis=-1) / shape[1] if noisy else None
+    if noisy:
+        scale = np.sqrt(mean_power * 10.0 ** (-cfg.snr_db / 10.0) / 2.0)[:, None]
         # All real parts of a row are drawn before any imaginary part.
         for rng, row in zip(rngs, power):
             rng.standard_normal(out=row)
@@ -370,9 +371,7 @@ def _check_tone(freq_hz: float, sample_rate_hz: float, name: str = "tone") -> No
 
 
 def _tone_power(freq_hz: float, n_samples: int, cfg: ChannelConfig) -> float:
-    """Mean |s|^2 of the tone through cfg's L taps over n_samples, without the
-    tone: |s(n)|^2 = |sum_{l <= min(n, L-1)} h_l e^{-j w l}|^2, the same from
-    n = L - 1 on, and CFO does not change it."""
+    """Mean of |s(n)|^2 = |sum_{l <= min(n, L-1)} h_l e^{-j w l}|^2 over n < n_samples, any CFO."""
     h = np.asarray(cfg.taps[:n_samples], dtype=complex)
     partial = np.square(np.abs(np.cumsum(h * tone(-freq_hz, 0, h.size, cfg.sample_rate_hz))))
     return (partial.sum() + (n_samples - h.size) * partial[-1]) / n_samples
@@ -382,12 +381,11 @@ def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig, seed) 
     """Send exp(j 2 pi f n / fs) through the channel; returns its phase.
 
     The phase is np.unwrap(np.angle(y * np.conjugate(t))) less its mean, bit
-    for bit, where t = tone(f, 0, n_samples, fs) and
-    y = apply_channel(t[None], cfg, [seed])[0][0], so a constant channel
-    rotation does not bias it. Only the phase is held at full length, and it
-    first holds |s|^2 and the noise's real parts: the tone, the phase noise
-    and y are made block by block, the tone and its taps and CFO once per
-    pass.
+    for bit, where t = tone(f, 0, n_samples, fs) and y = apply_channel(t[None],
+    cfg, [seed])[0][0] with _tone_power as its SNR's signal power, so a
+    constant channel rotation does not bias it. Only the phase is held at
+    full length, and it first holds the noise's real parts: the tone, its
+    taps and CFO, the phase noise and y are made block by block, once.
     """
     _check_tone(freq_hz, cfg.sample_rate_hz)
     if n_samples < 0:
@@ -397,8 +395,9 @@ def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig, seed) 
 
     fs = cfg.sample_rate_hz
     phase, prev, carry = np.empty(n_samples), None, 0.0
-    for a, b, x, y, _ in _channel_blocks(lambda a, b: tone(freq_hz, a, b, fs)[None],
-                                         (1, n_samples), cfg, [seed], power=phase[None]):
+    for a, b, x, y, _ in _channel_blocks(
+            lambda a, b: tone(freq_hz, a, b, fs)[None], (1, n_samples), cfg, [seed],
+            power=phase[None], mean_power=np.array([_tone_power(freq_hz, n_samples, cfg)])):
         y *= np.conjugate(x)
         wrapped = np.angle(y[0])
         # np.unwrap's formula (period 2 pi) at the jumps only, as its correction

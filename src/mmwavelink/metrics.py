@@ -47,31 +47,32 @@ def std_in_place(x: np.ndarray, ddof: int = 0) -> float:
 
 
 def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096) -> PsdEstimate:
-    """Two-sided Welch power spectral density, Hann window, density scaling,
-    segments overlapping by half (round(nfft / 2) samples).
+    """Two-sided Welch power spectral density of real samples, Hann window,
+    density scaling, segments overlapping by half (round(nfft / 2) samples).
 
     Frequencies are returned in ascending order spanning [-fs/2, fs/2); the
     integrated density matches the time-domain variance up to window and
     detrending effects.
     """
     samples = np.asarray(samples)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ValueError("input must be a non-empty 1-D buffer")
+    if samples.ndim != 1 or samples.size == 0 or np.iscomplexobj(samples):
+        raise ValueError("input must be a non-empty 1-D buffer of real samples")
     if nfft < 2 or nfft > samples.size:
         raise ValueError(f"nfft={nfft} must be in [2, len(samples)={samples.size}]")
     # scipy.signal.welch's periodograms: each segment less its mean, times a
-    # periodic Hann window scaled to a density. They are summed as they are
-    # transformed, 8 segments per FFT call, so no (segments, nfft) array is held.
+    # periodic Hann window scaled to a density, summed 8 segments per rfft call
+    # (no (segments, nfft) array is held) and mirrored, |X(-f)| = |X(f)|.
     win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nfft + 1)[:-1])
     win /= np.sqrt(np.sum(win ** 2) * sample_rate_hz)
     segments = np.lib.stride_tricks.sliding_window_view(samples, nfft)[::nfft - round(nfft / 2)]
 
     def periodogram_sum(block) -> np.ndarray:
-        spectra = np.fft.fft((block - block.mean(axis=-1, keepdims=True)) * win)
+        spectra = np.fft.rfft((block - block.mean(axis=-1, keepdims=True)) * win)
         re, im = spectra.real, spectra.imag   # |X|^2, squared in the spectra's own buffer
         return np.sum(np.square(re, out=re) + np.square(im, out=im), axis=0)
 
-    total = sum(periodogram_sum(segments[i:i + 8]) for i in range(0, len(segments), 8))
+    half = sum(periodogram_sum(segments[i:i + 8]) for i in range(0, len(segments), 8))
+    total = np.concatenate((half, half[1:(nfft + 1) // 2][::-1]))
     freqs = np.fft.fftfreq(nfft, 1 / sample_rate_hz)
     order = np.argsort(freqs)
     power_db = 10.0 * np.log10(np.maximum(total[order] / len(segments), 1e-300))
@@ -86,8 +87,6 @@ def phase_pdf(samples, n_bins: int = 101):
     density, edges = np.histogram(samples, bins=n_bins, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, density
-
-
 
 
 # append_series_csv formats and writes its rows in blocks of this many, which

@@ -508,9 +508,11 @@ def assert_same_bytes(got, expect):
     assert got.tobytes() == expect.tobytes()
 
 
-def reference_probe(freq_hz, n_samples, cfg, seed):
+def reference_probe(freq_hz, n_samples, cfg, seed, measured_power=False):
     """single_tone_probe's input tone, received samples and phase noise, in
-    the whole-buffer expressions of the one-shot channel.
+    the whole-buffer expressions of the one-shot channel. The SNR's signal
+    power is the tone's closed form, as the probe takes it, or with
+    measured_power np.mean of |s|^2, as apply_channel takes it.
 
     Each complex product is a call np.multiply(s, t): numpy computes the
     operator's `s * t` as `t * s` when the temporary t is large enough to
@@ -526,7 +528,8 @@ def reference_probe(freq_hz, n_samples, cfg, seed):
         np.multiply(s, phasor(n * (2 * np.pi * cfg.cfo_hz / cfg.sample_rate_hz)), out=s)
     y = np.multiply(s, phasor(theta))
     if math.isfinite(cfg.snr_db):
-        signal_power = np.mean(np.abs(s) ** 2)
+        signal_power = (np.mean(np.abs(s) ** 2) if measured_power
+                        else channel_module._tone_power(freq_hz, n_samples, cfg))
         noise_var = signal_power * 10.0 ** (-cfg.snr_db / 10.0)
         rng = np.random.default_rng(channel_module._stream_seed(seed, 1))
         w = np.sqrt(noise_var / 2.0) * (
@@ -579,7 +582,9 @@ def test_blocked_probe_and_phase_equal_one_shot(n_samples, taps, cfo_hz, model, 
     x, y_ref, theta_ref = reference_probe(tone_hz, n_samples, cfg, seed)
     assert_same_bytes(single_tone_probe(tone_hz, n_samples, cfg, seed),
                       reference_tone_phase(y_ref, x))
-    # The channel on a stack of one takes the same blocked path from an array.
+    # The channel on a stack of one takes the same blocked path from an array,
+    # and measures the signal power.
+    _, y_ref, _ = reference_probe(tone_hz, n_samples, cfg, seed, measured_power=True)
     y, theta = channel_row(x, cfg, seed)
     assert_same_bytes(y, y_ref)
     assert_same_bytes(theta, theta_ref)
@@ -723,8 +728,9 @@ def reference_psd_welch(samples, sample_rate_hz, nfft):
     return freqs[order], 10.0 * np.log10(np.maximum(density[order], 1e-300))
 
 
-# psd_welch sums 8 segments per FFT call, and scipy.signal.welch averages all
-# of them at once with another FFT, so the two differ in rounding only. The
+# psd_welch sums 8 segments per real FFT call and mirrors the sum, and
+# scipy.signal.welch averages all of them at once with a complex FFT, so the
+# two differ in rounding only. The
 # sum in another order moves a bin by about n_segments * eps (2.4e-13 at
 # 1,100 segments), and an FFT's rounding is about eps * log2(nfft) of its
 # segment's norm, which weighs more in the weak bins of these random walks,
@@ -740,25 +746,31 @@ WELCH_TOLERANCE_DB = 1e-9
                      st.integers(1, 140)),
            st.tuples(st.just(16), st.one_of(st.sampled_from([256, 257, 975, 1031]),
                                             st.integers(141, 1100)))),
-       extra=st.integers(0, 15), complex_input=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-@example(shape=(16, 256), extra=0, complex_input=False, seed=1)
-@example(shape=(16, 257), extra=3, complex_input=True, seed=2)
-@example(shape=(16, 975), extra=7, complex_input=False, seed=3)
-@example(shape=(16, 1031), extra=15, complex_input=True, seed=4)
-@example(shape=(3, 200), extra=1, complex_input=False, seed=5)
-def test_blocked_psd_welch_equals_scipy_welch(shape, extra, complex_input, seed):
+       extra=st.integers(0, 15), seed=st.integers(0, 2**32 - 1))
+@example(shape=(16, 256), extra=0, seed=1)
+@example(shape=(16, 257), extra=3, seed=2)
+@example(shape=(16, 975), extra=7, seed=3)
+@example(shape=(16, 1031), extra=15, seed=4)
+@example(shape=(3, 200), extra=1, seed=5)
+@example(shape=(17, 140), extra=2, seed=6)
+def test_blocked_psd_welch_equals_scipy_welch(shape, extra, seed):
     nfft, n_segments = shape
     hop = nfft - round(nfft / 2)
     rng = np.random.default_rng(seed)
     n = nfft + hop * (n_segments - 1) + extra
     x = np.cumsum(rng.standard_normal(n)) + 3.0
-    if complex_input:
-        x = x + 1j * rng.standard_normal(n)
     est = psd_welch(x, FS, nfft=nfft)
     freqs, power_db = reference_psd_welch(x, FS, nfft)
     assert_same_bytes(est.freqs_hz, freqs)
     np.testing.assert_allclose(est.power_db, power_db, rtol=0, atol=WELCH_TOLERANCE_DB)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_psd_welch_rejects_complex_samples(dtype):
+    # The Welch sum runs a real FFT; complex samples, even with zero
+    # imaginary parts, are refused rather than silently mirrored.
+    with pytest.raises(ValueError, match="real samples"):
+        psd_welch(np.ones(64, dtype=dtype), FS, nfft=16)
 
 
 # Full 16-frame chunks of 12 payload symbols: a (16, 1120) complex stack is

@@ -75,17 +75,21 @@ def test_psd_welch_white_noise_is_flat():
 
 
 def test_psd_welch_locates_tone():
+    # A real cosine's power splits between mirrored peaks at +-f0.
     fs = 1.0
     nfft = 1024
     f0 = 32.0 / nfft
     n = np.arange(2 ** 16)
-    x = np.exp(2j * np.pi * f0 * n)
+    x = np.cos(2 * np.pi * f0 * n)
     est = psd_welch(x, fs, nfft=nfft)
-    peak = est.freqs_hz[np.argmax(est.power_db)]
-    assert peak == pytest.approx(f0, abs=fs / nfft / 2)
     linear = 10.0 ** (est.power_db / 10.0)
-    near = np.abs(est.freqs_hz - f0) <= 2.5 * fs / nfft
-    assert linear[near].sum() / linear.sum() >= 0.95
+    for side in (1, -1):
+        half = np.sign(est.freqs_hz) == side
+        peak = est.freqs_hz[half][np.argmax(est.power_db[half])]
+        assert peak == pytest.approx(side * f0, abs=fs / nfft / 2)
+        near = np.abs(est.freqs_hz - side * f0) <= 2.5 * fs / nfft
+        assert linear[near].sum() / linear.sum() == pytest.approx(0.5, abs=0.025)
+    np.testing.assert_array_equal(linear[est.freqs_hz == f0], linear[est.freqs_hz == -f0])
 
 
 def test_psd_welch_two_sided_ascending():
@@ -153,13 +157,13 @@ def test_psd_and_pdf_csv_writers(tmp_path):
 
 # Traced allocation peaks of the measure-pn pipeline on 2**19 samples, in
 # bytes per sample (numpy 2.4, scipy 1.17), in the order measure-pn runs
-# them: 11.3 for the probe's phase (8 of them the phase itself, the rest the
-# channel's 2**14-sample block temporaries), 2.6 for the PSD, 4.5 for the
-# PDF (np.histogram's blocks of 65,536 samples) and 0.1 for the in-place
-# fit. The bounds add 20 % and round up; a full-size float temporary
-# anywhere adds 8.
+# them: 11.5 for the probe's phase (8 of them the phase itself, the rest the
+# channel's 2**14-sample block temporaries), 1.2 for the PSD (its real FFT's
+# half spectra; 2.6 with a complex FFT), 4.4 for the PDF (np.histogram's
+# blocks of 65,536 samples) and under 0.1 for the in-place fit. The bounds
+# add 20 % and round up; a full-size float temporary anywhere adds 8.
 PROBE_PHASE_BYTES_PER_SAMPLE = 14
-PSD_BYTES_PER_SAMPLE = 4
+PSD_BYTES_PER_SAMPLE = 2
 PDF_BYTES_PER_SAMPLE = 6
 FIT_BYTES_PER_SAMPLE = 1
 
