@@ -25,7 +25,7 @@ from .linklayer import PACKET_OVERHEAD, stream_bytes
 from .metrics import (append_series_csv, gaussian_fit_in_place, phase_pdf, psd_welch,
                       std_in_place, wrap_phase, write_csv_header, write_series_csv)
 from .modulation import Modulation
-from .ofdm import OfdmConfig, build_plan, frame_capacity_bits
+from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig, build_plan, frame_capacity_bits
 from .receiver import genie_evm_db
 
 
@@ -80,6 +80,10 @@ CONFIG_TABLE = (
 )
 DEFAULTS = {path: default for path, _, default, _ in CONFIG_TABLE}
 SECTIONS = {path.partition(".")[0] for path in DEFAULTS if "." in path}
+
+# The longest probe or frame row, in samples: a probe holds about 12 bytes a
+# sample and a frame row several complex copies, so a longer row is a mistyped size.
+MAX_ROW_SAMPLES = 1 << 27
 
 
 class Config(NamedTuple):
@@ -182,6 +186,10 @@ def load_config(args) -> Config:
         _check_tone(tone_hz, fs)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    for key, n in [("probe.n_samples", v["probe.n_samples"]), ("n_payload_symbols",
+                   (N_PREAMBLE_SYMBOLS + v["n_payload_symbols"]) * ofdm.symbol_len)]:
+        if n > MAX_ROW_SAMPLES:
+            raise ConfigError(f"{key} gives rows of {n} samples, over {MAX_ROW_SAMPLES}")
     if args.command == "sweep-k" and v["n_frames"] < 1:
         raise ConfigError("sweep-k needs n_frames >= 1 for a mean EVM")
     modulation = Modulation(v["modulation"])

@@ -1,8 +1,10 @@
+import argparse
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 
 import mmwavelink
-from mmwavelink.cli import CONFIG_TABLE, DEFAULTS, main
+from mmwavelink.cli import (CONFIG_TABLE, DEFAULTS, MAX_ROW_SAMPLES, ConfigError,
+                            load_config, main)
 
 CLEAN = {
     "channel": {"snr_db": None, "sigma": 0.0, "phase_noise_model": "none"},
@@ -350,6 +353,41 @@ def test_measure_pn_tone_at_or_past_nyquist_is_config_error(tmp_path, capsys, to
     assert main(["measure-pn", "--config", cfg, "--out", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+# 1e11 probe samples would be 745 GiB of phase, and 1e8 payload symbols a
+# frame row of 8e9 samples: each is refused before anything is allocated.
+@pytest.mark.parametrize("patch, key", [({"probe": {"n_samples": 10 ** 11}}, "probe.n_samples"),
+                                        ({"n_payload_symbols": 10 ** 8}, "n_payload_symbols")])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_absurd_row_sizes_exit_1(tmp_path, capsys, command, patch, key):
+    out = tmp_path / "o"
+    argv = command_argv(tmp_path, command, write_cfg(tmp_path, patch), out)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert key in err and str(MAX_ROW_SAMPLES) in err
+    assert peak < 1 << 20
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("longest, too_long, rows", [
+    ({"probe": {"n_samples": MAX_ROW_SAMPLES}}, {"probe": {"n_samples": MAX_ROW_SAMPLES + 1}},
+     MAX_ROW_SAMPLES + 1),
+    ({"n_payload_symbols": MAX_ROW_SAMPLES // 80 - 2},
+     {"n_payload_symbols": MAX_ROW_SAMPLES // 80 - 1}, (MAX_ROW_SAMPLES // 80 + 1) * 80)])
+def test_row_size_limit_is_inclusive(tmp_path, longest, too_long, rows):
+    # The longest rows load; one more sample, or one more 80-sample symbol,
+    # does not.
+    args = argparse.Namespace(config=write_cfg(tmp_path, longest), seed=None, command="simulate")
+    load_config(args)
+    args.config = write_cfg(tmp_path, too_long)
+    with pytest.raises(ConfigError, match=f"rows of {rows} samples"):
+        load_config(args)
 
 
 def test_sweep_k_zero_frames_is_config_error(tmp_path, capsys):
