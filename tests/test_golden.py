@@ -157,7 +157,7 @@ GOLDEN = {
     "probe_multipath": {
         "measure-pn": {
             "pn_fit.json":
-                "96ffacf1f109b68dbe79186ab1c652e7785f238eb7a3ffa066864152d2b7cbca",
+                "37fe06f821162d81f839b4b8b6c65db46abac2c60f4f5f8503ad1e39e5bb78d8",
             "pn_pdf.csv":
                 "6a4c74ee4b7f657067382a78bbd785d336b2025339369f32d2fcc70a2d2fec8d",
             "pn_psd.csv":
