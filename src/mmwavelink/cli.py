@@ -81,8 +81,8 @@ CONFIG_TABLE = (
 DEFAULTS = {path: default for path, _, default, _ in CONFIG_TABLE}
 SECTIONS = {path.partition(".")[0] for path in DEFAULTS if "." in path}
 
-# The longest probe or frame row, in samples: a probe holds about 12 bytes a
-# sample and a frame row several complex copies, so a longer row is a mistyped size.
+# The longest probe or frame row, in samples: at 2**27 a probe already holds
+# 1.5 GB and a frame row 2 GiB per complex copy; longer is a mistyped size.
 MAX_ROW_SAMPLES = 1 << 27
 
 

@@ -730,13 +730,13 @@ def reference_psd_welch(samples, sample_rate_hz, nfft):
 
 # psd_welch sums 8 segments per real FFT call and mirrors the sum, and
 # scipy.signal.welch averages all of them at once with a complex FFT, so the
-# two differ in rounding only. The
-# sum in another order moves a bin by about n_segments * eps (2.4e-13 at
-# 1,100 segments), and an FFT's rounding is about eps * log2(nfft) of its
-# segment's norm, which weighs more in the weak bins of these random walks,
-# 100 dB below the strongest. The largest difference seen over such inputs
-# was 8.5e-12 dB; WELCH_TOLERANCE_DB, a relative power difference of 2.3e-10,
-# is about 100 times that.
+# two differ in rounding only. The sum in another order moves a bin by about
+# n_segments * eps (2.4e-13 at 1,100 segments), and an FFT's rounding is
+# about eps * log2(nfft) of its segment's norm, which weighs more in the weak
+# bins of these random walks, 100 dB below the strongest. The largest
+# difference seen over 400 such inputs was 6.4e-13 dB (8.5e-12 dB with a
+# complex FFT in psd_welch); WELCH_TOLERANCE_DB, a relative power difference
+# of 2.3e-10, is about 100 times the latter.
 WELCH_TOLERANCE_DB = 1e-9
 
 

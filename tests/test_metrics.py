@@ -159,9 +159,9 @@ def test_psd_and_pdf_csv_writers(tmp_path):
 # bytes per sample (numpy 2.4, scipy 1.17), in the order measure-pn runs
 # them: 11.5 for the probe's phase (8 of them the phase itself, the rest the
 # channel's 2**14-sample block temporaries), 1.2 for the PSD (its real FFT's
-# half spectra; 2.6 with a complex FFT), 4.4 for the PDF (np.histogram's
-# blocks of 65,536 samples) and under 0.1 for the in-place fit. The bounds
-# add 20 % and round up; a full-size float temporary anywhere adds 8.
+# half spectra), 4.4 for the PDF (np.histogram's blocks of 65,536 samples)
+# and under 0.1 for the in-place fit. The bounds add 20 % and round up; a
+# full-size float temporary anywhere adds 8.
 PROBE_PHASE_BYTES_PER_SAMPLE = 14
 PSD_BYTES_PER_SAMPLE = 2
 PDF_BYTES_PER_SAMPLE = 6

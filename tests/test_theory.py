@@ -50,13 +50,13 @@ def test_pnc_off_awgn_evm_matches_model(k_guard, snr_db):
 # is removed: theta's hump (more than 20 times the floor), its roll-off and
 # the AWGN floor (theta below 4e-4 of it).
 PSD_BANDS_HZ = {"hump": (20e3, 250e3), "roll-off": (250e3, 1.5e6), "floor": (1.5e6, FS / 2)}
-# Derived from 16 run seeds of the default measure-pn (1e6 samples, 487
-# Hann segments, so each bin's estimate has a spread of about 0.2 dB) at the
-# parent of the real-input FFT: the band means of measured less model dB
-# reached 0.11 (hump, per-seed sd 0.035, as a 1e6-sample theta's own power
-# varies by about 2 % from seed to seed), 0.046 (roll-off) and 0.014 dB
-# (floor), and single bins 0.85 dB. The bounds are about 6 sd of the hump's
-# mean, a 6 % power error, and 7.5 times the per-bin spread.
+# Derived from run seeds 0-15 of the default measure-pn (1e6 samples, 487
+# Hann segments, so each bin's estimate has a spread of about 0.2 dB): the
+# band means of measured less model dB reached 0.11 (hump, per-seed sd
+# 0.035, as a 1e6-sample theta's own power varies by about 2 % from seed to
+# seed), 0.046 (roll-off) and 0.014 dB (floor), and single bins 0.85 dB.
+# The bounds are about 6 sd of the hump's mean, a 6 % power error, and 7.5
+# times the per-bin spread.
 PSD_BAND_MEAN_TOLERANCE_DB = 0.25
 PSD_BIN_TOLERANCE_DB = 1.5
 
