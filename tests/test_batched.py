@@ -181,26 +181,27 @@ def test_phase_noise_trajectory_matches_uncached_design(draws):
                                       reference_trajectory(sigma, bandwidth_hz, seed, 300))
 
 
-def test_phase_noise_rows_equal_per_process_across_filter_blocks(monkeypatch):
+def test_phase_noise_rows_equal_per_process_across_warm_up_blocks():
     # Two successive draws of a stacked process equal, row by row, one draw of
-    # that row alone, for every model. A cap below one row filters each row
-    # in its own _sosfilt call; a cap of two rows splits three rows into
-    # blocks of two and one. Each block's warm state must be written back
-    # for the second draw.
+    # that row alone, for every model. At 10 kHz the 152,789-sample warm-up
+    # spans 9 SAMPLE_BLOCK blocks, each filtered for all rows in one call, so
+    # every block's final state must carry into the next and into the draws;
+    # the first row must also equal a warm-up filtered in one piece.
     seeds, lengths = [3, 4, 5], (500, 300)
-    n_settle = channel_module._shaping_filter(PhaseNoiseConfig().bandwidth_hz, FS)[1]
-    for model in PhaseNoiseModel:
-        config = PhaseNoiseConfig(sigma=0.26, model=model)
-        expect = np.concatenate([PhaseNoiseProcess(config, FS, [s]).generate(sum(lengths))
-                                 for s in seeds])
-        for rows in (0, 2, len(seeds)):
-            stacked, draws = PhaseNoiseProcess(config, FS, seeds), []
-            for settle, n in zip((n_settle, 0), lengths):
-                monkeypatch.setattr(channel_module, "PN_FILTER_BLOCK_SAMPLES",
-                                    max(1, rows * (settle + n)))
-                draws.append(stacked.generate(n))
-            monkeypatch.undo()
+    settle = channel_module._shaping_filter(1.0e4, FS)[1]
+    assert settle == 152_789 and len(sample_blocks(settle)) == 9
+    for bandwidth_hz in (PhaseNoiseConfig().bandwidth_hz, 1.0e4):
+        for model in PhaseNoiseModel:
+            config = PhaseNoiseConfig(sigma=0.26, bandwidth_hz=bandwidth_hz, model=model)
+            expect = np.concatenate([PhaseNoiseProcess(config, FS, [s]).generate(sum(lengths))
+                                     for s in seeds])
+            stacked = PhaseNoiseProcess(config, FS, seeds)
+            draws = [stacked.generate(n) for n in lengths]
             np.testing.assert_array_equal(np.concatenate(draws, axis=1), expect)
+        np.testing.assert_array_equal(
+            PhaseNoiseProcess(PhaseNoiseConfig(bandwidth_hz=bandwidth_hz), FS, seeds)
+            .generate(sum(lengths))[0],
+            reference_trajectory(0.26, bandwidth_hz, seeds[0], sum(lengths)))
 
 
 def test_training_bins_is_a_read_only_cache():
@@ -556,17 +557,21 @@ BLOCK_SIZES = [k * SAMPLE_BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)]
 
 
 @pytest.mark.parametrize("block", [1000, 4096])
-def test_channel_bytes_do_not_depend_on_the_block_size(monkeypatch, block):
+def test_channel_and_phase_noise_bytes_do_not_depend_on_the_block_size(monkeypatch, block):
     # Every operation is elementwise in one operand order, so blocks of any
-    # size give the bytes of SAMPLE_BLOCK's.
-    cfg = ChannelConfig(taps=(1.0, 0.3 + 0.2j, 0.1), snr_db=20.0, cfo_hz=5000.0)
+    # size give the bytes of SAMPLE_BLOCK's. At 10 kHz the block size also
+    # splits the phase noise warm-up (152,789 samples) differently.
     x = np.exp(0.01j * np.arange(3 * 20_000)).reshape(3, -1)
-    expect = single_tone_probe(1.3e6, 20_000, cfg, 3), *apply_channel(x, cfg, [1, 2, 3])
-    monkeypatch.setattr(channel_module, "SAMPLE_BLOCK", block)
-    assert len(sample_blocks(20_000)) == 20_000 // block
-    got = single_tone_probe(1.3e6, 20_000, cfg, 3), *apply_channel(x, cfg, [1, 2, 3])
-    for a, b in zip(got, expect):
-        assert_same_bytes(a, b)
+    for bandwidth_hz in (PhaseNoiseConfig().bandwidth_hz, 1.0e4):
+        cfg = ChannelConfig(taps=(1.0, 0.3 + 0.2j, 0.1), snr_db=20.0, cfo_hz=5000.0,
+                            phase_noise=PhaseNoiseConfig(bandwidth_hz=bandwidth_hz))
+        expect = single_tone_probe(1.3e6, 20_000, cfg, 3), *apply_channel(x, cfg, [1, 2, 3])
+        monkeypatch.setattr(channel_module, "SAMPLE_BLOCK", block)
+        assert len(sample_blocks(20_000)) == 20_000 // block
+        got = single_tone_probe(1.3e6, 20_000, cfg, 3), *apply_channel(x, cfg, [1, 2, 3])
+        monkeypatch.undo()
+        for a, b in zip(got, expect):
+            assert_same_bytes(a, b)
 
 
 @settings(max_examples=30, deadline=None)
