@@ -139,11 +139,6 @@ def _check_phase_noise(config: PhaseNoiseConfig, sample_rate_hz: float) -> None:
 # symbol at the default PHY (n_fft 64 + cp_len 16), whatever PHY runs.
 RANDOM_WALK_SPAN = 80
 
-# Rows filtered per _sosfilt call are capped so that a call holds about
-# this many samples, warmup included: a slow shaping filter's warmup runs to
-# 2**22 samples per row.
-PN_FILTER_BLOCK_SAMPLES = 1 << 21
-
 
 class PhaseNoiseProcess:
     """Stateful theta(n) generator for a stack of rows, row f drawn with seeds[f].
@@ -158,12 +153,13 @@ class PhaseNoiseProcess:
         self.config = config
         self._rngs = [np.random.default_rng(seed) for seed in seeds]
         if config.model is PhaseNoiseModel.FILTERED_GAUSSIAN:
-            self._sos, self._settle, energy = _shaping_filter(config.bandwidth_hz,
-                                                              sample_rate_hz)
+            self._sos, settle, energy = _shaping_filter(config.bandwidth_hz, sample_rate_hz)
             self._drive_std = config.sigma / np.sqrt(energy)
-            # Stationary start: the first draw filters a discarded warmup
-            # block of _settle samples ahead of the requested ones.
+            # Stationary start: a discarded warm-up of settle samples, drawn
+            # and filtered in column blocks so that it holds one block at a time.
             self._zi = np.zeros((len(self._rngs), len(self._sos), 2))
+            for a, b in sample_blocks(settle):
+                self.generate(b - a)
         elif config.model is PhaseNoiseModel.RANDOM_WALK:
             self._step = config.sigma / np.sqrt(RANDOM_WALK_SPAN)
             self._level = np.zeros((len(self._rngs), 1))
@@ -186,23 +182,13 @@ class PhaseNoiseProcess:
             np.cumsum(walk, axis=1, out=walk)
             self._level = walk[:, -1:].copy()
             return walk[:, 1:]
-        settle, self._settle = self._settle, 0
-        step = max(1, PN_FILTER_BLOCK_SAMPLES // (settle + n))
-        theta = None if step >= rows else np.empty((rows, n))
-        for i in range(0, rows, step):
-            drive = np.empty((min(step, rows - i), settle + n))
-            for rng, row in zip(self._rngs[i:i + step], drive):
-                rng.standard_normal(out=row)
-            drive *= self._drive_std
-            # Filters each row on its own, in place, warmup included, and
-            # writes the rows' final states back through the view.
-            _sosfilt(self._sos, drive, self._zi[i:i + step])
-            if theta is None:
-                # A copy drops a stack's warmup columns; one row, or a warm
-                # stack, is returned as a view.
-                return np.ascontiguousarray(drive[:, settle:])
-            theta[i:i + step] = drive[:, settle:]
-        return theta
+        drive = np.empty((rows, n))
+        for rng, row in zip(self._rngs, drive):
+            rng.standard_normal(out=row)
+        drive *= self._drive_std
+        # Filters each row on its own, in place, and keeps its final state.
+        _sosfilt(self._sos, drive, self._zi)
+        return drive
 
 
 @dataclass(frozen=True)
@@ -225,7 +211,7 @@ class ChannelConfig:
         if not 0 < energy < math.inf:
             raise ValueError(f"taps must carry finite, nonzero energy, got {energy}")
         object.__setattr__(self, "taps", tuple(taps / np.sqrt(energy)))
-        try:   # the noise power _channel_blocks scales by
+        try:   # the noise power _impairment scales by
             noise_power = 10.0 ** (-self.snr_db / 10.0)
         except OverflowError:
             noise_power = math.inf
@@ -264,14 +250,27 @@ def apply_channel(x, cfg: ChannelConfig, seeds):
     ground-truth phase trajectory, for tracking oracles. Pure
     function of (x, cfg, seeds): the seed fixes both the noise and the phase
     draw. SNR is defined over each row as post-multipath, pre-phase-noise
-    signal power over per-sample noise power.
+    signal power over per-sample noise power. Every block's taps and CFO
+    go into y first (_transmit), so that each row's mean |y|^2 is measured
+    before any block is impaired (_impairment).
     """
     x = np.asarray(x, dtype=complex)
     seeds = list(seeds)
     if x.ndim != 2 or x.shape[1] == 0 or len(seeds) != x.shape[0]:
         raise ValueError("input must be a non-empty (F, n) stack with one seed per row")
     y = np.empty(x.shape, dtype=complex)
-    theta = [t for *_, t in _channel_blocks(lambda a, b: x[:, a:b], x.shape, cfg, seeds, y)]
+    blocks = sample_blocks(x.shape[1])
+    for a, b in blocks:
+        _transmit(x[:, max(a - len(cfg.taps) + 1, 0):b], a, b, cfg, y[:, a:b])
+    power = mean_power = None
+    if math.isfinite(cfg.snr_db):
+        # |y|^2, then the AWGN's real parts. np.mean's sum and division without its
+        # per-call overhead; a sum over a contiguous row equals that row's sum alone.
+        power = np.abs(y)
+        np.square(power, out=power)
+        mean_power = power.sum(axis=-1) / x.shape[1]
+    impair = _impairment(cfg, seeds, mean_power, power)
+    theta = [impair(y[:, a:b], a, b) for a, b in blocks]
     return y, theta[0] if len(theta) == 1 else np.concatenate(theta, axis=1)
 
 
@@ -289,68 +288,42 @@ def tone(freq_hz: float, a: int, b: int, sample_rate_hz: float) -> np.ndarray:
     return phasor(np.arange(a, b) * (2 * np.pi * freq_hz / sample_rate_hz))
 
 
-def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, y=None, power=None,
-                    mean_power=None):
-    """Blocks of an (F, n) stack through the channel, row f drawn with seeds[f].
+def _transmit(x, a, b, cfg: ChannelConfig, out) -> None:
+    """Write the taps and CFO of block [a, b) into out, (F, b - a), from x, every row's
+    input samples [b - x.shape[1], b): the block and the up to L - 1 that L taps reach."""
+    h = np.asarray(cfg.taps, dtype=complex)
+    lo = b - x.shape[1]
+    if h.size > 1:
+        for row, s in zip(x, out):
+            s[:] = np.convolve(row, h)[a - lo:b - lo]
+    else:
+        np.multiply(x, h[0], out=out)
+    if cfg.cfo_hz:
+        out *= tone(cfg.cfo_hz, a, b, cfg.sample_rate_hz)
 
-    samples(a, b) returns input samples [a, b) of every row, (F, b - a).
-    Yields (a, b, x, s, theta) per block in order: its input, its received
-    samples and its phase noise. With a complex (F, n) buffer y, pass 1
-    keeps each block's taps and CFO in it for pass 2 and takes each row's
-    mean |s|^2; without one, mean_power (F,) gives those means, and pass 2
-    makes the taps and CFO in one block buffer that every block reuses, so
-    a yielded block holds its samples until the next is asked for.
-    A float (F, n) buffer power, or one of its own, holds |s|^2 and then the
-    AWGN's real parts. Pass 2 reads power[:, a:b] before it yields block
-    [a, b), so the caller may write there from then on.
-    Only the draws and the convolution run row by row; one PhaseNoiseProcess
-    holds every row's phase noise state. The CFO ramp, |s|^2, the SNR scale,
-    the rotation and the AWGN add each run once over a block of all rows, as
-    elementwise ufuncs in a fixed operand order, so that each row's bytes
-    equal the whole-buffer expressions on that row alone.
+
+def _impairment(cfg: ChannelConfig, seeds, mean_power, power):
+    """Phase noise and AWGN for an (F, n) stack, row f drawn with seeds[f].
+
+    Draws every row's AWGN real parts into the float (F, n) buffer power, all
+    before any imaginary part, scaled to the SNR over mean_power (F,); a
+    noiseless channel uses neither. Returns impair(s, a, b) -> theta, which
+    rotates block [a, b) of the received samples s in place by its phase noise
+    theta and adds its AWGN; blocks come in order, and power[:, a:b] is free
+    once it returns. Both run once over a block of all rows as elementwise
+    ufuncs in a fixed operand order, so each row's bytes equal the
+    whole-buffer expressions on that row alone.
     """
     process = PhaseNoiseProcess(cfg.phase_noise, cfg.sample_rate_hz,
                                 [_stream_seed(seed, 0) for seed in seeds])
     rngs = [np.random.default_rng(_stream_seed(seed, 1)) for seed in seeds]
-    h = np.asarray(cfg.taps, dtype=complex)
     noisy = math.isfinite(cfg.snr_db)
-    blocks = sample_blocks(shape[1])
-    # The last block is the longest.
-    work = None if y is not None else np.empty((shape[0], blocks[-1][1] - blocks[-1][0]),
-                                               dtype=complex)
-
-    def transmit(a, b):
-        """Input block [a, b) and, in y or the block buffer, its taps and CFO."""
-        lo = max(a - (h.size - 1), 0)
-        x = samples(lo, b)
-        s = y[:, a:b] if y is not None else work[:, :b - a]
-        if h.size > 1:
-            for row, out in zip(x, s):
-                out[:] = np.convolve(row, h)[a - lo:b - lo]
-        else:
-            np.multiply(x, h[0], out=s)
-        if cfg.cfo_hz:
-            s *= tone(cfg.cfo_hz, a, b, cfg.sample_rate_hz)
-        return x[:, a - lo:], s
-
-    power = np.empty(shape) if noisy and power is None else power
-    # Pass 1, with y: taps and CFO, and |s|^2 for the SNR power.
-    if y is not None:
-        for a, b in blocks:
-            s = transmit(a, b)[1]
-            if noisy:
-                np.square(np.abs(s, out=power[:, a:b]), out=power[:, a:b])
-        # np.mean's sum and division, without its per-call overhead; a sum
-        # over a contiguous row equals that row's sum alone.
-        mean_power = power.sum(axis=-1) / shape[1] if noisy else None
     if noisy:
         scale = np.sqrt(mean_power * 10.0 ** (-cfg.snr_db / 10.0) / 2.0)[:, None]
-        # All real parts of a row are drawn before any imaginary part.
         for rng, row in zip(rngs, power):
             rng.standard_normal(out=row)
-    # Pass 2: phase noise rotation, then AWGN, through one complex buffer.
-    for a, b in blocks:
-        x, s = transmit(a, b) if y is None else (samples(a, b), y[:, a:b])
+
+    def impair(s, a, b):
         theta = process.generate(b - a)
         buf = phasor(theta)
         s *= buf
@@ -361,7 +334,9 @@ def _channel_blocks(samples, shape, cfg: ChannelConfig, seeds, y=None, power=Non
             # scale * (real + 1j * imag), added to the rotated samples.
             np.add(power[:, a:b], np.multiply(1j, imag, out=buf), out=buf)
             np.add(s, np.multiply(scale, buf, out=buf), out=s)
-        yield a, b, x, s, theta
+        return theta
+
+    return impair
 
 
 def _check_tone(freq_hz: float, sample_rate_hz: float, name: str = "tone") -> None:
@@ -384,8 +359,9 @@ def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig, seed) 
     for bit, where t = tone(f, 0, n_samples, fs) and y = apply_channel(t[None],
     cfg, [seed])[0][0] with _tone_power as its SNR's signal power, so a
     constant channel rotation does not bias it. Only the phase is held at
-    full length, and it first holds the noise's real parts: the tone, its
-    taps and CFO, the phase noise and y are made block by block, once.
+    full length, and it first holds the noise's real parts. Each tone block
+    is made once, transmitted into one reused work buffer, impaired and
+    mixed down.
     """
     _check_tone(freq_hz, cfg.sample_rate_hz)
     if n_samples < 0:
@@ -394,11 +370,18 @@ def single_tone_probe(freq_hz: float, n_samples: int, cfg: ChannelConfig, seed) 
         return np.zeros(0)
 
     fs = cfg.sample_rate_hz
+    blocks = sample_blocks(n_samples)
+    # Every block's received samples, in one buffer as long as the last, longest block.
+    work = np.empty((1, blocks[-1][1] - blocks[-1][0]), dtype=complex)
     phase, prev, carry = np.empty(n_samples), None, 0.0
-    for a, b, x, y, _ in _channel_blocks(
-            lambda a, b: tone(freq_hz, a, b, fs)[None], (1, n_samples), cfg, [seed],
-            power=phase[None], mean_power=np.array([_tone_power(freq_hz, n_samples, cfg)])):
-        y *= np.conjugate(x)
+    impair = _impairment(cfg, [seed], np.array([_tone_power(freq_hz, n_samples, cfg)]),
+                         phase[None])
+    for a, b in blocks:
+        lo = max(a - len(cfg.taps) + 1, 0)
+        x, y = tone(freq_hz, lo, b, fs)[None], work[:, :b - a]
+        _transmit(x, a, b, cfg, y)
+        impair(y, a, b)
+        y *= np.conjugate(x[:, a - lo:])
         wrapped = np.angle(y[0])
         # np.unwrap's formula (period 2 pi) at the jumps only, as its correction
         # is 0 wherever |dd| < pi; the running sum of corrections carries across blocks.

@@ -1,5 +1,6 @@
 import importlib.machinery
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from helpers import band_power_fraction, channel_row
 from mmwavelink import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel,
                         PhaseNoiseProcess, apply_channel, gaussian_fit_in_place, psd_welch,
                         single_tone_probe)
-from mmwavelink.channel import (MAX_PN_SIGMA, PN_CORNER_RATIO, _butter_sos,
+from mmwavelink.channel import (MAX_PN_SIGMA, PN_CORNER_RATIO, SAMPLE_BLOCK, _butter_sos,
                                 _load_scipy_extension, _shaping_filter, _sosfilt)
 
 FS = 25.0e6
@@ -179,6 +180,23 @@ def test_generator_empty_request():
     assert p.generate(0).shape == (1, 0)
     for model in PhaseNoiseModel:   # a stack of no rows
         assert PhaseNoiseProcess(PhaseNoiseConfig(model=model), FS, []).generate(5).shape == (0, 5)
+
+
+def test_phase_noise_warm_up_holds_one_block_of_rows():
+    # The warm-up, 152,789 samples at 10 kHz, is drawn and filtered in
+    # sample_blocks column blocks of under 2 * SAMPLE_BLOCK samples. So
+    # building a 16-row process and drawing a frame from it holds at most
+    # rows x 2 x SAMPLE_BLOCK float64 samples (4 MiB), not the whole warm-up
+    # of every row in one draw (19.9 MB).
+    rows, config = 16, PhaseNoiseConfig(bandwidth_hz=1.0e4)
+    _shaping_filter(config.bandwidth_hz, FS)   # the cached design, shared by every process
+    tracemalloc.start()
+    try:
+        PhaseNoiseProcess(config, FS, range(rows)).generate(1120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * 2 * SAMPLE_BLOCK * 8
 
 
 def test_filtered_gaussian_std_calibration():
