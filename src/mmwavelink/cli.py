@@ -81,8 +81,9 @@ CONFIG_TABLE = (
 DEFAULTS = {path: default for path, _, default, _ in CONFIG_TABLE}
 SECTIONS = {path.partition(".")[0] for path in DEFAULTS if "." in path}
 
-# The longest probe or frame row, in samples: at 2**27 a probe already holds
-# 1.5 GB and a frame row 2 GiB per complex copy; longer is a mistyped size.
+# The longest probe or frame row, and simulate's largest residual phase
+# array, in samples: at 2**27 a probe already holds 1.5 GB, a frame row
+# 2 GiB per complex copy and the residual 1 GiB; longer is a mistyped size.
 MAX_ROW_SAMPLES = 1 << 27
 
 
@@ -190,6 +191,10 @@ def load_config(args) -> Config:
                    (N_PREAMBLE_SYMBOLS + v["n_payload_symbols"]) * ofdm.symbol_len)]:
         if n > MAX_ROW_SAMPLES:
             raise ConfigError(f"{key} gives rows of {n} samples, over {MAX_ROW_SAMPLES}")
+    # simulate keeps every frame's payload residual phase, (n_frames, n_payload_symbols * n_fft).
+    residual = v["n_frames"] * v["n_payload_symbols"] * ofdm.plan.n_fft
+    if args.command == "simulate" and residual > MAX_ROW_SAMPLES:
+        raise ConfigError(f"n_frames gives {residual} residual samples, over {MAX_ROW_SAMPLES}")
     if args.command == "sweep-k" and v["n_frames"] < 1:
         raise ConfigError("sweep-k needs n_frames >= 1 for a mean EVM")
     modulation = Modulation(v["modulation"])
