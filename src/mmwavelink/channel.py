@@ -290,7 +290,7 @@ def tone(freq_hz: float, a: int, b: int, sample_rate_hz: float) -> np.ndarray:
 
 def _transmit(x, a, b, cfg: ChannelConfig, out) -> None:
     """Write the taps and CFO of block [a, b) into out, (F, b - a), from x, every row's
-    input samples [b - x.shape[1], b): the block and the up to L - 1 that L taps reach."""
+    input samples [b - x.shape[1], b): the block and up to L - 1 before it for L taps."""
     h = np.asarray(cfg.taps, dtype=complex)
     lo = b - x.shape[1]
     if h.size > 1:

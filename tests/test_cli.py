@@ -394,25 +394,27 @@ def test_row_size_limit_is_inclusive(tmp_path, longest, too_long, rows):
 def test_simulate_frame_count_is_bounded_by_its_residual(tmp_path, capsys):
     # simulate keeps n_frames x n_payload_symbols x n_fft residual phases,
     # 12 x 64 a frame by default. The most frames within MAX_ROW_SAMPLES
-    # load; one more, or 10**12 (7.28 TiB of per-frame EVM alone), is
-    # refused before anything is allocated.
+    # load, one more does not, and 10**12 (7.28 TiB of per-frame EVM alone)
+    # exits 1 before anything is allocated.
     most = MAX_ROW_SAMPLES // (12 * 64)
-    load_config(argparse.Namespace(config=write_cfg(tmp_path, {"n_frames": most}), seed=None,
-                                   command="simulate"))
+    args = argparse.Namespace(config=write_cfg(tmp_path, {"n_frames": most}), seed=None,
+                              command="simulate")
+    load_config(args)
+    args.config = write_cfg(tmp_path, {"n_frames": most + 1})
+    with pytest.raises(ConfigError, match=f"n_frames gives {(most + 1) * 12 * 64} residual"):
+        load_config(args)
     out = tmp_path / "o"
-    for n_frames in (most + 1, 10 ** 12):
-        argv = ["simulate", "--config", write_cfg(tmp_path, {"n_frames": n_frames}),
-                "--out", str(out)]
-        tracemalloc.start()
-        try:
-            assert main(argv) == 1
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        err = capsys.readouterr().err
-        assert "n_frames" in err and str(MAX_ROW_SAMPLES) in err
-        assert peak < 1 << 20
-        assert not out.exists()
+    argv = ["simulate", "--config", write_cfg(tmp_path, {"n_frames": 10 ** 12}), "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "n_frames" in err and str(MAX_ROW_SAMPLES) in err
+    assert peak < 1 << 20
+    assert not out.exists()
 
 
 def test_sweep_k_zero_frames_is_config_error(tmp_path, capsys):
