@@ -2,8 +2,8 @@
 
 from .modulation import (EVM_FLOOR_DB, Modulation, evm_db_from_powers, indices_to_bits,
                          map_bits, slice_indices)
-from .ofdm import (PILOT_VALUE, OfdmConfig, SubcarrierPlan, build_frames, build_plan,
-                   frame_capacity_bits, modulate_symbol, training_bins)
+from .ofdm import (PILOT_INDEX, PILOT_VALUE, OfdmConfig, build_frames, frame_capacity_bits,
+                   modulate_symbol, symbol_bodies, training_bins)
 from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel,
                       PhaseNoiseProcess, apply_channel, single_tone_probe)
 from .pnc import PhaseEstimate, cancel, estimate_phase
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EVM_FLOOR_DB", "Modulation", "map_bits", "slice_indices", "indices_to_bits",
     "evm_db_from_powers",
-    "PILOT_VALUE", "SubcarrierPlan", "OfdmConfig", "build_plan", "modulate_symbol",
+    "PILOT_INDEX", "PILOT_VALUE", "OfdmConfig", "modulate_symbol", "symbol_bodies",
     "build_frames", "frame_capacity_bits", "training_bins",
     "PhaseNoiseModel", "PhaseNoiseConfig", "PhaseNoiseProcess", "ChannelConfig",
     "apply_channel", "single_tone_probe",

@@ -25,7 +25,7 @@ from .linklayer import PACKET_OVERHEAD, stream_bytes
 from .metrics import (append_series_csv, gaussian_fit_in_place, phase_pdf, psd_welch,
                       std_in_place, wrap_phase, write_csv_header, write_series_csv)
 from .modulation import Modulation
-from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig, build_plan, frame_capacity_bits
+from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig, frame_capacity_bits
 from .receiver import genie_evm_db
 
 
@@ -56,7 +56,7 @@ TAPS = ((lambda v: isinstance(v, list) and v != [] and all(map(_is_tap, v))),
         "a non-empty array of numbers or [re, im] pairs")
 
 # Every config key: (dotted path, kind, default, minimum). Ranges that
-# build_plan, OfdmConfig, ChannelConfig and _check_tone enforce are not
+# OfdmConfig, ChannelConfig and _check_tone enforce are not
 # repeated here; load_config turns their ValueError into a ConfigError.
 CONFIG_TABLE = (
     ("phy.n_fft", INT, 64, None),
@@ -171,9 +171,8 @@ def load_config(args) -> Config:
         if not test(value) or (minimum is not None and value < minimum):
             raise ConfigError(f"{path} must be {expected}, got {value!r}")
     try:
-        ofdm = OfdmConfig(plan=build_plan(v["phy.n_fft"], v["phy.k_guard"], v["phy.used_band"]),
-                          cp_len=v["phy.cp_len"], sample_rate_hz=float(v["phy.sample_rate_hz"]))
-        fs = ofdm.sample_rate_hz
+        ofdm = OfdmConfig(v["phy.n_fft"], v["phy.k_guard"], v["phy.used_band"], v["phy.cp_len"])
+        fs = float(v["phy.sample_rate_hz"])
         phase_noise = PhaseNoiseConfig(sigma=float(v["channel.sigma"]),
                                        bandwidth_hz=float(v["channel.bandwidth_hz"]),
                                        model=PhaseNoiseModel(v["channel.phase_noise_model"]))
@@ -192,7 +191,7 @@ def load_config(args) -> Config:
         if n > MAX_ROW_SAMPLES:
             raise ConfigError(f"{key} gives rows of {n} samples, over {MAX_ROW_SAMPLES}")
     # simulate keeps every frame's payload residual phase, (n_frames, n_payload_symbols * n_fft).
-    residual = v["n_frames"] * v["n_payload_symbols"] * ofdm.plan.n_fft
+    residual = v["n_frames"] * v["n_payload_symbols"] * ofdm.n_fft
     if args.command == "simulate" and residual > MAX_ROW_SAMPLES:
         raise ConfigError(f"n_frames gives {residual} residual samples, over {MAX_ROW_SAMPLES}")
     if args.command == "sweep-k" and v["n_frames"] < 1:
@@ -240,7 +239,7 @@ def cmd_simulate(args, cfg: Config) -> int:
     # once its rows are written.
     evm, pilot_std, genie = np.empty(n_frames), np.empty(n_frames), np.empty(n_frames)
     powers = np.empty((2, n_frames))   # each frame's error and reference power
-    residual = np.empty((n_frames, n_sym * ofdm_cfg.plan.n_fft))
+    residual = np.empty((n_frames, n_sym * ofdm_cfg.n_fft))
     n_erased = 0
     staged = {name: out / f".{name}.partial" for name in ("evm.csv", "constellation.csv")}
     try:
@@ -277,7 +276,7 @@ def cmd_simulate(args, cfg: Config) -> int:
             "modulation": modulation.value,
             "pnc_enabled": v["pnc_enabled"],
             "seed": seed,
-            "k_guard": ofdm_cfg.plan.k_guard,
+            "k_guard": ofdm_cfg.k_guard,
             "evm_db": aggregate_evm_db(*powers),
             "evm_db_genie_mean": float(genie.mean()) if n_frames else None,
             "residual_phase_std": float(pilot_std.mean()) if n_frames else None,
@@ -325,8 +324,7 @@ def cmd_sweep_k(args, cfg: Config) -> int:
     if not k_values:
         raise ConfigError("--k-list is empty")
     try:
-        ofdm_cfgs = [replace(cfg.ofdm, plan=build_plan(v["phy.n_fft"], k, v["phy.used_band"]))
-                     for k in k_values]
+        ofdm_cfgs = [replace(cfg.ofdm, k_guard=k) for k in k_values]
     except ValueError as exc:
         raise ConfigError(str(exc))
     out = _out_dir(args)

@@ -10,7 +10,8 @@ import numpy as np
 
 from .channel import ChannelConfig, apply_channel
 from .modulation import Modulation, evm_db_from_powers
-from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig, build_frames, frame_capacity_bits
+from .ofdm import (N_PREAMBLE_SYMBOLS, OfdmConfig, build_frames, frame_capacity_bits,
+                   symbol_bodies)
 from .pnc import estimate_phase
 from .receiver import DecodeReport, decode_frames
 
@@ -44,9 +45,8 @@ class FrameStack:
 
 
 def _payload_bodies(x, cfg: OfdmConfig) -> np.ndarray:
-    """(..., n_payload_symbols, n_fft) view of frame buffers (..., n): preamble
-    rows and cyclic prefixes dropped."""
-    return x.reshape(*x.shape[:-1], -1, cfg.symbol_len)[..., N_PREAMBLE_SYMBOLS:, cfg.cp_len:]
+    """(..., n_payload_symbols, n_fft) view of frame buffers (..., n), preamble dropped."""
+    return symbol_bodies(x, cfg)[..., N_PREAMBLE_SYMBOLS:, :]
 
 
 def run_frames(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,

@@ -95,24 +95,23 @@ def depacketize(packets, payload_len: int) -> tuple:
     """
     if not packets:
         return b"", []
-    verified = [p for p in packets if verify_packet(p)]
+    # Each packet is checked once; those that pass come first, in order.
+    checked = sorted(((p, verify_packet(p)) for p in packets), key=lambda c: not c[1])
     # Sequence numbers on packets failing CRC are untrusted: they never widen
     # the reassembly span, only claim a slot inside it.
-    n_slots = max(len(packets), max((p.seq + 1 for p in verified), default=0))
+    n_slots = max(len(packets), max((p.seq + 1 for p, ok in checked if ok), default=0))
     by_seq = {}
-    for p in verified:
-        by_seq.setdefault(p.seq, p)
-    for p in packets:
+    for p, ok in checked:
         if p.seq < n_slots:
-            by_seq.setdefault(p.seq, p)
+            by_seq.setdefault(p.seq, (p, ok))
     chunks = []
     statuses = []
     for seq in range(n_slots):
-        p = by_seq.get(seq)
+        p, ok = by_seq.get(seq, (None, False))
         if p is None:
             statuses.append((seq, PacketStatus.MISSING))
             chunks.append(bytes(payload_len))
-        elif verify_packet(p):
+        elif ok:
             statuses.append((seq, PacketStatus.OK))
             chunks.append(p.payload)
         else:

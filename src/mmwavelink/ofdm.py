@@ -1,4 +1,4 @@
-"""OFDM subcarrier planning, unitary symbol transforms, and framing."""
+"""OFDM symbol layout, unitary symbol transforms, and framing."""
 
 from __future__ import annotations
 
@@ -10,91 +10,89 @@ import numpy as np
 from .modulation import Modulation, map_bits
 
 N_PREAMBLE_SYMBOLS = 2
-# The value every symbol, training included, carries on the pilot bin.
+# The pilot's bin, DC, and the value every symbol, training included, carries
+# on it.
+PILOT_INDEX = 0
 PILOT_VALUE = 1.0 + 0.0j
 
 # Fixed seed for the pseudo-random preamble training tones; both ends derive
-# the identical sequence from the plan alone.
+# the identical sequence from the layout alone.
 _TRAINING_SEED = 0x7261494E
 
 
 @dataclass(frozen=True)
-class SubcarrierPlan:
-    """Frequency-domain bin assignment for one OFDM symbol.
+class OfdmConfig:
+    """Layout of one OFDM symbol: the pilot on DC at PILOT_INDEX, `k_guard`
+    bins on each side of it kept for phase tracking, payload on the rest of
+    subcarriers -used_band .. +used_band, nulls past them, and a cyclic
+    prefix of `cp_len` samples.
 
-    All indices are FFT bin numbers (0 = DC, negative subcarriers wrap to the
-    top of the FFT). `payload_indices` is ordered by ascending signed
-    subcarrier index, -used_band .. +used_band.
+    The index arrays are FFT bin numbers (0 = DC, negative subcarriers wrap
+    to the top of the FFT), each derived once per config and read-only.
     """
 
     n_fft: int
     k_guard: int
     used_band: int
-    pilot_index: int
-    guard_indices: tuple[int, ...]
-    payload_indices: tuple[int, ...]
-    null_indices: tuple[int, ...]
-
-
-def build_plan(n_fft: int, k_guard: int, used_band: int) -> SubcarrierPlan:
-    """Lay out pilot, guard, payload, and null bins for an N-point symbol.
-
-    The pilot occupies DC, `k_guard` bins on each side of it are reserved for
-    phase tracking, payload fills the rest of the used band, and everything
-    past +-used_band stays null.
-    """
-    if n_fft < 8 or n_fft & (n_fft - 1):
-        raise ValueError(f"n_fft must be a power of two >= 8, got {n_fft}")
-    if not 0 <= k_guard < used_band <= n_fft // 2 - 1:
-        raise ValueError(
-            f"need 0 <= k_guard < used_band <= n_fft/2 - 1, "
-            f"got k_guard={k_guard}, used_band={used_band}, n_fft={n_fft}"
-        )
-    guard = [k % n_fft for k in range(-k_guard, k_guard + 1) if k != 0]
-    payload = [
-        k % n_fft
-        for k in range(-used_band, used_band + 1)
-        if abs(k) > k_guard
-    ]
-    assigned = {0} | set(guard) | set(payload)
-    null = [k for k in range(n_fft) if k not in assigned]
-    return SubcarrierPlan(
-        n_fft=n_fft,
-        k_guard=k_guard,
-        used_band=used_band,
-        pilot_index=0,
-        guard_indices=tuple(guard),
-        payload_indices=tuple(payload),
-        null_indices=tuple(null),
-    )
-
-
-@dataclass(frozen=True)
-class OfdmConfig:
-    plan: SubcarrierPlan
     cp_len: int
-    sample_rate_hz: float
 
     def __post_init__(self):
-        if not 0 <= self.cp_len < self.plan.n_fft:
+        n = self.n_fft
+        if n < 8 or n & (n - 1):
+            raise ValueError(f"n_fft must be a power of two >= 8, got {n}")
+        if not 0 <= self.k_guard < self.used_band <= n // 2 - 1:
+            raise ValueError(
+                f"need 0 <= k_guard < used_band <= n_fft/2 - 1, "
+                f"got k_guard={self.k_guard}, used_band={self.used_band}, n_fft={n}"
+            )
+        if not 0 <= self.cp_len < n:
             raise ValueError(f"cp_len must be in [0, n_fft), got {self.cp_len}")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
 
     @property
     def symbol_len(self) -> int:
-        return self.plan.n_fft + self.cp_len
+        return self.n_fft + self.cp_len
+
+    @functools.cached_property
+    def band_indices(self) -> np.ndarray:
+        """Bins of subcarriers -used_band .. +used_band, in that order."""
+        return _read_only(np.arange(-self.used_band, self.used_band + 1) % self.n_fft)
+
+    @functools.cached_property
+    def guard_indices(self) -> np.ndarray:
+        """Bins of subcarriers -k_guard .. +k_guard but DC, in that order."""
+        return _read_only(np.r_[-self.k_guard:0, 1:self.k_guard + 1] % self.n_fft)
+
+    @functools.cached_property
+    def payload_positions(self) -> np.ndarray:
+        """Places of the payload subcarriers, |k| > k_guard, in band_indices."""
+        return _read_only(np.flatnonzero(
+            np.abs(np.arange(-self.used_band, self.used_band + 1)) > self.k_guard))
+
+    @functools.cached_property
+    def payload_indices(self) -> np.ndarray:
+        """Bins of the payload subcarriers, by ascending signed subcarrier."""
+        return _read_only(self.band_indices[self.payload_positions])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def modulate_symbol(freq_bins, cfg: OfdmConfig) -> np.ndarray:
     """Unitary IFFT of one symbol's bins (n_fft,) or of a stack (..., n_fft),
     plus cyclic prefix."""
     freq_bins = np.asarray(freq_bins, dtype=complex)
-    n = cfg.plan.n_fft
+    n = cfg.n_fft
     if freq_bins.ndim < 1 or freq_bins.shape[-1] != n:
         raise ValueError(f"expected {n} bins, got shape {freq_bins.shape}")
     body = np.fft.ifft(freq_bins, norm="ortho", axis=-1)
     return np.concatenate([body[..., n - cfg.cp_len:], body], axis=-1)
+
+
+def symbol_bodies(x, cfg: OfdmConfig) -> np.ndarray:
+    """(..., symbols, n_fft) view of frame buffers (..., n), cyclic prefixes dropped."""
+    return x.reshape(*x.shape[:-1], x.shape[-1] // cfg.symbol_len, cfg.symbol_len)[..., cfg.cp_len:]
 
 
 @functools.lru_cache(maxsize=64)
@@ -103,18 +101,16 @@ def training_bins(cfg: OfdmConfig) -> np.ndarray:
     payload bins, the pilot at its nominal value, guards and edges null.
 
     Computed once per config; the cached array is read-only."""
-    plan = cfg.plan
     rng = np.random.default_rng(_TRAINING_SEED)
-    phases = rng.uniform(0.0, 2.0 * np.pi, len(plan.payload_indices))
-    bins = np.zeros(plan.n_fft, dtype=complex)
-    bins[list(plan.payload_indices)] = np.exp(1j * phases)
-    bins[plan.pilot_index] = PILOT_VALUE
-    bins.setflags(write=False)
-    return bins
+    phases = rng.uniform(0.0, 2.0 * np.pi, cfg.payload_indices.size)
+    bins = np.zeros(cfg.n_fft, dtype=complex)
+    bins[cfg.payload_indices] = np.exp(1j * phases)
+    bins[PILOT_INDEX] = PILOT_VALUE
+    return _read_only(bins)
 
 
 def frame_capacity_bits(cfg: OfdmConfig, modulation: Modulation, n_payload_symbols: int) -> int:
-    return n_payload_symbols * len(cfg.plan.payload_indices) * modulation.bits_per_symbol
+    return n_payload_symbols * cfg.payload_indices.size * modulation.bits_per_symbol
 
 
 def _padded_rows(bits, capacity: int) -> np.ndarray:
@@ -140,17 +136,16 @@ def build_frames(bits, modulation: Modulation, cfg: OfdmConfig, n_payload_symbol
     """
     if n_payload_symbols < 0:
         raise ValueError("n_payload_symbols must be >= 0")
-    plan = cfg.plan
     capacity = frame_capacity_bits(cfg, modulation, n_payload_symbols)
     n_frames = len(bits)
     padded = _padded_rows(bits, capacity)
     symbols = map_bits(padded.reshape(-1), modulation).reshape(
-        n_frames, n_payload_symbols, len(plan.payload_indices))
+        n_frames, n_payload_symbols, cfg.payload_indices.size)
 
-    bins = np.zeros((n_frames, N_PREAMBLE_SYMBOLS + n_payload_symbols, plan.n_fft), dtype=complex)
+    bins = np.zeros((n_frames, N_PREAMBLE_SYMBOLS + n_payload_symbols, cfg.n_fft), dtype=complex)
     bins[:, :N_PREAMBLE_SYMBOLS] = training_bins(cfg)
     payload = bins[:, N_PREAMBLE_SYMBOLS:]
-    payload[..., list(plan.payload_indices)] = symbols
-    payload[..., plan.pilot_index] = PILOT_VALUE
+    payload[..., cfg.payload_indices] = symbols
+    payload[..., PILOT_INDEX] = PILOT_VALUE
     return modulate_symbol(bins, cfg), padded
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import phasor
-from .ofdm import OfdmConfig
+from .ofdm import PILOT_INDEX, OfdmConfig
 
 DEGENERATE_EPS = 1e-9
 
@@ -38,14 +38,12 @@ def estimate_phase(body, cfg: OfdmConfig) -> PhaseEstimate:
     and are counted over the whole stack.
     """
     body = np.asarray(body, dtype=complex)
-    plan = cfg.plan
-    n = plan.n_fft
+    n = cfg.n_fft
     if body.ndim < 1 or body.shape[-1] != n:
         raise ValueError(f"expected {n}-sample bodies, got shape {body.shape}")
     bins = np.fft.fft(body, norm="ortho", axis=-1)
     keep = np.zeros(n, dtype=bool)
-    keep[plan.pilot_index] = True
-    keep[list(plan.guard_indices)] = True
+    keep[np.append(cfg.guard_indices, PILOT_INDEX)] = True
     bins[..., ~keep] = 0.0
     raw = np.fft.ifft(bins, norm="ortho", axis=-1)
 

@@ -8,7 +8,8 @@ import numpy as np
 
 from .modulation import (Modulation, evm_db_from_powers, indices_to_bits, map_bits,
                          slice_indices)
-from .ofdm import N_PREAMBLE_SYMBOLS, PILOT_VALUE, OfdmConfig, SubcarrierPlan, training_bins
+from .ofdm import (N_PREAMBLE_SYMBOLS, PILOT_INDEX, PILOT_VALUE, OfdmConfig, symbol_bodies,
+                   training_bins)
 from .metrics import wrap_phase
 from .pnc import estimate_phase, cancel
 
@@ -25,7 +26,7 @@ class ChannelEstimate:
 
     h_freq: np.ndarray
     noise_floor_est: np.ndarray
-    plan: SubcarrierPlan
+    cfg: OfdmConfig
 
 
 @dataclass
@@ -44,48 +45,43 @@ class DecodeReport:
     phase: np.ndarray | None        # (F, n_payload_symbols, n_fft) PNC phase; None if off
 
 
-def estimate_channel_ls(preamble_bins, training, plan: SubcarrierPlan) -> ChannelEstimate:
+def estimate_channel_ls(preamble_bins, training, cfg: OfdmConfig) -> ChannelEstimate:
     """Average Y(k)/T(k) over the preamble repeats on the used band.
 
     `preamble_bins` is a stack (..., 2, n_fft), each frame estimated on its
-    own. Guard bins carry no training
-    energy; their H is interpolated linearly between the surrounding
-    estimates. The spread between repeats gives a per-bin noise variance
-    estimate (zero for identical repeats).
+    own. Guard bins carry no training energy; their H is interpolated
+    linearly between the surrounding estimates. The spread between repeats
+    gives a per-bin noise variance estimate (zero for identical repeats).
     """
     preamble_bins = np.asarray(preamble_bins, dtype=complex)
     training = np.asarray(training, dtype=complex)
-    if preamble_bins.ndim < 2 or preamble_bins.shape[-2:] != (N_PREAMBLE_SYMBOLS, plan.n_fft):
+    if preamble_bins.ndim < 2 or preamble_bins.shape[-2:] != (N_PREAMBLE_SYMBOLS, cfg.n_fft):
         raise ValueError(
-            f"expected {N_PREAMBLE_SYMBOLS}x{plan.n_fft} preamble bins, "
+            f"expected {N_PREAMBLE_SYMBOLS}x{cfg.n_fft} preamble bins, "
             f"got {preamble_bins.shape}"
         )
-    if training.shape != (plan.n_fft,):
+    if training.shape != (cfg.n_fft,):
         raise ValueError("training shape mismatch")
-
-    signed = np.arange(-plan.used_band, plan.used_band + 1)
-    fft_idx = np.mod(signed, plan.n_fft)
-    t_used = training[fft_idx]
-    known = np.abs(t_used) > 0.0
-    carried = np.zeros(plan.n_fft, dtype=bool)
-    carried[[plan.pilot_index, *plan.payload_indices]] = True
-    must_know = carried[fft_idx]
-    if not known[must_know].all():
+    if not (np.abs(training[np.append(cfg.payload_indices, PILOT_INDEX)]) > 0.0).all():
         raise ValueError("zero-magnitude training on a pilot or payload bin")
 
-    ratios = np.take(preamble_bins, fft_idx[known], axis=-1) / t_used[known]
+    band = cfg.band_indices
+    t_used = training[band]
+    known = np.abs(t_used) > 0.0
+    ratios = np.take(preamble_bins, band[known], axis=-1) / t_used[known]
     h_known = ratios.mean(axis=-2)
-    h_freq = np.empty((*h_known.shape[:-1], signed.size), dtype=complex)
+    h_freq = np.empty((*h_known.shape[:-1], band.size), dtype=complex)
     h_freq[..., known] = h_known
     if not known.all():
-        rows_in, rows_out = h_known.reshape(-1, h_known.shape[-1]), h_freq.reshape(-1, signed.size)
+        # Places in the band are the subcarriers shifted by used_band.
+        have, gaps = np.flatnonzero(known), np.flatnonzero(~known)
+        rows_in, rows_out = h_known.reshape(-1, h_known.shape[-1]), h_freq.reshape(-1, band.size)
         for h_in, h_out in zip(rows_in, rows_out):
-            h_out[~known] = np.interp(signed[~known], signed[known], h_in.real) \
-                + 1j * np.interp(signed[~known], signed[known], h_in.imag)
+            h_out[gaps] = np.interp(gaps, have, h_in.real) + 1j * np.interp(gaps, have, h_in.imag)
 
     diff = ratios[..., 0, :] - ratios[..., 1, :]
     noise_floor = np.mean(np.abs(diff) ** 2, axis=-1) / 2.0
-    return ChannelEstimate(h_freq=h_freq, noise_floor_est=noise_floor, plan=plan)
+    return ChannelEstimate(h_freq=h_freq, noise_floor_est=noise_floor, cfg=cfg)
 
 
 def equalize(symbol_bins, est: ChannelEstimate):
@@ -99,18 +95,16 @@ def equalize(symbol_bins, est: ChannelEstimate):
     |H| of their estimate; those symbols are zeroed, not divided.
     """
     symbol_bins = np.asarray(symbol_bins, dtype=complex)
-    plan = est.plan
-    if symbol_bins.ndim < 1 or symbol_bins.shape[-1] != plan.n_fft:
-        raise ValueError(f"expected {plan.n_fft} bins, got shape {symbol_bins.shape}")
-    payload_idx = np.asarray(plan.payload_indices)
-    signed = np.where(payload_idx <= plan.n_fft // 2, payload_idx, payload_idx - plan.n_fft)
-    h_pay = est.h_freq[..., signed + plan.used_band]
+    cfg = est.cfg
+    if symbol_bins.ndim < 1 or symbol_bins.shape[-1] != cfg.n_fft:
+        raise ValueError(f"expected {cfg.n_fft} bins, got shape {symbol_bins.shape}")
+    h_pay = est.h_freq[..., cfg.payload_positions]
     eps = ERASURE_RATIO * np.max(np.abs(est.h_freq), axis=-1, keepdims=True)
     erased = np.abs(h_pay) < eps
     # np.take keeps the stack C-contiguous, unlike x[..., idx], so sums over
     # the last axis of what derives from z run in row order.
     z = np.where(erased, 0.0 + 0.0j,
-                 np.take(symbol_bins, payload_idx, axis=-1) / np.where(erased, 1.0, h_pay))
+                 np.take(symbol_bins, cfg.payload_indices, axis=-1) / np.where(erased, 1.0, h_pay))
     return z, np.broadcast_to(erased, z.shape).copy()
 
 
@@ -168,16 +162,12 @@ def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
     symbols, taken about its circular mean.
     """
     samples = np.asarray(samples, dtype=complex)
-    sym_len = cfg.symbol_len
-    if samples.ndim != 2 or samples.shape[1] % sym_len:
-        raise ValueError(f"frame length must be a multiple of {sym_len}")
-    n_frames = samples.shape[0]
-    n_symbols = samples.shape[1] // sym_len
-    if n_symbols < N_PREAMBLE_SYMBOLS:
+    if samples.ndim != 2 or samples.shape[1] % cfg.symbol_len:
+        raise ValueError(f"frame length must be a multiple of {cfg.symbol_len}")
+    n_frames = len(samples)
+    bodies = symbol_bodies(samples, cfg)
+    if bodies.shape[1] < N_PREAMBLE_SYMBOLS:
         raise ValueError("frame shorter than the preamble")
-    plan = cfg.plan
-
-    bodies = samples.reshape(n_frames, n_symbols, sym_len)[..., cfg.cp_len:]
     phase = None
     if pnc_enabled:
         phase_est = estimate_phase(bodies, cfg)
@@ -187,12 +177,12 @@ def decode_frames(samples, cfg: OfdmConfig, modulation: Modulation,
 
     # Not a no-op although PILOT_VALUE is 1 + 0j: it turns -1 - 0j into
     # -1 + 0j, whose np.angle is pi, not -pi.
-    pilot_phase = np.angle(all_bins[..., plan.pilot_index] / PILOT_VALUE)
+    pilot_phase = np.angle(all_bins[..., PILOT_INDEX] / PILOT_VALUE)
     center = np.angle(np.mean(np.exp(1j * pilot_phase), axis=-1))
     centered = wrap_phase(pilot_phase - center[:, None])
     residual_phase_std = np.sqrt(np.mean(centered ** 2, axis=-1))
 
-    est = estimate_channel_ls(all_bins[:, :N_PREAMBLE_SYMBOLS], training_bins(cfg), plan)
+    est = estimate_channel_ls(all_bins[:, :N_PREAMBLE_SYMBOLS], training_bins(cfg), cfg)
     est.h_freq = est.h_freq[:, None, :]
     points, erased = equalize(all_bins[:, N_PREAMBLE_SYMBOLS:], est)
     del all_bins, bodies   # a chunk's largest arrays; nothing below reads them

@@ -13,7 +13,7 @@ import pytest
 
 from helpers import band_power_fraction
 from mmwavelink import (PILOT_VALUE, ChannelConfig, Modulation, OfdmConfig, PhaseNoiseConfig,
-                        PhaseNoiseModel, PhaseNoiseProcess, aggregate_evm_db, build_plan,
+                        PhaseNoiseModel, PhaseNoiseProcess, aggregate_evm_db,
                         estimate_phase, gaussian_fit_in_place, psd_welch, run_seeded_frames,
                         stream_bytes, verify_packet, wrap_phase)
 from mmwavelink.cli import main
@@ -75,8 +75,7 @@ def _ensemble(num, name, values, key, lo=-math.inf, hi=math.inf):
 
 
 def default_ofdm(k_guard=3):
-    return OfdmConfig(plan=build_plan(64, k_guard, 26), cp_len=16,
-                      sample_rate_hz=FS)
+    return OfdmConfig(64, k_guard, 26, 16)
 
 
 def run_frames(ofdm_cfg, channel, modulation, n_frames, run_seed, pnc_enabled,

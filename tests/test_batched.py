@@ -14,7 +14,7 @@ from scipy import signal
 from helpers import channel_row
 from mmwavelink import (ChannelConfig, ChannelEstimate, DecodeReport, Modulation, OfdmConfig,
                         PhaseNoiseConfig, PhaseNoiseModel, PhaseNoiseProcess, apply_channel,
-                        build_frames, build_plan, cancel, decode_frames,
+                        build_frames, cancel, decode_frames,
                         equalize, estimate_channel_ls, estimate_phase, derived_seed,
                         frame_bits_rng, frame_capacity_bits, genie_evm_db, indices_to_bits,
                         map_bits, modulate_symbol, run_frame, run_frames, slice_indices,
@@ -33,7 +33,7 @@ FAST = settings(max_examples=40, deadline=None)
 
 
 def ofdm_cfg(k_guard=3):
-    return OfdmConfig(plan=build_plan(64, k_guard, 26), cp_len=16, sample_rate_hz=FS)
+    return OfdmConfig(64, k_guard, 26, 16)
 
 
 def mid_symbol_null_body():
@@ -96,7 +96,7 @@ def test_estimate_phase_accepts_higher_rank_stacks():
 
 @pytest.mark.parametrize("cp_len", [0, 16])
 def test_batched_modulate_symbol_equals_per_row(cp_len):
-    cfg = OfdmConfig(plan=build_plan(64, 3, 26), cp_len=cp_len, sample_rate_hz=FS)
+    cfg = OfdmConfig(64, 3, 26, cp_len)
     rng = np.random.default_rng(4)
     bins = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
     batched = modulate_symbol(bins, cfg)
@@ -108,14 +108,14 @@ def test_batched_modulate_symbol_equals_per_row(cp_len):
 @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 6),
        n_weak=st.integers(0, 4))
 def test_batched_equalize_equals_per_row(seed, n_rows, n_weak):
-    plan = ofdm_cfg().plan
+    cfg = ofdm_cfg()
     rng = np.random.default_rng(seed)
     h = rng.standard_normal(53) + 1j * rng.standard_normal(53)
     h[rng.choice(53, n_weak, replace=False)] *= 1e-9   # erased bins
-    est = ChannelEstimate(h_freq=h, noise_floor_est=0.0, plan=plan)
+    est = ChannelEstimate(h_freq=h, noise_floor_est=0.0, cfg=cfg)
     bins = rng.standard_normal((n_rows, 64)) + 1j * rng.standard_normal((n_rows, 64))
     z, erased = equalize(bins, est)
-    assert z.shape == erased.shape == (n_rows, len(plan.payload_indices))
+    assert z.shape == erased.shape == (n_rows, cfg.payload_indices.size)
     for row, z_row, erased_row in zip(bins, z, erased):
         z_one, erased_one = equalize(row, est)
         np.testing.assert_array_equal(z_row, z_one)
@@ -211,7 +211,7 @@ def test_training_bins_is_a_read_only_cache():
     with pytest.raises(ValueError):
         first[:] = 0.0
     assert training_bins(ofdm_cfg()) is first
-    assert np.count_nonzero(first) == 1 + len(cfg.plan.payload_indices)
+    assert np.count_nonzero(first) == 1 + cfg.payload_indices.size
     frame_after, _ = build_frames([np.zeros(92, dtype=np.uint8)], Modulation.QPSK, cfg, 1)
     np.testing.assert_array_equal(frame_after, frame_before)
 
@@ -421,7 +421,7 @@ def frame_evm_reference(y, cfg, modulation, pnc_enabled):
     if pnc_enabled:
         bodies = cancel(bodies, estimate_phase(bodies, cfg))
     bins = np.fft.fft(bodies, norm="ortho", axis=-1)
-    est = estimate_channel_ls(bins[:N_PREAMBLE_SYMBOLS], training_bins(cfg), cfg.plan)
+    est = estimate_channel_ls(bins[:N_PREAMBLE_SYMBOLS], training_bins(cfg), cfg)
     points, erased = equalize(bins[N_PREAMBLE_SYMBOLS:], est)
     bits = indices_to_bits(slice_indices(points, modulation), modulation)
     bits[erased] = 0

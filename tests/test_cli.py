@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import mmwavelink
+from mmwavelink import ChannelConfig, PhaseNoiseConfig, stream_bytes
 from mmwavelink.cli import (CONFIG_TABLE, DEFAULTS, MAX_ROW_SAMPLES, ConfigError,
                             load_config, main)
 
@@ -276,6 +278,38 @@ def test_readme_example_config_is_the_table_defaults():
     assert dict(flatten(json.loads(block))) == DEFAULTS
     # The key table lists every row, in the table's order.
     assert re.findall(r"^\| `([\w.]+)` \|", readme, re.M) == [row[0] for row in CONFIG_TABLE]
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    stack = namespace["stack"]
+    assert stack.report.bits.shape == stack.tx_bits.shape == (4, 1104)
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_library_defaults_are_the_table_defaults():
+    # The library's defaulted fields and keywords against CONFIG_TABLE's
+    # defaults for the same keys: one default, two places that state it.
+    channel, phase_noise = ChannelConfig(), PhaseNoiseConfig()
+    assert channel.phase_noise == phase_noise
+    stream = {name: p.default for name, p in inspect.signature(stream_bytes).parameters.items()}
+    library = {
+        "phy.sample_rate_hz": channel.sample_rate_hz,
+        "channel.taps": list(channel.taps),
+        "channel.snr_db": channel.snr_db,
+        "channel.cfo_hz": channel.cfo_hz,
+        "channel.sigma": phase_noise.sigma,
+        "channel.bandwidth_hz": phase_noise.bandwidth_hz,
+        "channel.phase_noise_model": phase_noise.model.value,
+        "modulation": stream["modulation"].value,
+        "pnc_enabled": stream["pnc_enabled"],
+        "seed": stream["seed"],
+        "n_payload_symbols": stream["n_payload_symbols"],
+    }
+    assert library == {key: DEFAULTS[key] for key in library}
 
 
 def test_json_artifacts_are_strict(tmp_path):
@@ -549,3 +583,6 @@ def test_public_names_resolve():
                          (mmwavelink.cli, "single_tone_probe"),
                          (mmwavelink.channel, "PhaseNoiseProcess")]:
         assert callable(getattr(module, name)), name
+    # OfdmConfig holds the symbol layout on its own.
+    for name in ("SubcarrierPlan", "build_plan"):
+        assert not hasattr(mmwavelink, name) and not hasattr(mmwavelink.ofdm, name), name

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mmwavelink import (ChannelConfig, Modulation, OfdmConfig, Packet,
                         PacketStatus, PhaseNoiseConfig, PhaseNoiseModel,
-                        build_plan, depacketize, make_packet, packetize,
+                        depacketize, make_packet, packetize,
                         stream_bytes, verify_packet)
 from mmwavelink.linklayer import (MAX_PAYLOAD_LEN, PACKET_OVERHEAD,
                                   decode_packet, encode_packet)
@@ -17,7 +17,7 @@ CLEAN_PN = PhaseNoiseConfig(sigma=0.0, model=PhaseNoiseModel.NONE)
 
 
 def default_cfg():
-    return OfdmConfig(plan=build_plan(64, 3, 26), cp_len=16, sample_rate_hz=25.0e6)
+    return OfdmConfig(64, 3, 26, 16)
 
 
 def crc32_bitwise(data: bytes) -> int:

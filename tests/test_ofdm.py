@@ -1,14 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mmwavelink import (Modulation, OfdmConfig, build_frames, build_plan,
+from mmwavelink import (Modulation, OfdmConfig, build_frames,
                         frame_capacity_bits, map_bits, modulate_symbol, training_bins)
-from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS, PILOT_VALUE, _padded_rows
+from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS, PILOT_INDEX, PILOT_VALUE, _padded_rows
 
 
 def default_cfg(k_guard=3):
-    return OfdmConfig(plan=build_plan(64, k_guard, 26), cp_len=16,
-                      sample_rate_hz=25.0e6)
+    return OfdmConfig(64, k_guard, 26, 16)
 
 
 def build_one(bits, modulation, cfg, n_payload_symbols):
@@ -22,34 +23,85 @@ def demodulate(samples, cfg):
     return np.fft.fft(samples[cfg.cp_len:], norm="ortho")
 
 
+def reference_layout(n_fft, k_guard, used_band):
+    """Guard, payload and null bins as lists, laid out subcarrier by
+    subcarrier: the pilot on DC, +-k_guard around it, payload to +-used_band,
+    nulls past it."""
+    guard = [k % n_fft for k in range(-k_guard, k_guard + 1) if k != 0]
+    payload = [k % n_fft for k in range(-used_band, used_band + 1) if abs(k) > k_guard]
+    assigned = {PILOT_INDEX} | set(guard) | set(payload)
+    return guard, payload, [k for k in range(n_fft) if k not in assigned]
+
+
+def null_bins(cfg):
+    return reference_layout(cfg.n_fft, cfg.k_guard, cfg.used_band)[2]
+
+
+@pytest.mark.parametrize("n_fft,k_guard,used_band", [
+    (8, 0, 1), (8, 1, 3), (16, 2, 7), (32, 0, 5), (64, 0, 26), (64, 3, 26),
+    (64, 8, 26), (64, 30, 31), (128, 5, 40), (256, 12, 100),
+])
+def test_layout_matches_subcarrier_reference(n_fft, k_guard, used_band):
+    cfg = OfdmConfig(n_fft, k_guard, used_band, 0)
+    guard, payload, _ = reference_layout(n_fft, k_guard, used_band)
+    band = [k % n_fft for k in range(-used_band, used_band + 1)]
+    assert cfg.band_indices.tolist() == band
+    assert cfg.guard_indices.tolist() == guard
+    assert cfg.payload_indices.tolist() == payload
+    assert [band[p] for p in cfg.payload_positions] == payload
+    for name in ("band_indices", "guard_indices", "payload_indices", "payload_positions"):
+        assert getattr(cfg, name).dtype.kind == "i", name
+
+
+def test_layout_arrays_are_read_only_and_shared():
+    cfg = default_cfg()
+    for name in ("band_indices", "guard_indices", "payload_indices", "payload_positions"):
+        first = getattr(cfg, name)
+        with pytest.raises(ValueError):
+            first[0] = 1
+        assert getattr(cfg, name) is first, name
+        # Another config object derives its own arrays, with the same values.
+        assert getattr(default_cfg(), name) is not first
+        np.testing.assert_array_equal(getattr(default_cfg(), name), first)
+
+
+def test_config_fields_are_the_layout_only():
+    assert [f.name for f in dataclasses.fields(OfdmConfig)] == [
+        "n_fft", "k_guard", "used_band", "cp_len"]
+    cfg = default_cfg()
+    assert cfg == OfdmConfig(64, 3, 26, 16) and hash(cfg) == hash(OfdmConfig(64, 3, 26, 16))
+    cfg.payload_indices   # a derived array changes neither equality nor the hash
+    assert cfg == OfdmConfig(64, 3, 26, 16) and hash(cfg) == hash(OfdmConfig(64, 3, 26, 16))
+    assert dataclasses.replace(cfg, k_guard=0).payload_indices.size == 52
+
+
 def test_plan_counts_default():
-    plan = build_plan(64, 3, 26)
-    assert plan.pilot_index == 0
-    assert len(plan.guard_indices) == 6
-    assert len(plan.payload_indices) == 46
-    assert len(plan.null_indices) == 11
+    cfg = default_cfg()
+    assert PILOT_INDEX == 0
+    assert len(cfg.guard_indices) == 6
+    assert len(cfg.payload_indices) == 46
+    assert len(null_bins(cfg)) == 11
 
 
 def test_plan_counts_no_guard():
-    plan = build_plan(64, 0, 26)
-    assert len(plan.guard_indices) == 0
-    assert len(plan.payload_indices) == 52
+    cfg = default_cfg(k_guard=0)
+    assert len(cfg.guard_indices) == 0
+    assert len(cfg.payload_indices) == 52
 
 
 def test_plan_partitions_all_bins():
-    plan = build_plan(64, 3, 26)
-    groups = [(plan.pilot_index,), plan.guard_indices,
-              plan.payload_indices, plan.null_indices]
+    cfg = default_cfg()
+    groups = [(PILOT_INDEX,), cfg.guard_indices, cfg.payload_indices, null_bins(cfg)]
     flat = [k for g in groups for k in g]
     assert sorted(flat) == list(range(64))
     assert len(flat) == len(set(flat))
 
 
 def test_payload_indices_ascend_by_signed_subcarrier():
-    plan = build_plan(64, 3, 26)
-    assert plan.payload_indices[0] == (-26) % 64
-    assert plan.payload_indices[-1] == 26
-    signed = [k if k <= 32 else k - 64 for k in plan.payload_indices]
+    cfg = default_cfg()
+    assert cfg.payload_indices[0] == (-26) % 64
+    assert cfg.payload_indices[-1] == 26
+    signed = [k if k <= 32 else k - 64 for k in cfg.payload_indices]
     assert signed == sorted(signed)
     assert all(abs(k) > 3 for k in signed)
 
@@ -62,18 +114,15 @@ def test_payload_indices_ascend_by_signed_subcarrier():
     (64, -1, 26),
 ])
 def test_build_plan_rejects_bad_geometry(n_fft, k_guard, used_band):
-    with pytest.raises(ValueError):
-        build_plan(n_fft, k_guard, used_band)
+    message = "n_fft must be a power of two" if n_fft in (48, 4) else "need 0 <= k_guard"
+    with pytest.raises(ValueError, match=message):
+        OfdmConfig(n_fft, k_guard, used_band, 0)
 
 
 def test_ofdm_config_validation():
-    plan = build_plan(64, 3, 26)
-    with pytest.raises(ValueError):
-        OfdmConfig(plan=plan, cp_len=64, sample_rate_hz=25e6)
-    with pytest.raises(ValueError):
-        OfdmConfig(plan=plan, cp_len=-1, sample_rate_hz=25e6)
-    with pytest.raises(ValueError):
-        OfdmConfig(plan=plan, cp_len=16, sample_rate_hz=0.0)
+    for cp_len in (64, -1):
+        with pytest.raises(ValueError, match=r"cp_len must be in \[0, n_fft\)"):
+            OfdmConfig(64, 3, 26, cp_len)
 
 
 def test_derived_quantities():
@@ -141,9 +190,9 @@ def test_training_bins_layout():
     bins = training_bins(cfg)
     assert bins.shape == (64,)
     assert bins[0] == PILOT_VALUE
-    np.testing.assert_array_equal(bins[list(cfg.plan.guard_indices)], 0.0)
-    np.testing.assert_array_equal(bins[list(cfg.plan.null_indices)], 0.0)
-    payload = bins[list(cfg.plan.payload_indices)]
+    np.testing.assert_array_equal(bins[cfg.guard_indices], 0.0)
+    np.testing.assert_array_equal(bins[null_bins(cfg)], 0.0)
+    payload = bins[cfg.payload_indices]
     np.testing.assert_allclose(np.abs(payload), 1.0, atol=1e-12)
 
 
@@ -192,11 +241,10 @@ def test_build_frame_payload_spectrum():
     bits = np.zeros(92, dtype=np.uint8)
     symbols, _ = build_one(bits, Modulation.QPSK, cfg, 1)
     bins = demodulate(symbols[N_PREAMBLE_SYMBOLS], cfg)
-    plan = cfg.plan
     expect = map_bits(bits, Modulation.QPSK)
-    np.testing.assert_allclose(bins[list(plan.payload_indices)], expect, atol=1e-12)
-    np.testing.assert_allclose(bins[plan.pilot_index], PILOT_VALUE, atol=1e-12)
-    np.testing.assert_allclose(bins[list(plan.guard_indices)], 0.0, atol=1e-12)
+    np.testing.assert_allclose(bins[cfg.payload_indices], expect, atol=1e-12)
+    np.testing.assert_allclose(bins[PILOT_INDEX], PILOT_VALUE, atol=1e-12)
+    np.testing.assert_allclose(bins[cfg.guard_indices], 0.0, atol=1e-12)
 
 
 def test_build_frame_pads_short_bits():

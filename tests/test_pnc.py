@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from mmwavelink import (PILOT_VALUE, ChannelConfig, Modulation, OfdmConfig, aggregate_evm_db,
-                        build_plan, cancel, estimate_phase, frame_bits_rng, run_frames,
+from mmwavelink import (PILOT_INDEX, PILOT_VALUE, ChannelConfig, Modulation, OfdmConfig, aggregate_evm_db,
+                        cancel, estimate_phase, frame_bits_rng, run_frames,
                         wrap_phase)
 from mmwavelink.pnc import DEGENERATE_EPS
 
 
 def default_cfg():
-    return OfdmConfig(plan=build_plan(64, 3, 26), cp_len=16, sample_rate_hz=25.0e6)
+    return OfdmConfig(64, 3, 26, 16)
 
 
 def pilot_only_body(cfg):
     bins = np.zeros(64, dtype=complex)
-    bins[cfg.plan.pilot_index] = PILOT_VALUE
+    bins[PILOT_INDEX] = PILOT_VALUE
     return np.fft.ifft(bins, norm="ortho")
 
 
@@ -37,9 +37,9 @@ def test_estimate_zero_phase_with_payload_present():
     cfg = default_cfg()
     rng = np.random.default_rng(0)
     bins = np.zeros(64, dtype=complex)
-    idx = list(cfg.plan.payload_indices)
+    idx = cfg.payload_indices
     bins[idx] = np.exp(2j * np.pi * rng.uniform(size=len(idx)))
-    bins[cfg.plan.pilot_index] = PILOT_VALUE
+    bins[PILOT_INDEX] = PILOT_VALUE
     body = np.fft.ifft(bins, norm="ortho")
     est = estimate_phase(body, cfg)
     assert np.max(np.abs(est.per_sample_phase)) < 1e-12
@@ -93,9 +93,8 @@ def test_cancel_rejects_length_mismatch():
 
 def run_stack(k_guard, n_frames, run_seed):
     """Frames 0 .. n_frames - 1 of a QPSK run with PNC, as one stack."""
-    cfg = OfdmConfig(plan=build_plan(64, k_guard, 26), cp_len=16,
-                     sample_rate_hz=25.0e6)
-    capacity = 12 * len(cfg.plan.payload_indices) * 2
+    cfg = OfdmConfig(64, k_guard, 26, 16)
+    capacity = 12 * cfg.payload_indices.size * 2
     bits = [frame_bits_rng(run_seed, i).integers(0, 2, capacity, dtype=np.uint8)
             for i in range(n_frames)]
     return run_frames(bits, Modulation.QPSK, cfg, ChannelConfig(), True, 12, run_seed)

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import channel_row
 from mmwavelink import (ChannelConfig, ChannelEstimate, Modulation, OfdmConfig,
-                        PhaseNoiseConfig, PhaseNoiseModel, build_frames, build_plan,
+                        PhaseNoiseConfig, PhaseNoiseModel, build_frames,
                         decode_frames, equalize, estimate_channel_ls, genie_evm_db,
                         slice_indices, training_bins)
 
@@ -13,7 +13,7 @@ CLEAN_PN = PhaseNoiseConfig(sigma=0.0, model=PhaseNoiseModel.NONE)
 
 
 def default_cfg():
-    return OfdmConfig(plan=build_plan(64, 3, 26), cp_len=16, sample_rate_hz=25.0e6)
+    return OfdmConfig(64, 3, 26, 16)
 
 
 def frame_samples(bits, modulation, cfg, n_payload_symbols):
@@ -31,15 +31,15 @@ def genie_of(report, bits, modulation=Modulation.QPSK):
     return genie_evm_db(report.points, np.asarray(bits)[None], report.erased, modulation)[0]
 
 
-def signed_to_fft(plan):
-    signed = np.arange(-plan.used_band, plan.used_band + 1)
-    return signed, np.mod(signed, plan.n_fft)
+def signed_to_fft(cfg):
+    signed = np.arange(-cfg.used_band, cfg.used_band + 1)
+    return signed, np.mod(signed, cfg.n_fft)
 
 
 def test_ls_identity_channel():
     cfg = default_cfg()
     t = training_bins(cfg)
-    est = estimate_channel_ls(np.stack([t, t]), t, cfg.plan)
+    est = estimate_channel_ls(np.stack([t, t]), t, cfg)
     assert est.h_freq.shape == (53,)
     np.testing.assert_allclose(est.h_freq, np.ones(53), atol=1e-12)
     assert est.noise_floor_est == 0.0
@@ -47,14 +47,13 @@ def test_ls_identity_channel():
 
 def test_ls_recovers_frequency_response():
     cfg = default_cfg()
-    plan = cfg.plan
     t = training_bins(cfg)
-    signed, fft_idx = signed_to_fft(plan)
+    signed, fft_idx = signed_to_fft(cfg)
     # Smooth two-tap response sampled on the used band.
-    h = 0.9 + 0.3 * np.exp(-2j * np.pi * signed / plan.n_fft)
-    rx = np.zeros((2, plan.n_fft), dtype=complex)
+    h = 0.9 + 0.3 * np.exp(-2j * np.pi * signed / cfg.n_fft)
+    rx = np.zeros((2, cfg.n_fft), dtype=complex)
     rx[:, fft_idx] = t[fft_idx] * h
-    est = estimate_channel_ls(rx, t, plan)
+    est = estimate_channel_ls(rx, t, cfg)
     known = np.abs(t[fft_idx]) > 0
     np.testing.assert_allclose(est.h_freq[known], h[known], atol=1e-12)
     # Guard bins carry no training; they are interpolated, not exact.
@@ -64,15 +63,14 @@ def test_ls_recovers_frequency_response():
 
 def test_ls_noise_floor_from_repeat_spread():
     cfg = default_cfg()
-    plan = cfg.plan
     t = training_bins(cfg)
-    signed, fft_idx = signed_to_fft(plan)
+    signed, fft_idx = signed_to_fft(cfg)
     known = np.abs(t[fft_idx]) > 0
     rx = np.stack([t, t]).astype(complex)
     delta = 0.02 + 0.01j
     bump = fft_idx[known][5]
     rx[1, bump] += delta
-    est = estimate_channel_ls(rx, t, plan)
+    est = estimate_channel_ls(rx, t, cfg)
     expect = (np.abs(delta / t[bump]) ** 2) / (2.0 * known.sum())
     assert est.noise_floor_est == pytest.approx(expect, rel=1e-9)
 
@@ -81,23 +79,22 @@ def test_ls_input_validation():
     cfg = default_cfg()
     t = training_bins(cfg)
     with pytest.raises(ValueError):
-        estimate_channel_ls(np.stack([t, t, t]), t, cfg.plan)
+        estimate_channel_ls(np.stack([t, t, t]), t, cfg)
     with pytest.raises(ValueError):
-        estimate_channel_ls(np.stack([t, t]), t[:32], cfg.plan)
+        estimate_channel_ls(np.stack([t, t]), t[:32], cfg)
     bad = t.copy()
-    bad[cfg.plan.payload_indices[0]] = 0.0
+    bad[cfg.payload_indices[0]] = 0.0
     with pytest.raises(ValueError):
-        estimate_channel_ls(np.stack([bad, bad]), bad, cfg.plan)
+        estimate_channel_ls(np.stack([bad, bad]), bad, cfg)
 
 
 def test_equalize_divides_and_erases():
     cfg = default_cfg()
-    plan = cfg.plan
     h = np.full(53, 2.0, dtype=complex)
     h[0] = 0.0  # signed subcarrier -26, payload position 0
-    est = ChannelEstimate(h_freq=h, noise_floor_est=0.0, plan=plan)
-    bins = np.zeros(plan.n_fft, dtype=complex)
-    bins[list(plan.payload_indices)] = 2.0 * (1.0 + 1.0j)
+    est = ChannelEstimate(h_freq=h, noise_floor_est=0.0, cfg=cfg)
+    bins = np.zeros(cfg.n_fft, dtype=complex)
+    bins[cfg.payload_indices] = 2.0 * (1.0 + 1.0j)
     z, erased = equalize(bins, est)
     assert erased[0] and erased.sum() == 1
     assert z[0] == 0.0
