@@ -135,6 +135,9 @@ INVALID_VALUES = [
     {"channel": {"cfo_hz": 1e308}},
     {"channel": {"cfo_hz": 12.5e6}},
     {"channel": {"cfo_hz": -2e7}},
+    # OfdmConfig's own rule; the sample rate's is ChannelConfig's.
+    {"phy": {"cp_len": 64}},
+    {"phy": {"sample_rate_hz": 0}},
 ]
 
 

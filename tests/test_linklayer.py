@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmwavelink import linklayer
 from mmwavelink import (ChannelConfig, Modulation, OfdmConfig, Packet,
                         PacketStatus, PhaseNoiseConfig, PhaseNoiseModel,
                         depacketize, make_packet, packetize,
@@ -151,6 +152,16 @@ def test_depacketize_prefers_verified_duplicate():
     # Four receptions mean four slots; the surplus duplicate surfaces as a
     # trailing gap rather than silently shrinking the count.
     assert len(statuses) == 4
+
+
+def test_depacketize_checks_each_packet_once(monkeypatch):
+    checked = []
+    monkeypatch.setattr(linklayer, "verify_packet",
+                        lambda p: checked.append(p) or verify_packet(p))
+    packets = packetize(b"abcdef", 2)
+    received = [Packet(1, 2, b"XY", 0), *packets, Packet(7, 2, b"ZZ", 0)]
+    depacketize(received, 2)
+    assert checked == received
 
 
 # A hit flips one bit or overwrites one byte of one frame: (frame, byte,
