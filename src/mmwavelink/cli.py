@@ -20,7 +20,8 @@ import numpy as np
 
 from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel, _check_tone,
                       single_tone_probe)
-from .link import CHUNK_FRAMES, aggregate_evm_db, frame_bits_rng, run_frame, run_seeded_frames
+# run_frame is called through this binding: the benchmark hooks cli.run_frame.
+from .link import CHUNK_FRAMES, aggregate_evm_db, run_frame, run_seeded_frames
 from .linklayer import PACKET_OVERHEAD, stream_bytes
 from .metrics import (append_series_csv, gaussian_fit_in_place, phase_pdf, psd_welch,
                       std_in_place, wrap_phase, write_csv_header, write_series_csv)
@@ -223,16 +224,10 @@ def _json_text(name: str, obj) -> str:
         raise ValueError(f"{name} not written: {exc}") from None
 
 
-def _joined(items, name: str) -> np.ndarray:
-    """The named (F, ...) array of several stacks or reports, joined along frames."""
-    return np.concatenate([getattr(item, name) for item in items])
-
-
 def cmd_simulate(args, cfg: Config) -> int:
     out = _out_dir(args)
     v, ofdm_cfg, modulation = cfg.values, cfg.ofdm, cfg.modulation
     n_frames, n_sym, seed = v["n_frames"], v["n_payload_symbols"], v["seed"]
-    capacity = frame_capacity_bits(ofdm_cfg, modulation, n_sym)
     # A run keeps per-frame scalars and each frame's residual phase over its
     # payload bodies, whose exact std goes into summary.json (taken in the
     # array's own buffer); a chunk's stacks, points and traces are dropped
@@ -249,26 +244,19 @@ def cmd_simulate(args, cfg: Config) -> int:
             write_csv_header(points_fh, ["re", "im"])
             for start in range(0, n_frames, CHUNK_FRAMES):
                 rows = slice(start, min(start + CHUNK_FRAMES, n_frames))
-                # One run_frame call per frame: the benchmark's run_s clock
-                # starts at the first one (bench/child.py).
-                stacks = [run_frame(
-                    frame_bits_rng(seed, i).integers(0, 2, capacity, dtype=np.uint8),
-                    modulation, ofdm_cfg, cfg.channel, v["pnc_enabled"], n_sym, seed, i)
-                    for i in range(rows.start, rows.stop)]
-                reports = [s.report for s in stacks]
-                evm[rows] = _joined(reports, "evm_db")
-                pilot_std[rows] = _joined(reports, "residual_phase_std")
-                powers[:, rows] = (_joined(reports, "error_power"),
-                                   _joined(reports, "reference_power"))
-                n_erased += int(_joined(reports, "n_erased").sum())
-                points = _joined(reports, "points")
-                genie[rows] = genie_evm_db(points, _joined(stacks, "tx_bits"),
-                                           _joined(reports, "erased"), modulation)
-                d = wrap_phase(_joined(stacks, "theta_true_bodies") - _joined(stacks, "theta_est"))
+                stack = run_frame(modulation, ofdm_cfg, cfg.channel, v["pnc_enabled"],
+                                  n_sym, seed, range(rows.start, rows.stop))
+                report = stack.report
+                evm[rows], pilot_std[rows] = report.evm_db, report.residual_phase_std
+                powers[:, rows] = report.error_power, report.reference_power
+                n_erased += int(report.n_erased.sum())
+                genie[rows] = genie_evm_db(report.points, stack.tx_bits, report.erased,
+                                           modulation)
+                d = wrap_phase(stack.theta_true_bodies - stack.theta_est)
                 residual[rows] = d - d.mean(axis=-1, keepdims=True)
                 append_series_csv(evm_fh, [np.arange(rows.start, rows.stop), evm[rows],
                                            pilot_std[rows]])
-                append_series_csv(points_fh, [points.real, points.imag])
+                append_series_csv(points_fh, [report.points.real, report.points.imag])
 
         summary = {
             "n_frames": n_frames,

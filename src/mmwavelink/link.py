@@ -57,7 +57,7 @@ def run_frames(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
 
     `bits[f]` is the payload of frame first_frame + f, whose channel draws
     use a seed derived from (run_seed, first_frame + f), so row f equals
-    run_frame on that frame alone, bit for bit.
+    run_frames on that frame in a stack of one, bit for bit.
     """
     seeds = [derived_seed(run_seed, i, 0) for i in range(first_frame, first_frame + len(bits))]
     symbols, padded = build_frames(bits, modulation, ofdm_cfg, n_payload_symbols)
@@ -70,26 +70,26 @@ def run_frames(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
         _oracle=lambda: estimate_phase(_payload_bodies(y, ofdm_cfg), ofdm_cfg).per_sample_phase)
 
 
-def run_frame(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
-              channel_cfg: ChannelConfig, pnc_enabled: bool, n_payload_symbols: int,
-              run_seed: int, frame: int) -> FrameStack:
-    """Frame `frame` of a run on its own: run_frames on a stack of one."""
-    return run_frames([bits], modulation, ofdm_cfg, channel_cfg, pnc_enabled,
-                      n_payload_symbols, run_seed, frame)
+def run_frame(modulation: Modulation, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
+              pnc_enabled: bool, n_payload_symbols: int, run_seed: int,
+              frames: range) -> FrameStack:
+    """Frames `frames` of a run whose frame i carries frame_bits_rng(run_seed, i)
+    bits, drawn here and run as one stack by run_frames."""
+    capacity = frame_capacity_bits(ofdm_cfg, modulation, n_payload_symbols)
+    bits = [frame_bits_rng(run_seed, i).integers(0, 2, capacity, dtype=np.uint8)
+            for i in frames]
+    return run_frames(bits, modulation, ofdm_cfg, channel_cfg, pnc_enabled,
+                      n_payload_symbols, run_seed, frames.start)
 
 
 def run_seeded_frames(modulation: Modulation, ofdm_cfg: OfdmConfig,
                       channel_cfg: ChannelConfig, pnc_enabled: bool,
                       n_payload_symbols: int, run_seed: int, n_frames: int):
-    """Yield the FrameStacks of frames 0 .. n_frames - 1 of a run whose frame
-    i carries frame_bits_rng(run_seed, i) bits, CHUNK_FRAMES frames at a time."""
-    capacity = frame_capacity_bits(ofdm_cfg, modulation, n_payload_symbols)
+    """Yield run_frame's FrameStacks of frames 0 .. n_frames - 1 of a run,
+    CHUNK_FRAMES frames at a time."""
     for start in range(0, n_frames, CHUNK_FRAMES):
-        frames = range(start, min(start + CHUNK_FRAMES, n_frames))
-        bits = [frame_bits_rng(run_seed, i).integers(0, 2, capacity, dtype=np.uint8)
-                for i in frames]
-        yield run_frames(bits, modulation, ofdm_cfg, channel_cfg, pnc_enabled,
-                         n_payload_symbols, run_seed, start)
+        yield run_frame(modulation, ofdm_cfg, channel_cfg, pnc_enabled, n_payload_symbols,
+                        run_seed, range(start, min(start + CHUNK_FRAMES, n_frames)))
 
 
 def frame_bits_rng(run_seed: int, frame_idx: int) -> np.random.Generator:

@@ -73,11 +73,20 @@ def estimate_channel_ls(preamble_bins, training, cfg: OfdmConfig) -> ChannelEsti
     h_freq = np.empty((*h_known.shape[:-1], band.size), dtype=complex)
     h_freq[..., known] = h_known
     if not known.all():
-        # Places in the band are the subcarriers shifted by used_band.
+        # np.interp over band places for every row at once, by its own formula
+        # on the real and imaginary parts: slope * (p - have[j]) + h[j], the
+        # slope taken per interval, retried from have[j + 1] where that is NaN.
+        # The band's edges are payload, so every gap p has have[j] < p < have[j + 1].
         have, gaps = np.flatnonzero(known), np.flatnonzero(~known)
-        rows_in, rows_out = h_known.reshape(-1, h_known.shape[-1]), h_freq.reshape(-1, band.size)
-        for h_in, h_out in zip(rows_in, rows_out):
-            h_out[gaps] = np.interp(gaps, have, h_in.real) + 1j * np.interp(gaps, have, h_in.imag)
+        j = np.searchsorted(have, gaps) - 1
+        parts = np.stack([h_known.real, h_known.imag])
+        lo, hi = parts[..., j], parts[..., j + 1]
+        slope = (hi - lo) / (have[j + 1] - have[j])
+        fill = slope * (gaps - have[j]) + lo
+        if np.isnan(fill).any():
+            fill = np.where(np.isnan(fill), slope * (gaps - have[j + 1]) + hi, fill)
+            fill = np.where(np.isnan(fill) & (lo == hi), lo, fill)
+        h_freq[..., gaps] = fill[0] + 1j * fill[1]
 
     diff = ratios[..., 0, :] - ratios[..., 1, :]
     noise_floor = np.mean(np.abs(diff) ** 2, axis=-1) / 2.0

@@ -26,7 +26,7 @@ from mmwavelink.link import aggregate_evm_db
 from mmwavelink.modulation import evm_db_from_powers
 from mmwavelink.metrics import (CSV_BLOCK_ROWS, append_series_csv, psd_welch, std_in_place,
                                 write_csv_header, write_series_csv)
-from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS
+from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS, PILOT_INDEX
 
 FS = 25.0e6
 FAST = settings(max_examples=40, deadline=None)
@@ -122,6 +122,46 @@ def test_batched_equalize_equals_per_row(seed, n_rows, n_weak):
         np.testing.assert_array_equal(erased_row, erased_one)
 
 
+@pytest.mark.parametrize("k_guard", [1, 3, 8])
+def test_guard_interpolation_equals_per_row_interp(k_guard):
+    # estimate_channel_ls fills the guard bins of every row at once; each row
+    # must equal np.interp on that row's known bins, bit for bit, also where
+    # infinite estimates make np.interp's formula NaN and it retries from the
+    # right-hand end of the interval.
+    cfg = ofdm_cfg(k_guard)
+    # Unit training on the pilot and payload bins: each known estimate is the
+    # mean received value, so a special value lands on the estimate it is put on.
+    training = np.zeros(64, dtype=complex)
+    training[np.append(cfg.payload_indices, PILOT_INDEX)] = 1.0
+    known = np.abs(training[cfg.band_indices]) > 0.0
+    have, gaps = np.flatnonzero(known), np.flatnonzero(~known)
+    rng = np.random.default_rng(k_guard)
+    specials = np.array([np.inf, -np.inf, np.nan, 0.0, 1e308])
+    # The known bins next to the guard gaps: the pilot and subcarriers ±(K + 1).
+    ends = cfg.band_indices[cfg.used_band + np.array([-k_guard - 1, 0, k_guard + 1])]
+    for i in range(300):
+        bins = rng.standard_normal((16, 2, 64)) + 1j * rng.standard_normal((16, 2, 64))
+        bins *= np.exp(rng.uniform(-30.0, 30.0, (16, 1, 1)))
+        if i % 3 == 0:   # special values on some bins of a few rows
+            for part in (bins.real, bins.imag):
+                at = (rng.integers(0, 16, 6), rng.integers(0, 2, 6),
+                      rng.choice(ends if i % 2 else np.arange(64), 6))
+                part[at] = rng.choice(specials, 6)
+            # A row whose imaginary estimates overflow to the same infinity on
+            # both ends of each gap, where np.interp's retry is NaN too. (The
+            # real parts turn NaN, and so does the real part of any filled bin.)
+            bins.imag[rng.integers(0, 16), :, ends] = rng.choice([1e308, -1e308])
+        with np.errstate(invalid="ignore", over="ignore"):   # inf - inf, 1j * inf
+            h = estimate_channel_ls(bins, training, cfg).h_freq
+            for row in h:
+                h_known = row[known]
+                expect = (np.interp(gaps, have, h_known.real)
+                          + 1j * np.interp(gaps, have, h_known.imag))
+                # A NaN's sign bit follows a kernel's operand order, not the value.
+                assert_same_bytes(*(np.where(np.isnan(z.view(float)), np.nan, z.view(float))
+                                    for z in (row[gaps], expect)))
+
+
 @pytest.mark.parametrize("pnc_enabled", [True, False])
 def test_run_frame_phase_estimate_equals_per_symbol_oracle(pnc_enabled):
     cfg = ofdm_cfg()
@@ -129,7 +169,7 @@ def test_run_frame_phase_estimate_equals_per_symbol_oracle(pnc_enabled):
     # channel on the same config only if run_frame normalizes them once.
     channel = ChannelConfig(taps=(1.0, 0.2), snr_db=30.0)
     bits = frame_bits_rng(7, 2).integers(0, 2, 46 * 2 * 5, dtype=np.uint8)
-    result = run_frame(bits, Modulation.QPSK, cfg, channel, pnc_enabled, 5, 7, 2)
+    result = run_frames([bits], Modulation.QPSK, cfg, channel, pnc_enabled, 5, 7, 2)
 
     symbols, _ = build_frames([bits], Modulation.QPSK, cfg, 5)
     y, theta = channel_row(symbols.ravel(), channel, derived_seed(7, 2, 0))
@@ -402,8 +442,8 @@ def test_run_frames_equals_run_frame(modulation, pnc_enabled, taps, cfo_hz, mode
                          run_seed, first_frame)
     assert len(batched.tx_bits) == len(bits)
     for f in range(len(bits)):
-        single = run_frame(bits[f], modulation, cfg, channel, pnc_enabled, n_payload_symbols,
-                           run_seed, first_frame + f)
+        single = run_frames([bits[f]], modulation, cfg, channel, pnc_enabled,
+                            n_payload_symbols, run_seed, first_frame + f)
         assert_row_equals(batched, f, single)
 
 
@@ -799,8 +839,27 @@ def test_full_chunk_run_frames_equals_run_frame(pnc_enabled, cfo_hz, n_frames,
                          n_payload_symbols, 9, 32)
     assert len(batched.tx_bits) == n_frames
     for f in range(n_frames):
-        single = run_frame(bits[f], Modulation.QAM64, cfg, channel, pnc_enabled,
-                           n_payload_symbols, 9, 32 + f)
+        single = run_frames([bits[f]], Modulation.QAM64, cfg, channel, pnc_enabled,
+                            n_payload_symbols, 9, 32 + f)
+        assert_row_equals(batched, f, single)
+
+
+@pytest.mark.parametrize("pnc_enabled", [True, False])
+def test_run_frame_equals_run_frames_on_its_range(pnc_enabled):
+    # run_frame draws frame i's bits from frame_bits_rng(run_seed, i) and runs
+    # the range as one stack, each row equal to that frame run alone.
+    cfg = ofdm_cfg(3 if pnc_enabled else 0)
+    channel = ChannelConfig(taps=(1.0, 0.3 + 0.2j, 0.1), snr_db=35.0,
+                            phase_noise=PhaseNoiseConfig(sigma=0.26), cfo_hz=5000.0)
+    capacity = frame_capacity_bits(cfg, Modulation.QPSK, 4)
+    frames = range(32, 37)
+    bits = [frame_bits_rng(9, i).integers(0, 2, capacity, dtype=np.uint8) for i in frames]
+    stack = run_frame(Modulation.QPSK, cfg, channel, pnc_enabled, 4, 9, frames)
+    batched = run_frames(bits, Modulation.QPSK, cfg, channel, pnc_enabled, 4, 9, 32)
+    assert len(stack.tx_bits) == len(frames)
+    for f, i in enumerate(frames):
+        single = run_frames([bits[f]], Modulation.QPSK, cfg, channel, pnc_enabled, 4, 9, i)
+        assert_row_equals(stack, f, single)
         assert_row_equals(batched, f, single)
 
 

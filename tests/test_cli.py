@@ -589,3 +589,21 @@ def test_public_names_resolve():
     # OfdmConfig holds the symbol layout on its own.
     for name in ("SubcarrierPlan", "build_plan"):
         assert not hasattr(mmwavelink, name) and not hasattr(mmwavelink.ofdm, name), name
+
+
+def test_simulate_run_frame_calls_one_per_chunk(tmp_path, monkeypatch):
+    # simulate runs each CHUNK_FRAMES chunk as one call of the name
+    # cli.run_frame, which the benchmark hooks (bench/child.py) to start its
+    # run clock; per-frame calls, or a call that bypasses the name, fail here.
+    ranges = []
+    original = mmwavelink.cli.run_frame
+
+    def counted(*args, **kwargs):
+        frames = args[-1]
+        ranges.append((frames.start, frames.stop))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mmwavelink.cli, "run_frame", counted)
+    cfg = write_cfg(tmp_path, {"n_frames": 37, "n_payload_symbols": 2})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert ranges == [(0, 16), (16, 32), (32, 37)]
