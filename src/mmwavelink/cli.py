@@ -230,7 +230,7 @@ def cmd_simulate(args, cfg: Config) -> int:
     n_frames, n_sym, seed = v["n_frames"], v["n_payload_symbols"], v["seed"]
     # A run keeps per-frame scalars and each frame's residual phase over its
     # payload bodies, whose exact std goes into summary.json (taken in the
-    # array's own buffer); a chunk's stacks, points and traces are dropped
+    # array's own buffer); a chunk's stack, points and traces are dropped
     # once its rows are written.
     evm, pilot_std, genie = np.empty(n_frames), np.empty(n_frames), np.empty(n_frames)
     powers = np.empty((2, n_frames))   # each frame's error and reference power
