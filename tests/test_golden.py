@@ -3,13 +3,18 @@ write for three small seeded configs, of the `measure-pn` files for two, and
 of one command's files for each config in ONE_COMMAND_CONFIGS.
 
 The hashes pin the exact bytes, so a refactor or speed-up that changes any
-decoded bit, EVM digit or CSV formatting fails here. To regenerate after an
-intended change of behaviour, run `PYTHONPATH=src python tests/test_golden.py`
-and paste the printed table over GOLDEN.
+decoded bit, EVM digit or CSV formatting fails here. GOLDEN_VALUES pins the
+numbers of the JSON artifacts and the EVMs of ksweep.csv, floats within 1e-9
+relative and integers exactly, so that a hash that moves can be told apart:
+with its values held, only rounding moved. To regenerate after an intended
+change of behaviour, run `PYTHONPATH=src python tests/test_golden.py` and
+paste the two printed tables over GOLDEN and GOLDEN_VALUES.
 """
 
+import csv
 import hashlib
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -227,8 +232,154 @@ GOLDEN = {
 }
 
 
-def run_command(tmp_path: Path, name: str, command: str) -> dict:
-    """Run one CLI command on a named config; returns {artifact: sha256}."""
+# The numbers artifact_values reads from each run's artifacts.
+GOLDEN_VALUES = {
+    "probe_blocks_cfo": {
+        "measure-pn": {
+            "std": 28.705097123852557
+        }
+    },
+    "probe_multipath": {
+        "measure-pn": {
+            "std": 0.2547231511924008
+        }
+    },
+    "qam64_nopnc": {
+        "simulate": {
+            "evm_db": -29.25272786072143,
+            "evm_db_genie_mean": -29.562589499463392,
+            "residual_phase_std": 0.0197418210863715,
+            "residual_phase_std_true": 0.011716600405467542
+        },
+        "stream": {
+            "goodput_bits_per_channel_use": 2.1875,
+            "mean_evm_db": -29.448708240701936,
+            "packets_crc_fail": 0,
+            "packets_ok": 4,
+            "packets_sent": 4,
+            "per": 0.0
+        },
+        "sweep-k": {
+            "mean_evm_db K=0": -29.25272786,
+            "mean_evm_db K=2": -29.36668827,
+            "mean_evm_db K=3": -29.55931457
+        }
+    },
+    "qam64_nopnc_chunks": {
+        "simulate": {
+            "evm_db": -28.189095734138494,
+            "evm_db_genie_mean": -28.827343949066687,
+            "residual_phase_std": 0.024401061925339838,
+            "residual_phase_std_true": 0.011193308735113119
+        }
+    },
+    "qam64_stream_chunks": {
+        "stream": {
+            "goodput_bits_per_channel_use": 2.9781746031746033,
+            "mean_evm_db": -26.812610833240377,
+            "packets_crc_fail": 3,
+            "packets_ok": 33,
+            "packets_sent": 36,
+            "per": 0.08333333333333337
+        }
+    },
+    "qpsk_cfo": {
+        "simulate": {
+            "evm_db": -20.73567793433427,
+            "evm_db_genie_mean": -20.81767743600471,
+            "residual_phase_std": 0.003724244940100218,
+            "residual_phase_std_true": 0.18673837301707144
+        },
+        "stream": {
+            "goodput_bits_per_channel_use": 0.7291666666666666,
+            "mean_evm_db": -20.063408444893646,
+            "packets_crc_fail": 0,
+            "packets_ok": 12,
+            "packets_sent": 12,
+            "per": 0.0
+        },
+        "sweep-k": {
+            "mean_evm_db K=0": -22.38063031,
+            "mean_evm_db K=2": -21.91162641,
+            "mean_evm_db K=3": -20.73567793
+        }
+    },
+    "qpsk_long_rows_cfo": {
+        "simulate": {
+            "evm_db": -21.47432402762479,
+            "evm_db_genie_mean": -21.474324140626514,
+            "residual_phase_std": 0.00497289462407419,
+            "residual_phase_std_true": 1.7747972842404445
+        }
+    },
+    "qpsk_multipath_pnc": {
+        "simulate": {
+            "evm_db": -22.158442982470973,
+            "evm_db_genie_mean": -22.385457741581142,
+            "residual_phase_std": 0.002397074291660385,
+            "residual_phase_std_true": 0.06865571892129473
+        },
+        "stream": {
+            "goodput_bits_per_channel_use": 0.7291666666666666,
+            "mean_evm_db": -22.462657676716972,
+            "packets_crc_fail": 0,
+            "packets_ok": 12,
+            "packets_sent": 12,
+            "per": 0.0
+        },
+        "sweep-k": {
+            "mean_evm_db K=0": -21.72050742,
+            "mean_evm_db K=2": -22.09179297,
+            "mean_evm_db K=3": -22.15844298
+        }
+    },
+    "qpsk_multipath_pnc_chunks": {
+        "simulate": {
+            "evm_db": -21.64865036708527,
+            "evm_db_genie_mean": -22.022953067507526,
+            "residual_phase_std": 0.0030120327275220678,
+            "residual_phase_std_true": 0.0705460249410425
+        }
+    }
+}
+
+
+# Floats are held to this relative tolerance; integers (and None) exactly.
+VALUE_REL_TOL = 1e-9
+SUMMARY_VALUES = ("evm_db", "evm_db_genie_mean", "residual_phase_std",
+                  "residual_phase_std_true")
+
+
+def artifact_values(out: Path) -> dict:
+    """The numbers GOLDEN_VALUES pins, from the artifacts in out."""
+    values = {}
+    if (out / "summary.json").exists():
+        summary = json.loads((out / "summary.json").read_text())
+        values.update({key: summary[key] for key in SUMMARY_VALUES})
+    if (out / "stream_report.json").exists():
+        values.update(json.loads((out / "stream_report.json").read_text()))
+    if (out / "pn_fit.json").exists():
+        values["std"] = json.loads((out / "pn_fit.json").read_text())["std"]
+    if (out / "ksweep.csv").exists():
+        with open(out / "ksweep.csv", newline="") as fh:
+            values.update({f"mean_evm_db K={row['k_guard']}": float(row["mean_evm_db"])
+                           for row in csv.DictReader(fh)})
+    return values
+
+
+def assert_values(got: dict, expected: dict) -> None:
+    assert got.keys() == expected.keys()
+    for key, value in expected.items():
+        if isinstance(value, float):
+            assert isinstance(got[key], float) and math.isclose(
+                got[key], value, rel_tol=VALUE_REL_TOL, abs_tol=0.0), (key, got[key], value)
+        else:
+            assert got[key] == value and type(got[key]) is type(value), (key, got[key], value)
+
+
+def run_command(tmp_path: Path, name: str, command: str) -> tuple:
+    """Run one CLI command on a named config; returns ({artifact: sha256},
+    its artifact_values)."""
     extra = {name: cfg for name, (_, cfg) in ONE_COMMAND_CONFIGS.items()}
     config = {**CONFIGS, **PROBE_CONFIGS, **extra}[name]
     cfg_path = tmp_path / f"{name}.json"
@@ -243,37 +394,48 @@ def run_command(tmp_path: Path, name: str, command: str) -> dict:
             STREAM_SIZES.get(name, STREAM_BYTES)))
         argv += ["--input", str(data_path)]
     assert main(argv) == 0
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.iterdir())}
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in sorted(out.iterdir())}
+    return hashes, artifact_values(out)
+
+
+def check_golden(tmp_path: Path, name: str, command: str) -> None:
+    hashes, values = run_command(tmp_path, name, command)
+    # Values first: a hash that moves with its values held moved in rounding only.
+    assert_values(values, GOLDEN_VALUES[name][command])
+    assert hashes == GOLDEN[name][command]
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep-k", "stream"])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_artifacts(tmp_path, name, command):
-    assert run_command(tmp_path, name, command) == GOLDEN[name][command]
+    check_golden(tmp_path, name, command)
 
 
 @pytest.mark.parametrize("name", sorted(PROBE_CONFIGS))
 def test_golden_measure_pn(tmp_path, name):
-    assert run_command(tmp_path, name, "measure-pn") == GOLDEN[name]["measure-pn"]
+    check_golden(tmp_path, name, "measure-pn")
 
 
 @pytest.mark.parametrize("name", sorted(ONE_COMMAND_CONFIGS))
 def test_golden_one_command(tmp_path, name):
-    command = ONE_COMMAND_CONFIGS[name][0]
-    assert run_command(tmp_path, name, command) == GOLDEN[name][command]
+    check_golden(tmp_path, name, ONE_COMMAND_CONFIGS[name][0])
 
 
 if __name__ == "__main__":
     import tempfile
 
+    runs = [(name, command) for name in sorted(CONFIGS)
+            for command in ("simulate", "sweep-k", "stream")]
+    runs += [(name, "measure-pn") for name in sorted(PROBE_CONFIGS)]
+    runs += [(name, command) for name, (command, _) in sorted(ONE_COMMAND_CONFIGS.items())]
+    hashes, values = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        table = {name: {command: run_command(Path(tmp), name, command)
-                        for command in ("simulate", "sweep-k", "stream")}
-                 for name in sorted(CONFIGS)}
-        table.update({name: {"measure-pn": run_command(Path(tmp), name, "measure-pn")}
-                      for name in sorted(PROBE_CONFIGS)})
-        table.update({name: {command: run_command(Path(tmp), name, command)}
-                      for name, (command, _) in sorted(ONE_COMMAND_CONFIGS.items())})
-    json.dump(table, sys.stdout, indent=4, sort_keys=True)
-    print()
+        for name, command in runs:
+            result = run_command(Path(tmp), name, command)
+            hashes.setdefault(name, {})[command] = result[0]
+            values.setdefault(name, {})[command] = result[1]
+    for title, table in (("GOLDEN", hashes), ("GOLDEN_VALUES", values)):
+        print(f"{title} = ", end="")
+        json.dump(table, sys.stdout, indent=4, sort_keys=True)
+        print()
