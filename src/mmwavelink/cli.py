@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,11 +22,11 @@ from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel, _check_t
                       single_tone_probe)
 # run_frame is called through this binding: the benchmark hooks cli.run_frame.
 from .link import CHUNK_FRAMES, aggregate_evm_db, run_frame, run_seeded_frames
-from .linklayer import PACKET_OVERHEAD, stream_bytes
+from .linklayer import frame_payload_bytes, stream_bytes
 from .metrics import (append_series_csv, gaussian_fit_in_place, phase_pdf, psd_welch,
                       std_in_place, wrap_phase, write_csv_header, write_series_csv)
 from .modulation import Modulation
-from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig, frame_capacity_bits
+from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig
 from .receiver import genie_evm_db
 
 
@@ -57,8 +57,8 @@ TAPS = ((lambda v: isinstance(v, list) and v != [] and all(map(_is_tap, v))),
         "a non-empty array of numbers or [re, im] pairs")
 
 # Every config key: (dotted path, kind, default, minimum). Ranges that
-# OfdmConfig, ChannelConfig and _check_tone enforce are not
-# repeated here; load_config turns their ValueError into a ConfigError.
+# OfdmConfig, ChannelConfig, _check_tone and frame_payload_bytes enforce are
+# not repeated here; load_config turns their ValueError into a ConfigError.
 CONFIG_TABLE = (
     ("phy.n_fft", INT, 64, None),
     ("phy.cp_len", INT, 16, None),
@@ -185,6 +185,9 @@ def load_config(args) -> Config:
             cfo_hz=float(v["channel.cfo_hz"]), sample_rate_hz=fs)
         tone_hz = fs / 8.0 if v["probe.tone_hz"] is None else float(v["probe.tone_hz"])
         _check_tone(tone_hz, fs)
+        modulation = Modulation(v["modulation"])
+        if args.command == "stream":
+            frame_payload_bytes(ofdm, modulation, v["n_payload_symbols"])
     except ValueError as exc:
         raise ConfigError(str(exc))
     for key, n in [("probe.n_samples", v["probe.n_samples"]), ("n_payload_symbols",
@@ -197,11 +200,6 @@ def load_config(args) -> Config:
         raise ConfigError(f"n_frames gives {residual} residual samples, over {MAX_ROW_SAMPLES}")
     if args.command == "sweep-k" and v["n_frames"] < 1:
         raise ConfigError("sweep-k needs n_frames >= 1 for a mean EVM")
-    modulation = Modulation(v["modulation"])
-    capacity = frame_capacity_bits(ofdm, modulation, v["n_payload_symbols"]) // 8
-    if args.command == "stream" and capacity <= PACKET_OVERHEAD:
-        raise ConfigError(f"stream needs a frame of more than {PACKET_OVERHEAD} bytes for a "
-                          f"packet's header and CRC, got {capacity}")
     # L taps spread a symbol over L - 1 extra samples, which the CP absorbs
     # while L - 1 <= cp_len.
     if args.command != "measure-pn" and len(channel.taps) - 1 > ofdm.cp_len:
@@ -353,14 +351,7 @@ def cmd_stream(args, cfg: Config) -> int:
         seed=v["seed"], n_payload_symbols=v["n_payload_symbols"])
     # Serialized first: a report that is not finite fails here, before the
     # recovered bytes are written.
-    report_text = _json_text("stream_report.json", {
-        "packets_sent": report.packets_sent,
-        "packets_ok": report.packets_ok,
-        "packets_crc_fail": report.packets_crc_fail,
-        "per": report.per,
-        "goodput_bits_per_channel_use": report.goodput_bits_per_channel_use,
-        "mean_evm_db": report.mean_evm_db,
-    })
+    report_text = _json_text("stream_report.json", asdict(report))
     output = Path(args.output) if args.output else out / "recovered.bin"
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_bytes(recovered)

@@ -93,8 +93,6 @@ def depacketize(packets, payload_len: int) -> tuple:
     untrusted as a lost packet's size, and uniform fill keeps later bytes
     at their original offsets. Returns (data, [(seq, PacketStatus)]).
     """
-    if not packets:
-        return b"", []
     # Each packet is checked once; those that pass come first, in order.
     checked = sorted(((p, verify_packet(p)) for p in packets), key=lambda c: not c[1])
     # Sequence numbers on packets failing CRC are untrusted: they never widen
@@ -108,16 +106,22 @@ def depacketize(packets, payload_len: int) -> tuple:
     statuses = []
     for seq in range(n_slots):
         p, ok = by_seq.get(seq, (None, False))
-        if p is None:
-            statuses.append((seq, PacketStatus.MISSING))
-            chunks.append(bytes(payload_len))
-        elif ok:
-            statuses.append((seq, PacketStatus.OK))
-            chunks.append(p.payload)
-        else:
-            statuses.append((seq, PacketStatus.CRC_FAIL))
-            chunks.append(bytes(payload_len))
+        status = PacketStatus.MISSING if p is None else (
+            PacketStatus.OK if ok else PacketStatus.CRC_FAIL)
+        statuses.append((seq, status))
+        chunks.append(p.payload if ok else bytes(payload_len))
     return b"".join(chunks), statuses
+
+
+def frame_payload_bytes(ofdm_cfg: OfdmConfig, modulation: Modulation,
+                        n_payload_symbols: int) -> int:
+    """A frame's packet payload bytes: its whole bytes less PACKET_OVERHEAD, at
+    most MAX_PAYLOAD_LEN. Raises ValueError if no packet fits."""
+    capacity = frame_capacity_bits(ofdm_cfg, modulation, n_payload_symbols) // 8
+    if capacity <= PACKET_OVERHEAD:
+        raise ValueError(f"stream needs a frame of more than {PACKET_OVERHEAD} bytes for a "
+                         f"packet's header and CRC, got {capacity}")
+    return min(capacity - PACKET_OVERHEAD, MAX_PAYLOAD_LEN)
 
 
 @dataclass(frozen=True)
@@ -139,15 +143,12 @@ def stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
     Deterministic given (configs, seed): frame i uses a seed derived from
     (seed, i), so the chunking does not change any byte. Returns
     (recovered_bytes, StreamReport).
+
+    Each received packet is checked once, by depacketize: packets_ok counts
+    its OK slots and every other received packet fails CRC, so of two that
+    verify with the same seq (a CRC-32 collision) only the one placed is OK.
     """
-    capacity_bytes = frame_capacity_bits(ofdm_cfg, modulation, n_payload_symbols) // 8
-    max_payload = capacity_bytes - PACKET_OVERHEAD
-    if max_payload < 1:
-        raise ValueError(
-            f"frame capacity {capacity_bytes} bytes cannot fit a packet "
-            f"(overhead {PACKET_OVERHEAD})"
-        )
-    max_payload = min(max_payload, MAX_PAYLOAD_LEN)
+    max_payload = frame_payload_bytes(ofdm_cfg, modulation, n_payload_symbols)
 
     packets = packetize(data, max_payload) if data else []
     received = []
@@ -159,23 +160,20 @@ def stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
         stack = run_frames(tx_bits, modulation, ofdm_cfg, channel_cfg, pnc_enabled,
                            n_payload_symbols, seed, start)
         report = stack.report
-        rx_bytes = np.packbits(report.bits[:, :capacity_bytes * 8], axis=-1)
+        rx_bytes = np.packbits(report.bits[:, :report.bits.shape[1] // 8 * 8], axis=-1)
         received.extend(decode_packet(row.tobytes()) for row in rx_bytes)
         powers[:, start:start + len(chunk)] = report.error_power, report.reference_power
         channel_uses += len(chunk) * stack.samples_per_frame
         del stack, report   # frees the chunk's arrays before the next chunk runs
 
     recovered, statuses = depacketize(received, max_payload)
-    # Counted over what was received, not over reassembly slots: a packet
-    # whose corrupted header claims a far-off seq still failed CRC here.
-    verified = [p for p in received if verify_packet(p)]
-    ok = len(verified)
-    crc_fail = len(received) - ok
-    ok_bits = 8 * sum(p.payload_len for p in verified)
+    ok = sum(status is PacketStatus.OK for _, status in statuses)
+    # Every slot but an OK one holds max_payload zero bytes.
+    ok_bits = 8 * (len(recovered) - max_payload * (len(statuses) - ok))
     report = StreamReport(
         packets_sent=len(packets),
         packets_ok=ok,
-        packets_crc_fail=crc_fail,
+        packets_crc_fail=len(received) - ok,
         per=1.0 - ok / len(packets) if packets else 0.0,
         goodput_bits_per_channel_use=ok_bits / channel_uses if channel_uses else 0.0,
         mean_evm_db=aggregate_evm_db(*powers),

@@ -72,21 +72,16 @@ def estimate_channel_ls(preamble_bins, training, cfg: OfdmConfig) -> ChannelEsti
     h_known = ratios.mean(axis=-2)
     h_freq = np.empty((*h_known.shape[:-1], band.size), dtype=complex)
     h_freq[..., known] = h_known
-    if not known.all():
-        # np.interp over band places for every row at once, by its own formula
-        # on the real and imaginary parts: slope * (p - have[j]) + h[j], the
-        # slope taken per interval, retried from have[j + 1] where that is NaN.
-        # The band's edges are payload, so every gap p has have[j] < p < have[j + 1].
-        have, gaps = np.flatnonzero(known), np.flatnonzero(~known)
-        j = np.searchsorted(have, gaps) - 1
-        parts = np.stack([h_known.real, h_known.imag])
-        lo, hi = parts[..., j], parts[..., j + 1]
-        slope = (hi - lo) / (have[j + 1] - have[j])
-        fill = slope * (gaps - have[j]) + lo
-        if np.isnan(fill).any():
-            fill = np.where(np.isnan(fill), slope * (gaps - have[j + 1]) + hi, fill)
-            fill = np.where(np.isnan(fill) & (lo == hi), lo, fill)
-        h_freq[..., gaps] = fill[0] + 1j * fill[1]
+    if h_known.size and not known.all():   # an empty stack has no gap to fill
+        # One np.interp per part over every row, row r's places offset by
+        # r * band.size. The band's edges are payload, so each gap lies inside
+        # its own row's interval, and the integer offsets leave each
+        # interval's differences, and so its bytes, as in a per-row call.
+        gaps = np.flatnonzero(~known)
+        offsets = band.size * np.arange(h_known[..., 0].size)[:, None]
+        x, xp = (gaps + offsets).ravel(), (np.flatnonzero(known) + offsets).ravel()
+        fill = [np.interp(x, xp, part.ravel()) for part in (h_known.real, h_known.imag)]
+        h_freq[..., gaps] = (fill[0] + 1j * fill[1]).reshape(*h_known.shape[:-1], gaps.size)
 
     diff = ratios[..., 0, :] - ratios[..., 1, :]
     noise_floor = np.mean(np.abs(diff) ** 2, axis=-1) / 2.0

@@ -229,6 +229,30 @@ def test_stream_bytes_deterministic():
     assert out1[1] == out2[1]
 
 
+def test_stream_bytes_checks_each_received_packet_once(monkeypatch):
+    # Low-SNR 64-QAM: 18 packets, about half of them failing CRC. The report
+    # must count what verifying every received packet again gives, from one
+    # check of each.
+    received, checked = [], []
+    monkeypatch.setattr(linklayer, "decode_packet",
+                        lambda wire: received.append(decode_packet(wire)) or received[-1])
+    monkeypatch.setattr(linklayer, "verify_packet",
+                        lambda p: checked.append(p) or verify_packet(p))
+    cfg = OfdmConfig(64, 0, 26, 16)
+    channel = ChannelConfig(snr_db=26.0, phase_noise=PhaseNoiseConfig(sigma=0.03))
+    data = np.random.default_rng(32).bytes(8000)
+    _, report = stream_bytes(data, cfg, channel, Modulation.QAM64, pnc_enabled=False, seed=1)
+    assert checked == received
+    verified = [p for p in received if verify_packet(p)]
+    assert report.packets_crc_fail == len(received) - len(verified) >= 5
+    assert report.packets_ok == len(verified) >= 1
+    assert report.packets_sent == len(received)
+    assert report.per == 1.0 - len(verified) / len(received)
+    channel_uses = len(received) * (2 + 12) * cfg.symbol_len
+    assert report.goodput_bits_per_channel_use == (
+        8 * sum(p.payload_len for p in verified) / channel_uses)
+
+
 def test_stream_bytes_rejects_tiny_frames():
     cfg = default_cfg()
     with pytest.raises(ValueError):

@@ -75,6 +75,13 @@ def test_ls_noise_floor_from_repeat_spread():
     assert est.noise_floor_est == pytest.approx(expect, rel=1e-9)
 
 
+def test_ls_of_no_frames_is_empty():
+    cfg = default_cfg()
+    est = estimate_channel_ls(np.empty((0, 2, cfg.n_fft)), training_bins(cfg), cfg)
+    assert est.h_freq.shape == (0, 2 * cfg.used_band + 1)
+    assert est.noise_floor_est.shape == (0,)
+
+
 def test_ls_input_validation():
     cfg = default_cfg()
     t = training_bins(cfg)
