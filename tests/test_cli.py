@@ -293,6 +293,32 @@ def test_readme_library_example_runs(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
+def test_readme_artifacts_table_names_the_files_written(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Artifacts", 1)[1].split("\n\n", 2)[1]
+    listed = {row.split("|")[1].strip(): set(re.findall(r"`([\w.]+\.\w+)`", row.split("|")[2]))
+              for row in table.splitlines()[2:]}
+    assert listed == run_all_artifacts(tmp_path, "readme")[1]
+
+
+def test_readme_exit_codes_match_main(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = re.search(r"^Exit codes: (.*)\.$", readme, re.M).group(1)
+    codes = dict(item.split(" ", 1)[::-1] for item in line.split(", "))
+    assert line in mmwavelink.cli.__doc__
+    assert main(["simulate", "--config", write_cfg(tmp_path, CLEAN),
+                 "--out", str(tmp_path / "ok")]) == int(codes["success"])
+    assert main(["simulate", "--config", write_cfg(tmp_path, {"n_frames": -1}),
+                 "--out", str(tmp_path / "bad")]) == int(codes["configuration error"])
+
+    def fail(args, cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(mmwavelink.cli, "cmd_simulate", fail)
+    assert main(["simulate", "--out", str(tmp_path / "err")]) == int(codes["runtime error"])
+    assert "error: boom" in capsys.readouterr().err
+
+
 def test_library_defaults_are_the_table_defaults():
     # The library's defaulted fields and keywords against CONFIG_TABLE's
     # defaults for the same keys: one default, two places that state it.
@@ -519,24 +545,26 @@ def test_stream_unreadable_input_is_config_error(tmp_path, capsys, name):
 
 
 def run_all_artifacts(tmp_path, tag):
+    """Run every subcommand into one directory; returns it and the names of
+    the files each subcommand added."""
     cfg = write_cfg(tmp_path, {"n_frames": 4, "probe": {"n_samples": 8192}},
                     f"{tag}.json")
     out = tmp_path / tag
     src = tmp_path / f"{tag}.bin"
     src.write_bytes(bytes(np.random.default_rng(41).integers(0, 256, 200,
                                                              dtype=np.uint8)))
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    assert main(["measure-pn", "--config", cfg, "--out", str(out)]) == 0
-    assert main(["sweep-k", "--config", cfg, "--out", str(out),
-                 "--k-list", "0,3"]) == 0
-    assert main(["stream", "--config", cfg, "--out", str(out),
-                 "--input", str(src)]) == 0
-    return out
+    written = {}
+    for command, *extra in (["simulate"], ["measure-pn"], ["sweep-k", "--k-list", "0,3"],
+                            ["stream", "--input", str(src)]):
+        before = set(os.listdir(out)) if out.exists() else set()
+        assert main([command, "--config", cfg, "--out", str(out), *extra]) == 0
+        written[command] = set(os.listdir(out)) - before
+    return out, written
 
 
 def test_artifacts_are_deterministic(tmp_path):
-    a = run_all_artifacts(tmp_path, "a")
-    b = run_all_artifacts(tmp_path, "b")
+    a, _ = run_all_artifacts(tmp_path, "a")
+    b, _ = run_all_artifacts(tmp_path, "b")
     names = ["evm.csv", "constellation.csv", "summary.json", "pn_pdf.csv",
              "pn_psd.csv", "pn_fit.json", "ksweep.csv", "stream_report.json",
              "recovered.bin"]
