@@ -103,6 +103,21 @@ ONE_COMMAND_CONFIGS = {
         "modulation": "qam64", "pnc_enabled": False,
         "n_frames": 20, "n_payload_symbols": 6, "seed": 19,
     }),
+    # A run seed past 2**64, three 32-bit words: each frame's derived seed and
+    # bits come from five words of SeedSequence entropy, one past its pool of
+    # four, where the other seeds give three.
+    "qpsk_wide_seed": ("simulate", {
+        "channel": {"taps": [1.0, [0.3, 0.2], 0.1], "snr_db": 30.0, "sigma": 0.26},
+        "modulation": "qpsk", "pnc_enabled": True,
+        "n_frames": 5, "n_payload_symbols": 6, "seed": 2**64 + 5,
+    }),
+    # A probe seed of five 32-bit words: the channel's two streams hash it
+    # with no zero padding before their spawn keys, six words each.
+    "probe_wide_seed": ("measure-pn", {
+        "channel": {"taps": [1.0, 0.2], "snr_db": 30.0, "sigma": 0.26},
+        "probe": {"n_samples": 16384},
+        "seed": 2**130 + 7,
+    }),
 }
 
 K_LIST = "0,2,3"
@@ -169,6 +184,16 @@ GOLDEN = {
                 "c4b8f4e6292aa397810d52ad3bb1729e33992b2dd7b03a35d287987816e7511a",
         },
     },
+    "probe_wide_seed": {
+        "measure-pn": {
+            "pn_fit.json":
+                "6856beb5702f80cbf3e0e6a079915906aeca63616f5670f14b5ce0451c415e86",
+            "pn_pdf.csv":
+                "7a28624c37348e6b3b3d2cb00c6f3662198aadddef21a211f6e136501b371d5a",
+            "pn_psd.csv":
+                "e3a8d101648dbf666e2ac5a7cdd27ed0c82cc372658110b302cc1c1aba0d47c0",
+        },
+    },
     "qpsk_cfo": {
         "simulate": {
             "constellation.csv":
@@ -229,6 +254,16 @@ GOLDEN = {
                 "11f947ce1718d51fc312d30a7516aa2c06995b22f9f08f1ff2a52943fec6d6e0",
         },
     },
+    "qpsk_wide_seed": {
+        "simulate": {
+            "constellation.csv":
+                "204e4137ed7bde6e277b6e5df14b49476432b20aca8492b488cbff15b0face0c",
+            "evm.csv":
+                "3f4f1f3dc0a12930bf92475a6b0cebd16e4600b9f80bf81966dbdd527e02ef9b",
+            "summary.json":
+                "e91926cb8bca2f6111c94630d6b6ecc31b4c22046f3c9cdc65b44445c4c0d23c",
+        },
+    },
 }
 
 
@@ -281,6 +316,11 @@ GOLDEN_VALUES = {
             "packets_ok": 33,
             "packets_sent": 36,
             "per": 0.08333333333333337
+        }
+    },
+    "probe_wide_seed": {
+        "measure-pn": {
+            "std": 0.27496429435251646
         }
     },
     "qpsk_cfo": {
@@ -339,6 +379,14 @@ GOLDEN_VALUES = {
             "evm_db_genie_mean": -22.022953067507526,
             "residual_phase_std": 0.0030120327275220678,
             "residual_phase_std_true": 0.0705460249410425
+        }
+    },
+    "qpsk_wide_seed": {
+        "simulate": {
+            "evm_db": -22.237189383483443,
+            "evm_db_genie_mean": -22.328366308607723,
+            "residual_phase_std": 0.0017931251882095504,
+            "residual_phase_std_true": 0.05749320383709465
         }
     }
 }
