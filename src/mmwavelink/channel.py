@@ -223,8 +223,154 @@ class ChannelConfig:
         _check_phase_noise(self.phase_noise, self.sample_rate_hz)
 
 
-def _stream_seed(seed: int, stream: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, pool size 4), in
+# uint32 arithmetic that wraps. Its constants do not depend on the entropy, so
+# each step runs as one ufunc over every row of one entropy length; arrays
+# hold one row per word, (words, rows).
+_MASK = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875   # hashmix, carried across one pool's mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED   # generate_state
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _words(entropy) -> list:
+    """SeedSequence's 32-bit words of an int (least significant first, 0 as [0])
+    or of a sequence of ints, one after another."""
+    if isinstance(entropy, (int, np.integer)):
+        value = int(entropy)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words = [value & _MASK]
+        while value > _MASK:
+            value >>= 32
+            words.append(value & _MASK)
+        return words
+    if isinstance(entropy, (str, bytes)) or not hasattr(entropy, "__iter__"):
+        raise TypeError(f"seed entropy must be an int or a sequence of ints, not {entropy!r}")
+    words = []
+    for part in entropy:
+        if type(part) is int and 0 <= part <= _MASK:   # one word, the common case
+            words.append(part)
+        else:
+            words += _words(part)
+    return words
+
+
+@functools.lru_cache(maxsize=64)
+def _hash_steps(init: int, mult: int, n: int) -> tuple:
+    """The (xor, multiply) columns, (n, 1) uint32 each, of n steps of a multiplier
+    that starts at init and is multiplied by mult before each step's product;
+    cached, read-only."""
+    c = [init]
+    for _ in range(n):
+        c.append(c[-1] * mult & _MASK)
+    c = np.array(c, dtype=np.uint32)[:, None]
+    c.flags.writeable = False
+    return c[:-1], c[1:]
+
+
+def _hashmix(value, xor, mul) -> np.ndarray:
+    """numpy's hashmix (and generate_state's word hash) of value, as a new array."""
+    value = value ^ xor
+    value *= mul
+    value ^= value >> 16
+    return value
+
+
+def _mix_into(x, y) -> np.ndarray:
+    """numpy's mix(x, y), written into x; y is spent."""
+    x *= _MIX_L
+    y *= _MIX_R
+    x -= y
+    x ^= x >> 16
+    return x
+
+
+@functools.lru_cache(maxsize=64)
+def _pool_steps(length: int) -> list:
+    """The hashmix steps of a pool fed length words: the first 4 words; each pool
+    word src into the 3 others, as (src, xor, multiply) columns of all 4 whose
+    src entries are unused; each further word into all 4. Cached, read-only."""
+    xor, mul = _hash_steps(_INIT_A, _MULT_A, _POOL * max(length, _POOL))
+    steps = [(xor[:_POOL], mul[:_POOL])]
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        k = slice(_POOL + 3 * src, _POOL + 3 * src + 3)
+        into = np.zeros((2, _POOL, 1), dtype=np.uint32)
+        into[:, dst] = xor[k], mul[k]
+        into.flags.writeable = False
+        steps.append((src, *into))
+    for i in range(_POOL, length):
+        k = slice(_POOL * i, _POOL * i + _POOL)
+        steps.append((i, xor[k], mul[k]))
+    return steps
+
+
+def _pool(words: np.ndarray) -> np.ndarray:
+    """SeedSequence's mixed pool (4, rows) of assembled entropy words (L, rows)."""
+    first, *mixing = _pool_steps(len(words))
+    pool = np.zeros((_POOL, words.shape[1]), dtype=np.uint32)
+    pool[:len(words)] = words[:_POOL]
+    pool = _hashmix(pool, *first)
+    for src, xor, mul in mixing[:_POOL]:
+        # Mixed into all 4 words in one pass; word src itself is put back.
+        keep = pool[src].copy()
+        _mix_into(pool, _hashmix(keep, xor, mul))
+        pool[src] = keep
+    for i, xor, mul in mixing[_POOL:]:
+        _mix_into(pool, _hashmix(words[i], xor, mul))
+    return pool
+
+
+def seed_states(entropy, n_words: int, spawn_keys=None) -> np.ndarray:
+    """(rows, n_words) uint64 whose row r is
+    np.random.SeedSequence(entropy[r], spawn_key=spawn_keys[r]).generate_state(n_words, np.uint64),
+    byte for byte, for entropy rows of non-negative ints or sequences of them.
+
+    A row's assembled entropy is its entropy's words, zero-padded to 4 when it
+    has a spawn key, then the key's words; rows of equal length are hashed
+    together.
+    """
+    rows = [_words(e) for e in entropy]
+    if spawn_keys is not None:
+        for row, key in zip(rows, spawn_keys, strict=True):
+            if key := _words(key):
+                row += [0] * (_POOL - len(row)) + key
+    groups = {}
+    for r, row in enumerate(rows):
+        groups.setdefault(len(row), []).append(r)
+    out = np.empty((len(rows), n_words), dtype=np.uint64)
+    reps = -(-2 * n_words // _POOL)
+    steps = _hash_steps(_INIT_B, _MULT_B, 2 * n_words)
+    for index in groups.values():
+        pool = _pool(np.array([rows[r] for r in index], dtype=np.uint32).T)
+        # generate_state: word j hashes pool word j % 4; pairs of words read as
+        # little-endian uint64.
+        state = _hashmix(np.tile(pool, (reps, 1))[:2 * n_words], *steps)
+        out[index] = state.T.astype("<u4", order="C").view("<u8")
+    return out
+
+
+class _HashedSeed(np.random.bit_generator.ISeedSequence):
+    """A seed whose generate_state(4, np.uint64), the words PCG64 seeds itself
+    from, seed_states has already computed."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.state) or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only {len(self.state)} uint64 words are hashed")
+        return self.state
+
+
+def seeded_generators(entropy, spawn_keys=None) -> list:
+    """np.random.default_rng(np.random.SeedSequence(entropy[r], spawn_key=spawn_keys[r]))
+    for each row r, draw for draw, with no SeedSequence built: PCG64 seeds itself
+    from the row's 4 hashed words."""
+    return [np.random.Generator(np.random.PCG64(_HashedSeed(state)))
+            for state in seed_states(entropy, 4, spawn_keys)]
 
 
 # Long buffers run through the channel in blocks of this many samples, so a
@@ -245,8 +391,10 @@ def sample_blocks(n: int) -> list:
 def apply_channel(x, cfg: ChannelConfig, seeds):
     """Run a stack of frames (F, n) through taps, CFO, phase noise, and AWGN.
 
-    Row f is drawn with seeds[f], exactly as that row alone with seed
-    seeds[f]. Returns (y, theta), shaped like x, where theta is the
+    Row f is drawn with seeds[f], a non-negative int or a sequence of them,
+    exactly as that row alone with seed seeds[f]: its phase noise from
+    np.random.SeedSequence(seeds[f], spawn_key=(0,)) and its AWGN from
+    spawn_key=(1,). Returns (y, theta), shaped like x, where theta is the
     ground-truth phase trajectory, for tracking oracles. Pure
     function of (x, cfg, seeds): the seed fixes both the noise and the phase
     draw. SNR is defined over each row as post-multipath, pre-phase-noise
@@ -316,9 +464,10 @@ def _impairment(cfg: ChannelConfig, seeds, mean_power, power):
     s * t as t * s when it can reuse a temporary of 256 KiB or more, and
     complex products round differently in the two orders.
     """
-    process = PhaseNoiseProcess(cfg.phase_noise, cfg.sample_rate_hz,
-                                [_stream_seed(seed, 0) for seed in seeds])
-    rngs = [np.random.default_rng(_stream_seed(seed, 1)) for seed in seeds]
+    # Stream 0 drives the phase noise and stream 1 the AWGN.
+    rngs = seeded_generators(seeds * 2, [(0,)] * len(seeds) + [(1,)] * len(seeds))
+    process = PhaseNoiseProcess(cfg.phase_noise, cfg.sample_rate_hz, rngs[:len(seeds)])
+    rngs = rngs[len(seeds):]
     noisy = math.isfinite(cfg.snr_db)
     if noisy:
         scale = np.sqrt(mean_power * 10.0 ** (-cfg.snr_db / 10.0) / 2.0)[:, None]

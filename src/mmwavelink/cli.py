@@ -309,6 +309,8 @@ def cmd_sweep_k(args, cfg: Config) -> int:
         raise ConfigError(f"bad --k-list {args.k_list!r}: must be comma-separated integers")
     if not k_values:
         raise ConfigError("--k-list is empty")
+    if len(set(k_values)) < len(k_values):
+        raise ConfigError(f"bad --k-list {args.k_list!r}: a guard count is given more than once")
     try:
         ofdm_cfgs = [replace(cfg.ofdm, k_guard=k) for k in k_values]
     except ValueError as exc:

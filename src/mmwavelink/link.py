@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelConfig, apply_channel
+from .channel import ChannelConfig, apply_channel, seed_states, seeded_generators
 from .modulation import Modulation, evm_db_from_powers
 from .ofdm import (N_PREAMBLE_SYMBOLS, OfdmConfig, build_frames, frame_capacity_bits,
                    symbol_bodies)
@@ -22,8 +22,9 @@ CHUNK_FRAMES = 16
 
 
 def derived_seed(*parts: int) -> int:
-    """Stable 64-bit seed derived from integer key parts."""
-    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
+    """Stable 64-bit seed derived from integer key parts: the first uint64 word
+    of np.random.SeedSequence(parts)'s state."""
+    return int(seed_states([parts], 1)[0, 0])
 
 
 @dataclass
@@ -59,7 +60,8 @@ def run_frames(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
     use a seed derived from (run_seed, first_frame + f), so row f equals
     run_frames on that frame in a stack of one, bit for bit.
     """
-    seeds = [derived_seed(run_seed, i, 0) for i in range(first_frame, first_frame + len(bits))]
+    frames = range(first_frame, first_frame + len(bits))
+    seeds = seed_states([(run_seed, i, 0) for i in frames], 1)[:, 0].tolist()
     symbols, padded = build_frames(bits, modulation, ofdm_cfg, n_payload_symbols)
     y, theta = apply_channel(symbols.reshape(len(seeds), -1), channel_cfg, seeds)
     del symbols   # not needed past the channel; frees the chunk's largest buffer
@@ -76,8 +78,8 @@ def run_frame(modulation: Modulation, ofdm_cfg: OfdmConfig, channel_cfg: Channel
     """Frames `frames` of a run whose frame i carries frame_bits_rng(run_seed, i)
     bits, drawn here and run as one stack by run_frames."""
     capacity = frame_capacity_bits(ofdm_cfg, modulation, n_payload_symbols)
-    bits = [frame_bits_rng(run_seed, i).integers(0, 2, capacity, dtype=np.uint8)
-            for i in frames]
+    bits = [rng.integers(0, 2, capacity, dtype=np.uint8)
+            for rng in seeded_generators([(run_seed, i, 1) for i in frames])]
     return run_frames(bits, modulation, ofdm_cfg, channel_cfg, pnc_enabled,
                       n_payload_symbols, run_seed, frames.start)
 
@@ -93,7 +95,8 @@ def run_seeded_frames(modulation: Modulation, ofdm_cfg: OfdmConfig,
 
 
 def frame_bits_rng(run_seed: int, frame_idx: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([run_seed, frame_idx, 1]))
+    """np.random.default_rng(np.random.SeedSequence([run_seed, frame_idx, 1]))."""
+    return seeded_generators([(run_seed, frame_idx, 1)])[0]
 
 
 def aggregate_evm_db(error_power, reference_power) -> float | None:

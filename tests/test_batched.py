@@ -563,7 +563,8 @@ def reference_probe(freq_hz, n_samples, cfg, seed, measured_power=False):
     x = phasor(n * (2 * np.pi * freq_hz / cfg.sample_rate_hz))
     h = np.asarray(cfg.taps, dtype=complex)
     theta = PhaseNoiseProcess(cfg.phase_noise, cfg.sample_rate_hz,
-                              [channel_module._stream_seed(seed, 0)]).generate(n_samples)[0]
+                              [np.random.SeedSequence(entropy=seed, spawn_key=(0,))]
+                              ).generate(n_samples)[0]
     s = np.convolve(x, h)[:n_samples] if h.size > 1 else x * h[0]
     if cfg.cfo_hz:
         np.multiply(s, phasor(n * (2 * np.pi * cfg.cfo_hz / cfg.sample_rate_hz)), out=s)
@@ -572,7 +573,7 @@ def reference_probe(freq_hz, n_samples, cfg, seed, measured_power=False):
         signal_power = (np.mean(np.abs(s) ** 2) if measured_power
                         else channel_module._tone_power(freq_hz, n_samples, cfg))
         noise_var = signal_power * 10.0 ** (-cfg.snr_db / 10.0)
-        rng = np.random.default_rng(channel_module._stream_seed(seed, 1))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
         w = np.sqrt(noise_var / 2.0) * (
             rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
         )

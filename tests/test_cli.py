@@ -508,6 +508,15 @@ def test_sweep_k_rejects_bad_lists(tmp_path):
     assert main(["sweep-k", "--config", cfg, "--out", out, "--k-list", "26"]) == 1
 
 
+def test_sweep_k_rejects_a_repeated_k(tmp_path, capsys):
+    # A repeated K would run again and write a second row for it.
+    cfg = write_cfg(tmp_path, {"n_frames": 2})
+    out = tmp_path / "o"
+    assert main(["sweep-k", "--config", cfg, "--out", str(out), "--k-list", "3,0,3"]) == 1
+    assert "3" in capsys.readouterr().err
+    assert not (out / "ksweep.csv").exists()
+
+
 def test_stream_round_trip(tmp_path):
     data = bytes(np.random.default_rng(40).integers(0, 256, 400, dtype=np.uint8))
     src = tmp_path / "input.bin"
