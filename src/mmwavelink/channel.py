@@ -457,12 +457,13 @@ def _impairment(cfg: ChannelConfig, seeds, mean_power, power):
     before any imaginary part, scaled to the SNR over mean_power (F,); a
     noiseless channel uses neither. Returns impair(s, a, b) -> theta, which
     rotates block [a, b) of the received samples s in place by its phase noise
-    theta and adds its AWGN; blocks come in order, and power[:, a:b] is free
-    once it returns. Both run once over a block of all rows as elementwise
-    ufuncs in a fixed operand order, so each row's bytes equal the
+    theta and adds its AWGN; blocks come in order, and impair scales
+    power[:, a:b] in place. Both run once over a block of all rows as
+    elementwise ufuncs in a fixed operand order, so each row's bytes equal the
     whole-buffer expressions on that row alone; numpy computes the operator's
     s * t as t * s when it can reuse a temporary of 256 KiB or more, and
-    complex products round differently in the two orders.
+    complex products round differently in the two orders. The AWGN goes in
+    as real products and sums, which round alike in either order.
     """
     # Stream 0 drives the phase noise and stream 1 the AWGN.
     rngs = seeded_generators(seeds * 2, [(0,)] * len(seeds) + [(1,)] * len(seeds))
@@ -482,12 +483,21 @@ def _impairment(cfg: ChannelConfig, seeds, mean_power, power):
             imag = np.empty(s.shape)
             for rng, row in zip(rngs, imag):
                 rng.standard_normal(out=row)
-            # scale * (real + 1j * imag), added to the rotated samples.
-            np.add(power[:, a:b], np.multiply(1j, imag, out=buf), out=buf)
-            np.add(s, np.multiply(scale, buf, out=buf), out=s)
+            _add_noise(s, power[:, a:b], imag, scale)
         return theta
 
     return impair
+
+
+def _add_noise(s, real, imag, scale) -> None:
+    """s += scale * (real + 1j * imag) one part at a time, scaling real and imag
+    in place. The complex form adds only zeros more (0 * imag, 0 * real), so the
+    bytes match, except that a -0.0 part of s plus a zero term can come out
+    -0.0 here and +0.0 there; a scaled term is zero only in a row of zeros."""
+    real *= scale
+    s.real += real
+    imag *= scale
+    s.imag += imag
 
 
 def _check_tone(freq_hz: float, sample_rate_hz: float, name: str = "tone") -> None:

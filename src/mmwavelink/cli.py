@@ -251,7 +251,7 @@ def cmd_simulate(args, cfg: Config) -> int:
                 genie[rows] = genie_evm_db(report.points, stack.tx_bits, report.erased,
                                            modulation)
                 d = wrap_phase(stack.theta_true_bodies - stack.theta_est)
-                residual[rows] = d - d.mean(axis=-1, keepdims=True)
+                np.subtract(d, d.mean(axis=-1, keepdims=True), out=residual[rows])
                 append_series_csv(evm_fh, [np.arange(rows.start, rows.stop), evm[rows],
                                            pilot_std[rows]])
                 append_series_csv(points_fh, [report.points.real, report.points.imag])

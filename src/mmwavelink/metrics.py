@@ -22,10 +22,17 @@ class PsdEstimate:
 
 
 def wrap_phase(x) -> np.ndarray:
-    """Wrap angles to (-pi, pi]."""
+    """Wrap angles to (-pi, pi]: np.mod(x + pi, 2 pi) - pi, with -pi sent to
+    pi, bit for bit. np.mod returns a value in [0, 2 pi) unchanged, so it runs
+    only where x + pi falls outside that interval (NaN stays NaN either way)."""
     x = np.asarray(x, dtype=float)
-    wrapped = np.mod(x + np.pi, 2.0 * np.pi) - np.pi
-    return np.where(wrapped == -np.pi, np.pi, wrapped)
+    wrapped = np.add(x, np.pi, out=np.empty(x.shape))
+    outside = wrapped < 0.0
+    outside |= wrapped >= 2.0 * np.pi
+    np.mod(wrapped, 2.0 * np.pi, out=wrapped, where=outside)
+    wrapped -= np.pi
+    np.copyto(wrapped, np.pi, where=wrapped == -np.pi)
+    return wrapped
 
 
 def gaussian_fit_in_place(x: np.ndarray) -> GaussianFit:
@@ -166,6 +173,7 @@ class _FloatRows:
         self.separators[16::17] = 1
         self.separators[-1] = 1
         self.keep = np.tile(self.separators, (size, 1))
+        self.kept = np.empty((size, width), np.uint8)   # text times keep
         self.text_fields = self.text.view(layout)[:, 0]
         self.keep_fields = self.keep.view(layout)[:, 0]
         size *= n_columns
@@ -192,7 +200,9 @@ class _FloatRows:
         keep = self.keep[:n]
         fallback = np.flatnonzero(~ok)
         keep[fallback] = 0
-        text = self.text[:n][keep.view(bool)].tobytes().decode("ascii")
+        # No text byte is 0, so deleting the 0s of text * keep gathers the kept bytes.
+        kept = np.multiply(self.text[:n], keep, out=self.kept[:n])
+        text = kept.tobytes().translate(None, b"\0").decode("ascii")
         if not fallback.size:
             return text
         # Splice the printf rows in at their offsets.

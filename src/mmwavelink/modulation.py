@@ -58,7 +58,10 @@ _CONSTELLATIONS = {
     Modulation.QAM16: _square_qam(2),
     Modulation.QAM64: _square_qam(3),
 }
-for _c in _CONSTELLATIONS.values():
+# Row i of a modulation's bit table holds the big-endian bits of index i.
+_BIT_TABLES = {mod: (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1) & 1).astype(np.uint8)
+               for mod, k in _BITS_PER_SYMBOL.items()}
+for _c in (*_CONSTELLATIONS.values(), *_BIT_TABLES.values()):
     _c.setflags(write=False)
 
 
@@ -158,10 +161,14 @@ def slice_indices(symbols, modulation: Modulation) -> np.ndarray:
 
 
 def indices_to_bits(idx, modulation: Modulation) -> np.ndarray:
-    """Big-endian bits of constellation-table indices, shaped (..., bits_per_symbol)."""
-    k = modulation.bits_per_symbol
-    shifts = np.arange(k, dtype=np.uint8)[::-1]
-    return (np.asarray(idx).astype(np.uint8)[..., None] >> shifts) & np.uint8(1)
+    """Big-endian bits of constellation-table indices, shaped (..., bits_per_symbol),
+    uint8; an index outside [0, 2^bits_per_symbol) raises ValueError."""
+    idx = np.asarray(idx)
+    table = _BIT_TABLES[modulation]
+    if idx.size and not (idx.dtype.kind in "biu" and idx.min() >= 0
+                         and idx.max() < len(table)):
+        raise ValueError(f"indices must be integers in [0, {len(table)})")
+    return table.take(idx.astype(np.intp, copy=False), axis=0)
 
 
 def evm_db_from_powers(error_power, reference_power):

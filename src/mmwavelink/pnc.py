@@ -44,7 +44,7 @@ def estimate_phase(body, cfg: OfdmConfig) -> PhaseEstimate:
     bins = np.fft.fft(body, norm="ortho", axis=-1)
     keep = np.zeros(n, dtype=bool)
     keep[np.append(cfg.guard_indices, PILOT_INDEX)] = True
-    bins[..., ~keep] = 0.0
+    np.copyto(bins, 0.0, where=~keep)
     raw = np.fft.ifft(bins, norm="ortho", axis=-1)
 
     degenerate = np.abs(raw) < DEGENERATE_EPS
