@@ -492,8 +492,8 @@ def _impairment(cfg: ChannelConfig, seeds, mean_power, power):
 def _add_noise(s, real, imag, scale) -> None:
     """s += scale * (real + 1j * imag) one part at a time, scaling real and imag
     in place. The complex form adds only zeros more (0 * imag, 0 * real), so the
-    bytes match, except that a -0.0 part of s plus a zero term can come out
-    -0.0 here and +0.0 there; a scaled term is zero only in a row of zeros."""
+    bytes match, except that where a scaled term is zero, a -0.0 part of s stays
+    -0.0 here and may turn +0.0 there: a row whose power is 0 or underflows."""
     real *= scale
     s.real += real
     imag *= scale

@@ -553,6 +553,44 @@ def test_stream_unreadable_input_is_config_error(tmp_path, capsys, name):
     assert not out.exists()
 
 
+CFO_TAPS = [1.0, [0.3, 0.2], 0.1]
+
+
+def test_cfo_is_not_corrected_by_the_frame_commands(tmp_path):
+    # README's CFO limit: no receiver stage removes the CFO, so simulate's EVM
+    # falls with it, stream loses every packet at 120 kHz, and every run exits 0.
+    evm = []
+    for cfo_hz in (0.0, 50e3, 120e3):
+        cfg = write_cfg(tmp_path, {"channel": {"taps": CFO_TAPS, "cfo_hz": cfo_hz},
+                                   "n_frames": 40, "seed": 3})
+        out = tmp_path / f"simulate-{cfo_hz:g}"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        evm.append(read_summary(out)["evm_db"])
+    assert evm == pytest.approx([-24.3, -11.6, -5.9], abs=0.05)
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(256)) * 4)
+    out = tmp_path / "out"
+    assert main(["stream", "--config", cfg, "--out", str(out), "--input", str(src)]) == 0
+    with open(out / "stream_report.json") as fh:
+        report = json.load(fh)
+    assert report["packets_ok"] == 0 and report["packets_crc_fail"] == report["packets_sent"]
+    assert main(["sweep-k", "--config", cfg, "--out", str(out), "--k-list", "0,3"]) == 0
+
+
+def test_measure_pn_reports_a_cfo_ramp_as_phase_noise(tmp_path):
+    # README's CFO limit: the probe removes only its phase's mean, so the fit
+    # is the ramp's spread, 2 pi f n / fs over sqrt(12), and not sigma = 0.26.
+    n, cfo_hz = 200_000, 2000.0
+    cfg = write_cfg(tmp_path, {"channel": {"cfo_hz": cfo_hz}, "probe": {"n_samples": n},
+                               "seed": 3})
+    out = tmp_path / "out"
+    assert main(["measure-pn", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "pn_fit.json") as fh:
+        std = json.load(fh)["std"]
+    ramp = 2 * np.pi * cfo_hz * n / 25e6 / np.sqrt(12)
+    assert round(std, 2) == 29.03 and round(ramp, 2) == 29.02
+
+
 def run_all_artifacts(tmp_path, tag):
     """Run every subcommand into one directory; returns it and the names of
     the files each subcommand added."""
