@@ -365,12 +365,16 @@ class _HashedSeed(np.random.bit_generator.ISeedSequence):
         return self.state
 
 
+def _generators(states) -> list:
+    """A generator per row of seed_states(..., 4): PCG64 seeds itself from the
+    row's 4 hashed words."""
+    return [np.random.Generator(np.random.PCG64(_HashedSeed(state))) for state in states]
+
+
 def seeded_generators(entropy, spawn_keys=None) -> list:
     """np.random.default_rng(np.random.SeedSequence(entropy[r], spawn_key=spawn_keys[r]))
-    for each row r, draw for draw, with no SeedSequence built: PCG64 seeds itself
-    from the row's 4 hashed words."""
-    return [np.random.Generator(np.random.PCG64(_HashedSeed(state)))
-            for state in seed_states(entropy, 4, spawn_keys)]
+    for each row r, draw for draw, with no SeedSequence built."""
+    return _generators(seed_states(entropy, 4, spawn_keys))
 
 
 # Long buffers run through the channel in blocks of this many samples, so a

@@ -21,9 +21,9 @@ import numpy as np
 from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel, _check_tone,
                       single_tone_probe)
 # run_frame is called through this binding: the benchmark hooks cli.run_frame.
-from .link import CHUNK_FRAMES, aggregate_evm_db, run_frame, run_seeded_frames
+from .link import CHUNK_FRAMES, aggregate_evm_db, map_chunks, run_frame
 from .linklayer import frame_payload_bytes, stream_bytes
-from .metrics import (append_series_csv, gaussian_fit_in_place, phase_pdf, psd_welch,
+from .metrics import (gaussian_fit_in_place, phase_pdf, psd_welch, series_csv_text,
                       std_in_place, wrap_phase, write_csv_header, write_series_csv)
 from .modulation import Modulation
 from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig
@@ -222,16 +222,41 @@ def _json_text(name: str, obj) -> str:
         raise ValueError(f"{name} not written: {exc}") from None
 
 
+def _chunk_rows(c: int, n_frames: int) -> range:
+    """The frames of chunk c of a run of n_frames."""
+    return range(c * CHUNK_FRAMES, min((c + 1) * CHUNK_FRAMES, n_frames))
+
+
+def _n_chunks(n_frames: int) -> int:
+    return -(-n_frames // CHUNK_FRAMES)
+
+
 def cmd_simulate(args, cfg: Config) -> int:
     out = _out_dir(args)
     v, ofdm_cfg, modulation = cfg.values, cfg.ofdm, cfg.modulation
     n_frames, n_sym, seed = v["n_frames"], v["n_payload_symbols"], v["seed"]
+
+    def chunk(c: int) -> tuple:
+        """Chunk c's per-frame scalars, erasure count, mean-removed residual
+        phase and the text of its evm.csv and constellation.csv rows."""
+        rows = _chunk_rows(c, n_frames)
+        stack = run_frame(modulation, ofdm_cfg, cfg.channel, v["pnc_enabled"], n_sym, seed, rows)
+        report = stack.report
+        d = wrap_phase(stack.theta_true_bodies - stack.theta_est)
+        d -= d.mean(axis=-1, keepdims=True)
+        return (np.stack([report.evm_db, report.residual_phase_std,
+                          genie_evm_db(report.points, stack.tx_bits, report.erased, modulation),
+                          report.error_power, report.reference_power]),
+                int(report.n_erased.sum()), d,
+                series_csv_text([np.arange(rows.start, rows.stop), report.evm_db,
+                                 report.residual_phase_std]),
+                series_csv_text([report.points.real, report.points.imag]))
+
     # A run keeps per-frame scalars and each frame's residual phase over its
     # payload bodies, whose exact std goes into summary.json (taken in the
-    # array's own buffer); a chunk's stack, points and traces are dropped
-    # once its rows are written.
-    evm, pilot_std, genie = np.empty(n_frames), np.empty(n_frames), np.empty(n_frames)
-    powers = np.empty((2, n_frames))   # each frame's error and reference power
+    # array's own buffer); a chunk's stack and points are dropped in chunk().
+    scalars = np.empty((5, n_frames))
+    evm, pilot_std, genie, *powers = scalars   # powers: each frame's error and reference power
     residual = np.empty((n_frames, n_sym * ofdm_cfg.n_fft))
     n_erased = 0
     staged = {name: out / f".{name}.partial" for name in ("evm.csv", "constellation.csv")}
@@ -240,21 +265,13 @@ def cmd_simulate(args, cfg: Config) -> int:
                 open(staged["constellation.csv"], "w", newline="") as points_fh:
             write_csv_header(evm_fh, ["frame", "evm_db", "residual_phase_std"])
             write_csv_header(points_fh, ["re", "im"])
-            for start in range(0, n_frames, CHUNK_FRAMES):
-                rows = slice(start, min(start + CHUNK_FRAMES, n_frames))
-                stack = run_frame(modulation, ofdm_cfg, cfg.channel, v["pnc_enabled"],
-                                  n_sym, seed, range(rows.start, rows.stop))
-                report = stack.report
-                evm[rows], pilot_std[rows] = report.evm_db, report.residual_phase_std
-                powers[:, rows] = report.error_power, report.reference_power
-                n_erased += int(report.n_erased.sum())
-                genie[rows] = genie_evm_db(report.points, stack.tx_bits, report.erased,
-                                           modulation)
-                d = wrap_phase(stack.theta_true_bodies - stack.theta_est)
-                np.subtract(d, d.mean(axis=-1, keepdims=True), out=residual[rows])
-                append_series_csv(evm_fh, [np.arange(rows.start, rows.stop), evm[rows],
-                                           pilot_std[rows]])
-                append_series_csv(points_fh, [report.points.real, report.points.imag])
+            for c, (chunk_scalars, erased, d, evm_text, points_text) in enumerate(
+                    map_chunks(chunk, _n_chunks(n_frames))):
+                rows = slice(c * CHUNK_FRAMES, c * CHUNK_FRAMES + len(d))
+                scalars[:, rows], residual[rows] = chunk_scalars, d
+                n_erased += erased
+                evm_fh.write(evm_text)
+                points_fh.write(points_text)
 
         summary = {
             "n_frames": n_frames,
@@ -317,15 +334,26 @@ def cmd_sweep_k(args, cfg: Config) -> int:
         raise ConfigError(str(exc))
     out = _out_dir(args)
 
-    results = []
-    for k, ofdm_cfg in zip(k_values, ofdm_cfgs):
-        # Only each chunk's two power arrays outlive it.
-        powers = [(s.report.error_power, s.report.reference_power) for s in run_seeded_frames(
-            cfg.modulation, ofdm_cfg, cfg.channel, v["pnc_enabled"],
-            v["n_payload_symbols"], v["seed"], v["n_frames"])]
-        errors, references = zip(*powers)
-        results.append((k, aggregate_evm_db(np.concatenate(errors), np.concatenate(references))))
-        print(f"sweep-k: K={k} mean_evm_db={results[-1][1]}")
+    n_chunks = _n_chunks(v["n_frames"])
+
+    def chunk(j: int) -> tuple:
+        """Chunk j % n_chunks of the run at the (j // n_chunks)-th K: only
+        its two power arrays outlive it."""
+        k_index, c = divmod(j, n_chunks)
+        report = run_frame(cfg.modulation, ofdm_cfgs[k_index], cfg.channel, v["pnc_enabled"],
+                           v["n_payload_symbols"], v["seed"],
+                           _chunk_rows(c, v["n_frames"])).report
+        return report.error_power, report.reference_power
+
+    results, powers = [], []
+    for j, chunk_powers in enumerate(map_chunks(chunk, len(k_values) * n_chunks)):
+        powers.append(chunk_powers)
+        if len(powers) == n_chunks:
+            errors, references = zip(*powers)
+            k, powers = k_values[j // n_chunks], []
+            results.append((k, aggregate_evm_db(np.concatenate(errors),
+                                                np.concatenate(references))))
+            print(f"sweep-k: K={k} mean_evm_db={results[-1][1]}")
 
     # A result that is not finite fails here, before ksweep.csv is opened.
     for k, evm in results:

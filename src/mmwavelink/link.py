@@ -4,11 +4,17 @@ decode for a stack of frames at once."""
 from __future__ import annotations
 
 import functools
+import os
+import pickle
+import signal
+import tempfile
+import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelConfig, apply_channel, seed_states, seeded_generators
+from .channel import ChannelConfig, _generators, apply_channel, seed_states, seeded_generators
 from .modulation import Modulation, evm_db_from_powers
 from .ofdm import (N_PREAMBLE_SYMBOLS, OfdmConfig, build_frames, frame_capacity_bits,
                    symbol_bodies)
@@ -50,6 +56,21 @@ def _payload_bodies(x, cfg: OfdmConfig) -> np.ndarray:
     return symbol_bodies(x, cfg)[..., N_PREAMBLE_SYMBOLS:, :]
 
 
+def _send(bits, modulation: Modulation, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
+          pnc_enabled: bool, n_payload_symbols: int, channel_seeds: list) -> FrameStack:
+    """The frames carrying `bits`, built, sent through the channel with
+    channel_seeds[f] for row f, and decoded as one stack."""
+    symbols, padded = build_frames(bits, modulation, ofdm_cfg, n_payload_symbols)
+    y, theta = apply_channel(symbols.reshape(len(channel_seeds), -1), channel_cfg,
+                             channel_seeds)
+    del symbols   # not needed past the channel; frees the chunk's largest buffer
+    return FrameStack(
+        report=decode_frames(y, ofdm_cfg, modulation, pnc_enabled), tx_bits=padded,
+        theta_true_bodies=_payload_bodies(theta, ofdm_cfg).reshape(len(channel_seeds), -1),
+        samples_per_frame=y.shape[1],
+        _oracle=lambda: estimate_phase(_payload_bodies(y, ofdm_cfg), ofdm_cfg).per_sample_phase)
+
+
 def run_frames(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
                channel_cfg: ChannelConfig, pnc_enabled: bool, n_payload_symbols: int,
                run_seed: int, first_frame: int = 0) -> FrameStack:
@@ -62,26 +83,24 @@ def run_frames(bits, modulation: Modulation, ofdm_cfg: OfdmConfig,
     """
     frames = range(first_frame, first_frame + len(bits))
     seeds = seed_states([(run_seed, i, 0) for i in frames], 1)[:, 0].tolist()
-    symbols, padded = build_frames(bits, modulation, ofdm_cfg, n_payload_symbols)
-    y, theta = apply_channel(symbols.reshape(len(seeds), -1), channel_cfg, seeds)
-    del symbols   # not needed past the channel; frees the chunk's largest buffer
-    return FrameStack(
-        report=decode_frames(y, ofdm_cfg, modulation, pnc_enabled), tx_bits=padded,
-        theta_true_bodies=_payload_bodies(theta, ofdm_cfg).reshape(len(seeds), -1),
-        samples_per_frame=y.shape[1],
-        _oracle=lambda: estimate_phase(_payload_bodies(y, ofdm_cfg), ofdm_cfg).per_sample_phase)
+    return _send(bits, modulation, ofdm_cfg, channel_cfg, pnc_enabled, n_payload_symbols, seeds)
 
 
 def run_frame(modulation: Modulation, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
               pnc_enabled: bool, n_payload_symbols: int, run_seed: int,
               frames: range) -> FrameStack:
     """Frames `frames` of a run whose frame i carries frame_bits_rng(run_seed, i)
-    bits, drawn here and run as one stack by run_frames."""
+    bits, drawn here and run as one stack, as run_frames runs them.
+
+    The (run_seed, i, 1) bit seeds and the (run_seed, i, 0) channel seeds
+    are hashed together: a channel seed is the first word of its row's state.
+    """
     capacity = frame_capacity_bits(ofdm_cfg, modulation, n_payload_symbols)
+    states = seed_states([(run_seed, i, b) for b in (1, 0) for i in frames], 4)
     bits = [rng.integers(0, 2, capacity, dtype=np.uint8)
-            for rng in seeded_generators([(run_seed, i, 1) for i in frames])]
-    return run_frames(bits, modulation, ofdm_cfg, channel_cfg, pnc_enabled,
-                      n_payload_symbols, run_seed, frames.start)
+            for rng in _generators(states[:len(frames)])]
+    return _send(bits, modulation, ofdm_cfg, channel_cfg, pnc_enabled, n_payload_symbols,
+                 states[len(frames):, 0].tolist())
 
 
 def run_seeded_frames(modulation: Modulation, ofdm_cfg: OfdmConfig,
@@ -92,6 +111,128 @@ def run_seeded_frames(modulation: Modulation, ofdm_cfg: OfdmConfig,
     for start in range(0, n_frames, CHUNK_FRAMES):
         yield run_frame(modulation, ofdm_cfg, channel_cfg, pnc_enabled, n_payload_symbols,
                         run_seed, range(start, min(start + CHUNK_FRAMES, n_frames)))
+
+
+def map_chunks(fn, n_chunks: int):
+    """Yield fn(0), ..., fn(n_chunks - 1), in that order.
+
+    fn(c) must depend on c alone and return a picklable result, as the
+    chunk functions of simulate, sweep-k and stream_bytes do: a chunk's
+    draws come from (seed, frame) alone, so its result has the same bytes
+    in whichever process computes it.
+
+    Chunk 0 runs in this process. Then, where _worker_cpus allows it, one
+    forked worker computes the upper half of the chunks on a CPU other than
+    this process's and spools each pickled result to an unlinked temporary
+    file, while this process computes the lower half; the worker is reaped
+    and its results replayed in order. Otherwise every chunk runs here. An
+    exception in the worker is raised here, with its type and message; a
+    worker that ends without a result raises RuntimeError. An exception
+    here, or closing the generator early, kills and reaps the worker.
+    """
+    if n_chunks < 1:
+        return
+    yield fn(0)
+    cpus = _worker_cpus(n_chunks)
+    if cpus is None:
+        for c in range(1, n_chunks):
+            yield fn(c)
+        return
+    split = n_chunks - n_chunks // 2
+    upper = range(split, n_chunks)
+    with tempfile.TemporaryFile() as spool:
+        with warnings.catch_warnings():
+            # Python 3.12 warns when a process with more than one thread
+            # forks. The other thread is OpenBLAS's pool, which numpy starts
+            # when OPENBLAS_NUM_THREADS is unset: OpenBLAS stops it around
+            # fork in its atfork handler, and no other Python thread runs
+            # (_worker_cpus), so the worker inherits no lock another thread
+            # holds.
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            _spool_results(fn, upper, cpus, spool)   # never returns
+        try:
+            for c in range(1, split):
+                yield fn(c)
+            status = os.waitpid(pid, 0)[1]
+            pid = None
+            spool.seek(0)
+            for c in upper:
+                yield _replay(spool, c, upper, status)
+        finally:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _worker_cpus(n_chunks: int):
+    """The CPUs a chunk worker may run on: this process's affinity set less
+    the CPU it runs on. None, so that every chunk runs in this process,
+    without os.fork or os.sched_getaffinity, with fewer than 2 CPUs or 2
+    chunks, off the main thread or with another Python thread alive, or
+    where this process's CPU cannot be read: a worker left free to share
+    that CPU ran slower than one process."""
+    if (n_chunks < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.current_thread() is not threading.main_thread()
+            or threading.active_count() > 1):
+        return None
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        return None
+    try:   # field 39 of /proc/self/stat: the CPU this process last ran on
+        with open("/proc/self/stat", "rb") as fh:
+            cpu = int(fh.read().rpartition(b")")[2].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+    return cpus - {cpu}
+
+
+def _spool_results(fn, chunks: range, cpus, spool) -> None:
+    """The worker: pickle ("ok", fn(c)) for each chunk into spool, or
+    ("raised", exception) and stop. It leaves only through os._exit, so it
+    flushes no buffer it inherited, such as a staged CSV's text."""
+    code = 1
+    try:
+        os.sched_setaffinity(0, cpus)
+        for c in chunks:
+            _dump(spool, ("ok", fn(c)))
+        code = 0
+    except BaseException as exc:
+        try:
+            _dump(spool, ("raised", exc))
+        except BaseException:
+            pass   # not picklable: the parent names the chunks and the exit status
+    finally:
+        try:
+            spool.flush()
+        finally:
+            os._exit(code)
+
+
+def _dump(spool, record) -> None:
+    data = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
+    spool.write(len(data).to_bytes(8, "little"))
+    spool.write(data)
+
+
+def _replay(spool, chunk: int, chunks: range, status: int):
+    """Chunk `chunk`'s result from the reaped worker's spool."""
+    size = int.from_bytes(spool.read(8), "little")
+    data = spool.read(size)
+    try:
+        kind, value = pickle.loads(data) if size and len(data) == size else (None, None)
+    except Exception:
+        kind = None
+    if kind == "ok":
+        return value
+    if kind == "raised":
+        raise value
+    code = os.waitstatus_to_exitcode(status)
+    ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    raise RuntimeError(f"the worker for chunks {chunks.start}-{chunks.stop - 1} {ended} "
+                       f"without a result for chunk {chunk}")
 
 
 def frame_bits_rng(run_seed: int, frame_idx: int) -> np.random.Generator:

@@ -10,7 +10,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelConfig
-from .link import CHUNK_FRAMES, aggregate_evm_db, run_frames
+from .link import CHUNK_FRAMES, aggregate_evm_db, map_chunks, run_frames
 from .modulation import Modulation
 from .ofdm import OfdmConfig, frame_capacity_bits
 
@@ -138,7 +138,7 @@ def stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
                  modulation: Modulation = Modulation.QPSK, pnc_enabled: bool = True,
                  seed: int = 0, n_payload_symbols: int = 12) -> tuple:
     """Stream bytes over the link, one packet per PHY frame, CHUNK_FRAMES
-    frames per run_frames call.
+    frames per run_frames call, the chunks run by link.map_chunks.
 
     Deterministic given (configs, seed): frame i uses a seed derived from
     (seed, i), so the chunking does not change any byte. Returns
@@ -151,20 +151,27 @@ def stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
     max_payload = frame_payload_bytes(ofdm_cfg, modulation, n_payload_symbols)
 
     packets = packetize(data, max_payload) if data else []
-    received = []
-    powers = np.empty((2, len(packets)))   # each frame's error and reference power
-    channel_uses = 0
-    for start in range(0, len(packets), CHUNK_FRAMES):
-        chunk = packets[start:start + CHUNK_FRAMES]
-        tx_bits = [np.unpackbits(np.frombuffer(encode_packet(p), dtype=np.uint8)) for p in chunk]
+
+    def chunk(c: int) -> tuple:
+        """Chunk c's received packet bytes, (F, whole bytes), its frames'
+        error and reference powers, and its channel uses."""
+        start = c * CHUNK_FRAMES
+        sent = packets[start:start + CHUNK_FRAMES]
+        tx_bits = [np.unpackbits(np.frombuffer(encode_packet(p), dtype=np.uint8)) for p in sent]
         stack = run_frames(tx_bits, modulation, ofdm_cfg, channel_cfg, pnc_enabled,
                            n_payload_symbols, seed, start)
         report = stack.report
-        rx_bytes = np.packbits(report.bits[:, :report.bits.shape[1] // 8 * 8], axis=-1)
+        return (np.packbits(report.bits[:, :report.bits.shape[1] // 8 * 8], axis=-1),
+                report.error_power, report.reference_power, len(sent) * stack.samples_per_frame)
+
+    received = []
+    powers = np.empty((2, len(packets)))   # each frame's error and reference power
+    channel_uses = 0
+    n_chunks = -(-len(packets) // CHUNK_FRAMES)
+    for c, (rx_bytes, error, reference, uses) in enumerate(map_chunks(chunk, n_chunks)):
         received.extend(decode_packet(row.tobytes()) for row in rx_bytes)
-        powers[:, start:start + len(chunk)] = report.error_power, report.reference_power
-        channel_uses += len(chunk) * stack.samples_per_frame
-        del stack, report   # frees the chunk's arrays before the next chunk runs
+        powers[:, c * CHUNK_FRAMES:c * CHUNK_FRAMES + len(rx_bytes)] = error, reference
+        channel_uses += uses
 
     recovered, statuses = depacketize(received, max_payload)
     ok = sum(status is PacketStatus.OK for _, status in statuses)

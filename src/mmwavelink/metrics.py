@@ -326,7 +326,7 @@ def write_csv_header(fh, header) -> None:
 
 def append_series_csv(fh, columns) -> None:
     """Append parallel 1-D numeric columns as CSV rows to a text file opened
-    with newline="".
+    with newline="", CSV_BLOCK_ROWS rows per write.
 
     Floats are written with 10 significant digits (`.10g`), integers and
     booleans with str(); lines end in CRLF, as csv.writer writes them. Rows
@@ -336,6 +336,17 @@ def append_series_csv(fh, columns) -> None:
     kernel formats the rows; a call with any other column formats every row
     with printf.
     """
+    for text in _csv_blocks(columns):
+        fh.write(text)
+
+
+def series_csv_text(columns) -> str:
+    """The text append_series_csv writes for columns, as one string."""
+    return "".join(_csv_blocks(columns))
+
+
+def _csv_blocks(columns):
+    """append_series_csv's text, one block of CSV_BLOCK_ROWS rows at a time."""
     columns, row_format = _numeric_columns(columns)
     n_rows = min((c.size for c in columns), default=0)
     float_rows = None
@@ -344,9 +355,9 @@ def append_series_csv(fh, columns) -> None:
     for start in range(0, n_rows, CSV_BLOCK_ROWS):
         block = [c[start:min(start + CSV_BLOCK_ROWS, n_rows)] for c in columns]
         if float_rows is not None:
-            fh.write(float_rows(block, row_format))
+            yield float_rows(block, row_format)
         else:
-            fh.write("".join([row_format % row for row in zip(*[c.tolist() for c in block])]))
+            yield "".join([row_format % row for row in zip(*[c.tolist() for c in block])])
 
 
 def write_series_csv(path, header, columns) -> None:

@@ -666,19 +666,38 @@ def test_public_names_resolve():
         assert not hasattr(mmwavelink, name) and not hasattr(mmwavelink.ofdm, name), name
 
 
-def test_simulate_run_frame_calls_one_per_chunk(tmp_path, monkeypatch):
-    # simulate runs each CHUNK_FRAMES chunk as one call of the name
-    # cli.run_frame, which the benchmark hooks (bench/child.py) to start its
-    # run clock; per-frame calls, or a call that bypasses the name, fail here.
-    ranges = []
+def simulate_run_frame_calls(tmp_path, monkeypatch) -> list:
+    """The (start, stop) frame range of each cli.run_frame call of a 37-frame
+    simulate, in the order each process made them. Each call appends its
+    range to a file, so that calls in a forked chunk worker count too."""
+    log = tmp_path / "run_frame_calls.txt"
     original = mmwavelink.cli.run_frame
 
     def counted(*args, **kwargs):
         frames = args[-1]
-        ranges.append((frames.start, frames.stop))
+        with open(log, "a") as fh:
+            fh.write(f"{frames.start} {frames.stop}\n")
         return original(*args, **kwargs)
 
     monkeypatch.setattr(mmwavelink.cli, "run_frame", counted)
     cfg = write_cfg(tmp_path, {"n_frames": 37, "n_payload_symbols": 2})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+def test_simulate_run_frame_calls_one_per_chunk(tmp_path, monkeypatch):
+    # simulate runs each CHUNK_FRAMES chunk as one call of the name
+    # cli.run_frame, which the benchmark hooks (bench/child.py) to start its
+    # run clock; per-frame calls, or a call that bypasses the name, fail here.
+    # With 2 or more CPUs a forked worker makes the upper half of the calls,
+    # so the ranges are compared by start.
+    ranges = simulate_run_frame_calls(tmp_path, monkeypatch)
+    assert sorted(ranges) == [(0, 16), (16, 32), (32, 37)]
+
+
+def test_simulate_run_frame_calls_in_order_in_process(tmp_path, monkeypatch):
+    # With one CPU every chunk runs in this process, one call per chunk in
+    # chunk order.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    ranges = simulate_run_frame_calls(tmp_path, monkeypatch)
     assert ranges == [(0, 16), (16, 32), (32, 37)]
