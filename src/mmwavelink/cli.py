@@ -21,7 +21,7 @@ import numpy as np
 from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel, _check_tone,
                       single_tone_probe)
 # run_frame is called through this binding: the benchmark hooks cli.run_frame.
-from .link import CHUNK_FRAMES, aggregate_evm_db, map_chunks, run_frame
+from .link import _chunks, aggregate_evm_db, map_chunks, run_frame
 from .linklayer import frame_payload_bytes, stream_bytes
 from .metrics import (gaussian_fit_in_place, phase_pdf, psd_welch, series_csv_text,
                       std_in_place, wrap_phase, write_csv_header, write_series_csv)
@@ -222,24 +222,16 @@ def _json_text(name: str, obj) -> str:
         raise ValueError(f"{name} not written: {exc}") from None
 
 
-def _chunk_rows(c: int, n_frames: int) -> range:
-    """The frames of chunk c of a run of n_frames."""
-    return range(c * CHUNK_FRAMES, min((c + 1) * CHUNK_FRAMES, n_frames))
-
-
-def _n_chunks(n_frames: int) -> int:
-    return -(-n_frames // CHUNK_FRAMES)
-
-
 def cmd_simulate(args, cfg: Config) -> int:
     out = _out_dir(args)
     v, ofdm_cfg, modulation = cfg.values, cfg.ofdm, cfg.modulation
     n_frames, n_sym, seed = v["n_frames"], v["n_payload_symbols"], v["seed"]
+    chunks = _chunks(n_frames)
 
     def chunk(c: int) -> tuple:
         """Chunk c's per-frame scalars, erasure count, mean-removed residual
         phase and the text of its evm.csv and constellation.csv rows."""
-        rows = _chunk_rows(c, n_frames)
+        rows = chunks[c]
         stack = run_frame(modulation, ofdm_cfg, cfg.channel, v["pnc_enabled"], n_sym, seed, rows)
         report = stack.report
         d = wrap_phase(stack.theta_true_bodies - stack.theta_est)
@@ -265,9 +257,9 @@ def cmd_simulate(args, cfg: Config) -> int:
                 open(staged["constellation.csv"], "w", newline="") as points_fh:
             write_csv_header(evm_fh, ["frame", "evm_db", "residual_phase_std"])
             write_csv_header(points_fh, ["re", "im"])
-            for c, (chunk_scalars, erased, d, evm_text, points_text) in enumerate(
-                    map_chunks(chunk, _n_chunks(n_frames))):
-                rows = slice(c * CHUNK_FRAMES, c * CHUNK_FRAMES + len(d))
+            for (chunk_scalars, erased, d, evm_text, points_text), rows in zip(
+                    map_chunks(chunk, len(chunks)), chunks):
+                rows = slice(rows.start, rows.stop)
                 scalars[:, rows], residual[rows] = chunk_scalars, d
                 n_erased += erased
                 evm_fh.write(evm_text)
@@ -334,15 +326,15 @@ def cmd_sweep_k(args, cfg: Config) -> int:
         raise ConfigError(str(exc))
     out = _out_dir(args)
 
-    n_chunks = _n_chunks(v["n_frames"])
+    chunks = _chunks(v["n_frames"])
+    n_chunks = len(chunks)
 
     def chunk(j: int) -> tuple:
         """Chunk j % n_chunks of the run at the (j // n_chunks)-th K: only
         its two power arrays outlive it."""
         k_index, c = divmod(j, n_chunks)
         report = run_frame(cfg.modulation, ofdm_cfgs[k_index], cfg.channel, v["pnc_enabled"],
-                           v["n_payload_symbols"], v["seed"],
-                           _chunk_rows(c, v["n_frames"])).report
+                           v["n_payload_symbols"], v["seed"], chunks[c]).report
         return report.error_power, report.reference_power
 
     results, powers = [], []

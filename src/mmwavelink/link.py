@@ -108,9 +108,15 @@ def run_seeded_frames(modulation: Modulation, ofdm_cfg: OfdmConfig,
                       n_payload_symbols: int, run_seed: int, n_frames: int):
     """Yield run_frame's FrameStacks of frames 0 .. n_frames - 1 of a run,
     CHUNK_FRAMES frames at a time."""
-    for start in range(0, n_frames, CHUNK_FRAMES):
+    for frames in _chunks(n_frames):
         yield run_frame(modulation, ofdm_cfg, channel_cfg, pnc_enabled, n_payload_symbols,
-                        run_seed, range(start, min(start + CHUNK_FRAMES, n_frames)))
+                        run_seed, frames)
+
+
+def _chunks(n_frames: int) -> list:
+    """The frame ranges of a run of n_frames, CHUNK_FRAMES at a time."""
+    return [range(start, min(start + CHUNK_FRAMES, n_frames))
+            for start in range(0, n_frames, CHUNK_FRAMES)]
 
 
 def map_chunks(fn, n_chunks: int):

@@ -10,7 +10,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelConfig
-from .link import CHUNK_FRAMES, aggregate_evm_db, map_chunks, run_frames
+from .link import _chunks, aggregate_evm_db, map_chunks, run_frames
 from .modulation import Modulation
 from .ofdm import OfdmConfig, frame_capacity_bits
 
@@ -151,15 +151,16 @@ def stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
     max_payload = frame_payload_bytes(ofdm_cfg, modulation, n_payload_symbols)
 
     packets = packetize(data, max_payload) if data else []
+    chunks = _chunks(len(packets))
 
     def chunk(c: int) -> tuple:
         """Chunk c's received packet bytes, (F, whole bytes), its frames'
         error and reference powers, and its channel uses."""
-        start = c * CHUNK_FRAMES
-        sent = packets[start:start + CHUNK_FRAMES]
+        frames = chunks[c]
+        sent = packets[frames.start:frames.stop]
         tx_bits = [np.unpackbits(np.frombuffer(encode_packet(p), dtype=np.uint8)) for p in sent]
         stack = run_frames(tx_bits, modulation, ofdm_cfg, channel_cfg, pnc_enabled,
-                           n_payload_symbols, seed, start)
+                           n_payload_symbols, seed, frames.start)
         report = stack.report
         return (np.packbits(report.bits[:, :report.bits.shape[1] // 8 * 8], axis=-1),
                 report.error_power, report.reference_power, len(sent) * stack.samples_per_frame)
@@ -167,10 +168,10 @@ def stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
     received = []
     powers = np.empty((2, len(packets)))   # each frame's error and reference power
     channel_uses = 0
-    n_chunks = -(-len(packets) // CHUNK_FRAMES)
-    for c, (rx_bytes, error, reference, uses) in enumerate(map_chunks(chunk, n_chunks)):
+    for (rx_bytes, error, reference, uses), frames in zip(map_chunks(chunk, len(chunks)),
+                                                         chunks):
         received.extend(decode_packet(row.tobytes()) for row in rx_bytes)
-        powers[:, c * CHUNK_FRAMES:c * CHUNK_FRAMES + len(rx_bytes)] = error, reference
+        powers[:, frames.start:frames.stop] = error, reference
         channel_uses += uses
 
     recovered, statuses = depacketize(received, max_payload)

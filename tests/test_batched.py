@@ -24,8 +24,8 @@ from mmwavelink.channel import (PN_CORNER_RATIO, SAMPLE_BLOCK, phasor, sample_bl
                                 single_tone_probe, tone)
 from mmwavelink.link import aggregate_evm_db
 from mmwavelink.modulation import evm_db_from_powers
-from mmwavelink.metrics import (CSV_BLOCK_ROWS, append_series_csv, psd_welch, std_in_place,
-                                write_csv_header, write_series_csv)
+from mmwavelink.metrics import (CSV_BLOCK_ROWS, append_series_csv, psd_welch, series_csv_text,
+                                std_in_place, write_csv_header, write_series_csv)
 from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS, PILOT_INDEX
 
 FS = 25.0e6
@@ -379,15 +379,18 @@ def test_write_series_csv_rejects_non_numeric_columns(tmp_path):
 
 @pytest.mark.parametrize("parts", [[0, 16, 32, 37, 2500], [0, 1, 2, 1030, 2500], [0, 2500]])
 def test_appended_parts_equal_one_write(tmp_path, parts):
-    # simulate appends its rows one chunk at a time.
+    # simulate writes its rows one chunk at a time, each chunk's text made by
+    # series_csv_text, possibly in a forked chunk worker.
     rng = np.random.default_rng(6)
     columns = [np.arange(2500), rng.standard_normal(2500), rng.standard_normal(2500)]
     write_series_csv(tmp_path / "whole.csv", ["frame", "a", "b"], columns)
-    with open(tmp_path / "parts.csv", "w", newline="") as fh:
-        write_csv_header(fh, ["frame", "a", "b"])
-        for a, b in zip(parts, parts[1:]):
-            append_series_csv(fh, [c[a:b] for c in columns])
-    assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    for name, append in [("parts.csv", append_series_csv),
+                         ("texts.csv", lambda fh, cols: fh.write(series_csv_text(cols)))]:
+        with open(tmp_path / name, "w", newline="") as fh:
+            write_csv_header(fh, ["frame", "a", "b"])
+            for a, b in zip(parts, parts[1:]):
+                append(fh, [c[a:b] for c in columns])
+        assert (tmp_path / name).read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def assert_row_equals(stack, f, single):
