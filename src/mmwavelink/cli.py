@@ -22,7 +22,7 @@ from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel, _check_t
                       single_tone_probe)
 # run_frame is called through this binding: the benchmark hooks cli.run_frame.
 from .link import _chunks, aggregate_evm_db, map_chunks, run_frame
-from .linklayer import frame_payload_bytes, stream_bytes
+from .linklayer import _stream_bytes, frame_payload_bytes
 from .metrics import (gaussian_fit_in_place, phase_pdf, psd_welch, series_csv_text,
                       std_in_place, wrap_phase, write_csv_header, write_series_csv)
 from .modulation import Modulation
@@ -355,6 +355,13 @@ def cmd_sweep_k(args, cfg: Config) -> int:
                      [np.array([r[0] for r in results], dtype=int),
                       np.array([r[1] for r in results], dtype=float)])
     return 0
+
+
+def stream_bytes(*args, **kwargs) -> tuple:
+    """linklayer.stream_bytes with its chunks run by link.map_chunks, which
+    may fork; cmd_stream calls it through this name, which the benchmark
+    hooks."""
+    return _stream_bytes(*args, **kwargs, fork=True)
 
 
 def cmd_stream(args, cfg: Config) -> int:

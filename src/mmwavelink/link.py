@@ -6,8 +6,8 @@ from __future__ import annotations
 import functools
 import os
 import pickle
+import select
 import signal
-import tempfile
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -25,6 +25,11 @@ from .receiver import DecodeReport, decode_frames
 # per-call Python dispatch thin; larger chunks ran no faster and hold more
 # memory at once.
 CHUNK_FRAMES = 16
+# map_chunks: the results a forked run's parent computes ahead while it
+# waits for the worker's next one, and the buffer size asked for the pipe
+# the worker's results come through.
+AHEAD = 2
+RESULTS_PIPE_BYTES = 1 << 20
 
 
 def derived_seed(*parts: int) -> int:
@@ -103,16 +108,6 @@ def run_frame(modulation: Modulation, ofdm_cfg: OfdmConfig, channel_cfg: Channel
                  states[len(frames):, 0].tolist())
 
 
-def run_seeded_frames(modulation: Modulation, ofdm_cfg: OfdmConfig,
-                      channel_cfg: ChannelConfig, pnc_enabled: bool,
-                      n_payload_symbols: int, run_seed: int, n_frames: int):
-    """Yield run_frame's FrameStacks of frames 0 .. n_frames - 1 of a run,
-    CHUNK_FRAMES frames at a time."""
-    for frames in _chunks(n_frames):
-        yield run_frame(modulation, ofdm_cfg, channel_cfg, pnc_enabled, n_payload_symbols,
-                        run_seed, frames)
-
-
 def _chunks(n_frames: int) -> list:
     """The frame ranges of a run of n_frames, CHUNK_FRAMES at a time."""
     return [range(start, min(start + CHUNK_FRAMES, n_frames))
@@ -120,57 +115,88 @@ def _chunks(n_frames: int) -> list:
 
 
 def map_chunks(fn, n_chunks: int):
-    """Yield fn(0), ..., fn(n_chunks - 1), in that order.
+    """Yield fn(0), ..., fn(n_chunks - 1), in that order: the chunk loop of
+    the CLI's simulate, sweep-k and stream, which may fork. The library's
+    functions run their chunks in their own process.
 
-    fn(c) must depend on c alone and return a picklable result, as the
-    chunk functions of simulate, sweep-k and stream_bytes do: a chunk's
-    draws come from (seed, frame) alone, so its result has the same bytes
-    in whichever process computes it.
+    fn(c) must depend on c alone and return a picklable result, as the CLI's
+    chunk functions do: a chunk's draws come from (seed, frame) alone, so
+    its result has the same bytes in whichever process computes it.
 
     Chunk 0 runs in this process. Then, where _worker_cpus allows it, one
-    forked worker computes the upper half of the chunks on a CPU other than
-    this process's and spools each pickled result to an unlinked temporary
-    file, while this process computes the lower half; the worker is reaped
-    and its results replayed in order. Otherwise every chunk runs here. An
-    exception in the worker is raised here, with its type and message; a
-    worker that ends without a result raises RuntimeError. An exception
-    here, or closing the generator early, kills and reaps the worker.
+    forked worker on a CPU other than this process's and this process each
+    take the next chunk number from a pipe as they come free, so that a
+    process slowed by a busy CPU takes fewer chunks. The worker pickles each
+    result into a second pipe, read here in chunk order; this process holds
+    at most AHEAD results of its own while it waits for the worker's, so a
+    run's memory does not grow with its length. Otherwise every chunk runs
+    here. An exception in the worker is raised here, with its type and
+    message; a worker that ends without a result raises RuntimeError. An
+    exception here, or closing the generator early, kills and reaps the
+    worker.
     """
     if n_chunks < 1:
         return
     yield fn(0)
     cpus = _worker_cpus(n_chunks)
-    if cpus is None:
-        for c in range(1, n_chunks):
-            yield fn(c)
+    queue = None if cpus is None else _chunk_queue(n_chunks)
+    if queue is None:
+        yield from map(fn, range(1, n_chunks))
         return
-    split = n_chunks - n_chunks // 2
-    upper = range(split, n_chunks)
-    with tempfile.TemporaryFile() as spool:
-        with warnings.catch_warnings():
-            # Python 3.12 warns when a process with more than one thread
-            # forks. The other thread is OpenBLAS's pool, which numpy starts
-            # when OPENBLAS_NUM_THREADS is unset: OpenBLAS stops it around
-            # fork in its atfork handler, and no other Python thread runs
-            # (_worker_cpus), so the worker inherits no lock another thread
-            # holds.
-            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            _spool_results(fn, upper, cpus, spool)   # never returns
+    import fcntl   # POSIX only, as is os.fork; loaded already with the CLI
+
+    results_fd, worker_fd = os.pipe()
+    try:   # room for a simulate chunk's result, so that the worker need not wait
+        fcntl.fcntl(worker_fd, fcntl.F_SETPIPE_SZ, RESULTS_PIPE_BYTES)
+    except OSError:
+        pass   # the default size: the worker waits more often, with the same bytes
+    with warnings.catch_warnings():
+        # Python 3.12 warns when a process with more than one thread forks.
+        # Only the CLI forks, and the only other thread in its process is
+        # OpenBLAS's pool, which numpy starts when OPENBLAS_NUM_THREADS is
+        # unset: OpenBLAS stops it around fork in its atfork handler, and no
+        # other Python thread runs (_worker_cpus), so the worker inherits no
+        # lock another thread holds.
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
+                                DeprecationWarning)
         try:
-            for c in range(1, split):
-                yield fn(c)
-            status = os.waitpid(pid, 0)[1]
+            pid = os.fork()
+        except OSError:   # no process to spare: every chunk runs here
             pid = None
-            spool.seek(0)
-            for c in upper:
-                yield _replay(spool, c, upper, status)
-        finally:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    if pid == 0:
+        os.close(results_fd)
+        _work(fn, queue, worker_fd, cpus)   # never returns
+    results = open(results_fd, "rb")
+    try:
+        os.close(worker_fd)
+        if pid is None:
+            yield from map(fn, range(1, n_chunks))
+            return
+        held, c, last, ended = {}, 1, 0, False   # last: the last chunk taken here
+        while c < n_chunks:
+            if c in held:
+                kind, value = held.pop(c)
+                if kind == "raised":
+                    raise value
+                yield value
+                c += 1
+            elif not ended and len(held) < AHEAD and select.select([results], [], [], 0)[0]:
+                ended = not _receive(results, held)
+            elif (c > last or len(held) < AHEAD) and (taken := _take(queue)) is not None:
+                held[taken], last = ("ok", fn(taken)), taken
+            elif ended or not _receive(results, held):   # chunk c is the worker's
+                status, pid = os.waitpid(pid, 0)[1], None
+                code = os.waitstatus_to_exitcode(status)
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise RuntimeError(f"the chunk worker {how} without a result for chunk {c}")
+        os.waitpid(pid, 0)
+        pid = None
+    finally:
+        results.close()
+        os.close(queue)
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _worker_cpus(n_chunks: int):
@@ -195,50 +221,66 @@ def _worker_cpus(n_chunks: int):
     return cpus - {cpu}
 
 
-def _spool_results(fn, chunks: range, cpus, spool) -> None:
-    """The worker: pickle ("ok", fn(c)) for each chunk into spool, or
-    ("raised", exception) and stop. It leaves only through os._exit, so it
-    flushes no buffer it inherited, such as a staged CSV's text."""
+def _chunk_queue(n_chunks: int):
+    """The read end of a pipe holding chunk numbers 1 .. n_chunks - 1, 4
+    bytes each, its write end closed; None where they do not fit its buffer
+    (64 KiB, 16,383 chunks, on Linux). A read of 4 bytes takes one number
+    whole, whichever process reads, and reads b"" once they are gone."""
+    queue, fill = os.pipe()
+    words = np.arange(1, n_chunks, dtype="<u4").tobytes()
+    try:
+        os.set_blocking(fill, False)
+        fits = os.write(fill, words) == len(words)
+    except BlockingIOError:
+        fits = False
+    finally:
+        os.close(fill)
+    if not fits:
+        os.close(queue)
+        return None
+    return queue
+
+
+def _take(queue):
+    """The next chunk number from _chunk_queue's pipe, or None once none is left."""
+    word = os.read(queue, 4)
+    return int.from_bytes(word, "little") if word else None
+
+
+def _work(fn, queue, fd: int, cpus) -> None:
+    """The worker: take chunks from queue and write (c, "ok", fn(c)) for
+    each, pickled, to the pipe fd, or (c, "raised", exception) and stop. It
+    leaves only through os._exit, so it flushes no buffer it inherited, such
+    as a staged CSV's text; a result or exception that cannot be pickled
+    ends it with status 1 and nothing written for its chunk."""
     code = 1
     try:
-        os.sched_setaffinity(0, cpus)
-        for c in chunks:
-            _dump(spool, ("ok", fn(c)))
+        with open(fd, "wb") as out:
+            os.sched_setaffinity(0, cpus)
+            while (c := _take(queue)) is not None:
+                try:
+                    record = (c, "ok", fn(c))
+                except BaseException as exc:
+                    record = (c, "raised", exc)
+                # Pickled whole before any byte is written: a failure leaves
+                # no partial record.
+                out.write(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
+                out.flush()
+                if record[1] == "raised":
+                    break
         code = 0
-    except BaseException as exc:
-        try:
-            _dump(spool, ("raised", exc))
-        except BaseException:
-            pass   # not picklable: the parent names the chunks and the exit status
     finally:
-        try:
-            spool.flush()
-        finally:
-            os._exit(code)
+        os._exit(code)
 
 
-def _dump(spool, record) -> None:
-    data = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
-    spool.write(len(data).to_bytes(8, "little"))
-    spool.write(data)
-
-
-def _replay(spool, chunk: int, chunks: range, status: int):
-    """Chunk `chunk`'s result from the reaped worker's spool."""
-    size = int.from_bytes(spool.read(8), "little")
-    data = spool.read(size)
+def _receive(results, held: dict) -> bool:
+    """Put the worker's next record into held; False if the pipe ended first."""
     try:
-        kind, value = pickle.loads(data) if size and len(data) == size else (None, None)
-    except Exception:
-        kind = None
-    if kind == "ok":
-        return value
-    if kind == "raised":
-        raise value
-    code = os.waitstatus_to_exitcode(status)
-    ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-    raise RuntimeError(f"the worker for chunks {chunks.start}-{chunks.stop - 1} {ended} "
-                       f"without a result for chunk {chunk}")
+        c, kind, value = pickle.load(results)
+    except (EOFError, pickle.UnpicklingError):
+        return False
+    held[c] = kind, value
+    return True
 
 
 def frame_bits_rng(run_seed: int, frame_idx: int) -> np.random.Generator:

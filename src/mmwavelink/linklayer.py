@@ -138,7 +138,7 @@ def stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
                  modulation: Modulation = Modulation.QPSK, pnc_enabled: bool = True,
                  seed: int = 0, n_payload_symbols: int = 12) -> tuple:
     """Stream bytes over the link, one packet per PHY frame, CHUNK_FRAMES
-    frames per run_frames call, the chunks run by link.map_chunks.
+    frames per run_frames call, in this process.
 
     Deterministic given (configs, seed): frame i uses a seed derived from
     (seed, i), so the chunking does not change any byte. Returns
@@ -148,6 +148,15 @@ def stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
     its OK slots and every other received packet fails CRC, so of two that
     verify with the same seq (a CRC-32 collision) only the one placed is OK.
     """
+    return _stream_bytes(data, ofdm_cfg, channel_cfg, modulation, pnc_enabled, seed,
+                         n_payload_symbols, fork=False)
+
+
+def _stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
+                  modulation: Modulation, pnc_enabled: bool, seed: int,
+                  n_payload_symbols: int, fork: bool) -> tuple:
+    """stream_bytes, its chunks run by link.map_chunks, which may fork, if
+    fork is true (the CLI's stream)."""
     max_payload = frame_payload_bytes(ofdm_cfg, modulation, n_payload_symbols)
 
     packets = packetize(data, max_payload) if data else []
@@ -168,8 +177,8 @@ def stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
     received = []
     powers = np.empty((2, len(packets)))   # each frame's error and reference power
     channel_uses = 0
-    for (rx_bytes, error, reference, uses), frames in zip(map_chunks(chunk, len(chunks)),
-                                                         chunks):
+    results = (map_chunks(chunk, len(chunks)) if fork else map(chunk, range(len(chunks))))
+    for (rx_bytes, error, reference, uses), frames in zip(results, chunks):
         received.extend(decode_packet(row.tobytes()) for row in rx_bytes)
         powers[:, frames.start:frames.stop] = error, reference
         channel_uses += uses

@@ -14,9 +14,10 @@ import pytest
 from helpers import band_power_fraction
 from mmwavelink import (PILOT_VALUE, ChannelConfig, Modulation, OfdmConfig, PhaseNoiseConfig,
                         PhaseNoiseModel, PhaseNoiseProcess, aggregate_evm_db,
-                        estimate_phase, gaussian_fit_in_place, psd_welch, run_seeded_frames,
+                        estimate_phase, gaussian_fit_in_place, psd_welch, run_frame,
                         stream_bytes, verify_packet, wrap_phase)
 from mmwavelink.cli import main
+from mmwavelink.link import _chunks
 from mmwavelink.linklayer import decode_packet, encode_packet, make_packet
 
 FS = 25.0e6
@@ -81,8 +82,8 @@ def default_ofdm(k_guard=3):
 def run_frames(ofdm_cfg, channel, modulation, n_frames, run_seed, pnc_enabled,
                n_payload_symbols=12):
     """The run's FrameStacks, CHUNK_FRAMES frames each."""
-    return list(run_seeded_frames(modulation, ofdm_cfg, channel, pnc_enabled,
-                                  n_payload_symbols, run_seed, n_frames))
+    return [run_frame(modulation, ofdm_cfg, channel, pnc_enabled, n_payload_symbols, run_seed,
+                      frames) for frames in _chunks(n_frames)]
 
 
 def run_evm_db(stacks):

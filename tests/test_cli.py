@@ -689,8 +689,8 @@ def test_simulate_run_frame_calls_one_per_chunk(tmp_path, monkeypatch):
     # simulate runs each CHUNK_FRAMES chunk as one call of the name
     # cli.run_frame, which the benchmark hooks (bench/child.py) to start its
     # run clock; per-frame calls, or a call that bypasses the name, fail here.
-    # With 2 or more CPUs a forked worker makes the upper half of the calls,
-    # so the ranges are compared by start.
+    # With 2 or more CPUs a forked worker makes some of the calls, so the
+    # ranges are compared by start.
     ranges = simulate_run_frame_calls(tmp_path, monkeypatch)
     assert sorted(ranges) == [(0, 16), (16, 32), (32, 37)]
 

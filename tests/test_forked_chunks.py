@@ -1,7 +1,7 @@
-"""The ordered chunk map, link.map_chunks: with 2 or more CPUs a forked worker
-computes the upper half of a run's chunks and spools its results to this
-process, which replays them in chunk order; with one CPU every chunk runs in
-this process. Both paths must write the same bytes, and a failure on either
+"""The CLI's ordered chunk map, link.map_chunks: with 2 or more CPUs a forked
+worker and this process take a run's chunks as each comes free, and this
+process reads the worker's results from a pipe in chunk order; with one CPU
+every chunk runs in this process. Both paths must write the same bytes, and a failure on either
 side must leave no process, no changed affinity and no open file behind.
 
 The one-CPU path comes from os.sched_getaffinity patched to {0}, as
@@ -12,6 +12,7 @@ import contextlib
 import gc
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -24,7 +25,8 @@ import pytest
 import mmwavelink
 import mmwavelink.cli
 from mmwavelink.cli import main
-from mmwavelink.link import map_chunks
+from mmwavelink import CHUNK_FRAMES, ChannelConfig, OfdmConfig, stream_bytes
+from mmwavelink.link import AHEAD, RESULTS_PIPE_BYTES, map_chunks
 from test_golden import GOLDEN, run_command
 
 FORKS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -35,8 +37,8 @@ needs_fork = pytest.mark.skipif(not FORKS, reason=NO_FORK)
 # The affinity call itself, which one_cpu patches.
 affinity = os.sched_getaffinity if FORKS else None
 
-# 37 frames: chunks 0-15, 16-31 and 32-36. The parent runs chunks 0 and 1,
-# the worker chunk 2.
+# 37 frames: chunks 0-15, 16-31 and 32-36. The parent runs chunk 0, then
+# the parent and the worker share chunks 1 and 2.
 THREE_CHUNKS = {"n_frames": 37, "n_payload_symbols": 2}
 
 
@@ -97,29 +99,66 @@ def run_simulate(tmp_path: Path, tag: str, capsys) -> tuple:
     return rc, capsys.readouterr().err, sorted(p.name for p in out.iterdir())
 
 
+def worker_takes_a_chunk(log: Path, act=None):
+    """A wrap_run_frame act that runs act(frames), if given, in the worker,
+    and that in this process, at each chunk past chunk 0, first waits (up to
+    20 s) for the worker's first call, so that the worker surely takes a
+    chunk however the two race for them."""
+    parent = os.getpid()
+
+    def run(frames):
+        if os.getpid() != parent:
+            if act is not None:
+                act(frames)
+        elif frames.start > 0:
+            deadline = time.monotonic() + 20
+            while len(calls_by_pid(log)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+    return run
+
+
+def worker_first(marker: Path, work=lambda c: c):
+    """A chunk function for map_chunks: in the worker each call first touches
+    marker and returns work(c); in this process each call past chunk 0 first
+    waits (up to 20 s) for marker, then returns c."""
+    parent = os.getpid()
+
+    def fn(c):
+        if os.getpid() != parent:
+            marker.touch()
+            return work(c)
+        deadline = time.monotonic() + 20
+        while c > 0 and not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return c
+
+    return fn
+
+
 # -- failures on either side ------------------------------------------------
 
 @needs_fork
 def test_worker_exception_exits_as_in_process(tmp_path, monkeypatch, capsys):
-    # The worker's chunk 2 raises: the parent raises the same exception type
-    # and message, so main gives the in-process exit code and stderr line.
+    # The worker's first chunk raises: the parent raises the same exception
+    # type and message, so main gives the in-process exit code and stderr.
     def fail(frames):
-        if frames.start == 32:
-            raise ValueError(f"no frames from {frames.start}")
+        raise ValueError("no frames here")
 
-    wrap_run_frame(monkeypatch, tmp_path / "forked.log", fail)
+    log = tmp_path / "forked.log"
+    wrap_run_frame(monkeypatch, log, worker_takes_a_chunk(log, fail))
     with leaves_nothing():
         forked = run_simulate(tmp_path, "forked", capsys)
-    calls = calls_by_pid(tmp_path / "forked.log")
-    assert calls.pop(os.getpid()) == [0, 16] and list(calls.values()) == [[32]]
+    calls = calls_by_pid(log)
+    assert calls.pop(os.getpid())[0] == 0 and len(list(calls.values())[0]) == 1
 
     with monkeypatch.context() as m:
         one_cpu(m)
-        wrap_run_frame(m, tmp_path / "one.log", fail)
+        wrap_run_frame(m, tmp_path / "one.log", lambda frames: frames.start < 32 or fail(frames))
         with leaves_nothing():
             in_process = run_simulate(tmp_path, "one", capsys)
     assert calls_by_pid(tmp_path / "one.log") == {os.getpid(): [0, 16, 32]}
-    assert forked == in_process == (2, "error: no frames from 32\n", [])
+    assert forked == in_process == (2, "error: no frames here\n", [])
 
 
 class Unpicklable(Exception):
@@ -128,57 +167,48 @@ class Unpicklable(Exception):
 
 
 @needs_fork
-def test_unpicklable_worker_exception_raises_runtime_error():
-    parent = os.getpid()
-
-    def fn(c):
-        if os.getpid() != parent:
-            raise Unpicklable("lost")
-        return c
+def test_unpicklable_worker_exception_raises_runtime_error(tmp_path):
+    def fail(c):
+        raise Unpicklable("lost")
 
     with leaves_nothing():
-        with pytest.raises(RuntimeError, match=r"^the worker for chunks 2-3 exited with "
-                           r"status 1 without a result for chunk 2$"):
-            list(map_chunks(fn, 4))
+        with pytest.raises(RuntimeError, match=r"^the chunk worker exited with status 1 "
+                           r"without a result for chunk [123]$"):
+            list(map_chunks(worker_first(tmp_path / "started", fail), 4))
 
 
 @needs_fork
 def test_killed_worker_exits_2_with_runtime_error(tmp_path, monkeypatch, capsys):
-    # 70 frames: the worker runs chunks 3 and 4 and dies in chunk 4, after
-    # spooling chunk 3.
+    # 70 frames in 5 chunks; the worker dies in its first chunk.
     def die(frames):
-        if frames.start == 64:
-            os.kill(os.getpid(), signal.SIGKILL)
+        os.kill(os.getpid(), signal.SIGKILL)
 
-    wrap_run_frame(monkeypatch, tmp_path / "calls.log", die)
+    log = tmp_path / "calls.log"
+    wrap_run_frame(monkeypatch, log, worker_takes_a_chunk(log, die))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**THREE_CHUNKS, "n_frames": 70}))
     out = tmp_path / "out"
     with leaves_nothing():
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: the worker for chunks 3-4 was killed by signal {int(signal.SIGKILL)} "
-        "without a result for chunk 4\n")
+    (lost,) = re.fullmatch(f"error: the chunk worker was killed by signal {int(signal.SIGKILL)} "
+                           r"without a result for chunk (\d)\n", capsys.readouterr().err).groups()
     assert list(out.iterdir()) == []
-    calls = calls_by_pid(tmp_path / "calls.log")
-    assert calls.pop(os.getpid()) == [0, 16, 32] and list(calls.values()) == [[48, 64]]
+    calls = calls_by_pid(log)
+    assert calls.pop(os.getpid())[0] == 0 and list(calls.values()) == [[16 * int(lost)]]
 
 
 @needs_fork
 @pytest.mark.parametrize("exc", [ValueError("parent failed"), KeyboardInterrupt()])
 def test_parent_exception_kills_and_reaps_the_worker(tmp_path, monkeypatch, capsys, exc):
-    # The parent raises in chunk 1 once the worker has started chunk 2,
-    # where the worker sleeps far past the test's bound: only a kill ends
-    # it in time.
+    # The parent raises in its first chunk past chunk 0 once the worker has
+    # started one, in which the worker sleeps far past the test's bound:
+    # only a kill ends it in time.
     parent, log = os.getpid(), tmp_path / "calls.log"
+    wait = worker_takes_a_chunk(log, lambda frames: time.sleep(60))
 
     def act(frames):
-        if os.getpid() != parent:
-            time.sleep(60)
-        elif frames.start == 16:
-            deadline = time.monotonic() + 20
-            while len(calls_by_pid(log)) < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
+        wait(frames)
+        if os.getpid() == parent and frames.start > 0:
             raise exc
 
     wrap_run_frame(monkeypatch, log, act)
@@ -190,44 +220,102 @@ def test_parent_exception_kills_and_reaps_the_worker(tmp_path, monkeypatch, caps
         else:
             assert run_simulate(tmp_path, "out", capsys) == (2, "error: parent failed\n", [])
     assert time.monotonic() - started < 30
-    assert sorted(calls_by_pid(log).values()) == [[0, 16], [32]]
+    calls = calls_by_pid(log)
+    assert len(calls.pop(parent)) == 2 and len(list(calls.values())[0]) == 1
+
+
+def sleeps_past_chunk_1(c):
+    # The worker returns chunk 1 at once, so that the parent can yield it
+    # whichever process takes it, and sleeps in any later chunk.
+    if c > 1:
+        time.sleep(60)
+    return c
 
 
 @needs_fork
-def test_closing_the_map_early_kills_and_reaps_the_worker():
-    parent = os.getpid()
-
-    def fn(c):
-        if os.getpid() != parent:
-            time.sleep(60)
-        return c
-
+def test_closing_the_map_early_kills_and_reaps_the_worker(tmp_path):
     started = time.monotonic()
     with leaves_nothing():
-        chunks = map_chunks(fn, 4)
-        assert [next(chunks), next(chunks)] == [0, 1]   # the worker runs chunks 2 and 3
+        chunks = map_chunks(worker_first(tmp_path / "started", sleeps_past_chunk_1), 4)
+        assert [next(chunks), next(chunks)] == [0, 1]
         chunks.close()
     assert time.monotonic() - started < 30
 
 
 @needs_fork
-def test_consumer_exception_kills_and_reaps_the_worker():
+def test_consumer_exception_kills_and_reaps_the_worker(tmp_path):
     # An exception in the loop over the map, outside the map itself, drops
     # the generator, whose close kills the worker.
-    parent = os.getpid()
-
-    def fn(c):
-        if os.getpid() != parent:
-            time.sleep(60)
-        return c
-
     started = time.monotonic()
     with leaves_nothing():
         with pytest.raises(ZeroDivisionError):
-            for c in map_chunks(fn, 4):
+            for c in map_chunks(worker_first(tmp_path / "started", sleeps_past_chunk_1), 4):
                 if c == 1:
                     c / 0
     assert time.monotonic() - started < 30
+
+
+# -- sharing the chunks --------------------------------------------------------
+
+@needs_fork
+@pytest.mark.parametrize("slow", ["worker", "parent"])
+def test_a_slow_process_takes_fewer_chunks(slow):
+    # Chunks go to whichever process is free, so the one that sleeps 0.1 s
+    # a chunk takes fewer than half of them: a slow worker one in 1 + AHEAD
+    # or so, as the parent computes up to AHEAD chunks while it waits for
+    # the worker's, and a slow parent a few. The results still come in order.
+    parent, n_chunks = os.getpid(), 20
+
+    def fn(c):
+        me = "parent" if os.getpid() == parent else "worker"
+        if me == slow and c > 0:
+            time.sleep(0.1)
+        return c, me
+
+    with leaves_nothing():
+        results = list(map_chunks(fn, n_chunks))
+    assert [c for c, _ in results] == list(range(n_chunks))
+    taken = sum(me == slow for c, me in results[1:])
+    assert taken <= (n_chunks - 1) // (1 + AHEAD) + 1
+
+
+@needs_fork
+def test_results_larger_than_the_pipe_buffer():
+    # Each result is larger than the results pipe's buffer.
+    size = 3 * RESULTS_PIPE_BYTES
+    with leaves_nothing():
+        results = list(map_chunks(lambda c: bytes([c]) * size, 5))
+    assert results == [bytes([c]) * size for c in range(5)]
+
+
+def test_more_chunk_numbers_than_the_queue_holds_run_in_process(monkeypatch):
+    # 20,000 chunk numbers are 80,000 bytes, past a pipe's 64 KiB buffer.
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or 0)
+    with leaves_nothing():
+        assert list(map_chunks(lambda c: c, 20_000)) == list(range(20_000))
+    assert forks == []
+
+
+@needs_fork
+def test_a_failed_fork_runs_every_chunk_in_process(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with leaves_nothing():
+        assert list(map_chunks(lambda c: (c, os.getpid()), 5)) == [
+            (c, os.getpid()) for c in range(5)]
+
+
+def test_library_stream_bytes_runs_in_process(monkeypatch):
+    # The library runs its chunks in its own process: only the CLI forks.
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or 0)
+    with leaves_nothing():
+        recovered, report = stream_bytes(bytes(range(256)) * 20, OfdmConfig(64, 3, 26, 16),
+                                         ChannelConfig(), n_payload_symbols=2)
+    assert report.packets_sent > 2 * CHUNK_FRAMES and forks == []
 
 
 # -- the same bytes on both paths --------------------------------------------
@@ -265,14 +353,13 @@ def test_simulate_csv_text_buffered_at_fork_is_written_once(tmp_path, monkeypatc
     # At the fork the parent's staged evm.csv handle holds its header and
     # chunk 0's rows in its buffer, none of it on disk yet: a worker that
     # flushed that buffer on exit would write the text twice.
-    out = tmp_path / "qpsk_multipath_pnc_chunks-simulate"
+    out, log = tmp_path / "qpsk_multipath_pnc_chunks-simulate", tmp_path / "calls.log"
 
-    def look(frames):
-        if frames.start == 32:
-            with open(tmp_path / "staged.txt", "w") as fh:
-                fh.write(f"{os.getpid()} {os.path.getsize(out / '.evm.csv.partial')}")
+    def look(frames):   # in the worker's one chunk
+        with open(tmp_path / "staged.txt", "w") as fh:
+            fh.write(f"{os.getpid()} {os.path.getsize(out / '.evm.csv.partial')}")
 
-    wrap_run_frame(monkeypatch, tmp_path / "calls.log", look)
+    wrap_run_frame(monkeypatch, log, worker_takes_a_chunk(log, look))
     with leaves_nothing():
         hashes, _ = run_command(tmp_path, "qpsk_multipath_pnc_chunks", "simulate")
     pid, size = map(int, (tmp_path / "staged.txt").read_text().split())
@@ -294,15 +381,22 @@ def test_one_cpu_runs_every_chunk_in_process(tmp_path, monkeypatch, capsys):
 
 
 @needs_fork
-def test_only_the_worker_leaves_one_cpu_out():
+def test_only_the_worker_leaves_one_cpu_out(tmp_path):
     # The worker runs on the parent's affinity set less the CPU the parent
     # ran on at the fork; the parent's set is untouched.
+    parent = os.getpid()
+    fn = worker_first(tmp_path / "started")
+
+    def where(c):
+        return fn(c), os.getpid(), frozenset(affinity(0))
+
     with leaves_nothing():
-        results = list(map_chunks(lambda c: (os.getpid(), frozenset(affinity(0))), 4))
+        results = list(map_chunks(where, 4))
     full = affinity(0)
-    assert results[:2] == [(os.getpid(), full)] * 2
-    (worker, cpus), = set(results[2:])
-    assert worker != os.getpid() and cpus < full and len(cpus) == len(full) - 1
+    assert [r[0] for r in results] == [0, 1, 2, 3] and results[0] == (0, parent, full)
+    placed = {r[1:] for r in results if r[1] != parent}
+    (worker, cpus), = placed
+    assert worker != parent and cpus < full and len(cpus) == len(full) - 1
 
 
 @pytest.mark.parametrize("n_chunks", [0, 1, 2, 3, 5])

@@ -32,7 +32,8 @@ import pytest
 from scipy import signal
 
 from mmwavelink import (PILOT_INDEX, ChannelConfig, Modulation, OfdmConfig, PhaseNoiseConfig,
-                        PhaseNoiseModel, aggregate_evm_db, run_seeded_frames)
+                        PhaseNoiseModel, aggregate_evm_db, run_frame)
+from mmwavelink.link import _chunks
 from mmwavelink.channel import PN_CORNER_RATIO
 from mmwavelink.cli import DEFAULTS, main
 
@@ -59,8 +60,8 @@ def flat_run_evm_db(ofdm_cfg, snr_db, pnc_enabled, n_frames):
     channel with AWGN only."""
     channel = ChannelConfig(taps=(1.0,), snr_db=snr_db,
                             phase_noise=PhaseNoiseConfig(model=PhaseNoiseModel.NONE))
-    stacks = list(run_seeded_frames(Modulation.QPSK, ofdm_cfg, channel, pnc_enabled, 12, 3,
-                                    n_frames))
+    stacks = [run_frame(Modulation.QPSK, ofdm_cfg, channel, pnc_enabled, 12, 3, frames)
+              for frames in _chunks(n_frames)]
     return aggregate_evm_db(*[np.concatenate([getattr(s.report, name) for s in stacks])
                               for name in ("error_power", "reference_power")])
 
