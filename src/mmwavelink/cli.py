@@ -330,12 +330,16 @@ def cmd_sweep_k(args, cfg: Config) -> int:
     n_chunks = len(chunks)
 
     def chunk(j: int) -> tuple:
-        """Chunk j % n_chunks of the run at the (j // n_chunks)-th K: only
-        its two power arrays outlive it."""
+        """Chunk j % n_chunks of the run at the (j // n_chunks)-th K: its
+        two power arrays. Its stack stays in `last` until the next chunk's
+        is made: freed first, its pages went back to the OS and were
+        faulted in again, about 15,000 more minor faults a sweep."""
         k_index, c = divmod(j, n_chunks)
-        report = run_frame(cfg.modulation, ofdm_cfgs[k_index], cfg.channel, v["pnc_enabled"],
-                           v["n_payload_symbols"], v["seed"], chunks[c]).report
-        return report.error_power, report.reference_power
+        last[0] = run_frame(cfg.modulation, ofdm_cfgs[k_index], cfg.channel, v["pnc_enabled"],
+                            v["n_payload_symbols"], v["seed"], chunks[c])
+        return last[0].report.error_power, last[0].report.reference_power
+
+    last = [None]
 
     results, powers = [], []
     for j, chunk_powers in enumerate(map_chunks(chunk, len(k_values) * n_chunks)):

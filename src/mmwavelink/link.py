@@ -1,5 +1,6 @@
 """Frame engine shared by the CLI and the packet layer: transmit, channel and
-decode for a stack of frames at once."""
+decode for a stack of frames at once; and the CLI's chunk map, which may run
+a run's chunks in two processes."""
 
 from __future__ import annotations
 
@@ -224,7 +225,7 @@ def _worker_cpus(n_chunks: int):
 def _chunk_queue(n_chunks: int):
     """The read end of a pipe holding chunk numbers 1 .. n_chunks - 1, 4
     bytes each, its write end closed; None where they do not fit its buffer
-    (64 KiB, 16,383 chunks, on Linux). A read of 4 bytes takes one number
+    (64 KiB, 16,384 numbers, on Linux). A read of 4 bytes takes one number
     whole, whichever process reads, and reads b"" once they are gone."""
     queue, fill = os.pipe()
     words = np.arange(1, n_chunks, dtype="<u4").tobytes()
