@@ -7,7 +7,6 @@ from __future__ import annotations
 import functools
 import os
 import pickle
-import select
 import signal
 import threading
 import warnings
@@ -26,10 +25,8 @@ from .receiver import DecodeReport, decode_frames
 # per-call Python dispatch thin; larger chunks ran no faster and hold more
 # memory at once.
 CHUNK_FRAMES = 16
-# map_chunks: the results a forked run's parent computes ahead while it
-# waits for the worker's next one, and the buffer size asked for the pipe
-# the worker's results come through.
-AHEAD = 2
+# map_chunks: the buffer size asked for the pipe the worker's results come
+# through, room for its lead of a chunk or more.
 RESULTS_PIPE_BYTES = 1 << 20
 
 
@@ -125,27 +122,28 @@ def map_chunks(fn, n_chunks: int):
     its result has the same bytes in whichever process computes it.
 
     Chunk 0 runs in this process. Then, where _worker_cpus allows it, one
-    forked worker on a CPU other than this process's and this process each
-    take the next chunk number from a pipe as they come free, so that a
-    process slowed by a busy CPU takes fewer chunks. The worker pickles each
-    result into a second pipe, read here in chunk order; this process holds
-    at most AHEAD results of its own while it waits for the worker's, so a
-    run's memory does not grow with its length. Otherwise every chunk runs
-    here. An exception in the worker is raised here, with its type and
-    message; a worker that ends without a result raises RuntimeError. An
-    exception here, or closing the generator early, kills and reaps the
-    worker.
+    forked worker on a CPU other than this process's computes the odd
+    chunks and writes each pickled result to a pipe, and this process
+    computes each even chunk c + 1 before it reads the worker's chunk c.
+    Each process runs the same chunks in every run, and the pipe bounds the
+    worker's lead, so memory does not grow with the run's length. While this
+    process waits for a result, the worker may also run on this process's
+    CPU, so that a worker slowed by a busy CPU can finish there. Otherwise
+    every chunk runs here. An exception in either process is raised here in
+    chunk order, with its type and message; a worker that ends without a
+    result raises RuntimeError. An exception here, or closing the generator
+    early, kills and reaps the worker.
     """
     if n_chunks < 1:
         return
     yield fn(0)
     cpus = _worker_cpus(n_chunks)
-    queue = None if cpus is None else _chunk_queue(n_chunks)
-    if queue is None:
+    if cpus is None:
         yield from map(fn, range(1, n_chunks))
         return
     import fcntl   # POSIX only, as is os.fork; loaded already with the CLI
 
+    every = os.sched_getaffinity(0)
     results_fd, worker_fd = os.pipe()
     try:   # room for a simulate chunk's result, so that the worker need not wait
         fcntl.fcntl(worker_fd, fcntl.F_SETPIPE_SZ, RESULTS_PIPE_BYTES)
@@ -166,35 +164,32 @@ def map_chunks(fn, n_chunks: int):
             pid = None
     if pid == 0:
         os.close(results_fd)
-        _work(fn, queue, worker_fd, cpus)   # never returns
+        _work(fn, range(1, n_chunks, 2), worker_fd, cpus)   # never returns
     results = open(results_fd, "rb")
     try:
         os.close(worker_fd)
         if pid is None:
             yield from map(fn, range(1, n_chunks))
             return
-        held, c, last, ended = {}, 1, 0, False   # last: the last chunk taken here
-        while c < n_chunks:
-            if c in held:
-                kind, value = held.pop(c)
-                if kind == "raised":
-                    raise value
-                yield value
-                c += 1
-            elif not ended and len(held) < AHEAD and select.select([results], [], [], 0)[0]:
-                ended = not _receive(results, held)
-            elif (c > last or len(held) < AHEAD) and (taken := _take(queue)) is not None:
-                held[taken], last = ("ok", fn(taken)), taken
-            elif ended or not _receive(results, held):   # chunk c is the worker's
+        for c in range(1, n_chunks, 2):
+            own = _outcome(fn, c + 1) if c + 1 < n_chunks else None
+            _place(pid, every)   # while this process waits
+            try:
+                theirs = pickle.load(results)
+            except (EOFError, pickle.UnpicklingError):
                 status, pid = os.waitpid(pid, 0)[1], None
                 code = os.waitstatus_to_exitcode(status)
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 raise RuntimeError(f"the chunk worker {how} without a result for chunk {c}")
+            _place(pid, cpus)
+            for kind, value in (theirs, own) if own else (theirs,):
+                if kind == "raised":
+                    raise value
+                yield value
         os.waitpid(pid, 0)
         pid = None
     finally:
         results.close()
-        os.close(queue)
         if pid is not None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -222,66 +217,47 @@ def _worker_cpus(n_chunks: int):
     return cpus - {cpu}
 
 
-def _chunk_queue(n_chunks: int):
-    """The read end of a pipe holding chunk numbers 1 .. n_chunks - 1, 4
-    bytes each, its write end closed; None where they do not fit its buffer
-    (64 KiB, 16,384 numbers, on Linux). A read of 4 bytes takes one number
-    whole, whichever process reads, and reads b"" once they are gone."""
-    queue, fill = os.pipe()
-    words = np.arange(1, n_chunks, dtype="<u4").tobytes()
+def _outcome(fn, c: int) -> tuple:
+    """("ok", fn(c)), or ("raised", exception) for an Exception, which is
+    then raised in chunk order."""
     try:
-        os.set_blocking(fill, False)
-        fits = os.write(fill, words) == len(words)
-    except BlockingIOError:
-        fits = False
-    finally:
-        os.close(fill)
-    if not fits:
-        os.close(queue)
-        return None
-    return queue
+        return "ok", fn(c)
+    except Exception as exc:
+        return "raised", exc
 
 
-def _take(queue):
-    """The next chunk number from _chunk_queue's pipe, or None once none is left."""
-    word = os.read(queue, 4)
-    return int.from_bytes(word, "little") if word else None
+def _place(pid: int, cpus) -> None:
+    """Set the worker's affinity; a worker that has ended is left as it is."""
+    try:
+        os.sched_setaffinity(pid, cpus)
+    except OSError:
+        pass
 
 
-def _work(fn, queue, fd: int, cpus) -> None:
-    """The worker: take chunks from queue and write (c, "ok", fn(c)) for
-    each, pickled, to the pipe fd, or (c, "raised", exception) and stop. It
-    leaves only through os._exit, so it flushes no buffer it inherited, such
-    as a staged CSV's text; a result or exception that cannot be pickled
-    ends it with status 1 and nothing written for its chunk."""
+def _work(fn, chunks: range, fd: int, cpus) -> None:
+    """The worker: write ("ok", fn(c)) for each chunk, pickled, to the pipe
+    fd, or ("raised", exception) and stop. It leaves only through os._exit,
+    so it flushes no buffer it inherited, such as a staged CSV's text; a
+    result or exception that cannot be pickled ends it with status 1 and
+    nothing written for its chunk."""
     code = 1
     try:
         with open(fd, "wb") as out:
             os.sched_setaffinity(0, cpus)
-            while (c := _take(queue)) is not None:
+            for c in chunks:
                 try:
-                    record = (c, "ok", fn(c))
-                except BaseException as exc:
-                    record = (c, "raised", exc)
+                    record = ("ok", fn(c))
+                except BaseException as exc:   # sent to the parent, which raises it
+                    record = ("raised", exc)
                 # Pickled whole before any byte is written: a failure leaves
                 # no partial record.
                 out.write(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
                 out.flush()
-                if record[1] == "raised":
+                if record[0] == "raised":
                     break
         code = 0
     finally:
         os._exit(code)
-
-
-def _receive(results, held: dict) -> bool:
-    """Put the worker's next record into held; False if the pipe ended first."""
-    try:
-        c, kind, value = pickle.load(results)
-    except (EOFError, pickle.UnpicklingError):
-        return False
-    held[c] = kind, value
-    return True
 
 
 def frame_bits_rng(run_seed: int, frame_idx: int) -> np.random.Generator:

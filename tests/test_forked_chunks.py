@@ -1,7 +1,7 @@
 """The CLI's ordered chunk map, link.map_chunks: with 2 or more CPUs a forked
-worker and this process take a run's chunks as each comes free, and this
-process reads the worker's results from a pipe in chunk order; with one CPU
-every chunk runs in this process. Both paths must write the same bytes, and a failure on either
+worker computes a run's odd chunks and this process its even ones, reading
+the worker's results from a pipe in chunk order; with one CPU every chunk
+runs in this process. Both paths must write the same bytes, and a failure on either
 side must leave no process, no changed affinity and no open file behind.
 
 The one-CPU path comes from os.sched_getaffinity patched to {0}, as
@@ -26,7 +26,7 @@ import mmwavelink
 import mmwavelink.cli
 from mmwavelink.cli import main
 from mmwavelink import CHUNK_FRAMES, ChannelConfig, OfdmConfig, stream_bytes
-from mmwavelink.link import AHEAD, RESULTS_PIPE_BYTES, map_chunks
+from mmwavelink.link import RESULTS_PIPE_BYTES, map_chunks
 from test_golden import GOLDEN, run_command
 
 FORKS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -37,8 +37,8 @@ needs_fork = pytest.mark.skipif(not FORKS, reason=NO_FORK)
 # The affinity call itself, which one_cpu patches.
 affinity = os.sched_getaffinity if FORKS else None
 
-# 37 frames: chunks 0-15, 16-31 and 32-36. The parent runs chunk 0, then
-# the parent and the worker share chunks 1 and 2.
+# 37 frames: chunks 0-15, 16-31 and 32-36. The parent runs chunks 0 and 2,
+# the worker chunk 1.
 THREE_CHUNKS = {"n_frames": 37, "n_payload_symbols": 2}
 
 
@@ -89,76 +89,56 @@ def calls_by_pid(log: Path) -> dict:
     return calls
 
 
-def run_simulate(tmp_path: Path, tag: str, capsys) -> tuple:
-    """main on a three-chunk simulate: (exit code, stderr, files left in out)."""
+def run_simulate(tmp_path: Path, tag: str, capsys, n_frames: int = 37) -> tuple:
+    """main on a simulate of three chunks, or of n_frames: (exit code,
+    stderr, files left in out)."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(THREE_CHUNKS))
+    cfg.write_text(json.dumps({**THREE_CHUNKS, "n_frames": n_frames}))
     out = tmp_path / tag
     capsys.readouterr()
     rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
     return rc, capsys.readouterr().err, sorted(p.name for p in out.iterdir())
 
 
-def worker_takes_a_chunk(log: Path, act=None):
-    """A wrap_run_frame act that runs act(frames), if given, in the worker,
-    and that in this process, at each chunk past chunk 0, first waits (up to
-    20 s) for the worker's first call, so that the worker surely takes a
-    chunk however the two race for them."""
-    parent = os.getpid()
-
-    def run(frames):
-        if os.getpid() != parent:
-            if act is not None:
-                act(frames)
-        elif frames.start > 0:
-            deadline = time.monotonic() + 20
-            while len(calls_by_pid(log)) < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
-
-    return run
-
-
-def worker_first(marker: Path, work=lambda c: c):
-    """A chunk function for map_chunks: in the worker each call first touches
-    marker and returns work(c); in this process each call past chunk 0 first
-    waits (up to 20 s) for marker, then returns c."""
-    parent = os.getpid()
-
-    def fn(c):
-        if os.getpid() != parent:
-            marker.touch()
-            return work(c)
-        deadline = time.monotonic() + 20
-        while c > 0 and not marker.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        return c
-
-    return fn
-
-
 # -- failures on either side ------------------------------------------------
 
 @needs_fork
 def test_worker_exception_exits_as_in_process(tmp_path, monkeypatch, capsys):
-    # The worker's first chunk raises: the parent raises the same exception
-    # type and message, so main gives the in-process exit code and stderr.
+    # The worker's chunk 1 raises: the parent raises the same exception type
+    # and message, so main gives the in-process exit code and stderr line.
     def fail(frames):
-        raise ValueError("no frames here")
+        if frames.start == 16:
+            raise ValueError(f"no frames from {frames.start}")
 
-    log = tmp_path / "forked.log"
-    wrap_run_frame(monkeypatch, log, worker_takes_a_chunk(log, fail))
+    wrap_run_frame(monkeypatch, tmp_path / "forked.log", fail)
     with leaves_nothing():
         forked = run_simulate(tmp_path, "forked", capsys)
-    calls = calls_by_pid(log)
-    assert calls.pop(os.getpid())[0] == 0 and len(list(calls.values())[0]) == 1
+    calls = calls_by_pid(tmp_path / "forked.log")
+    assert calls.pop(os.getpid()) == [0, 32] and list(calls.values()) == [[16]]
 
     with monkeypatch.context() as m:
         one_cpu(m)
-        wrap_run_frame(m, tmp_path / "one.log", lambda frames: frames.start < 32 or fail(frames))
+        wrap_run_frame(m, tmp_path / "one.log", fail)
         with leaves_nothing():
             in_process = run_simulate(tmp_path, "one", capsys)
-    assert calls_by_pid(tmp_path / "one.log") == {os.getpid(): [0, 16, 32]}
-    assert forked == in_process == (2, "error: no frames here\n", [])
+    assert calls_by_pid(tmp_path / "one.log") == {os.getpid(): [0, 16]}
+    assert forked == in_process == (2, "error: no frames from 16\n", [])
+
+
+def test_exceptions_in_both_processes_raise_in_chunk_order():
+    # Chunk 2 (this process) and chunk 3 (the worker) both raise: chunk 2's
+    # exception comes first, as in one process, though the worker's may
+    # arrive first.
+    def fail(c):
+        if c >= 2:
+            raise ValueError(f"chunk {c}")
+        return c
+
+    with leaves_nothing():
+        chunks = map_chunks(fail, 5)
+        assert [next(chunks), next(chunks)] == [0, 1]
+        with pytest.raises(ValueError, match="^chunk 2$"):
+            next(chunks)
 
 
 class Unpicklable(Exception):
@@ -167,48 +147,59 @@ class Unpicklable(Exception):
 
 
 @needs_fork
-def test_unpicklable_worker_exception_raises_runtime_error(tmp_path):
-    def fail(c):
-        raise Unpicklable("lost")
+def test_unpicklable_worker_exception_raises_runtime_error():
+    parent = os.getpid()
+
+    def fn(c):
+        if os.getpid() != parent:
+            raise Unpicklable("lost")
+        return c
 
     with leaves_nothing():
         with pytest.raises(RuntimeError, match=r"^the chunk worker exited with status 1 "
-                           r"without a result for chunk [123]$"):
-            list(map_chunks(worker_first(tmp_path / "started", fail), 4))
+                           r"without a result for chunk 1$"):
+            list(map_chunks(fn, 4))
 
 
 @needs_fork
 def test_killed_worker_exits_2_with_runtime_error(tmp_path, monkeypatch, capsys):
-    # 70 frames in 5 chunks; the worker dies in its first chunk.
+    # 70 frames: the worker runs chunks 1 and 3 and dies in chunk 3, after
+    # writing chunk 1's result.
     def die(frames):
-        os.kill(os.getpid(), signal.SIGKILL)
+        if frames.start == 48:
+            os.kill(os.getpid(), signal.SIGKILL)
 
-    log = tmp_path / "calls.log"
-    wrap_run_frame(monkeypatch, log, worker_takes_a_chunk(log, die))
+    wrap_run_frame(monkeypatch, tmp_path / "calls.log", die)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**THREE_CHUNKS, "n_frames": 70}))
     out = tmp_path / "out"
     with leaves_nothing():
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-    (lost,) = re.fullmatch(f"error: the chunk worker was killed by signal {int(signal.SIGKILL)} "
-                           r"without a result for chunk (\d)\n", capsys.readouterr().err).groups()
+    assert capsys.readouterr().err == (
+        f"error: the chunk worker was killed by signal {int(signal.SIGKILL)} "
+        "without a result for chunk 3\n")
     assert list(out.iterdir()) == []
-    calls = calls_by_pid(log)
-    assert calls.pop(os.getpid())[0] == 0 and list(calls.values()) == [[16 * int(lost)]]
+    calls = calls_by_pid(tmp_path / "calls.log")
+    assert calls.pop(os.getpid()) == [0, 32, 64] and list(calls.values()) == [[16, 48]]
 
 
 @needs_fork
 @pytest.mark.parametrize("exc", [ValueError("parent failed"), KeyboardInterrupt()])
 def test_parent_exception_kills_and_reaps_the_worker(tmp_path, monkeypatch, capsys, exc):
-    # The parent raises in its first chunk past chunk 0 once the worker has
-    # started one, in which the worker sleeps far past the test's bound:
-    # only a kill ends it in time.
+    # 70 frames in 5 chunks. The parent raises in chunk 2 once the worker has
+    # started chunk 3, where it sleeps far past the test's bound: only a kill
+    # ends it in time. The ValueError is raised after chunk 1's result, in
+    # chunk order; the KeyboardInterrupt at once.
     parent, log = os.getpid(), tmp_path / "calls.log"
-    wait = worker_takes_a_chunk(log, lambda frames: time.sleep(60))
 
     def act(frames):
-        wait(frames)
-        if os.getpid() == parent and frames.start > 0:
+        if os.getpid() != parent:
+            if frames.start == 48:
+                time.sleep(60)
+        elif frames.start == 32:
+            deadline = time.monotonic() + 20
+            while sum(map(len, calls_by_pid(log).values())) < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
             raise exc
 
     wrap_run_frame(monkeypatch, log, act)
@@ -216,85 +207,42 @@ def test_parent_exception_kills_and_reaps_the_worker(tmp_path, monkeypatch, caps
     with leaves_nothing():
         if isinstance(exc, KeyboardInterrupt):
             with pytest.raises(KeyboardInterrupt):
-                run_simulate(tmp_path, "out", capsys)
+                run_simulate(tmp_path, "out", capsys, n_frames=70)
         else:
-            assert run_simulate(tmp_path, "out", capsys) == (2, "error: parent failed\n", [])
+            assert run_simulate(tmp_path, "out", capsys, n_frames=70) == (
+                2, "error: parent failed\n", [])
     assert time.monotonic() - started < 30
-    calls = calls_by_pid(log)
-    assert len(calls.pop(parent)) == 2 and len(list(calls.values())[0]) == 1
+    assert sorted(calls_by_pid(log).values()) == [[0, 32], [16, 48]]
 
 
 def sleeps_past_chunk_1(c):
-    # The worker returns chunk 1 at once, so that the parent can yield it
-    # whichever process takes it, and sleeps in any later chunk.
-    if c > 1:
+    # The worker returns chunk 1 at once and sleeps in chunk 3.
+    if c > 1 and c % 2:
         time.sleep(60)
     return c
 
 
 @needs_fork
-def test_closing_the_map_early_kills_and_reaps_the_worker(tmp_path):
+def test_closing_the_map_early_kills_and_reaps_the_worker():
     started = time.monotonic()
     with leaves_nothing():
-        chunks = map_chunks(worker_first(tmp_path / "started", sleeps_past_chunk_1), 4)
+        chunks = map_chunks(sleeps_past_chunk_1, 5)
         assert [next(chunks), next(chunks)] == [0, 1]
         chunks.close()
     assert time.monotonic() - started < 30
 
 
 @needs_fork
-def test_consumer_exception_kills_and_reaps_the_worker(tmp_path):
+def test_consumer_exception_kills_and_reaps_the_worker():
     # An exception in the loop over the map, outside the map itself, drops
     # the generator, whose close kills the worker.
     started = time.monotonic()
     with leaves_nothing():
         with pytest.raises(ZeroDivisionError):
-            for c in map_chunks(worker_first(tmp_path / "started", sleeps_past_chunk_1), 4):
+            for c in map_chunks(sleeps_past_chunk_1, 5):
                 if c == 1:
                     c / 0
     assert time.monotonic() - started < 30
-
-
-# -- sharing the chunks --------------------------------------------------------
-
-@needs_fork
-@pytest.mark.parametrize("slow", ["worker", "parent"])
-def test_a_slow_process_takes_fewer_chunks(slow):
-    # Chunks go to whichever process is free, so the one that sleeps 0.1 s
-    # a chunk takes fewer than half of them: a slow worker one in 1 + AHEAD
-    # or so, as the parent computes up to AHEAD chunks while it waits for
-    # the worker's, and a slow parent a few. The results still come in order.
-    parent, n_chunks = os.getpid(), 20
-
-    def fn(c):
-        me = "parent" if os.getpid() == parent else "worker"
-        if me == slow and c > 0:
-            time.sleep(0.1)
-        return c, me
-
-    with leaves_nothing():
-        results = list(map_chunks(fn, n_chunks))
-    assert [c for c, _ in results] == list(range(n_chunks))
-    taken = sum(me == slow for c, me in results[1:])
-    assert taken <= (n_chunks - 1) // (1 + AHEAD) + 1
-
-
-@needs_fork
-def test_results_larger_than_the_pipe_buffer():
-    # Each result is larger than the results pipe's buffer.
-    size = 3 * RESULTS_PIPE_BYTES
-    with leaves_nothing():
-        results = list(map_chunks(lambda c: bytes([c]) * size, 5))
-    assert results == [bytes([c]) * size for c in range(5)]
-
-
-def test_more_chunk_numbers_than_the_queue_holds_run_in_process(monkeypatch):
-    # 20,000 chunk numbers are 80,000 bytes, past a pipe's 64 KiB buffer.
-    forks = []
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or 0)
-    with leaves_nothing():
-        assert list(map_chunks(lambda c: c, 20_000)) == list(range(20_000))
-    assert forks == []
 
 
 @needs_fork
@@ -306,16 +254,6 @@ def test_a_failed_fork_runs_every_chunk_in_process(monkeypatch):
     with leaves_nothing():
         assert list(map_chunks(lambda c: (c, os.getpid()), 5)) == [
             (c, os.getpid()) for c in range(5)]
-
-
-def test_library_stream_bytes_runs_in_process(monkeypatch):
-    # The library runs its chunks in its own process: only the CLI forks.
-    forks = []
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or 0)
-    with leaves_nothing():
-        recovered, report = stream_bytes(bytes(range(256)) * 20, OfdmConfig(64, 3, 26, 16),
-                                         ChannelConfig(), n_payload_symbols=2)
-    assert report.packets_sent > 2 * CHUNK_FRAMES and forks == []
 
 
 # -- the same bytes on both paths --------------------------------------------
@@ -353,13 +291,14 @@ def test_simulate_csv_text_buffered_at_fork_is_written_once(tmp_path, monkeypatc
     # At the fork the parent's staged evm.csv handle holds its header and
     # chunk 0's rows in its buffer, none of it on disk yet: a worker that
     # flushed that buffer on exit would write the text twice.
-    out, log = tmp_path / "qpsk_multipath_pnc_chunks-simulate", tmp_path / "calls.log"
+    out = tmp_path / "qpsk_multipath_pnc_chunks-simulate"
 
-    def look(frames):   # in the worker's one chunk
-        with open(tmp_path / "staged.txt", "w") as fh:
-            fh.write(f"{os.getpid()} {os.path.getsize(out / '.evm.csv.partial')}")
+    def look(frames):
+        if frames.start == 16:
+            with open(tmp_path / "staged.txt", "w") as fh:
+                fh.write(f"{os.getpid()} {os.path.getsize(out / '.evm.csv.partial')}")
 
-    wrap_run_frame(monkeypatch, log, worker_takes_a_chunk(log, look))
+    wrap_run_frame(monkeypatch, tmp_path / "calls.log", look)
     with leaves_nothing():
         hashes, _ = run_command(tmp_path, "qpsk_multipath_pnc_chunks", "simulate")
     pid, size = map(int, (tmp_path / "staged.txt").read_text().split())
@@ -381,22 +320,47 @@ def test_one_cpu_runs_every_chunk_in_process(tmp_path, monkeypatch, capsys):
 
 
 @needs_fork
-def test_only_the_worker_leaves_one_cpu_out(tmp_path):
+def test_the_worker_leaves_the_parents_cpu_but_while_the_parent_waits():
     # The worker runs on the parent's affinity set less the CPU the parent
-    # ran on at the fork; the parent's set is untouched.
-    parent = os.getpid()
-    fn = worker_first(tmp_path / "started")
+    # ran on at the fork, but on the whole set while the parent waits for
+    # its result; the parent's set is untouched. Each chunk looks at its
+    # set before and after a sleep: chunk 1 (worker) sleeps past chunk 2
+    # (parent), so the parent waits for it; chunk 3 (worker) looks while
+    # chunk 4 (parent) still runs.
+    parent, full = os.getpid(), affinity(0)
 
-    def where(c):
-        return fn(c), os.getpid(), frozenset(affinity(0))
+    def fn(c):
+        time.sleep({3: 0.2}.get(c, 0))
+        seen = [frozenset(affinity(0))]
+        time.sleep({1: 0.6, 2: 0.2, 4: 0.6}.get(c, 0))
+        return c, os.getpid(), seen + [frozenset(affinity(0))]
 
     with leaves_nothing():
-        results = list(map_chunks(where, 4))
-    full = affinity(0)
-    assert [r[0] for r in results] == [0, 1, 2, 3] and results[0] == (0, parent, full)
-    placed = {r[1:] for r in results if r[1] != parent}
-    (worker, cpus), = placed
-    assert worker != parent and cpus < full and len(cpus) == len(full) - 1
+        results = list(map_chunks(fn, 5))
+    assert [r[0] for r in results] == list(range(5))
+    assert all(pid == parent and seen == [full, full] for c, pid, seen in results[::2])
+    (worker,) = {pid for c, pid, seen in results[1::2]}
+    (pinned, waited), (again, again_after) = results[1][2], results[3][2]
+    assert worker != parent and pinned < full and len(pinned) == len(full) - 1
+    assert waited == full and again == again_after == pinned
+
+
+@needs_fork
+def test_results_larger_than_the_pipe_buffer():
+    size = 3 * RESULTS_PIPE_BYTES
+    with leaves_nothing():
+        results = list(map_chunks(lambda c: bytes([c]) * size, 5))
+    assert results == [bytes([c]) * size for c in range(5)]
+
+
+def test_library_stream_bytes_runs_in_process(monkeypatch):
+    # The library runs its chunks in its own process: only the CLI forks.
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or 0)
+    with leaves_nothing():
+        recovered, report = stream_bytes(bytes(range(256)) * 20, OfdmConfig(64, 3, 26, 16),
+                                         ChannelConfig(), n_payload_symbols=2)
+    assert report.packets_sent > 2 * CHUNK_FRAMES and forks == []
 
 
 @pytest.mark.parametrize("n_chunks", [0, 1, 2, 3, 5])
