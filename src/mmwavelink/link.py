@@ -122,14 +122,14 @@ def map_chunks(fn, n_chunks: int):
     its result has the same bytes in whichever process computes it.
 
     Chunk 0 runs in this process. Then, where _worker_cpus allows it, one
-    forked worker on a CPU other than this process's computes the odd
-    chunks and writes each pickled result to a pipe, and this process
-    computes each even chunk c + 1 before it reads the worker's chunk c.
-    Each process runs the same chunks in every run, and the pipe bounds the
-    worker's lead, so memory does not grow with the run's length. While this
-    process waits for a result, the worker may also run on this process's
-    CPU, so that a worker slowed by a busy CPU can finish there. Otherwise
-    every chunk runs here. An exception in either process is raised here in
+    forked worker on a CPU other than this process's computes the even
+    chunks from 2 and writes each pickled result to a pipe, and this process
+    computes each odd chunk c before it reads the worker's chunk c - 1, so
+    that its chunk 1 covers the worker's start. Each process runs the same
+    chunks in every run, and the pipe bounds the worker's lead, so memory
+    does not grow with the run's length. While this process waits for a
+    result, the worker may also run on this process's CPU, so that a worker
+    slowed by a busy CPU can finish there. Otherwise every chunk runs here. An exception in either process is raised here in
     chunk order, with its type and message; a worker that ends without a
     result raises RuntimeError. An exception here, or closing the generator
     early, kills and reaps the worker.
@@ -164,25 +164,28 @@ def map_chunks(fn, n_chunks: int):
             pid = None
     if pid == 0:
         os.close(results_fd)
-        _work(fn, range(1, n_chunks, 2), worker_fd, cpus)   # never returns
+        _work(fn, range(2, n_chunks, 2), worker_fd, cpus)   # never returns
     results = open(results_fd, "rb")
     try:
         os.close(worker_fd)
         if pid is None:
             yield from map(fn, range(1, n_chunks))
             return
-        for c in range(1, n_chunks, 2):
-            own = _outcome(fn, c + 1) if c + 1 < n_chunks else None
-            _place(pid, every)   # while this process waits
-            try:
-                theirs = pickle.load(results)
-            except (EOFError, pickle.UnpicklingError):
-                status, pid = os.waitpid(pid, 0)[1], None
-                code = os.waitstatus_to_exitcode(status)
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise RuntimeError(f"the chunk worker {how} without a result for chunk {c}")
-            _place(pid, cpus)
-            for kind, value in (theirs, own) if own else (theirs,):
+        for c in range(1, n_chunks + 1, 2):   # this process's chunk c, the worker's c - 1
+            outcomes = [_outcome(fn, c)] if c < n_chunks else []
+            if c > 1:
+                _place(pid, every)   # while this process waits
+                try:
+                    outcomes.insert(0, pickle.load(results))
+                except (EOFError, pickle.UnpicklingError):
+                    status, pid = os.waitpid(pid, 0)[1], None
+                    code = os.waitstatus_to_exitcode(status)
+                    how = (f"was killed by signal {-code}" if code < 0
+                           else f"exited with status {code}")
+                    raise RuntimeError(f"the chunk worker {how} without a result for "
+                                       f"chunk {c - 1}")
+                _place(pid, cpus)
+            for kind, value in outcomes:
                 if kind == "raised":
                     raise value
                 yield value
@@ -198,11 +201,11 @@ def map_chunks(fn, n_chunks: int):
 def _worker_cpus(n_chunks: int):
     """The CPUs a chunk worker may run on: this process's affinity set less
     the CPU it runs on. None, so that every chunk runs in this process,
-    without os.fork or os.sched_getaffinity, with fewer than 2 CPUs or 2
+    without os.fork or os.sched_getaffinity, with fewer than 2 CPUs or 3
     chunks, off the main thread or with another Python thread alive, or
     where this process's CPU cannot be read: a worker left free to share
     that CPU ran slower than one process."""
-    if (n_chunks < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+    if (n_chunks < 3 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.current_thread() is not threading.main_thread()
             or threading.active_count() > 1):
         return None

@@ -1,7 +1,7 @@
 """The CLI's ordered chunk map, link.map_chunks: with 2 or more CPUs a forked
-worker computes a run's odd chunks and this process its even ones, reading
-the worker's results from a pipe in chunk order; with one CPU every chunk
-runs in this process. Both paths must write the same bytes, and a failure on either
+worker computes a run's even chunks from 2 and this process the others,
+reading the worker's results from a pipe in chunk order; with one CPU every
+chunk runs in this process. Both paths must write the same bytes, and a failure on either
 side must leave no process, no changed affinity and no open file behind.
 
 The one-CPU path comes from os.sched_getaffinity patched to {0}, as
@@ -37,8 +37,8 @@ needs_fork = pytest.mark.skipif(not FORKS, reason=NO_FORK)
 # The affinity call itself, which one_cpu patches.
 affinity = os.sched_getaffinity if FORKS else None
 
-# 37 frames: chunks 0-15, 16-31 and 32-36. The parent runs chunks 0 and 2,
-# the worker chunk 1.
+# 37 frames: chunks 0-15, 16-31 and 32-36. The parent runs chunks 0 and 1,
+# the worker chunk 2.
 THREE_CHUNKS = {"n_frames": 37, "n_payload_symbols": 2}
 
 
@@ -104,31 +104,31 @@ def run_simulate(tmp_path: Path, tag: str, capsys, n_frames: int = 37) -> tuple:
 
 @needs_fork
 def test_worker_exception_exits_as_in_process(tmp_path, monkeypatch, capsys):
-    # The worker's chunk 1 raises: the parent raises the same exception type
+    # The worker's chunk 2 raises: the parent raises the same exception type
     # and message, so main gives the in-process exit code and stderr line.
     def fail(frames):
-        if frames.start == 16:
+        if frames.start == 32:
             raise ValueError(f"no frames from {frames.start}")
 
     wrap_run_frame(monkeypatch, tmp_path / "forked.log", fail)
     with leaves_nothing():
         forked = run_simulate(tmp_path, "forked", capsys)
     calls = calls_by_pid(tmp_path / "forked.log")
-    assert calls.pop(os.getpid()) == [0, 32] and list(calls.values()) == [[16]]
+    assert calls.pop(os.getpid()) == [0, 16] and list(calls.values()) == [[32]]
 
     with monkeypatch.context() as m:
         one_cpu(m)
         wrap_run_frame(m, tmp_path / "one.log", fail)
         with leaves_nothing():
             in_process = run_simulate(tmp_path, "one", capsys)
-    assert calls_by_pid(tmp_path / "one.log") == {os.getpid(): [0, 16]}
-    assert forked == in_process == (2, "error: no frames from 16\n", [])
+    assert calls_by_pid(tmp_path / "one.log") == {os.getpid(): [0, 16, 32]}
+    assert forked == in_process == (2, "error: no frames from 32\n", [])
 
 
 def test_exceptions_in_both_processes_raise_in_chunk_order():
-    # Chunk 2 (this process) and chunk 3 (the worker) both raise: chunk 2's
-    # exception comes first, as in one process, though the worker's may
-    # arrive first.
+    # Chunk 2 (the worker) and chunk 3 (this process) both raise: chunk 2's
+    # exception comes first, as in one process, though this process meets
+    # chunk 3's first.
     def fail(c):
         if c >= 2:
             raise ValueError(f"chunk {c}")
@@ -157,16 +157,16 @@ def test_unpicklable_worker_exception_raises_runtime_error():
 
     with leaves_nothing():
         with pytest.raises(RuntimeError, match=r"^the chunk worker exited with status 1 "
-                           r"without a result for chunk 1$"):
+                           r"without a result for chunk 2$"):
             list(map_chunks(fn, 4))
 
 
 @needs_fork
 def test_killed_worker_exits_2_with_runtime_error(tmp_path, monkeypatch, capsys):
-    # 70 frames: the worker runs chunks 1 and 3 and dies in chunk 3, after
-    # writing chunk 1's result.
+    # 70 frames: the worker runs chunks 2 and 4 and dies in chunk 4, after
+    # writing chunk 2's result.
     def die(frames):
-        if frames.start == 48:
+        if frames.start == 64:
             os.kill(os.getpid(), signal.SIGKILL)
 
     wrap_run_frame(monkeypatch, tmp_path / "calls.log", die)
@@ -177,28 +177,28 @@ def test_killed_worker_exits_2_with_runtime_error(tmp_path, monkeypatch, capsys)
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"error: the chunk worker was killed by signal {int(signal.SIGKILL)} "
-        "without a result for chunk 3\n")
+        "without a result for chunk 4\n")
     assert list(out.iterdir()) == []
     calls = calls_by_pid(tmp_path / "calls.log")
-    assert calls.pop(os.getpid()) == [0, 32, 64] and list(calls.values()) == [[16, 48]]
+    assert calls.pop(os.getpid()) == [0, 16, 48] and list(calls.values()) == [[32, 64]]
 
 
 @needs_fork
 @pytest.mark.parametrize("exc", [ValueError("parent failed"), KeyboardInterrupt()])
 def test_parent_exception_kills_and_reaps_the_worker(tmp_path, monkeypatch, capsys, exc):
-    # 70 frames in 5 chunks. The parent raises in chunk 2 once the worker has
-    # started chunk 3, where it sleeps far past the test's bound: only a kill
-    # ends it in time. The ValueError is raised after chunk 1's result, in
+    # 70 frames in 5 chunks. The parent raises in chunk 3 once the worker has
+    # started chunk 4, where it sleeps far past the test's bound: only a kill
+    # ends it in time. The ValueError is raised after chunk 2's result, in
     # chunk order; the KeyboardInterrupt at once.
     parent, log = os.getpid(), tmp_path / "calls.log"
 
     def act(frames):
         if os.getpid() != parent:
-            if frames.start == 48:
+            if frames.start == 64:
                 time.sleep(60)
-        elif frames.start == 32:
+        elif frames.start == 48:
             deadline = time.monotonic() + 20
-            while sum(map(len, calls_by_pid(log).values())) < 4 and time.monotonic() < deadline:
+            while sum(map(len, calls_by_pid(log).values())) < 5 and time.monotonic() < deadline:
                 time.sleep(0.01)
             raise exc
 
@@ -212,12 +212,12 @@ def test_parent_exception_kills_and_reaps_the_worker(tmp_path, monkeypatch, caps
             assert run_simulate(tmp_path, "out", capsys, n_frames=70) == (
                 2, "error: parent failed\n", [])
     assert time.monotonic() - started < 30
-    assert sorted(calls_by_pid(log).values()) == [[0, 32], [16, 48]]
+    assert sorted(calls_by_pid(log).values()) == [[0, 16, 48], [32, 64]]
 
 
-def sleeps_past_chunk_1(c):
-    # The worker returns chunk 1 at once and sleeps in chunk 3.
-    if c > 1 and c % 2:
+def sleeps_in_chunk_4(c):
+    # The worker returns chunk 2 at once and sleeps in chunk 4.
+    if c == 4:
         time.sleep(60)
     return c
 
@@ -226,8 +226,8 @@ def sleeps_past_chunk_1(c):
 def test_closing_the_map_early_kills_and_reaps_the_worker():
     started = time.monotonic()
     with leaves_nothing():
-        chunks = map_chunks(sleeps_past_chunk_1, 5)
-        assert [next(chunks), next(chunks)] == [0, 1]
+        chunks = map_chunks(sleeps_in_chunk_4, 5)
+        assert [next(chunks), next(chunks), next(chunks)] == [0, 1, 2]
         chunks.close()
     assert time.monotonic() - started < 30
 
@@ -239,8 +239,8 @@ def test_consumer_exception_kills_and_reaps_the_worker():
     started = time.monotonic()
     with leaves_nothing():
         with pytest.raises(ZeroDivisionError):
-            for c in map_chunks(sleeps_past_chunk_1, 5):
-                if c == 1:
+            for c in map_chunks(sleeps_in_chunk_4, 5):
+                if c == 2:
                     c / 0
     assert time.monotonic() - started < 30
 
@@ -294,7 +294,7 @@ def test_simulate_csv_text_buffered_at_fork_is_written_once(tmp_path, monkeypatc
     out = tmp_path / "qpsk_multipath_pnc_chunks-simulate"
 
     def look(frames):
-        if frames.start == 16:
+        if frames.start == 32:
             with open(tmp_path / "staged.txt", "w") as fh:
                 fh.write(f"{os.getpid()} {os.path.getsize(out / '.evm.csv.partial')}")
 
@@ -324,23 +324,23 @@ def test_the_worker_leaves_the_parents_cpu_but_while_the_parent_waits():
     # The worker runs on the parent's affinity set less the CPU the parent
     # ran on at the fork, but on the whole set while the parent waits for
     # its result; the parent's set is untouched. Each chunk looks at its
-    # set before and after a sleep: chunk 1 (worker) sleeps past chunk 2
-    # (parent), so the parent waits for it; chunk 3 (worker) looks while
-    # chunk 4 (parent) still runs.
+    # set before and after a sleep: chunk 2 (worker) sleeps past chunk 3
+    # (parent), so the parent waits for it; chunk 4 (worker) looks while
+    # chunk 5 (parent) still runs.
     parent, full = os.getpid(), affinity(0)
 
     def fn(c):
-        time.sleep({3: 0.2}.get(c, 0))
+        time.sleep({4: 0.2}.get(c, 0))
         seen = [frozenset(affinity(0))]
-        time.sleep({1: 0.6, 2: 0.2, 4: 0.6}.get(c, 0))
+        time.sleep({2: 0.6, 3: 0.2, 5: 0.6}.get(c, 0))
         return c, os.getpid(), seen + [frozenset(affinity(0))]
 
     with leaves_nothing():
-        results = list(map_chunks(fn, 5))
-    assert [r[0] for r in results] == list(range(5))
-    assert all(pid == parent and seen == [full, full] for c, pid, seen in results[::2])
-    (worker,) = {pid for c, pid, seen in results[1::2]}
-    (pinned, waited), (again, again_after) = results[1][2], results[3][2]
+        results = list(map_chunks(fn, 6))
+    assert [r[0] for r in results] == list(range(6))
+    assert all(results[c][1:] == (parent, [full, full]) for c in (0, 1, 3, 5))
+    (worker,) = {results[c][1] for c in (2, 4)}
+    (pinned, waited), (again, again_after) = results[2][2], results[4][2]
     assert worker != parent and pinned < full and len(pinned) == len(full) - 1
     assert waited == full and again == again_after == pinned
 
