@@ -329,17 +329,18 @@ def cmd_sweep_k(args, cfg: Config) -> int:
     chunks = _chunks(v["n_frames"])
     n_chunks = len(chunks)
 
+    last = None
+
     def chunk(j: int) -> tuple:
         """Chunk j % n_chunks of the run at the (j // n_chunks)-th K: its
         two power arrays. Its stack stays in `last` until the next chunk's
         is made: freed first, its pages went back to the OS and were
         faulted in again, about 15,000 more minor faults a sweep."""
+        nonlocal last
         k_index, c = divmod(j, n_chunks)
-        last[0] = run_frame(cfg.modulation, ofdm_cfgs[k_index], cfg.channel, v["pnc_enabled"],
-                            v["n_payload_symbols"], v["seed"], chunks[c])
-        return last[0].report.error_power, last[0].report.reference_power
-
-    last = [None]
+        last = run_frame(cfg.modulation, ofdm_cfgs[k_index], cfg.channel, v["pnc_enabled"],
+                         v["n_payload_symbols"], v["seed"], chunks[c])
+        return last.report.error_power, last.report.reference_power
 
     results, powers = [], []
     for j, chunk_powers in enumerate(map_chunks(chunk, len(k_values) * n_chunks)):
