@@ -12,7 +12,6 @@ import contextlib
 import gc
 import json
 import os
-import re
 import signal
 import subprocess
 import sys
