@@ -9,8 +9,8 @@ from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel,
 from .pnc import PhaseEstimate, cancel, estimate_phase
 from .receiver import (ChannelEstimate, DecodeReport, decode_frames, equalize,
                        estimate_channel_ls, genie_evm_db)
-from .link import (CHUNK_FRAMES, FrameStack, aggregate_evm_db, derived_seed,
-                   frame_bits_rng, run_frame, run_frames)
+from .link import (CHUNK_FRAMES, FrameStack, aggregate_evm_db, frame_bits_rng, run_frame,
+                   run_frames)
 from .metrics import (GaussianFit, PsdEstimate, gaussian_fit_in_place, phase_pdf, psd_welch,
                       wrap_phase)
 from .linklayer import (Packet, PacketStatus, StreamReport, depacketize,
@@ -29,7 +29,7 @@ __all__ = [
     "ChannelEstimate", "DecodeReport", "estimate_channel_ls", "equalize",
     "decode_frames", "genie_evm_db",
     "CHUNK_FRAMES", "FrameStack", "run_frame", "run_frames",
-    "frame_bits_rng", "derived_seed", "aggregate_evm_db",
+    "frame_bits_rng", "aggregate_evm_db",
     "GaussianFit", "PsdEstimate", "gaussian_fit_in_place", "psd_welch", "phase_pdf",
     "wrap_phase",
     "Packet", "PacketStatus", "StreamReport", "packetize", "depacketize",

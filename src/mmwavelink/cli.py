@@ -21,11 +21,11 @@ import numpy as np
 from .channel import (ChannelConfig, PhaseNoiseConfig, PhaseNoiseModel, _check_tone,
                       single_tone_probe)
 # run_frame is called through this binding: the benchmark hooks cli.run_frame.
-from .link import _chunks, aggregate_evm_db, map_chunks, run_frame
+from .link import _add_powers, _chunks, map_chunks, run_frame
 from .linklayer import _stream_bytes, frame_payload_bytes
-from .metrics import (gaussian_fit_in_place, phase_pdf, psd_welch, series_csv_text,
-                      std_in_place, wrap_phase, write_csv_header, write_series_csv)
-from .modulation import Modulation
+from .metrics import (gaussian_fit_in_place, phase_pdf, psd_welch, series_csv_text, wrap_phase,
+                      write_csv_header, write_series_csv)
+from .modulation import Modulation, evm_db_from_powers
 from .ofdm import N_PREAMBLE_SYMBOLS, OfdmConfig
 from .receiver import genie_evm_db
 
@@ -82,9 +82,8 @@ CONFIG_TABLE = (
 DEFAULTS = {path: default for path, _, default, _ in CONFIG_TABLE}
 SECTIONS = {path.partition(".")[0] for path in DEFAULTS if "." in path}
 
-# The longest probe or frame row, and simulate's largest residual phase
-# array, in samples: at 2**27 a probe already holds 1.5 GB, a frame row
-# 2 GiB per complex copy and the residual 1 GiB; longer is a mistyped size.
+# The longest probe or frame row, in samples: at 2**27 a probe already holds
+# 1.5 GB and a frame row 2 GiB per complex copy; longer is a mistyped size.
 MAX_ROW_SAMPLES = 1 << 27
 
 
@@ -194,10 +193,6 @@ def load_config(args) -> Config:
                    (N_PREAMBLE_SYMBOLS + v["n_payload_symbols"]) * ofdm.symbol_len)]:
         if n > MAX_ROW_SAMPLES:
             raise ConfigError(f"{key} gives rows of {n} samples, over {MAX_ROW_SAMPLES}")
-    # simulate keeps every frame's payload residual phase, (n_frames, n_payload_symbols * n_fft).
-    residual = v["n_frames"] * v["n_payload_symbols"] * ofdm.n_fft
-    if args.command == "simulate" and residual > MAX_ROW_SAMPLES:
-        raise ConfigError(f"n_frames gives {residual} residual samples, over {MAX_ROW_SAMPLES}")
     if args.command == "sweep-k" and v["n_frames"] < 1:
         raise ConfigError("sweep-k needs n_frames >= 1 for a mean EVM")
     # L taps spread a symbol over L - 1 extra samples, which the CP absorbs
@@ -229,42 +224,42 @@ def cmd_simulate(args, cfg: Config) -> int:
     chunks = _chunks(n_frames)
 
     def chunk(c: int) -> tuple:
-        """Chunk c's per-frame scalars, erasure count, mean-removed residual
-        phase and the text of its evm.csv and constellation.csv rows."""
+        """Chunk c's frame powers; the sums of its genie EVM, its pilot phase
+        std, its residual phase less each row's mean, and that residual's
+        square; its erasure count; and its evm.csv and constellation.csv text."""
         rows = chunks[c]
         stack = run_frame(modulation, ofdm_cfg, cfg.channel, v["pnc_enabled"], n_sym, seed, rows)
         report = stack.report
+        genie = genie_evm_db(report.points, stack.tx_bits, report.erased, modulation)
         d = wrap_phase(stack.theta_true_bodies - stack.theta_est)
         d -= d.mean(axis=-1, keepdims=True)
-        return (np.stack([report.evm_db, report.residual_phase_std,
-                          genie_evm_db(report.points, stack.tx_bits, report.erased, modulation),
-                          report.error_power, report.reference_power]),
-                int(report.n_erased.sum()), d,
+        sums = np.array([genie.sum(), report.residual_phase_std.sum(), d.sum(),
+                         np.square(d, out=d).sum()])   # d squared after its sum
+        return ((report.error_power, report.reference_power), sums,
+                int(report.n_erased.sum()),
                 series_csv_text([np.arange(rows.start, rows.stop), report.evm_db,
                                  report.residual_phase_std]),
                 series_csv_text([report.points.real, report.points.imag]))
 
-    # A run keeps per-frame scalars and each frame's residual phase over its
-    # payload bodies, whose exact std goes into summary.json (taken in the
-    # array's own buffer); a chunk's stack and points are dropped in chunk().
-    scalars = np.empty((5, n_frames))
-    evm, pilot_std, genie, *powers = scalars   # powers: each frame's error and reference power
-    residual = np.empty((n_frames, n_sym * ofdm_cfg.n_fft))
-    n_erased = 0
+    # A run keeps running totals, added chunk by chunk, left to right: the
+    # frames' powers and chunk()'s sums; the rest of a chunk is dropped there.
+    powers, sums, n_erased = np.zeros(2), np.zeros(4), 0
     staged = {name: out / f".{name}.partial" for name in ("evm.csv", "constellation.csv")}
     try:
         with open(staged["evm.csv"], "w", newline="") as evm_fh, \
                 open(staged["constellation.csv"], "w", newline="") as points_fh:
             write_csv_header(evm_fh, ["frame", "evm_db", "residual_phase_std"])
             write_csv_header(points_fh, ["re", "im"])
-            for (chunk_scalars, erased, d, evm_text, points_text), rows in zip(
-                    map_chunks(chunk, len(chunks)), chunks):
-                rows = slice(rows.start, rows.stop)
-                scalars[:, rows], residual[rows] = chunk_scalars, d
+            for chunk_powers, chunk_sums, erased, evm_text, points_text in map_chunks(
+                    chunk, len(chunks)):
+                _add_powers(powers, *chunk_powers)
+                sums += chunk_sums
                 n_erased += erased
                 evm_fh.write(evm_text)
                 points_fh.write(points_text)
 
+        genie, pilot_std, residual, residual_sq = sums
+        n_residual = n_frames * n_sym * ofdm_cfg.n_fft
         summary = {
             "n_frames": n_frames,
             "n_payload_symbols": n_sym,
@@ -272,10 +267,14 @@ def cmd_simulate(args, cfg: Config) -> int:
             "pnc_enabled": v["pnc_enabled"],
             "seed": seed,
             "k_guard": ofdm_cfg.k_guard,
-            "evm_db": aggregate_evm_db(*powers),
-            "evm_db_genie_mean": float(genie.mean()) if n_frames else None,
-            "residual_phase_std": float(pilot_std.mean()) if n_frames else None,
-            "residual_phase_std_true": std_in_place(residual) if n_frames else None,
+            "evm_db": evm_db_from_powers(*powers),
+            "evm_db_genie_mean": float(genie / n_frames) if n_frames else None,
+            "residual_phase_std": float(pilot_std / n_frames) if n_frames else None,
+            # sqrt(E[x^2] - E[x]^2): each row's mean is removed, so E[x]^2 is
+            # rounding noise, which may pass E[x^2] only where the residual is.
+            "residual_phase_std_true": math.sqrt(max(residual_sq / n_residual
+                                                     - (residual / n_residual) ** 2, 0.0))
+            if n_frames else None,
             "n_erased": n_erased,
         }
         # Serialized before the CSVs are put in place: a result that is not
@@ -342,14 +341,13 @@ def cmd_sweep_k(args, cfg: Config) -> int:
                          v["n_payload_symbols"], v["seed"], chunks[c])
         return last.report.error_power, last.report.reference_power
 
-    results, powers = [], []
+    results, powers = [], np.zeros(2)   # powers: the K's running totals
     for j, chunk_powers in enumerate(map_chunks(chunk, len(k_values) * n_chunks)):
-        powers.append(chunk_powers)
-        if len(powers) == n_chunks:
-            errors, references = zip(*powers)
-            k, powers = k_values[j // n_chunks], []
-            results.append((k, aggregate_evm_db(np.concatenate(errors),
-                                                np.concatenate(references))))
+        _add_powers(powers, *chunk_powers)
+        if j % n_chunks == n_chunks - 1:
+            k = k_values[j // n_chunks]
+            results.append((k, evm_db_from_powers(*powers)))
+            powers[:] = 0.0
             print(f"sweep-k: K={k} mean_evm_db={results[-1][1]}")
 
     # A result that is not finite fails here, before ksweep.csv is opened.

@@ -30,12 +30,6 @@ CHUNK_FRAMES = 16
 RESULTS_PIPE_BYTES = 1 << 20
 
 
-def derived_seed(*parts: int) -> int:
-    """Stable 64-bit seed derived from integer key parts: the first uint64 word
-    of np.random.SeedSequence(parts)'s state."""
-    return int(seed_states([parts], 1)[0, 0])
-
-
 @dataclass
 class FrameStack:
     """Consecutive frames of a run, sent and decoded together; every array is
@@ -129,10 +123,11 @@ def map_chunks(fn, n_chunks: int):
     chunks in every run, and the pipe bounds the worker's lead, so memory
     does not grow with the run's length. While this process waits for a
     result, the worker may also run on this process's CPU, so that a worker
-    slowed by a busy CPU can finish there. Otherwise every chunk runs here. An exception in either process is raised here in
-    chunk order, with its type and message; a worker that ends without a
-    result raises RuntimeError. An exception here, or closing the generator
-    early, kills and reaps the worker.
+    slowed by a busy CPU can finish there. Otherwise every chunk runs here.
+    An exception in either process is raised here in chunk order, with its
+    type and message; a worker that ends without a result raises
+    RuntimeError. An exception here, or closing the generator early, kills
+    and reaps the worker.
     """
     if n_chunks < 1:
         return
@@ -268,10 +263,16 @@ def frame_bits_rng(run_seed: int, frame_idx: int) -> np.random.Generator:
     return seeded_generators([(run_seed, frame_idx, 1)])[0]
 
 
+def _add_powers(totals: np.ndarray, error_power, reference_power) -> np.ndarray:
+    """totals, (2,), plus each frame's error and reference power, added in
+    place one frame after another as np.cumsum adds them: carried over a
+    run's chunks, they equal one np.cumsum over the run, bit for bit."""
+    powers = np.stack([error_power, reference_power], axis=-1)
+    totals[:] = np.cumsum(np.concatenate([totals[None], powers]), axis=0)[-1]
+    return totals
+
+
 def aggregate_evm_db(error_power, reference_power) -> float | None:
     """RMS (linear-domain) EVM over frames from their (F,) power sums, each
-    added left to right, as np.cumsum does on every Python (sum() of floats
-    is compensated from Python 3.12); None without any decided points."""
-    if not len(error_power):
-        return None
-    return evm_db_from_powers(np.cumsum(error_power)[-1], np.cumsum(reference_power)[-1])
+    added left to right (_add_powers); None without any decided points."""
+    return evm_db_from_powers(*_add_powers(np.zeros(2), error_power, reference_power))

@@ -10,8 +10,8 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelConfig
-from .link import _chunks, aggregate_evm_db, map_chunks, run_frames
-from .modulation import Modulation
+from .link import _add_powers, _chunks, map_chunks, run_frames
+from .modulation import Modulation, evm_db_from_powers
 from .ofdm import OfdmConfig, frame_capacity_bits
 
 _HEADER = struct.Struct(">IH")   # seq: u32, payload_len: u16
@@ -175,12 +175,12 @@ def _stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
                 report.error_power, report.reference_power, len(sent) * stack.samples_per_frame)
 
     received = []
-    powers = np.empty((2, len(packets)))   # each frame's error and reference power
+    powers = np.zeros(2)   # the frames' error and reference powers, added up
     channel_uses = 0
     results = (map_chunks(chunk, len(chunks)) if fork else map(chunk, range(len(chunks))))
-    for (rx_bytes, error, reference, uses), frames in zip(results, chunks):
+    for rx_bytes, error, reference, uses in results:
         received.extend(decode_packet(row.tobytes()) for row in rx_bytes)
-        powers[:, frames.start:frames.stop] = error, reference
+        _add_powers(powers, error, reference)
         channel_uses += uses
 
     recovered, statuses = depacketize(received, max_payload)
@@ -193,6 +193,6 @@ def _stream_bytes(data: bytes, ofdm_cfg: OfdmConfig, channel_cfg: ChannelConfig,
         packets_crc_fail=len(received) - ok,
         per=1.0 - ok / len(packets) if packets else 0.0,
         goodput_bits_per_channel_use=ok_bits / channel_uses if channel_uses else 0.0,
-        mean_evm_db=aggregate_evm_db(*powers),
+        mean_evm_db=evm_db_from_powers(*powers),
     )
     return recovered, report

@@ -42,15 +42,9 @@ def gaussian_fit_in_place(x: np.ndarray) -> GaussianFit:
     if x.size < 2:
         raise ValueError("need at least 2 samples")
     mean = float(x.mean())
-    return GaussianFit(mean=mean, std=std_in_place(x, ddof=1), sample_count=x.size)
-
-
-def std_in_place(x: np.ndarray, ddof: int = 0) -> float:
-    """np.std(x, ddof=ddof), bit for bit, computed in x's own buffer, which
-    it overwrites: numpy's two passes, the mean and then the sum of squares
-    about it, without the full-size temporary np.std holds."""
-    x -= x.mean()
-    return float(np.sqrt(np.square(x, out=x).sum() / (x.size - ddof)))
+    x -= mean
+    std = float(np.sqrt(np.square(x, out=x).sum() / (x.size - 1)))
+    return GaussianFit(mean=mean, std=std, sample_count=x.size)
 
 
 def psd_welch(samples, sample_rate_hz: float, nfft: int = 4096) -> PsdEstimate:

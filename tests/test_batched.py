@@ -15,17 +15,17 @@ from helpers import channel_row
 from mmwavelink import (ChannelConfig, ChannelEstimate, DecodeReport, Modulation, OfdmConfig,
                         PhaseNoiseConfig, PhaseNoiseModel, PhaseNoiseProcess, apply_channel,
                         build_frames, cancel, decode_frames,
-                        equalize, estimate_channel_ls, estimate_phase, derived_seed,
+                        equalize, estimate_channel_ls, estimate_phase,
                         frame_bits_rng, frame_capacity_bits, genie_evm_db, indices_to_bits,
                         map_bits, modulate_symbol, run_frame, run_frames, slice_indices,
                         training_bins)
 from mmwavelink import channel as channel_module
 from mmwavelink.channel import (PN_CORNER_RATIO, SAMPLE_BLOCK, phasor, sample_blocks,
-                                single_tone_probe, tone)
-from mmwavelink.link import aggregate_evm_db
+                                seed_states, single_tone_probe, tone)
+from mmwavelink.link import _add_powers, aggregate_evm_db
 from mmwavelink.modulation import evm_db_from_powers
-from mmwavelink.metrics import (CSV_BLOCK_ROWS, append_series_csv, psd_welch, series_csv_text,
-                                std_in_place, write_csv_header, write_series_csv)
+from mmwavelink.metrics import (CSV_BLOCK_ROWS, append_series_csv, gaussian_fit_in_place,
+                                psd_welch, series_csv_text, write_csv_header, write_series_csv)
 from mmwavelink.ofdm import N_PREAMBLE_SYMBOLS, PILOT_INDEX
 
 FS = 25.0e6
@@ -172,7 +172,7 @@ def test_run_frame_phase_estimate_equals_per_symbol_oracle(pnc_enabled):
     result = run_frames([bits], Modulation.QPSK, cfg, channel, pnc_enabled, 5, 7, 2)
 
     symbols, _ = build_frames([bits], Modulation.QPSK, cfg, 5)
-    y, theta = channel_row(symbols.ravel(), channel, derived_seed(7, 2, 0))
+    y, theta = channel_row(symbols.ravel(), channel, int(seed_states([(7, 2, 0)], 1)[0, 0]))
     est, true = [], []
     for s in range(N_PREAMBLE_SYMBOLS, N_PREAMBLE_SYMBOLS + 5):
         start = s * cfg.symbol_len + cfg.cp_len
@@ -488,7 +488,7 @@ def test_frame_evm_matches_masked_means(taps, pn, erasures, pnc_enabled):
     channel = ChannelConfig(taps=taps, snr_db=math.inf if erasures else 25.0, phase_noise=pn)
     bits = frame_bits_rng(9, 4).integers(0, 2, 46 * 4 * 5, dtype=np.uint8)
     symbols, _ = build_frames([bits], Modulation.QAM16, cfg, 5)
-    y, _ = channel_row(symbols.ravel(), channel, derived_seed(9, 4, 0))
+    y, _ = channel_row(symbols.ravel(), channel, int(seed_states([(9, 4, 0)], 1)[0, 0]))
     report = decode_frames(y[None], cfg, Modulation.QAM16, pnc_enabled)
     expect, n_erased = frame_evm_reference(y, cfg, Modulation.QAM16, pnc_enabled)
     assert report.n_erased[0] == n_erased and (n_erased > 0) == erasures
@@ -893,15 +893,17 @@ def test_stacked_genie_equals_per_frame_genie(modulation, channel, pnc_enabled):
 @given(shape=st.sampled_from([(1, 1), (3, 768), (37, 384), (400, 768), (5000,)]),
        scale=st.sampled_from([1e-3, 1.0, 3.0]), offset=st.sampled_from([0.0, 0.4, -2.5]),
        seed=st.integers(0, 2**32 - 1))
-def test_std_in_place_equals_np_std(shape, scale, offset, seed):
-    # simulate takes the residual phase std of a whole run (ddof 0), and
-    # measure-pn the fitted std of its phase (ddof 1), in the array's own
-    # buffer; summary.json and pn_fit.json must keep np.std's exact value.
+def test_gaussian_fit_std_equals_np_std(shape, scale, offset, seed):
+    # measure-pn fits its phase in the array's own buffer; pn_fit.json must
+    # keep np.std's exact value (ddof 1) and the exact mean.
     x = offset + scale * np.random.default_rng(seed).standard_normal(shape)
-    for ddof in (0, 1):
-        if x.size > ddof:
-            expected = float(np.std(x, ddof=ddof))
-            assert std_in_place(x.copy(), ddof) == expected
+    if x.size < 2:
+        with pytest.raises(ValueError):
+            gaussian_fit_in_place(x.copy())
+        return
+    fit = gaussian_fit_in_place(x.copy())
+    assert fit.std == float(np.std(x, ddof=1))
+    assert fit.mean == float(x.mean()) and fit.sample_count == x.size
 
 
 @FAST
@@ -922,3 +924,26 @@ def test_aggregate_evm_db_sums_left_to_right(powers):
         total[0] += e
         total[1] += r
     assert aggregate_evm_db(error, reference) == evm_db_from_powers(*total)
+
+
+@FAST
+@given(powers=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+                                 st.one_of(st.just(0.0), st.floats(1e-3, 1e6))), max_size=60),
+       cuts=st.lists(st.integers(0, 60), max_size=6))
+@example(powers=[(1e16, 1e16), (1.0, 3.0), (1.0, 3.0)], cuts=[1])
+@example(powers=[(1e16, 1e16), (1.0, 3.0), (1.0, 3.0)], cuts=[1, 2])
+@example(powers=[(0.0, 0.0), (0.0, 0.0)], cuts=[0, 1, 2])
+def test_add_powers_over_chunks_equals_one_cumsum(powers, cuts):
+    # simulate, sweep-k and stream carry a run's power totals from chunk to
+    # chunk; the totals must equal one np.cumsum over the whole run, bit for
+    # bit, wherever the run is cut, an empty piece included.
+    error, reference = np.array(powers).reshape(-1, 2).T
+    bounds = [0, *sorted(min(c, len(powers)) for c in cuts), len(powers)]
+    totals = np.zeros(2)
+    for start, stop in zip(bounds, bounds[1:]):
+        assert _add_powers(totals, error[start:stop], reference[start:stop]) is totals
+    if powers:
+        expected = [np.cumsum(error)[-1], np.cumsum(reference)[-1]]
+    else:
+        expected = [0.0, 0.0]
+    assert totals.tobytes() == np.array(expected).tobytes()

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmwavelink import (ChannelConfig, DecodeReport, Modulation, OfdmConfig, PhaseNoiseConfig,
-                        derived_seed, frame_bits_rng, frame_capacity_bits, run_frame,
-                        run_frames, training_bins)
+                        frame_bits_rng, frame_capacity_bits, run_frame, run_frames,
+                        training_bins)
 from mmwavelink.channel import seed_states, seeded_generators
 
 WORD = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
@@ -55,7 +55,8 @@ def test_seeded_generators_draw_as_default_rng(rows):
 @pytest.mark.parametrize("frame", [0, 7, 2**32 - 1, 2**32])
 def test_derived_seed_and_frame_bits_equal_numpy(run_seed, frame):
     state = np.random.SeedSequence([run_seed, frame, 0]).generate_state(1, np.uint64)
-    assert derived_seed(run_seed, frame, 0) == int(state[0])
+    # Frame `frame`'s channel seed: the first word of its (run_seed, frame, 0) state.
+    assert seed_states([(run_seed, frame, 0)], 1)[0, 0] == state[0]
     expect = np.random.default_rng(np.random.SeedSequence([run_seed, frame, 1]))
     assert frame_bits_rng(run_seed, frame).integers(0, 2**63, 4).tolist() == \
         expect.integers(0, 2**63, 4).tolist()
