@@ -153,7 +153,7 @@ GOLDEN = {
             "evm.csv":
                 "9af36eef6eb7275c1fb534753f4678975aa4a38ceee2bc100f4089e44ec42050",
             "summary.json":
-                "c07c276e9047a8e28abb2b60861d47f78925aa3001287b5e266165cde643c72e",
+                "e90c65846d35788e13add2ac77fc2109d4dece3ab48d625a616ad9ec10cdfa80",
         },
     },
     "qam64_stream_chunks": {
@@ -251,7 +251,7 @@ GOLDEN = {
             "evm.csv":
                 "26719b401be65a4a4008c6e290677194e1be848613a35c51accda87e4699b641",
             "summary.json":
-                "11f947ce1718d51fc312d30a7516aa2c06995b22f9f08f1ff2a52943fec6d6e0",
+                "2b555874f6ff6660078d5d3fbc3bb28435a85d8835eee6be3a74d61258d8a595",
         },
     },
     "qpsk_wide_seed": {
